@@ -6,15 +6,14 @@
 //! users" direction of the roadmap. The composition runs in two
 //! phases, joined at the router boundary:
 //!
-//! 1. **Routing** — a [`sim_core::Scheduler`] drives two uniform
-//!    [`sim_core::Component`]s over the cluster timeline: an arrival
-//!    feed that pops the trace in `(time, arrival-order)` FIFO order
-//!    and asks the [`RouterPolicy`] for a replica, and an interconnect
-//!    link that delays every dispatch by the configured hop before
-//!    delivering it into the chosen replica's inbox. Admission and
-//!    trace-feeding thus live *above* the device: a replica only ever
-//!    sees its own routed sub-trace, with arrival timestamps already
-//!    shifted by the dispatch hop.
+//! 1. **Routing** — a single fold over the trace in `(time,
+//!    arrival-order)` sequence: the [`RouterPolicy`] picks a replica
+//!    for each arrival, which lands in that replica's inbox one
+//!    dispatch hop later. The router's state depends only on arrival
+//!    order and the hop is constant, so every inbox is already in
+//!    delivery order. Admission and trace-feeding thus live *above*
+//!    the device: a replica only ever sees its own routed sub-trace,
+//!    with arrival timestamps already shifted by the dispatch hop.
 //! 2. **Execution** — between router boundaries the replicas share
 //!    nothing, so each replica's [`DeviceEngine`] runs its sub-trace
 //!    to completion on its own scoped thread
@@ -27,8 +26,8 @@
 //! # Determinism
 //!
 //! The report is a pure function of `(engine, trace, policies)`:
-//! routing is single-threaded under the scheduler's `(time, seq)`
-//! order, replica runs are independent, and the merge reads the
+//! routing is a single-threaded fold in `(time, arrival-order)`
+//! sequence, replica runs are independent, and the merge reads the
 //! positional results in replica order — so the fleet is **bit-identical
 //! at any worker count** ([`FleetEngine::with_threads`]), the same
 //! contract `MonteCarlo` pins per seed. Per-replica fault streams are
@@ -56,8 +55,7 @@ use crate::reliability::FaultMode;
 use crate::serve::{DeviceEngine, SchedulePolicy, ServeReport};
 use crate::system::System;
 use llm_workload::{ArrivalTrace, RequestArrival, RequestShape};
-use sim_core::{parallel_map_workers, Component, Samples, Scheduler, SimTime, SplitMix64};
-use std::collections::VecDeque;
+use sim_core::{parallel_map_workers, Samples, SimTime, SplitMix64};
 
 /// How the cluster router picks a replica for each arriving request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -196,21 +194,6 @@ impl FleetEngine {
         self
     }
 
-    /// The replica count.
-    pub fn replicas(&self) -> usize {
-        self.replicas
-    }
-
-    /// The routing policy.
-    pub fn router(&self) -> RouterPolicy {
-        self.router
-    }
-
-    /// The interconnect hop costs.
-    pub fn interconnect(&self) -> Interconnect {
-        self.interconnect
-    }
-
     /// The template device every replica copies.
     pub fn device(&self) -> &DeviceEngine {
         &self.device
@@ -267,23 +250,19 @@ impl FleetEngine {
         self.merge(policy, per_replica)
     }
 
-    /// Routes `arrivals` (already in `(time, order)` sequence) through
-    /// the scheduler-driven feed + interconnect components, producing
-    /// one delivered sub-trace per replica.
+    /// Routes `arrivals` (already in `(time, order)` sequence) to one
+    /// delivered sub-trace per replica, each arrival shifted by the
+    /// dispatch hop.
     fn route(&self, arrivals: &[RequestArrival]) -> Vec<Vec<RequestArrival>> {
-        let mut fabric = Fabric {
-            wire: vec![VecDeque::new(); self.replicas],
-            inboxes: vec![Vec::new(); self.replicas],
-        };
-        let mut feed = ArrivalFeed {
-            arrivals,
-            next: 0,
-            hop: self.interconnect.dispatch_hop,
-            router: RouterState::new(self.router, self.replicas),
-        };
-        let mut link = InterconnectLink;
-        Scheduler::new().run(&mut [&mut feed, &mut link], &mut fabric);
-        fabric.inboxes
+        let mut router = RouterState::new(self.router, self.replicas);
+        let mut inboxes = vec![Vec::new(); self.replicas];
+        for a in arrivals {
+            inboxes[router.route(a.shape)].push(RequestArrival {
+                at: a.at + self.interconnect.dispatch_hop,
+                shape: a.shape,
+            });
+        }
+        inboxes
     }
 
     /// Per-replica engines, or `None` when every replica can share the
@@ -301,10 +280,7 @@ impl FleetEngine {
                 .map(|replica_seed| {
                     let mut cfg = base;
                     cfg.seed = replica_seed;
-                    DeviceEngine::new(self.device.config(), self.device.model().clone())
-                        .with_prefill(self.device.prefill_mode())
-                        .with_span_mode(self.device.span_mode())
-                        .with_faults(FaultMode::Injected(cfg))
+                    self.device.clone().with_faults(FaultMode::Injected(cfg))
                 })
                 .collect(),
         )
@@ -489,65 +465,6 @@ impl FleetReport {
     }
 }
 
-/// Shared fabric of the routing phase: the wire between router and
-/// replicas, and each replica's delivered inbox.
-struct Fabric {
-    /// In-flight dispatches per replica: `(delivery time, shape)`,
-    /// FIFO (the hop is constant, so delivery order is dispatch
-    /// order).
-    wire: Vec<VecDeque<(SimTime, RequestShape)>>,
-    /// Delivered sub-traces, arrival timestamps in replica clock
-    /// (cluster arrival + dispatch hop).
-    inboxes: Vec<Vec<RequestArrival>>,
-}
-
-/// Component popping the cluster trace in FIFO order and routing each
-/// arrival onto the wire.
-struct ArrivalFeed<'a> {
-    arrivals: &'a [RequestArrival],
-    next: usize,
-    hop: SimTime,
-    router: RouterState,
-}
-
-impl Component<Fabric> for ArrivalFeed<'_> {
-    fn next_tick(&self, _: &Fabric) -> Option<SimTime> {
-        self.arrivals.get(self.next).map(|a| a.at)
-    }
-
-    fn tick(&mut self, now: SimTime, fabric: &mut Fabric) {
-        let a = self.arrivals[self.next];
-        self.next += 1;
-        let replica = self.router.route(a.shape);
-        fabric.wire[replica].push_back((now + self.hop, a.shape));
-    }
-}
-
-/// Component delivering due wire entries into replica inboxes, one per
-/// firing (lowest replica index first among simultaneous deliveries).
-struct InterconnectLink;
-
-impl Component<Fabric> for InterconnectLink {
-    fn next_tick(&self, fabric: &Fabric) -> Option<SimTime> {
-        fabric
-            .wire
-            .iter()
-            .filter_map(|q| q.front().map(|&(t, _)| t))
-            .min()
-    }
-
-    fn tick(&mut self, now: SimTime, fabric: &mut Fabric) {
-        for (replica, queue) in fabric.wire.iter_mut().enumerate() {
-            if queue.front().is_some_and(|&(t, _)| t == now) {
-                let (_, shape) = queue.pop_front().expect("checked front");
-                fabric.inboxes[replica].push(RequestArrival { at: now, shape });
-                return;
-            }
-        }
-        unreachable!("interconnect ticked with no due delivery");
-    }
-}
-
 /// The router's dispatch-time state.
 struct RouterState {
     policy: RouterPolicy,
@@ -600,10 +517,6 @@ mod tests {
         DeviceEngine::new(SystemConfig::cambricon_s(), zoo::opt_6_7b())
     }
 
-    fn trace(n: usize, seed: u64) -> ArrivalTrace {
-        ArrivalTrace::poisson(40.0, n, RequestShape::new(96, 3), seed)
-    }
-
     #[test]
     fn round_robin_rotates() {
         let mut r = RouterState::new(RouterPolicy::RoundRobin, 3);
@@ -630,6 +543,10 @@ mod tests {
         // Sessions 0,1,2 pin to replicas 0,1,0: the stripe repeats.
         let picks: Vec<usize> = (0..6).map(|_| r.route(s)).collect();
         assert_eq!(picks, vec![0, 1, 0, 0, 1, 0]);
+    }
+
+    fn trace(n: usize, seed: u64) -> ArrivalTrace {
+        ArrivalTrace::poisson(40.0, n, RequestShape::new(96, 3), seed)
     }
 
     #[test]
@@ -663,6 +580,80 @@ mod tests {
         let mut got = delivered.clone();
         got.sort();
         assert_eq!(got, expected);
+    }
+
+    fn at(micros: u64, prompt_len: usize, new_tokens: usize) -> RequestArrival {
+        RequestArrival {
+            at: SimTime::from_micros(micros),
+            shape: RequestShape::new(prompt_len, new_tokens),
+        }
+    }
+
+    #[test]
+    fn routing_delivers_exact_inboxes_in_order() {
+        // Hand-built trace, already in (time, arrival-order) sequence,
+        // with ties at 0 and 5 us. Booked tokens per arrival:
+        // 110, 21, 31, 42, 52, 6.
+        let ties = vec![
+            at(0, 100, 10),
+            at(0, 20, 1),
+            at(0, 30, 1),
+            at(5, 40, 2),
+            at(5, 50, 2),
+            at(9, 5, 1),
+        ];
+        // The same arrivals one 3 us dispatch hop later.
+        let [a0, a1, a2, a3, a4, a5] = [
+            at(3, 100, 10),
+            at(3, 20, 1),
+            at(3, 30, 1),
+            at(8, 40, 2),
+            at(8, 50, 2),
+            at(12, 5, 1),
+        ];
+        let ArrivalTrace::Open(burst) = ArrivalTrace::burst(4, RequestShape::new(8, 2)) else {
+            unreachable!()
+        };
+        let b = at(0, 8, 2);
+        let hop = SimTime::from_micros(3);
+        let route = |policy, replicas, dispatch_hop, arrivals: &[RequestArrival]| {
+            FleetEngine::new(device(), replicas)
+                .with_router(policy)
+                .with_interconnect(Interconnect::symmetric(dispatch_hop))
+                .route(arrivals)
+        };
+
+        assert_eq!(
+            route(RouterPolicy::RoundRobin, 2, hop, &ties),
+            vec![vec![a0, a2, a4], vec![a1, a3, a5]]
+        );
+        // Booked after each pick: [110,0] [110,21] [110,52] [110,94]
+        // [110,146] [116,146].
+        assert_eq!(
+            route(RouterPolicy::LeastLoaded, 2, hop, &ties),
+            vec![vec![a0, a5], vec![a1, a2, a3, a4]]
+        );
+        // Sessions 0,1,2,0,1,2 pin to replicas 0,1,0,0,1,0.
+        let affinity = RouterPolicy::SessionAffinity { sessions: 3 };
+        assert_eq!(
+            route(affinity, 2, hop, &ties),
+            vec![vec![a0, a2, a3, a5], vec![a1, a4]]
+        );
+
+        let zero = SimTime::ZERO;
+        assert_eq!(
+            route(RouterPolicy::RoundRobin, 3, zero, &burst),
+            vec![vec![b, b], vec![b], vec![b]]
+        );
+        assert_eq!(
+            route(RouterPolicy::LeastLoaded, 3, zero, &burst),
+            vec![vec![b, b], vec![b], vec![b]]
+        );
+        let affinity = RouterPolicy::SessionAffinity { sessions: 2 };
+        assert_eq!(
+            route(affinity, 3, zero, &burst),
+            vec![vec![b, b], vec![b, b], vec![]]
+        );
     }
 
     #[test]

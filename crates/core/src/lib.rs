@@ -65,8 +65,7 @@ pub use reliability::{
 };
 pub use roofline::{attainable_gops, cambricon_point, smartphone_npu_point, RooflinePoint};
 pub use serve::{
-    DeviceEngine, PrefillMode, RequestQueue, RequestReport, SchedulePolicy, ServeEngine,
-    ServeReport, SpanMode,
+    DeviceEngine, PrefillMode, RequestReport, SchedulePolicy, ServeEngine, ServeReport, SpanMode,
 };
 pub use sweep::{smallest_config_reaching, sweep_channels, sweep_chips, SweepPoint};
 pub use system::{GemvCache, OpClass, OpCost, PrefillCost, System, TokenReport, TrafficBreakdown};

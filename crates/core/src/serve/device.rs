@@ -3,16 +3,14 @@
 //! [`DeviceEngine`] owns everything that happens *inside* one device —
 //! the request pool, ready queues, span coalescing, fault windows,
 //! prefill holds, and both executors (the per-op interleaving loop and
-//! the continuous-batching loop). The scheduler boundary sits above:
-//! traces are routed/fed in from the outside ([`ServeEngine`] for a
-//! single device, [`crate::fleet`] for N replicas behind a cluster
-//! router), and the device runs its own specialized event core — the
-//! "component keeps its own executor" half of the
-//! [`sim_core::Component`] split.
+//! the continuous-batching loop). Traces are fed in from the outside
+//! (a whole trace for a single device, a routed sub-trace per replica
+//! under [`crate::fleet`]), and the device runs its own specialized
+//! event core.
 //!
 //! Everything here is an implementation detail of the serving model
 //! documented on [`crate::serve`]; the public surface is
-//! [`DeviceEngine`] and [`RequestQueue`].
+//! [`DeviceEngine`] (also named [`super::ServeEngine`]).
 
 use crate::config::SystemConfig;
 use crate::reliability::{FaultMode, FaultRun, ReliabilitySummary};
@@ -40,7 +38,7 @@ use super::{PrefillMode, RequestReport, SchedulePolicy, ServeReport, SpanMode};
 /// last-scheduled stamp) cannot change while a request waits — so a
 /// freed resource pops its winner in O(log n) instead of scanning.
 #[derive(Debug, Default)]
-pub struct RequestQueue {
+pub(crate) struct RequestQueue {
     ready: [BinaryHeap<Reverse<(u64, u64)>>; 2],
 }
 
@@ -57,24 +55,19 @@ impl RequestQueue {
         Some(id as usize)
     }
 
-    /// Requests currently waiting for `class`.
-    pub fn waiting(&self, class: OpClass) -> usize {
-        self.ready[slot(class)].len()
-    }
-
     /// Total requests waiting across both resources.
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.ready.iter().map(BinaryHeap::len).sum()
     }
 
     /// Whether no request is waiting.
-    pub fn is_empty(&self) -> bool {
+    fn is_empty(&self) -> bool {
         self.ready.iter().all(BinaryHeap::is_empty)
     }
 }
 
 /// A multi-request serving engine over one simulated device.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct DeviceEngine {
     cfg: SystemConfig,
     model: ModelSpec,

@@ -151,11 +151,14 @@
 //! assert_eq!(report.tokens_served, 8);
 //! assert!(report.tokens_per_sec > 0.0);
 //! ```
+//!
+//! [`System::op_cost`]: crate::System::op_cost
+//! [`System::decode_token`]: crate::System::decode_token
+//! [`System::prefill_cost`]: crate::System::prefill_cost
+//! [`TokenPlan`]: llm_workload::TokenPlan
 
-use crate::config::SystemConfig;
-use crate::reliability::{FaultMode, ReliabilitySummary};
-use crate::system::{System, TrafficBreakdown};
-use llm_workload::{ArrivalTrace, ModelSpec, TokenPlan};
+use crate::reliability::ReliabilitySummary;
+use crate::system::TrafficBreakdown;
 use sim_core::{Aggregate, SimTime};
 
 /// Whether the engine simulates the prefill phase of each request.
@@ -238,9 +241,10 @@ pub enum SchedulePolicy {
     /// interleaving per-token progress fairly across in-flight requests.
     RoundRobin,
     /// Continuous batching: up to `max_batch` in-flight requests march
-    /// through the shared [`TokenPlan`] in **lockstep** — one batch
-    /// step is one plan walk with many cursors parked at the same
-    /// position. Each weight GeMV streams from NAND **once** per step
+    /// through the shared [`TokenPlan`](llm_workload::TokenPlan) in
+    /// **lockstep** — one batch step is one plan walk with many cursors
+    /// parked at the same position. Each weight GeMV streams from NAND
+    /// **once** per step
     /// for the whole batch (the cloud-style amortization of §III-A),
     /// while per-request NPU work (attention, softmax, KV appends)
     /// repeats per batch member at its own sequence position. New
@@ -400,7 +404,8 @@ pub struct ServeReport {
     pub traffic: TrafficBreakdown,
     /// Fault-injection counters ([`crate::reliability`]): rereads,
     /// uncorrectable events, degradation, deadline sheds, and goodput.
-    /// All zero (the `Default`) when the run had [`FaultMode::Off`].
+    /// All zero (the `Default`) when the run had
+    /// [`FaultMode::Off`](crate::FaultMode::Off).
     pub reliability: ReliabilitySummary,
     /// Per-request summaries, in completion order.
     pub requests: Vec<RequestReport>,
@@ -473,118 +478,18 @@ impl ServeReport {
 
 mod device;
 
-pub use device::{DeviceEngine, RequestQueue};
+pub use device::DeviceEngine;
 
-/// A multi-request serving engine over one simulated device.
-///
-/// Thin facade over [`DeviceEngine`], the component owning the device
-/// event loop: construction, mode knobs and `run` delegate one-to-one,
-/// so the single-device API (and every golden report) is unchanged by
-/// the component split. Fleet composition ([`crate::fleet`]) drives
-/// [`DeviceEngine`] directly.
-#[derive(Debug)]
-pub struct ServeEngine {
-    device: DeviceEngine,
-}
-
-impl ServeEngine {
-    /// An engine serving `model` on a device configured as `cfg`, with
-    /// prefill off ([`PrefillMode::Off`] — the decode-only engine the
-    /// goldens pin).
-    pub fn new(cfg: SystemConfig, model: ModelSpec) -> Self {
-        ServeEngine {
-            device: DeviceEngine::new(cfg, model),
-        }
-    }
-
-    /// Sets the prefill mode for every subsequent run.
-    pub fn with_prefill(mut self, mode: PrefillMode) -> Self {
-        self.device = self.device.with_prefill(mode);
-        self
-    }
-
-    /// The active prefill mode.
-    pub fn prefill_mode(&self) -> PrefillMode {
-        self.device.prefill_mode()
-    }
-
-    /// Sets the span-coalescing mode for every subsequent run; see
-    /// [`DeviceEngine::with_span_mode`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the mode is `Coalesced { max_span: 0 }`.
-    pub fn with_span_mode(mut self, mode: SpanMode) -> Self {
-        self.device = self.device.with_span_mode(mode);
-        self
-    }
-
-    /// The active span-coalescing mode.
-    pub fn span_mode(&self) -> SpanMode {
-        self.device.span_mode()
-    }
-
-    /// Sets the fault-injection mode for every subsequent run; see
-    /// [`DeviceEngine::with_faults`].
-    pub fn with_faults(mut self, mode: FaultMode) -> Self {
-        self.device = self.device.with_faults(mode);
-        self
-    }
-
-    /// The active fault-injection mode.
-    pub fn fault_mode(&self) -> FaultMode {
-        self.device.fault_mode()
-    }
-
-    /// The system configuration this engine simulates.
-    pub fn config(&self) -> SystemConfig {
-        self.device.config()
-    }
-
-    /// The model this engine serves.
-    pub fn model(&self) -> &ModelSpec {
-        self.device.model()
-    }
-
-    /// The shared decode plan every request of every run walks.
-    pub fn plan(&self) -> &TokenPlan {
-        self.device.plan()
-    }
-
-    /// The single-device component behind this facade, e.g. to compose
-    /// replicas of it under a cluster router ([`crate::fleet`]).
-    pub fn device(&self) -> &DeviceEngine {
-        &self.device
-    }
-
-    /// Runs `trace` to completion under `policy` and reports fleet
-    /// statistics. Deterministic: the same trace and policy always
-    /// produce an identical report.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `policy` is [`SchedulePolicy::ContinuousBatch`] with
-    /// `max_batch == 0` (a batch must hold at least one request).
-    pub fn run(&self, trace: &ArrivalTrace, policy: SchedulePolicy) -> ServeReport {
-        self.device.run(trace, policy)
-    }
-
-    /// Runs `trace` on a caller-provided [`System`]; see
-    /// [`DeviceEngine::run_with_system`].
-    pub(crate) fn run_with_system(
-        &self,
-        trace: &ArrivalTrace,
-        policy: SchedulePolicy,
-        system: System,
-    ) -> (ServeReport, System) {
-        self.device.run_with_system(trace, policy, system)
-    }
-}
+/// The single-device serving engine: the name the goldens, examples
+/// and benchmarks use for [`DeviceEngine`].
+pub type ServeEngine = DeviceEngine;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use llm_workload::{zoo, RequestShape};
+    use crate::config::SystemConfig;
+    use crate::system::System;
+    use llm_workload::{zoo, ArrivalTrace, RequestShape};
 
     fn engine() -> ServeEngine {
         ServeEngine::new(SystemConfig::cambricon_s(), zoo::opt_6_7b())

@@ -7,8 +7,6 @@
 //!
 //! * [`SimTime`] — picosecond-resolution virtual time,
 //! * [`EventQueue`] — a deterministic time-ordered event queue,
-//! * [`Component`] / [`Scheduler`] — uniform simulation participants
-//!   composed under one global clock with `(time, seq)` FIFO firing,
 //! * [`BusyTracker`] / [`Counter`] / [`Aggregate`] — the statistics the
 //!   paper's figures report (channel utilization, bytes moved),
 //! * [`SplitMix64`] — a pinned, reproducible RNG for error injection.
@@ -40,14 +38,12 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod component;
 pub mod event;
 pub mod parallel;
 pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use component::{Component, Firing, Scheduler};
 pub use event::EventQueue;
 pub use parallel::{parallel_map, parallel_map_workers};
 pub use rng::SplitMix64;

@@ -8,6 +8,11 @@ build:
 test: build
     cargo test -q
 
+# The repo benchmark's self-tests, built against the workspace crates:
+# a public-API change that breaks the benchmark fails here.
+perfbench-test:
+    cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 # Criterion smoke benches (vendored harness: fixed-iteration timings).
 bench:
     cargo bench -p bench
