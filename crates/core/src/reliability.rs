@@ -211,6 +211,24 @@ fn erf(x: f64) -> f64 {
     sign * (1.0 - poly * (-x * x).exp())
 }
 
+/// One scheduling window's sampled faults: drawn by
+/// [`FaultRun::sample_window`], applied by [`FaultRun::commit_window`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct WindowDraw {
+    extra_ps: u128,
+    page_rereads: u64,
+    corrected_pages: u64,
+    uncorrectable: u64,
+}
+
+impl WindowDraw {
+    /// Extra picoseconds the window takes: degraded-bandwidth derating
+    /// plus reread escalations (saturating at `u64::MAX`).
+    pub(crate) fn extra(&self) -> u64 {
+        u64::try_from(self.extra_ps).unwrap_or(u64::MAX)
+    }
+}
+
 /// Per-run fault state: the sampling ladder, degradation level, and
 /// every reliability counter. Lives beside the event loop — never in
 /// the shared [`System`] — so Monte Carlo clones stay thread-safe.
@@ -311,15 +329,30 @@ impl FaultRun {
 
     /// Samples the fault cost of one scheduling window that reads
     /// `nand_bytes` from flash at a nominal latency of
-    /// `nominal_flash_ps`. Returns the extra picoseconds the window
-    /// takes: degraded-bandwidth derating plus reread escalations.
-    /// Updates the counters and possibly the degradation level.
+    /// `nominal_flash_ps`, then commits it: the counters and possibly
+    /// the degradation level are updated. Returns the extra picoseconds
+    /// the window takes.
     pub(crate) fn window_extra(
         &mut self,
         nand_bytes: u64,
         nominal_flash_ps: u64,
         rng: &mut SplitMix64,
     ) -> u64 {
+        let draw = self.sample_window(nand_bytes, nominal_flash_ps, rng);
+        self.commit_window(&draw)
+    }
+
+    /// Draws one window's faults without touching the run state: only
+    /// `rng` advances. A caller pricing a window speculatively draws on
+    /// a copy of the request's stream and keeps (and commits) the draw
+    /// only if the window really runs, so a discarded draw is later
+    /// redrawn identically from the untouched stream.
+    pub(crate) fn sample_window(
+        &self,
+        nand_bytes: u64,
+        nominal_flash_ps: u64,
+        rng: &mut SplitMix64,
+    ) -> WindowDraw {
         let mut extra: u128 = 0;
         // Graceful degradation: the stripe is `chips_total` wide; each
         // degraded chip's share of the read volume is re-served by the
@@ -331,26 +364,39 @@ impl FaultRun {
         let pages = nand_bytes.div_ceil(self.page_bytes.max(1));
         let mut failing = rng.binomial(pages, self.attempt_fail[0]);
         let initially_failing = failing;
+        let mut page_rereads = 0;
         let mut attempt = 1usize;
         while failing > 0 && attempt < self.attempt_fail.len() {
-            self.page_rereads += failing;
+            page_rereads += failing;
             extra += failing as u128 * self.attempt_cost_ps[attempt] as u128;
             failing = rng.binomial(failing, self.attempt_fail[attempt]);
             attempt += 1;
         }
-        self.corrected_pages += initially_failing - failing;
-        if failing > 0 {
-            self.uncorrectable_events += failing;
+        WindowDraw {
+            extra_ps: extra,
+            page_rereads,
+            corrected_pages: initially_failing - failing,
+            uncorrectable: failing,
+        }
+    }
+
+    /// Applies a drawn window to the counters and the degradation
+    /// level. Returns the window's extra picoseconds.
+    pub(crate) fn commit_window(&mut self, draw: &WindowDraw) -> u64 {
+        self.page_rereads += draw.page_rereads;
+        self.corrected_pages += draw.corrected_pages;
+        if draw.uncorrectable > 0 {
+            self.uncorrectable_events += draw.uncorrectable;
             // Mark chips degraded, always keeping at least one healthy:
             // the device slows down, it never bricks.
             let cap = self.chips_total.saturating_sub(1);
             self.degraded_chips = self
                 .degraded_chips
-                .saturating_add(failing.min(u32::MAX as u64) as u32)
+                .saturating_add(draw.uncorrectable.min(u32::MAX as u64) as u32)
                 .min(cap);
         }
-        self.fault_extra_ps += extra;
-        u64::try_from(extra).unwrap_or(u64::MAX)
+        self.fault_extra_ps += draw.extra_ps;
+        draw.extra()
     }
 
     /// Scores a completed request against the deadlines for goodput.
@@ -418,8 +464,12 @@ pub struct WearTrajectory {
 }
 
 impl WearTrajectory {
+    /// Most steps one trajectory simulates after day zero; a horizon
+    /// needing more is cut short, and the report says so.
+    pub const MAX_STEPS: usize = 512;
+
     /// Runs the trajectory: one fault-injected serve per step until the
-    /// SLO breaks or `max_days` elapse.
+    /// SLO breaks, `max_days` elapse, or [`Self::MAX_STEPS`] steps run.
     ///
     /// # Panics
     ///
@@ -441,7 +491,7 @@ impl WearTrajectory {
         let mut day = 0.0;
         let mut points = Vec::new();
         let mut days_until_slo = None;
-        for _ in 0..=steps.min(512) {
+        for _ in 0..=steps.min(Self::MAX_STEPS) {
             let fc = FaultConfig { age, ..self.base };
             let engine = ServeEngine::new(cfg, model.clone())
                 .with_prefill(prefill)
@@ -470,6 +520,8 @@ impl WearTrajectory {
         }
         WearReport {
             slo_goodput_tps: self.slo_goodput_tps,
+            last_day: points.last().map_or(0.0, |p| p.day),
+            truncated: days_until_slo.is_none() && steps > Self::MAX_STEPS,
             points,
             days_until_slo,
         }
@@ -505,8 +557,14 @@ pub struct WearReport {
     /// Per-step measurements, in day order.
     pub points: Vec<WearPoint>,
     /// First simulated day at which goodput fell below the SLO;
-    /// `None` if the device survived the whole horizon.
+    /// `None` if the device survived every simulated day.
     pub days_until_slo: Option<f64>,
+    /// Day of the last step actually simulated.
+    pub last_day: f64,
+    /// Whether the step limit ([`WearTrajectory::MAX_STEPS`]) stopped
+    /// the run before `max_days` with the SLO still holding: the device
+    /// survived `last_day`, and nothing is known past it.
+    pub truncated: bool,
 }
 
 impl WearReport {
@@ -523,6 +581,12 @@ impl WearReport {
             Some(d) => out.push_str(&format!(
                 "SLO ({:.2} tok/s goodput) violated after {d:.1} days\n",
                 self.slo_goodput_tps
+            )),
+            None if self.truncated => out.push_str(&format!(
+                "SLO ({:.2} tok/s goodput) held through day {:.1}; horizon truncated at {} steps\n",
+                self.slo_goodput_tps,
+                self.last_day,
+                WearTrajectory::MAX_STEPS
             )),
             None => out.push_str(&format!(
                 "SLO ({:.2} tok/s goodput) held for the whole horizon\n",
@@ -595,6 +659,118 @@ mod tests {
         assert!((erf(1.0) - 0.842_700_792_9).abs() < 2e-7);
         assert!((erf(-1.0) + 0.842_700_792_9).abs() < 2e-7);
         assert!((erf(6.0) - 1.0).abs() < 2e-7);
+    }
+
+    /// Everything a window draw can change in a run, for equality.
+    fn run_state(f: &FaultRun) -> (ReliabilitySummary, u128, u32) {
+        (f.summary(), f.fault_extra_ps, f.degraded_chips)
+    }
+
+    #[test]
+    fn sample_then_commit_equals_window_extra() {
+        // The speculative solo span prices a token's fault window on a
+        // stream copy and commits it only on acceptance. That is exact
+        // only if sample + commit is window_extra split in two, and a
+        // discarded sample leaves no trace. Three ages: fault-free, the
+        // ECC knee (partial rereads) and worn out (uncorrectables, so
+        // later windows see the degraded-bandwidth term).
+        let cfg = SystemConfig::cambricon_s();
+        let mut system = System::new(cfg);
+        let knee = FlashAge {
+            pe_cycles: 340,
+            retention_days: 30.5,
+        };
+        for (age, expect_rereads, expect_degraded) in [
+            (FlashAge::fresh(), false, false),
+            (knee, true, false),
+            (FlashAge::worn_out(), true, true),
+        ] {
+            let mode = FaultMode::Injected(FaultConfig::aged(age));
+            let mut whole = FaultRun::for_engine(&mode, &cfg, &mut system).expect("faults on");
+            let mut split = whole.clone();
+            let mut whole_rng = SplitMix64::new(0x5EED);
+            let mut split_rng = whole_rng.clone();
+            for window in 0..48u64 {
+                let nand_bytes = (1 << 20) + window * 4096;
+                let nominal_ps = 2_000_000_000 + window;
+                let extra = whole.window_extra(nand_bytes, nominal_ps, &mut whole_rng);
+
+                let before = run_state(&split);
+                let stream_before = split_rng.clone();
+                let mut copy = split_rng.clone();
+                let _discarded = split.sample_window(nand_bytes, nominal_ps, &mut copy);
+                assert_eq!(
+                    run_state(&split),
+                    before,
+                    "{age:?}: sampling mutated the run"
+                );
+                assert_eq!(
+                    split_rng, stream_before,
+                    "{age:?}: sampling a copy moved the stream"
+                );
+
+                let draw = split.sample_window(nand_bytes, nominal_ps, &mut split_rng);
+                assert_eq!(draw.extra(), extra, "{age:?} window {window}");
+                assert_eq!(split.commit_window(&draw), extra, "{age:?} window {window}");
+                assert_eq!(
+                    run_state(&split),
+                    run_state(&whole),
+                    "{age:?} window {window}"
+                );
+                assert_eq!(split_rng, whole_rng, "{age:?} window {window}");
+            }
+            assert_eq!(whole.page_rereads > 0, expect_rereads, "{age:?}");
+            assert_eq!(whole.degraded_chips > 0, expect_degraded, "{age:?}");
+        }
+    }
+
+    #[test]
+    fn wear_trajectory_reports_a_truncated_horizon() {
+        // A horizon of more steps than the cap: the run stops at the
+        // cap with the SLO holding, and the report must say the horizon
+        // was cut short rather than claim it held throughout.
+        let shape = llm_workload::RequestShape::new(8, 1);
+        let trace = ArrivalTrace::burst(1, shape);
+        let wt = WearTrajectory {
+            start: FlashAge::fresh(),
+            days_per_step: 1.0,
+            max_days: (WearTrajectory::MAX_STEPS + 88) as f64,
+            traffic_scale: 1.0,
+            bytes_per_pe: 0,
+            slo_goodput_tps: 0.0,
+            base: FaultConfig::default(),
+        };
+        let model = llm_workload::zoo::opt_6_7b();
+        let rep = wt.run(
+            SystemConfig::cambricon_s(),
+            &model,
+            PrefillMode::Off,
+            &trace,
+            SchedulePolicy::Fcfs,
+        );
+        assert_eq!(rep.points.len(), WearTrajectory::MAX_STEPS + 1);
+        assert_eq!(rep.days_until_slo, None);
+        assert!(rep.truncated);
+        assert_eq!(rep.last_day, WearTrajectory::MAX_STEPS as f64);
+        let summary = rep.summary();
+        assert!(summary.contains("truncated"), "{summary}");
+        assert!(!summary.contains("whole horizon"), "{summary}");
+
+        // Within the cap the same trajectory covers its whole horizon.
+        let short = WearTrajectory {
+            max_days: 4.0,
+            ..wt
+        }
+        .run(
+            SystemConfig::cambricon_s(),
+            &model,
+            PrefillMode::Off,
+            &trace,
+            SchedulePolicy::Fcfs,
+        );
+        assert!(!short.truncated);
+        assert_eq!(short.last_day, 4.0);
+        assert!(short.summary().contains("whole horizon"));
     }
 
     #[test]

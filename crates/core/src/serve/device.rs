@@ -13,7 +13,7 @@
 //! [`DeviceEngine`] (also named [`super::ServeEngine`]).
 
 use crate::config::SystemConfig;
-use crate::reliability::{FaultMode, FaultRun, ReliabilitySummary};
+use crate::reliability::{FaultMode, FaultRun, ReliabilitySummary, WindowDraw};
 use crate::system::{OpClass, PrefillCost, System, TrafficBreakdown};
 use llm_workload::kv::kv_bytes_per_token;
 use llm_workload::{
@@ -139,10 +139,10 @@ impl DeviceEngine {
     /// faults, enforces the configured deadlines, and fills
     /// [`ServeReport::reliability`].
     ///
-    /// Fault injection disables span coalescing for the per-op
-    /// policies (fault sampling is causal: each token's faults must be
-    /// drawn before the next arrival decision), so faulted per-op runs
-    /// pay the per-op event cadence. The batched loop keeps its spans.
+    /// Span coalescing stays on under fault injection: a solo span
+    /// draws each later token's fault window on a copy of the request's
+    /// fault stream and commits it only when the token is accepted, so
+    /// faulted runs stay bit-identical to [`SpanMode::PerOp`].
     pub fn with_faults(mut self, mode: FaultMode) -> Self {
         self.faults = mode;
         self
@@ -506,7 +506,8 @@ struct RequestPool {
     /// (empty-state generators when faults are off — never drawn from).
     fault_rng: Vec<SplitMix64>,
     /// Fault-added picoseconds of the request's current token, consumed
-    /// by its first flash dispatch (always 0 with faults off).
+    /// by its first flash dispatch or by the solo span that runs the
+    /// token (always 0 with faults off).
     fault_extra: Vec<u64>,
     /// Root generator the per-request streams fork from; `None` (the
     /// default) when faults are off. Seeded before the trace loads so
@@ -759,14 +760,10 @@ struct Simulation<'a> {
     /// it are rejected, not simulated.
     kv_max_context: usize,
     kv_rejections: u64,
-    /// Most tokens one span may coalesce (0 = per-op stepping).
+    /// Most tokens one span may coalesce (0 = per-op stepping). Any
+    /// nonzero cap also lets the interleaved replay loop
+    /// ([`run_interleaved`]) take over multi-request steady stretches.
     span_cap: usize,
-    /// Whether the interleaved replay loop may take over multi-request
-    /// steady stretches ([`run_interleaved`]). On for any
-    /// [`SpanMode::Coalesced`] — independent of `span_cap`, because the
-    /// replay is a faithful per-op re-execution (exact under fault
-    /// injection too), not a speculative coalescing.
-    replay: bool,
     /// Fault-injection state; `None` when [`FaultMode::Off`].
     faults: Option<FaultRun>,
 }
@@ -1021,6 +1018,23 @@ fn deadline_shed(f: &mut FaultRun, requests: &RequestPool, id: usize, now: SimTi
     false
 }
 
+/// The earliest absolute instant (picoseconds) at which
+/// [`deadline_shed`] could still shed the in-flight request `id`: its
+/// total deadline, and its TTFT deadline while no token has retired.
+/// `None` when neither applies. A span must end at the first token
+/// boundary at or after this instant so the boundary's shed check runs
+/// there; every earlier boundary lands strictly before each deadline,
+/// where the strict check cannot fire.
+fn deadline_ps(f: &FaultRun, requests: &RequestPool, id: usize) -> Option<u64> {
+    let arrived = requests.cold[id].arrived;
+    let total = f.total_deadline().map(|d| (arrived + d).as_picos());
+    let ttft = f
+        .ttft_deadline()
+        .filter(|_| requests.cold[id].first_token.is_none())
+        .map(|d| (arrived + d).as_picos());
+    total.into_iter().chain(ttft).min()
+}
+
 /// Span fast-forwarding for the per-op loops: coalesces a run of whole
 /// tokens for the **lone** in-flight request `id`, which must be parked
 /// at a token boundary (cursor at op 0, its current token already
@@ -1032,12 +1046,21 @@ fn deadline_shed(f: &mut FaultRun, requests: &RequestPool, id: usize, now: SimTi
 /// per-token order without touching the event machinery.
 ///
 /// The span ends at the earliest scheduling boundary: the request's
-/// completion, a forced span cap, or the **last token boundary at or
-/// before the next arrival** — a token an arrival would land inside
-/// must run per-op, because the newcomer starts interleaving on the
-/// free resource mid-token. Returns the number of tokens coalesced;
+/// completion, a forced span cap, the first token boundary at or after
+/// one of its deadlines ([`deadline_ps`]), or the **last token boundary
+/// at or before the next arrival** — a token an arrival would land
+/// inside must run per-op, because the newcomer starts interleaving on
+/// the free resource mid-token. Returns the number of tokens coalesced;
 /// 0 means the very next token would cross an arrival and the caller
 /// must fall back to per-op dispatch for it.
+///
+/// Under fault injection each token carries its fault window's extra
+/// flash time. The first token's was drawn (and committed) by
+/// [`begin_token`]; each later token draws on a copy of the request's
+/// fault stream and commits the draw — counters, degradation, and the
+/// advanced stream — only once the token is accepted. A rejected
+/// token's draw is dropped, so its own `begin_token` later draws the
+/// identical window from the untouched stream.
 ///
 /// The final token's last op becomes the span-end event, so the
 /// ordinary completion handler retires it (sample, completion report,
@@ -1055,6 +1078,7 @@ fn run_solo_span(
     token_latencies: &mut Samples,
     stamp: &mut u64,
     requests: &mut RequestPool,
+    faults: &mut Option<FaultRun>,
     id: usize,
     span_cap: usize,
     now: SimTime,
@@ -1078,8 +1102,15 @@ fn run_solo_span(
     // own `begin_token` later, hitting the memo.
     let mut dep = requests.dep_lat[id];
     let mut unbooked: Option<TrafficBreakdown> = None;
+    // Fault time of the token under consideration, and the uncommitted
+    // draw (with its advanced stream) behind it for every token but the
+    // first.
+    let mut extra = requests.fault_extra[id];
+    let mut uncommitted: Option<(WindowDraw, SplitMix64)> = None;
+    let mut span_fault_extra = 0u64;
+    let deadline = faults.as_ref().and_then(|f| deadline_ps(f, requests, id));
     loop {
-        let mut lat = table.solo_flash_lat + table.solo_npu_lat;
+        let mut lat = table.solo_flash_lat + table.solo_npu_lat + SimTime::from_picos(extra);
         for (d, &dep_lat) in dep.iter().enumerate().take(table.n_dep) {
             lat += dep_lat * table.dep_counts[d];
         }
@@ -1094,6 +1125,14 @@ fn run_solo_span(
             traffic.absorb(&table.inv_traffic);
             traffic.absorb(&tr);
         }
+        if let Some((draw, rng)) = uncommitted.take() {
+            faults
+                .as_mut()
+                .expect("a draw implies faults on")
+                .commit_window(&draw);
+            requests.fault_rng[id] = rng;
+        }
+        span_fault_extra += extra;
         k += 1;
         t = end;
         lats.push(lat);
@@ -1105,6 +1144,11 @@ fn run_solo_span(
             // the engine at the boundary, so the span stops here.
             break;
         }
+        if deadline.is_some_and(|dl| t.as_picos() >= dl) {
+            // First boundary at or after a deadline: stop so the
+            // ordinary boundary handler's shed check runs.
+            break;
+        }
         // Price the next token's attention slots (speculative; the
         // prefix table keeps the entries either way, and a rejected
         // token's position is re-read — not re-priced — by its own
@@ -1113,10 +1157,23 @@ fn run_solo_span(
         let (lat, tr) = attn_at(system, plan, table, seq);
         dep = lat;
         unbooked = Some(tr);
+        // Its fault window, drawn speculatively on a stream copy.
+        if let Some(f) = faults.as_ref() {
+            let mut rng = requests.fault_rng[id].clone();
+            let draw = f.sample_window(
+                table.inv_stream_traffic.nand_array_bytes,
+                table.solo_flash_lat.as_picos(),
+                &mut rng,
+            );
+            extra = draw.extra();
+            uncommitted = Some((draw, rng));
+        }
     }
     if k == 0 {
         return 0;
     }
+    // The first token's fault time is spent inside the span.
+    requests.fault_extra[id] = 0;
     // Per-op bookkeeping the span elides: one dispatch (and one event
     // stamp) per op of every coalesced token.
     let elided = (k * n_ops) as u64;
@@ -1139,8 +1196,9 @@ fn run_solo_span(
     requests.cursor[id].seek(n_ops - 1);
     // One busy interval per resource for the whole span: the per-class
     // totals are identical to per-op interval accounting (integer
-    // sums), and each interval ends before the span does.
-    let flash_busy = table.solo_flash_lat * k as u64;
+    // sums), and each interval ends before the span does. Fault time
+    // is flash time: rereads occupy the flash device.
+    let flash_busy = table.solo_flash_lat * k as u64 + SimTime::from_picos(span_fault_extra);
     busy_track[0].add_interval(now, now + flash_busy);
     busy_track[1].add_interval(now, now + ((t - now) - flash_busy));
     ev.schedule_op(slot(table.classes[n_ops - 1]), t, id);
@@ -1705,8 +1763,7 @@ fn run_interleaved<Q: FastReady>(
             }
 
             // Solo-span handoff: same trigger as the general loop's
-            // span check (under faults `span_cap` is 0, so speculative
-            // solo pricing stays off and the replay remains causal).
+            // span check.
             if span_cap > 0 && s_at[0] == u64::MAX && s_at[1] == u64::MAX && rlen[0] + rlen[1] == 1
             {
                 let (rs, sole) = q.pop_sole();
@@ -1730,6 +1787,7 @@ fn run_interleaved<Q: FastReady>(
                         token_latencies,
                         &mut d_stamp,
                         requests,
+                        faults,
                         sid,
                         span_cap,
                         now,
@@ -1922,16 +1980,7 @@ impl<'a> Simulation<'a> {
             first_arrival: None,
             kv_max_context: kv_cache(engine).max_tokens(),
             kv_rejections: 0,
-            // Fault sampling is causal (each token's faults are drawn
-            // and spent before the next scheduling decision), so solo
-            // spans — which price tokens speculatively — are disabled
-            // under fault injection.
-            span_cap: if faults.is_some() {
-                0
-            } else {
-                engine.span.cap()
-            },
-            replay: matches!(engine.span, SpanMode::Coalesced { .. }),
+            span_cap: engine.span.cap(),
             faults,
         };
         if let Some(f) = &sim.faults {
@@ -1972,7 +2021,6 @@ impl<'a> Simulation<'a> {
                 kv_max_context,
                 kv_rejections,
                 span_cap,
-                replay,
                 faults,
                 ..
             } = &mut self;
@@ -1980,7 +2028,7 @@ impl<'a> Simulation<'a> {
             let n_ops = table.classes.len();
             // The interleaved replay structures, standing by whenever
             // span coalescing is on for one of the per-op policies.
-            let mut fast: Option<FastLane> = match (*replay, policy) {
+            let mut fast: Option<FastLane> = match (*span_cap > 0, policy) {
                 (true, SchedulePolicy::Fcfs) => Some(FastLane::Fcfs(FcfsReady::default())),
                 (true, SchedulePolicy::RoundRobin) => Some(FastLane::Rr(RrReady::default())),
                 _ => None,
@@ -2159,6 +2207,7 @@ impl<'a> Simulation<'a> {
                             token_latencies,
                             stamp,
                             requests,
+                            faults,
                             id,
                             *span_cap,
                             now,
@@ -3033,34 +3082,16 @@ impl<'a> BatchedSimulation<'a> {
             _ => k_max,
         };
         debug_assert!(k_max >= 1, "an active member always owes a token");
-        // Deadlines bound the span: the first token boundary at or
-        // after the earliest member deadline must be a real boundary so
-        // `token_boundary`'s shed check sees it. Interior boundaries
-        // all land strictly before every deadline, where the (strict)
-        // check could never fire anyway.
-        let min_deadline_ps: Option<u64> = match &self.faults {
-            Some(f) => self
-                .batch
+        // Deadlines bound the span: it ends at the first token boundary
+        // at or after the earliest member deadline, where
+        // `token_boundary`'s shed check runs.
+        let min_deadline_ps: Option<u64> = self.faults.as_ref().and_then(|f| {
+            self.batch
                 .active
                 .iter()
-                .filter_map(|&id| {
-                    let arrived = self.requests.cold[id].arrived;
-                    let total = f.total_deadline().map(|d| (arrived + d).as_picos());
-                    let ttft = if self.requests.cold[id].first_token.is_none() {
-                        f.ttft_deadline().map(|d| (arrived + d).as_picos())
-                    } else {
-                        None
-                    };
-                    match (total, ttft) {
-                        (Some(a), Some(b)) => Some(a.min(b)),
-                        (Some(a), None) => Some(a),
-                        (None, Some(b)) => Some(b),
-                        (None, None) => None,
-                    }
-                })
-                .min(),
-            None => None,
-        };
+                .filter_map(|&id| deadline_ps(f, &self.requests, id))
+                .min()
+        });
         // An arrival landing mid-span only matters if the boundary after
         // it could admit (or reject) it. With a full batch, `admit`'s
         // loop never runs until a completion frees a slot — and every
@@ -3292,5 +3323,113 @@ impl<'a> BatchedSimulation<'a> {
             done: self.done,
         });
         (report, self.system)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::reliability::FaultConfig;
+    use flash_sim::FlashAge;
+    use llm_workload::zoo;
+
+    const TOKENS: usize = 12;
+
+    fn faulted_engine(fc: FaultConfig) -> DeviceEngine {
+        DeviceEngine::new(SystemConfig::cambricon_s(), zoo::opt_6_7b())
+            .with_faults(FaultMode::Injected(fc))
+    }
+
+    fn lone_trace() -> ArrivalTrace {
+        ArrivalTrace::burst(1, RequestShape::new(300, TOKENS))
+    }
+
+    /// Admits the trace's lone request the way the general loop does
+    /// (first token begun, fault window drawn), then runs one solo span
+    /// with no arrival pending. Returns the simulation, the tokens
+    /// coalesced, and the span-end event's time.
+    fn lone_span(engine: &DeviceEngine) -> (Simulation<'_>, usize, SimTime) {
+        let trace = lone_trace();
+        let mut sim = Simulation::new(
+            engine,
+            &trace,
+            SchedulePolicy::Fcfs,
+            System::new(engine.cfg),
+        );
+        let Some(Fired::Arrive(id)) = sim.ev.pop() else {
+            panic!("the trace's first event is its arrival");
+        };
+        assert_eq!(sim.ev.next_arrival_ps(), None);
+        let now = sim.ev.now;
+        sim.requests.phase[id] = Phase::Decoding;
+        sim.requests.token_started[id] = now;
+        begin_token(
+            &mut sim.system,
+            sim.plan,
+            &mut sim.table,
+            &mut sim.traffic,
+            &mut sim.requests,
+            &mut sim.faults,
+            id,
+        );
+        let k = run_solo_span(
+            &mut sim.system,
+            sim.plan,
+            &mut sim.table,
+            &mut sim.ev,
+            &mut sim.busy_track,
+            &mut sim.traffic,
+            &mut sim.token_latencies,
+            &mut sim.stamp,
+            &mut sim.requests,
+            &mut sim.faults,
+            id,
+            sim.span_cap,
+            now,
+        );
+        let (end, _, _) = sim
+            .ev
+            .op_done
+            .iter()
+            .flatten()
+            .copied()
+            .next()
+            .expect("a span schedules its end event");
+        (sim, k, SimTime::from_picos(end))
+    }
+
+    #[test]
+    fn faulted_solo_span_coalesces_every_remaining_token() {
+        // Worn out: every window rereads and uncorrectables derate the
+        // bandwidth mid-span. With no arrival or deadline pending, one
+        // span must carry the whole decode and end where per-op
+        // stepping finishes.
+        let fc = FaultConfig::aged(FlashAge::worn_out());
+        let engine = faulted_engine(fc);
+        let (sim, k, end) = lone_span(&engine);
+        assert_eq!(k, TOKENS);
+        let f = sim.faults.as_ref().expect("faults on");
+        assert!(f.page_rereads > 0 && f.degraded_chips > 0);
+        let per_op = faulted_engine(fc)
+            .with_span_mode(SpanMode::PerOp)
+            .run(&lone_trace(), SchedulePolicy::Fcfs);
+        assert_eq!(end, per_op.requests[0].finished);
+    }
+
+    #[test]
+    fn faulted_solo_span_stops_at_the_deadline_boundary() {
+        // A total deadline halfway through the decode: the span must
+        // coalesce the tokens before it and end on the first token
+        // boundary at or after it, where the shed check runs.
+        let probe = faulted_engine(FaultConfig::aged(FlashAge::worn_out()))
+            .run(&lone_trace(), SchedulePolicy::Fcfs);
+        let deadline = probe.requests[0].finished / 2;
+        let fc = FaultConfig::aged(FlashAge::worn_out()).with_deadlines(None, Some(deadline));
+        let engine = faulted_engine(fc);
+        let (sim, k, end) = lone_span(&engine);
+        assert!((2..TOKENS).contains(&k), "span of {k} tokens");
+        // The request arrived at zero, so the deadline is absolute.
+        let last_interior = sim.requests.token_started[0];
+        assert!(last_interior < deadline && deadline <= end);
     }
 }

@@ -13,6 +13,15 @@ test: build
 perfbench-test:
     cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
+# End-to-end oracle smoke: each benchmark workload for one second. The
+# command exits 1 when a warm-up differs from its `SpanMode::PerOp`
+# reference, so a bit-exactness break in a fast path fails here too.
+perfbench-smoke:
+    for w in design_sweep overload_rr open_batched_mc fleet_faulted; do \
+        cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+            --workload $w --seconds 1 --trace 0 || exit 1; \
+    done
+
 # Criterion smoke benches (vendored harness: fixed-iteration timings).
 bench:
     cargo bench -p bench

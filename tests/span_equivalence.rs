@@ -18,6 +18,11 @@
 //! prefill modes, and fault injection on and off to whole-report
 //! equality, plus an arrival landing exactly on a mid-run token
 //! boundary while decodes overlap.
+//!
+//! Under fault injection, solo spans price each later token's fault
+//! window on a copy of the request's fault stream and commit it only
+//! when the token is accepted. The spaced matrix pins that on open
+//! traces where lone decodes dominate, with deadlines that shed.
 
 use cambricon_llm_repro::prelude::*;
 use flash_sim::FlashAge;
@@ -116,41 +121,60 @@ proptest! {
     }
 }
 
+/// A flash age at the ECC knee: most token windows reread pages, and
+/// the escalated senses recover them all.
+const KNEE: FlashAge = FlashAge {
+    pe_cycles: 340,
+    retention_days: 30.5,
+};
+
 #[test]
 fn arrival_exactly_on_a_token_boundary_is_bit_exact() {
     // The sharpest span edge: an arrival landing exactly on a token
     // boundary (not just near it). Probe a per-op run for a true
     // boundary timestamp, then replay a trace with an arrival pinned
-    // to that instant under every policy and span mode.
+    // to that instant under every policy and span mode. With faults
+    // on, the boundary comes from the faulted probe (the first
+    // request's fault stream is the same in both traces), so the
+    // faulted solo span must accept the token ending exactly there.
     let shape = RequestShape::new(300, 4);
-    let probe = ServeEngine::new(SystemConfig::cambricon_s(), zoo::opt_6_7b())
-        .with_span_mode(SpanMode::PerOp)
-        .run(&ArrivalTrace::burst(1, shape), SchedulePolicy::Fcfs);
-    let boundary = probe.requests[0].first_token_at;
-    assert!(boundary > SimTime::ZERO);
-    let trace = ArrivalTrace::Open(vec![
-        RequestArrival {
-            at: SimTime::ZERO,
-            shape,
-        },
-        RequestArrival {
-            at: boundary,
-            shape: RequestShape::new(200, 2),
-        },
-    ]);
-    for policy in [
-        SchedulePolicy::Fcfs,
-        SchedulePolicy::RoundRobin,
-        SchedulePolicy::ContinuousBatch { max_batch: 2 },
+    for faults in [
+        FaultMode::Off,
+        FaultMode::Injected(FaultConfig::aged(KNEE)),
+        FaultMode::Injected(FaultConfig::aged(FlashAge::worn_out())),
     ] {
-        let reference = ServeEngine::new(SystemConfig::cambricon_s(), zoo::opt_6_7b())
-            .with_span_mode(SpanMode::PerOp)
-            .run(&trace, policy);
-        for mode in SPAN_MODES {
-            let coalesced = ServeEngine::new(SystemConfig::cambricon_s(), zoo::opt_6_7b())
+        let engine = |mode| {
+            ServeEngine::new(SystemConfig::cambricon_s(), zoo::opt_6_7b())
+                .with_faults(faults)
                 .with_span_mode(mode)
-                .run(&trace, policy);
-            assert_eq!(reference, coalesced, "{policy:?} {mode:?}");
+        };
+        let probe =
+            engine(SpanMode::PerOp).run(&ArrivalTrace::burst(1, shape), SchedulePolicy::Fcfs);
+        let boundary = probe.requests[0].first_token_at;
+        assert!(boundary > SimTime::ZERO);
+        if faults != FaultMode::Off {
+            assert!(probe.reliability.page_rereads > 0, "{faults:?}");
+        }
+        let trace = ArrivalTrace::Open(vec![
+            RequestArrival {
+                at: SimTime::ZERO,
+                shape,
+            },
+            RequestArrival {
+                at: boundary,
+                shape: RequestShape::new(200, 2),
+            },
+        ]);
+        for policy in [
+            SchedulePolicy::Fcfs,
+            SchedulePolicy::RoundRobin,
+            SchedulePolicy::ContinuousBatch { max_batch: 2 },
+        ] {
+            let reference = engine(SpanMode::PerOp).run(&trace, policy);
+            for mode in SPAN_MODES {
+                let coalesced = engine(mode).run(&trace, policy);
+                assert_eq!(reference, coalesced, "{faults:?} {policy:?} {mode:?}");
+            }
         }
     }
 }
@@ -285,6 +309,118 @@ fn admission_boundary_exactly_under_overlapping_decodes_is_bit_exact() {
             assert_eq!(reference, replayed, "{policy:?} {mode:?}");
         }
     }
+}
+
+/// Mixed request shapes: prompt lengths spread the per-token attention
+/// cost (and, with prefill modelled, the TTFT), decode lengths leave
+/// room for a deadline to land mid-decode.
+const SPACED_SHAPES: [(usize, usize); 4] = [(64, 10), (900, 3), (300, 7), (1500, 5)];
+
+/// Open traces where a request mostly runs alone, so solo spans carry
+/// most tokens: a low-rate Poisson trace, and a hand-built one whose
+/// gaps mix lone decodes with a few overlapping pairs.
+fn spaced_traces() -> Vec<ArrivalTrace> {
+    let shape = |i: usize| {
+        let (prompt, tokens) = SPACED_SHAPES[i % SPACED_SHAPES.len()];
+        RequestShape::new(prompt, tokens)
+    };
+    let mut poisson = match ArrivalTrace::poisson(0.04, 8, shape(0), 42) {
+        ArrivalTrace::Open(arrivals) => arrivals,
+        ArrivalTrace::ClosedLoop { .. } => unreachable!("poisson traces are open"),
+    };
+    for (i, a) in poisson.iter_mut().enumerate() {
+        a.shape = shape(i);
+    }
+    let gapped = [0.0, 0.05, 30.0, 30.0005, 60.0, 90.0]
+        .iter()
+        .enumerate()
+        .map(|(i, &at)| RequestArrival {
+            at: SimTime::from_secs_f64(at),
+            shape: shape(i + 1),
+        })
+        .collect();
+    vec![ArrivalTrace::Open(poisson), ArrivalTrace::Open(gapped)]
+}
+
+/// A deadline halfway between the smallest and the median of `spans`:
+/// the strict shed check fires for at least half of the requests —
+/// lone ones included, not just those that queued — and not for the
+/// fastest.
+fn shedding_deadline(spans: impl Iterator<Item = SimTime>) -> SimTime {
+    let mut spans: Vec<SimTime> = spans.collect();
+    spans.sort();
+    let (lo, median) = (spans[0], spans[spans.len() / 2]);
+    assert!(
+        median > lo,
+        "probe latencies must differ to place a deadline"
+    );
+    lo + (median - lo) / 2
+}
+
+#[test]
+fn faulted_solo_spans_are_bit_exact_across_the_spaced_matrix() {
+    // Solo spans under fault injection draw each later token's fault
+    // window on a stream copy and commit it on acceptance. Pin whole
+    // reports against the per-op reference where solo spans actually
+    // fire: spaced open traces, both per-op policies, both prefill
+    // modes, a knee age (rereads) and a worn-out age (uncorrectables
+    // derate bandwidth mid-span), with no deadline, a TTFT deadline, or
+    // a total deadline. Deadlines sit between the fastest and the
+    // median request of a deadline-free per-op probe, so some requests
+    // are shed — the total deadline mid-decode — and some are not.
+    let model = zoo::opt_6_7b();
+    let cfg = SystemConfig::cambricon_s();
+    let mut ttft_timeouts = 0;
+    let mut deadline_sheds = 0;
+    for trace in spaced_traces() {
+        for policy in [SchedulePolicy::Fcfs, SchedulePolicy::RoundRobin] {
+            for prefill in [PrefillMode::Off, PrefillMode::Modeled] {
+                for age in [KNEE, FlashAge::worn_out()] {
+                    let run = |fc: FaultConfig, mode: SpanMode| {
+                        ServeEngine::new(cfg, model.clone())
+                            .with_prefill(prefill)
+                            .with_span_mode(mode)
+                            .with_faults(FaultMode::Injected(fc))
+                            .run(&trace, policy)
+                    };
+                    let base = FaultConfig::aged(age);
+                    let probe = run(base, SpanMode::PerOp);
+                    assert!(probe.reliability.page_rereads > 0, "{age:?}");
+                    if age == FlashAge::worn_out() {
+                        assert!(probe.reliability.uncorrectable_events > 0);
+                    }
+                    let ttft = shedding_deadline(probe.requests.iter().map(|r| r.ttft()));
+                    let total =
+                        shedding_deadline(probe.requests.iter().map(|r| r.finished - r.arrived));
+                    for (ttft_dl, total_dl) in
+                        [(None, None), (Some(ttft), None), (None, Some(total))]
+                    {
+                        let fc = base.with_deadlines(ttft_dl, total_dl);
+                        let reference = run(fc, SpanMode::PerOp);
+                        let rel = reference.reliability;
+                        if ttft_dl.is_some() {
+                            assert!(rel.ttft_timeouts > 0, "TTFT deadline shed nothing");
+                        }
+                        if total_dl.is_some() {
+                            // Sheds happen only with tokens still owed:
+                            // every one of these is mid-decode.
+                            assert!(rel.deadline_sheds > 0, "total deadline shed nothing");
+                        }
+                        ttft_timeouts += rel.ttft_timeouts;
+                        deadline_sheds += rel.deadline_sheds;
+                        for mode in SPAN_MODES {
+                            assert_eq!(
+                                reference,
+                                run(fc, mode),
+                                "{policy:?} {prefill:?} {age:?} ttft={ttft_dl:?} total={total_dl:?} {mode:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(ttft_timeouts > 0 && deadline_sheds > 0);
 }
 
 #[test]
