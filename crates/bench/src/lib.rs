@@ -17,9 +17,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod figures;
-pub mod json;
 pub mod paper;
 pub mod table;
 
-pub use json::Json;
 pub use table::{num, TextTable};

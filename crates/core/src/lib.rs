@@ -15,7 +15,7 @@
 //! * [`energy`] — the Figure 16 data-movement energy model;
 //! * [`cost`] / [`area`] — Tables I/IV/V (BOM cost, compute-core area);
 //! * [`roofline`] — Figures 1(a)/3(a);
-//! * [`prefill`] — prefill/TTFT model (extension);
+//! * [`prefill`](mod@prefill) — prefill/TTFT model (extension);
 //! * [`reliability`] — fault-injected serving, deadlines, and wear
 //!   trajectories (extension).
 //!

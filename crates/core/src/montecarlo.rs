@@ -1,11 +1,10 @@
 //! Monte Carlo serving harness: one scenario, many seeded arrival
 //! traces, distribution estimates with confidence intervals.
 //!
-//! A single [`ServeReport`](crate::serve::ServeReport) answers "what
-//! happened on *this* trace"; architecture questions ("is continuous
-//! batching's p99 TTFT actually better, or did one lucky arrival
-//! pattern make it look that way?") need the distribution across
-//! arrival randomness. [`MonteCarlo`] fans one scenario across `n`
+//! A single [`ServeReport`] answers "what happened on *this* trace";
+//! architecture questions ("is continuous batching's p99 TTFT actually
+//! better, or did one lucky arrival pattern make it look that way?")
+//! need the distribution across arrival randomness. [`MonteCarlo`] fans one scenario across `n`
 //! seeds and reports each metric as an [`Estimate`] — mean, sample
 //! stddev, and a 95% confidence half-width — so two designs can be
 //! compared with error bars instead of single draws.
@@ -28,10 +27,9 @@
 //! it is **frozen before the fan-out**: one warm-up run on the first
 //! seed's trace populates the GeMV and op-cost memos, its counters are
 //! zeroed, and every seed then runs on a private clone. No thread ever
-//! observes another's cache fills, so each per-seed
-//! [`ServeReport`](crate::serve::ServeReport) — cache counters
-//! included — is bit-identical whether the batch runs on 1 thread or
-//! 64.
+//! observes another's cache fills, so each per-seed [`ServeReport`] —
+//! cache counters included — is bit-identical whether the batch runs on
+//! 1 thread or 64.
 //!
 //! The warm-up also carries the harness's throughput: pricing a
 //! scenario (flash discrete-event runs per GeMV shape, op-cost
@@ -152,7 +150,7 @@ impl MonteCarlo {
 /// Distribution estimates across a Monte Carlo batch.
 ///
 /// Each [`Estimate`] summarizes one per-seed scalar (the corresponding
-/// [`ServeReport`](crate::serve::ServeReport) field) over the batch.
+/// [`ServeReport`] field) over the batch.
 /// `PartialEq` compares everything, `per_seed` included, so the
 /// determinism tests can pin whole batches bit for bit.
 #[derive(Debug, Clone, PartialEq)]

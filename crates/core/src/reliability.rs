@@ -9,8 +9,8 @@
 //! into serving-visible behavior:
 //!
 //! * **Rereads** — every scheduling window's flash page-read volume
-//!   (straight from the [`TrafficBreakdown`](crate::traffic) ledger the
-//!   loops already keep) is sampled against
+//!   (straight from the [`TrafficBreakdown`](crate::TrafficBreakdown)
+//!   ledger the loops already keep) is sampled against
 //!   [`BerModel::rber`]`(&`[`FlashAge`]`)` pushed through the ECC
 //!   correction threshold. Pages that fail the first sense are re-read;
 //!   the extra page reads lengthen the window at real flash latency.
@@ -38,7 +38,7 @@
 //! Fault sampling draws from per-request [`SplitMix64`] streams forked
 //! from one root seed at admission order (the same seed-hygiene rule as
 //! [`SplitMix64::split_seeds`]). All fault state lives in the per-run
-//! [`FaultRun`], never in the shared pricing [`System`], so a faulted
+//! `FaultRun`, never in the shared pricing [`System`], so a faulted
 //! report is bit-identical at any Monte Carlo worker count for free —
 //! the same argument that makes the fault-free harness deterministic.
 

@@ -590,22 +590,37 @@ impl RequestPool {
     fn tokens_done(&self, id: usize) -> usize {
         self.cold[id].shape.new_tokens - self.remaining[id]
     }
+}
 
-    /// Assembles the completion report for `id` finishing at `now`.
-    /// The single definition shared by both event loops.
-    fn completion_report(&self, id: usize, now: SimTime) -> RequestReport {
-        let c = &self.cold[id];
-        let started = c.started.expect("completed request never started");
-        RequestReport {
-            id,
-            arrived: c.arrived,
-            started,
-            prefill_end: c.prefill_end.unwrap_or(started),
-            first_token_at: c.first_token.expect("completed request has tokens"),
-            finished: now,
-            tokens: self.tokens_done(id),
-        }
+/// Completes `id` at `now`: marks it `Done`, assembles its report,
+/// scores it against the fault run's deadlines, and files the report
+/// and its queueing delay. The single definition shared by every event
+/// loop; the caller releases KV and respawns the client.
+fn complete_request(
+    requests: &mut RequestPool,
+    faults: &mut Option<FaultRun>,
+    queueing: &mut Aggregate,
+    done: &mut Vec<RequestReport>,
+    id: usize,
+    now: SimTime,
+) {
+    requests.phase[id] = Phase::Done;
+    let c = &requests.cold[id];
+    let started = c.started.expect("completed request never started");
+    let report = RequestReport {
+        id,
+        arrived: c.arrived,
+        started,
+        prefill_end: c.prefill_end.unwrap_or(started),
+        first_token_at: c.first_token.expect("completed request has tokens"),
+        finished: now,
+        tokens: requests.tokens_done(id),
+    };
+    if let Some(f) = faults {
+        f.note_completion(&report);
     }
+    queueing.push(report.queueing_delay().as_secs_f64());
+    done.push(report);
 }
 
 /// The serving scheduler's event core.
@@ -796,6 +811,42 @@ impl<'a> PrefillState<'a> {
     fn priced(&self) -> u64 {
         self.buckets.len() as u64
     }
+
+    /// Charges `id`'s prefill stage and returns its latency: the
+    /// prompt's cost (derived once per `(model, quant, prompt_len)`
+    /// bucket — the engine fixes `(model, quant)`, so the key is the
+    /// prompt length), stretched by the prompt's NAND read volume taken
+    /// as one fault window, then booked as prefill busy time and
+    /// traffic. The single definition shared by both event loops.
+    fn charge(
+        &mut self,
+        system: &mut System,
+        traffic: &mut TrafficBreakdown,
+        requests: &mut RequestPool,
+        faults: &mut Option<FaultRun>,
+        id: usize,
+    ) -> SimTime {
+        let m = requests.cold[id].shape.prompt_len;
+        let plan = self.plan;
+        let cost = *self
+            .buckets
+            .entry(m)
+            .or_insert_with(|| system.prefill_cost(plan, m));
+        let mut total = cost.total;
+        if let Some(f) = faults {
+            let extra = f.window_extra(
+                cost.traffic.nand_array_bytes,
+                cost.total.as_picos(),
+                &mut requests.fault_rng[id],
+            );
+            if extra > 0 {
+                total += SimTime::from_picos(extra);
+            }
+        }
+        self.busy += total;
+        traffic.absorb(&cost.traffic);
+        total
+    }
 }
 
 fn slot(class: OpClass) -> usize {
@@ -820,27 +871,6 @@ const BATCH_PREFILL: usize = u32::MAX as usize - 2;
 /// the token boundary closing a bulk-priced run of batch steps, handled
 /// by the ordinary [`BatchedSimulation::token_boundary`].
 const SPAN_BOUNDARY: usize = u32::MAX as usize - 3;
-
-/// Prices (or recalls) the prefill stage of an `m`-token prompt.
-///
-/// Derived once per `(model, quant, prompt_len)` bucket — the engine
-/// fixes `(model, quant)`, so the key is the prompt length. The bucket
-/// count doubles as the derivation count for the report's op-pricing
-/// accounting ([`PrefillCost::COMPONENT_OPS`] cache lookups per
-/// derivation).
-fn prefill_cost_bucketed(
-    system: &mut System,
-    plan: &PrefillPlan,
-    buckets: &mut BTreeMap<usize, PrefillCost>,
-    m: usize,
-) -> PrefillCost {
-    if let Some(c) = buckets.get(&m) {
-        return *c;
-    }
-    let c = system.prefill_cost(plan, m);
-    buckets.insert(m, c);
-    c
-}
 
 /// Sizing hints a trace implies: `(total requests over the run, peak
 /// simultaneously scheduled arrivals)` — the capacities
@@ -1748,13 +1778,7 @@ fn run_interleaved<Q: FastReady>(
                 q.enqueue(rs0, s, requests.last_scheduled[id], id32);
                 rlen[rs0] += 1;
             } else {
-                requests.phase[id] = Phase::Done;
-                let report = requests.completion_report(id, now);
-                if let Some(f) = faults {
-                    f.note_completion(&report);
-                }
-                queueing.push(report.queueing_delay().as_secs_f64());
-                done.push(report);
+                complete_request(requests, faults, queueing, done, id, now);
                 let client = requests.cold[id].client;
                 ev.stamp = ev_stamp;
                 respawn_client(requests, ev, client_remaining, closed_shape, client, now);
@@ -2161,13 +2185,7 @@ impl<'a> Simulation<'a> {
                                 );
                             } else {
                                 // Request complete.
-                                requests.phase[id] = Phase::Done;
-                                let report = requests.completion_report(id, now);
-                                if let Some(f) = faults {
-                                    f.note_completion(&report);
-                                }
-                                queueing.push(report.queueing_delay().as_secs_f64());
-                                done.push(report);
+                                complete_request(requests, faults, queueing, done, id, now);
 
                                 // Closed loop: the client immediately
                                 // issues its next request.
@@ -2253,26 +2271,10 @@ impl<'a> Simulation<'a> {
                         if requests.cold[id].started.is_none() {
                             requests.cold[id].started = Some(now);
                         }
-                        let m = requests.cold[id].shape.prompt_len;
-                        let ps = prefill
+                        let total = prefill
                             .as_mut()
-                            .expect("Queued is only dispatched with prefill on");
-                        let cost = prefill_cost_bucketed(system, ps.plan, &mut ps.buckets, m);
-                        // The prompt's NAND read volume is one fault
-                        // window; rereads stretch the whole stage.
-                        let mut total = cost.total;
-                        if let Some(f) = faults {
-                            let extra = f.window_extra(
-                                cost.traffic.nand_array_bytes,
-                                cost.total.as_picos(),
-                                &mut requests.fault_rng[id],
-                            );
-                            if extra > 0 {
-                                total += SimTime::from_picos(extra);
-                            }
-                        }
-                        ps.busy += total;
-                        traffic.absorb(&cost.traffic);
+                            .expect("Queued is only dispatched with prefill on")
+                            .charge(system, traffic, requests, faults, id);
                         busy_track[0].add_interval(now, now + total);
                         busy_track[1].add_interval(now, now + total);
                         ev.schedule_op(0, now + total, id);
@@ -2804,17 +2806,17 @@ impl<'a> BatchedSimulation<'a> {
                 self.requests.cursor[id].next_token();
                 survivors.push(id);
             } else {
-                self.requests.phase[id] = Phase::Done;
-                let report = self.requests.completion_report(id, now);
-                if let Some(f) = &mut self.faults {
-                    f.note_completion(&report);
-                }
+                complete_request(
+                    &mut self.requests,
+                    &mut self.faults,
+                    &mut self.queueing,
+                    &mut self.done,
+                    id,
+                    now,
+                );
                 let shape = self.requests.cold[id].shape;
-                let context = shape.prompt_len + shape.new_tokens;
+                self.kv.release(shape.prompt_len + shape.new_tokens);
                 let client = self.requests.cold[id].client;
-                self.queueing.push(report.queueing_delay().as_secs_f64());
-                self.done.push(report);
-                self.kv.release(context);
                 respawn_client(
                     &mut self.requests,
                     &mut self.ev,
@@ -2926,27 +2928,13 @@ impl<'a> BatchedSimulation<'a> {
             // not in an inflated prefill_time.
             if shape.prompt_len > 0 {
                 if let Some(ps) = &mut self.prefill {
-                    let cost = prefill_cost_bucketed(
+                    let total = ps.charge(
                         &mut self.system,
-                        ps.plan,
-                        &mut ps.buckets,
-                        shape.prompt_len,
+                        &mut self.traffic,
+                        &mut self.requests,
+                        &mut self.faults,
+                        id,
                     );
-                    // The prompt's NAND read volume is one fault
-                    // window; rereads stretch the admission window.
-                    let mut total = cost.total;
-                    if let Some(f) = &mut self.faults {
-                        let extra = f.window_extra(
-                            cost.traffic.nand_array_bytes,
-                            cost.total.as_picos(),
-                            &mut self.requests.fault_rng[id],
-                        );
-                        if extra > 0 {
-                            total += SimTime::from_picos(extra);
-                        }
-                    }
-                    ps.busy += total;
-                    self.traffic.absorb(&cost.traffic);
                     self.requests.cold[id].started = Some(now + delay);
                     delay += total;
                     self.requests.phase[id] = Phase::Prefilling;

@@ -34,7 +34,7 @@
 //! **lockstep** — a batch step is one plan walk with many cursors
 //! parked at the same position. Each weight GeMV then streams from
 //! NAND **once per step** for the whole batch (seq-invariant slots are
-//! priced once per plan through the [`PlanTable`]), while the three
+//! priced once per plan through the `PlanTable`), while the three
 //! attention slots are re-priced per request from its own
 //! [`OpCursor::seq_len`]. That amortization of the per-token weight
 //! fetch is exactly what makes cloud serving batch-efficient (§III-A's
@@ -93,7 +93,7 @@
 //! sequence position. [`SpanMode::Coalesced`] (the default) therefore
 //! computes the number `k` of whole tokens until the earliest boundary
 //! and executes them as **one** bulk-priced span: the seq-invariant
-//! slots once per token from the [`PlanTable`], the attention templates
+//! slots once per token from the `PlanTable`, the attention templates
 //! over the growing prefix in the exact per-token order, cursors
 //! advanced `k` tokens in one shot ([`OpCursor::advance_by`]), traffic
 //! booked through the bulk
@@ -156,6 +156,11 @@
 //! [`System::decode_token`]: crate::System::decode_token
 //! [`System::prefill_cost`]: crate::System::prefill_cost
 //! [`TokenPlan`]: llm_workload::TokenPlan
+//! [`OpClass::Flash`]: crate::OpClass::Flash
+//! [`OpClass::Npu`]: crate::OpClass::Npu
+//! [`OpCursor`]: llm_workload::OpCursor
+//! [`OpCursor::seq_len`]: llm_workload::OpCursor::seq_len
+//! [`OpCursor::advance_by`]: llm_workload::OpCursor::advance_by
 
 use crate::reliability::ReliabilitySummary;
 use crate::system::TrafficBreakdown;
@@ -185,7 +190,7 @@ pub enum PrefillMode {
 /// deterministic: only the attention slots' cost varies, and
 /// predictably, with each request's sequence position. A span executes
 /// that whole run of tokens as one event-core round, pricing the
-/// seq-invariant slots once per token from the [`PlanTable`] and the
+/// seq-invariant slots once per token from the `PlanTable` and the
 /// attention templates over the growing prefix **in the exact
 /// per-token order**, so every timestamp, sample, counter and traffic
 /// total is bit-identical to per-op stepping (all quantities are

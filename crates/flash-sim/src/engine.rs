@@ -21,9 +21,9 @@
 //!
 //! The **channel bus** serves three transfer kinds: round input
 //! broadcasts, per-core result vectors, and read-page data. Under
-//! [`SlicePolicy::Sliced`] control transfers have priority and read data
+//! [`SlicePolicy::Sliced`](crate::SlicePolicy::Sliced) control transfers have priority and read data
 //! moves in small chunks that fill the bubbles (§IV-C); under
-//! [`SlicePolicy::Unsliced`] everything is served FIFO and a page
+//! [`SlicePolicy::Unsliced`](crate::SlicePolicy::Unsliced) everything is served FIFO and a page
 //! transfer is one monolithic bus transaction, reproducing the blocking
 //! behaviour of Figure 6(b).
 

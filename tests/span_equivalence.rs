@@ -16,8 +16,9 @@
 //! overloaded regime, where solo spans never fire): the overload
 //! matrix below pins FCFS and round-robin at 2–16 clients, both
 //! prefill modes, and fault injection on and off to whole-report
-//! equality, plus an arrival landing exactly on a mid-run token
-//! boundary while decodes overlap.
+//! equality (and Llama2-70B on Cambricon-LLM-L at 16 clients), plus an
+//! arrival landing exactly on a mid-run token boundary while decodes
+//! overlap.
 //!
 //! Under fault injection, solo spans price each later token's fault
 //! window on a copy of the request's fault stream and commit it only
@@ -262,6 +263,19 @@ fn interleaved_replay_is_bit_exact_across_the_overload_matrix() {
                 }
             }
         }
+    }
+    // The paper's workload at overload: 70B on Cam-L, 16 long-prompt
+    // decodes in flight, so every stretch the replay loop takes is
+    // long and the FCFS order never rotates. The default engine
+    // against the per-op reference.
+    let trace = ArrivalTrace::closed_loop(16, 1, RequestShape::new(1000, 64));
+    let engine = || ServeEngine::new(SystemConfig::cambricon_l(), zoo::llama2_70b());
+    for policy in [SchedulePolicy::Fcfs, SchedulePolicy::RoundRobin] {
+        assert_eq!(
+            engine().with_span_mode(SpanMode::PerOp).run(&trace, policy),
+            engine().run(&trace, policy),
+            "70B 16 clients {policy:?}"
+        );
     }
 }
 
