@@ -556,8 +556,11 @@ pub struct WearReport {
     pub slo_goodput_tps: f64,
     /// Per-step measurements, in day order.
     pub points: Vec<WearPoint>,
-    /// First simulated day at which goodput fell below the SLO;
-    /// `None` if the device survived every simulated day.
+    /// First *sampled* day at which goodput fell below the SLO; `None`
+    /// if the device survived every simulated day. Days are sampled
+    /// `days_per_step` apart, so this is an upper bound: the true
+    /// crossing lies after the previous sample, the second-to-last of
+    /// `points` (none when the SLO already failed at day zero).
     pub days_until_slo: Option<f64>,
     /// Day of the last step actually simulated.
     pub last_day: f64,
@@ -577,18 +580,23 @@ impl WearReport {
                 p.day, p.rber, p.goodput_tps, p.page_rereads, p.uncorrectable_events, p.sheds
             ));
         }
-        match self.days_until_slo {
-            Some(d) => out.push_str(&format!(
-                "SLO ({:.2} tok/s goodput) violated after {d:.1} days\n",
+        let held = self.points.len().checked_sub(2).map(|i| self.points[i].day);
+        match (self.days_until_slo, held) {
+            (Some(d), Some(h)) => out.push_str(&format!(
+                "SLO ({:.2} tok/s goodput) held through day {h:.1}, violated by day {d:.1}\n",
                 self.slo_goodput_tps
             )),
-            None if self.truncated => out.push_str(&format!(
+            (Some(d), None) => out.push_str(&format!(
+                "SLO ({:.2} tok/s goodput) violated at day {d:.1}, the first sample\n",
+                self.slo_goodput_tps
+            )),
+            (None, _) if self.truncated => out.push_str(&format!(
                 "SLO ({:.2} tok/s goodput) held through day {:.1}; horizon truncated at {} steps\n",
                 self.slo_goodput_tps,
                 self.last_day,
                 WearTrajectory::MAX_STEPS
             )),
-            None => out.push_str(&format!(
+            (None, _) => out.push_str(&format!(
                 "SLO ({:.2} tok/s goodput) held for the whole horizon\n",
                 self.slo_goodput_tps
             )),

@@ -1,19 +1,33 @@
 //! The device component: one flash/NPU device's entire event loop.
 //!
 //! [`DeviceEngine`] owns everything that happens *inside* one device —
-//! the request pool, ready queues, span coalescing, fault windows,
-//! prefill holds, and both executors (the per-op interleaving loop and
-//! the continuous-batching loop). Traces are fed in from the outside
-//! (a whole trace for a single device, a routed sub-trace per replica
-//! under [`crate::fleet`]), and the device runs its own specialized
-//! event core.
+//! the request pool, ready queues, span coalescing, fault windows and
+//! prefill holds. Traces are fed in from the outside (a whole trace for
+//! a single device, a routed sub-trace per replica under
+//! [`crate::fleet`]), and the device runs its own specialized event
+//! core.
+//!
+//! One run's shared state — pool, event core, pricing table, fault
+//! run, report accumulators — lives in a [`DeviceRun`], built once and
+//! turned into the report once. Two event loops drive it:
+//!
+//! * [`Simulation`], the per-op loop for FCFS and round-robin. It is
+//!   the reference semantics ([`SpanMode::PerOp`]) and, with spans on,
+//!   the dispatcher for two fast paths: **solo spans**
+//!   ([`DeviceRun::run_solo_span`]), which price a lone request's whole
+//!   tokens with a few adds, and the **replay loop**
+//!   ([`run_interleaved`]), which re-executes the multi-request steady
+//!   state between arrivals without the event core or heaps.
+//! * [`BatchedSimulation`], the continuous-batching loop, stepping the
+//!   batch per plan position or, with spans on, in bulk-priced spans
+//!   of whole batch steps.
 //!
 //! Everything here is an implementation detail of the serving model
 //! documented on [`crate::serve`]; the public surface is
 //! [`DeviceEngine`] (also named [`super::ServeEngine`]).
 
 use crate::config::SystemConfig;
-use crate::reliability::{FaultMode, FaultRun, ReliabilitySummary, WindowDraw};
+use crate::reliability::{FaultMode, FaultRun, WindowDraw};
 use crate::system::{OpClass, PrefillCost, System, TrafficBreakdown};
 use llm_workload::kv::kv_bytes_per_token;
 use llm_workload::{
@@ -592,37 +606,6 @@ impl RequestPool {
     }
 }
 
-/// Completes `id` at `now`: marks it `Done`, assembles its report,
-/// scores it against the fault run's deadlines, and files the report
-/// and its queueing delay. The single definition shared by every event
-/// loop; the caller releases KV and respawns the client.
-fn complete_request(
-    requests: &mut RequestPool,
-    faults: &mut Option<FaultRun>,
-    queueing: &mut Aggregate,
-    done: &mut Vec<RequestReport>,
-    id: usize,
-    now: SimTime,
-) {
-    requests.phase[id] = Phase::Done;
-    let c = &requests.cold[id];
-    let started = c.started.expect("completed request never started");
-    let report = RequestReport {
-        id,
-        arrived: c.arrived,
-        started,
-        prefill_end: c.prefill_end.unwrap_or(started),
-        first_token_at: c.first_token.expect("completed request has tokens"),
-        finished: now,
-        tokens: requests.tokens_done(id),
-    };
-    if let Some(f) = faults {
-        f.note_completion(&report);
-    }
-    queueing.push(report.queueing_delay().as_secs_f64());
-    done.push(report);
-}
-
 /// The serving scheduler's event core.
 ///
 /// A general priority queue is overkill here: each resource serves one
@@ -747,20 +730,22 @@ impl EventCore {
     }
 }
 
-struct Simulation<'a> {
+/// One run's state shared by both event loops: the priced system and
+/// plan table, the request pool and event core, the closed-loop
+/// clients, the fault run, and every report accumulator. Built once by
+/// [`DeviceRun::new`] and turned into the report once by
+/// [`DeviceRun::finish`]; each loop adds only its own scheduling state.
+struct DeviceRun<'a> {
     system: System,
     plan: &'a TokenPlan,
     table: PlanTable,
-    policy: SchedulePolicy,
     /// Prefill simulation state: `Some` iff [`PrefillMode::Modeled`],
     /// holding the shared aggregates and the per-prompt-length cost
     /// buckets.
     prefill: Option<PrefillState<'a>>,
     ev: EventCore,
-    ready: RequestQueue,
     requests: RequestPool,
     busy_track: [BusyTracker; 2],
-    stamp: u64,
     /// Remaining requests per closed-loop client.
     client_remaining: Vec<usize>,
     closed_shape: Option<RequestShape>,
@@ -775,12 +760,305 @@ struct Simulation<'a> {
     /// it are rejected, not simulated.
     kv_max_context: usize,
     kv_rejections: u64,
-    /// Most tokens one span may coalesce (0 = per-op stepping). Any
-    /// nonzero cap also lets the interleaved replay loop
+    /// Most tokens (or batch steps) one span may coalesce (0 = per-op
+    /// stepping). Any nonzero cap also lets the interleaved replay loop
     /// ([`run_interleaved`]) take over multi-request steady stretches.
     span_cap: usize,
     /// Fault-injection state; `None` when [`FaultMode::Off`].
     faults: Option<FaultRun>,
+    /// Every solo span run, as `(request, tokens coalesced, tokens the
+    /// request owed at its start)`. Filled only in unit tests, which
+    /// use it to see that a span engaged: reports cannot show that.
+    solo_spans: Vec<(usize, usize, usize)>,
+}
+
+impl<'a> DeviceRun<'a> {
+    /// Sets up a run of `trace` on `system`: the fault run, pool and
+    /// event-core capacity, the per-request fault root, and the trace's
+    /// requests and arrival events. Shared by both loops, so arrival
+    /// order — and therefore event stamps — is identical regardless of
+    /// policy.
+    fn new(engine: &'a DeviceEngine, trace: &ArrivalTrace, mut system: System) -> Self {
+        let faults = FaultRun::for_engine(&engine.faults, &engine.cfg, &mut system);
+        let (total_requests, peak_arrivals) = trace_sizes(trace);
+        let mut requests = RequestPool::with_capacity(total_requests);
+        let mut ev = EventCore::with_capacity(peak_arrivals);
+        if let Some(f) = &faults {
+            // simlint: allow(D1) — fault root seeded from the config's own seed; per-request streams fork() from it
+            requests.fault_root = Some(SplitMix64::new(f.seed()));
+        }
+        let (client_remaining, closed_shape) = match trace {
+            ArrivalTrace::Open(arrivals) => {
+                for a in arrivals {
+                    let id = requests.push(a.shape, a.at, None);
+                    ev.schedule_arrival(a.at, id);
+                }
+                (Vec::new(), None)
+            }
+            ArrivalTrace::ClosedLoop {
+                clients,
+                requests_per_client,
+                shape,
+            } => {
+                // The variant's fields are public, so a hand-built trace
+                // can bypass `ArrivalTrace::closed_loop`'s asserts.
+                assert!(
+                    *clients >= 1 && *requests_per_client >= 1,
+                    "closed loop needs at least one client and one request per client"
+                );
+                for client in 0..*clients {
+                    let id = requests.push(*shape, SimTime::ZERO, Some(client));
+                    ev.schedule_arrival(SimTime::ZERO, id);
+                }
+                (vec![requests_per_client - 1; *clients], Some(*shape))
+            }
+        };
+        DeviceRun {
+            system,
+            plan: &engine.plan,
+            table: PlanTable::new(&engine.plan),
+            prefill: PrefillState::new(engine),
+            ev,
+            requests,
+            busy_track: [BusyTracker::new(), BusyTracker::new()],
+            client_remaining,
+            closed_shape,
+            traffic: TrafficBreakdown::default(),
+            token_latencies: Samples::new(),
+            queueing: Aggregate::new(),
+            done: Vec::new(),
+            first_arrival: None,
+            kv_max_context: kv_cache(engine).max_tokens(),
+            kv_rejections: 0,
+            span_cap: engine.span.cap(),
+            faults,
+            solo_spans: Vec::new(),
+        }
+    }
+
+    /// Starts a token for request `id`: prices this token's
+    /// seq-dependent slots (through the memoizing [`System::op_cost`])
+    /// and books the whole token's traffic up front — totals at
+    /// completion are identical to per-dispatch accounting because every
+    /// admitted token runs all its ops. The cursor must already sit at
+    /// the token's first op.
+    fn begin_token(&mut self, id: usize) {
+        let DeviceRun {
+            system,
+            plan,
+            table,
+            traffic,
+            requests,
+            faults,
+            ..
+        } = self;
+        price_invariant(system, plan, table);
+        traffic.absorb(&table.inv_traffic);
+        let seq = requests.cursor[id].seq_len();
+        let (dep_lat, dep_traffic) = attn_at(system, plan, table, seq);
+        requests.dep_lat[id] = dep_lat;
+        traffic.absorb(&dep_traffic);
+        // Fault sampling at token granularity: the token's NAND weight
+        // stream is the page-read window, drawn from the request's own
+        // stream so reports are independent of interleaving order. The
+        // extra time lands on the token's first flash dispatch.
+        if let Some(f) = faults {
+            let extra = f.window_extra(
+                table.inv_stream_traffic.nand_array_bytes,
+                table.solo_flash_lat.as_picos(),
+                &mut requests.fault_rng[id],
+            );
+            requests.fault_extra[id] = extra;
+        }
+    }
+
+    /// Completes `id` at `now`: marks it `Done`, assembles its report,
+    /// scores it against the fault run's deadlines, and files the report
+    /// and its queueing delay. The caller releases KV and respawns the
+    /// client.
+    fn complete_request(&mut self, id: usize, now: SimTime) {
+        let requests = &mut self.requests;
+        requests.phase[id] = Phase::Done;
+        let c = &requests.cold[id];
+        let started = c.started.expect("completed request never started");
+        let report = RequestReport {
+            id,
+            arrived: c.arrived,
+            started,
+            prefill_end: c.prefill_end.unwrap_or(started),
+            first_token_at: c.first_token.expect("completed request has tokens"),
+            finished: now,
+            tokens: requests.tokens_done(id),
+        };
+        if let Some(f) = &mut self.faults {
+            f.note_completion(&report);
+        }
+        self.queueing.push(report.queueing_delay().as_secs_f64());
+        self.done.push(report);
+    }
+
+    /// Closed-loop respawn: the client behind departing request `id`
+    /// (completed, shed or rejected), if any, issues its next request
+    /// at the same instant.
+    fn respawn_client(&mut self, id: usize, now: SimTime) {
+        if let Some(client) = self.requests.cold[id].client {
+            if self.client_remaining[client] > 0 {
+                self.client_remaining[client] -= 1;
+                let shape = self.closed_shape.expect("closed loop has a shape");
+                let next = self.requests.push(shape, now, Some(client));
+                self.ev.schedule_arrival(now, next);
+            }
+        }
+    }
+
+    /// Charges `id`'s prefill stage and returns its latency: the
+    /// prompt's cost (derived once per `(model, quant, prompt_len)`
+    /// bucket — the engine fixes `(model, quant)`, so the key is the
+    /// prompt length), stretched by the prompt's NAND read volume taken
+    /// as one fault window, then booked as prefill busy time and
+    /// traffic.
+    fn charge_prefill(&mut self, id: usize) -> SimTime {
+        let DeviceRun {
+            system,
+            prefill,
+            requests,
+            traffic,
+            faults,
+            ..
+        } = self;
+        let ps = prefill.as_mut().expect("prefill charged with prefill off");
+        let m = requests.cold[id].shape.prompt_len;
+        let plan = ps.plan;
+        let cost = *ps
+            .buckets
+            .entry(m)
+            .or_insert_with(|| system.prefill_cost(plan, m));
+        let mut total = cost.total;
+        if let Some(f) = faults {
+            let extra = f.window_extra(
+                cost.traffic.nand_array_bytes,
+                cost.total.as_picos(),
+                &mut requests.fault_rng[id],
+            );
+            if extra > 0 {
+                total += SimTime::from_picos(extra);
+            }
+        }
+        ps.busy += total;
+        traffic.absorb(&cost.traffic);
+        total
+    }
+
+    /// Assembles the report: rate, percentile, utilization and
+    /// cache-recall arithmetic is identical across policies
+    /// (zero-duration runs divide out to 0.0 everywhere), so a new
+    /// report field or formula change lands in exactly one place. The
+    /// loop supplies its own dispatch accounting (`ops_dispatched`
+    /// without prefill, `gemv_dispatched`) and batch occupancy (zero for
+    /// the per-op policies).
+    fn finish(
+        self,
+        policy: SchedulePolicy,
+        ops_dispatched: u64,
+        gemv_dispatched: u64,
+        occ_weighted_ps: u128,
+        peak_batch_occupancy: usize,
+    ) -> (ServeReport, System) {
+        let DeviceRun {
+            system,
+            prefill,
+            busy_track,
+            traffic,
+            mut token_latencies,
+            queueing,
+            done,
+            first_arrival,
+            kv_rejections,
+            faults,
+            ..
+        } = self;
+        // Op-pricing accounting, in dispatched-op terms: each distinct
+        // canonical shape was derived once (a cache miss), and every
+        // other dispatch replayed a memoized cost through the slot
+        // table, so hits + misses partition the dispatched ops exactly.
+        // Prefill pricing contributes its component lookups once per
+        // prompt-length bucket.
+        let (prefill_priced, prefill_busy) = prefill
+            .as_ref()
+            .map_or((0, SimTime::ZERO), |p| (p.priced(), p.busy));
+        let ops_dispatched = ops_dispatched + prefill_priced * PrefillCost::COMPONENT_OPS;
+        // Fault counters (all-zero default when faults were off); the
+        // goodput rate is derived below, where the horizon is known.
+        let mut reliability = faults.as_ref().map(FaultRun::summary).unwrap_or_default();
+        // TTFT in both frames: arrival-relative (queue + prefill + first
+        // decoded token — the user-visible number) and the old decode-only
+        // metric, kept side by side so neither masquerades as the other.
+        let mut ttft = Samples::new();
+        let mut decode_ttft = Aggregate::new();
+        for r in &done {
+            ttft.push(r.ttft().as_secs_f64());
+            decode_ttft.push(r.decode_ttft().as_secs_f64());
+        }
+        // Span of actual service: first admitted arrival to last
+        // completion. Rejected arrivals advance the event clock but are
+        // not simulated, so they must not stretch the makespan or dilute
+        // the rates, utilizations and occupancy derived from it.
+        let makespan = match (first_arrival, done.last()) {
+            (Some(first), Some(last)) => last.finished.saturating_sub(first),
+            _ => SimTime::ZERO,
+        };
+        let mean_batch_occupancy = if makespan > SimTime::ZERO {
+            // simlint: allow(D5) — report boundary: integer ps accounting ends here, both operands exact
+            occ_weighted_ps as f64 / makespan.as_picos() as f64
+        } else {
+            0.0
+        };
+        let tokens_served: u64 = done.iter().map(|r| r.tokens as u64).sum();
+        let horizon = makespan.as_secs_f64();
+        if horizon > 0.0 {
+            reliability.deadline_goodput_tps = reliability.goodput_tokens as f64 / horizon;
+        }
+        let op_misses = system.op_cost_cache().misses();
+        let gemv_misses = system.gemv_cache().misses();
+        let report = ServeReport {
+            policy,
+            prefill: if prefill.is_some() {
+                PrefillMode::Modeled
+            } else {
+                PrefillMode::Off
+            },
+            requests_served: done.len(),
+            tokens_served,
+            makespan,
+            tokens_per_sec: if horizon > 0.0 {
+                tokens_served as f64 / horizon
+            } else {
+                0.0
+            },
+            p50_token_latency_s: token_latencies.percentile(50.0).unwrap_or(0.0),
+            p99_token_latency_s: token_latencies.percentile(99.0).unwrap_or(0.0),
+            mean_token_latency_s: token_latencies.mean().unwrap_or(0.0),
+            ttft_p50_s: ttft.percentile(50.0).unwrap_or(0.0),
+            ttft_p99_s: ttft.percentile(99.0).unwrap_or(0.0),
+            ttft_mean_s: ttft.mean().unwrap_or(0.0),
+            decode_ttft_s: decode_ttft,
+            prefill_busy_s: prefill_busy.as_secs_f64(),
+            queueing_delay_s: queueing,
+            flash_utilization: busy_track[0].utilization(makespan),
+            npu_utilization: busy_track[1].utilization(makespan),
+            gemv_cache_hits: gemv_dispatched.saturating_sub(gemv_misses),
+            gemv_cache_misses: gemv_misses,
+            op_cost_cache_hits: ops_dispatched.saturating_sub(op_misses),
+            op_cost_cache_misses: op_misses,
+            mean_batch_occupancy,
+            peak_batch_occupancy,
+            kv_rejections,
+            traffic,
+            reliability,
+            requests: done,
+        };
+        (report, system)
+    }
 }
 
 /// Shared prefill-pricing state of one simulation run.
@@ -810,42 +1088,6 @@ impl<'a> PrefillState<'a> {
     /// [`PrefillCost::COMPONENT_OPS`] op-cost lookups).
     fn priced(&self) -> u64 {
         self.buckets.len() as u64
-    }
-
-    /// Charges `id`'s prefill stage and returns its latency: the
-    /// prompt's cost (derived once per `(model, quant, prompt_len)`
-    /// bucket — the engine fixes `(model, quant)`, so the key is the
-    /// prompt length), stretched by the prompt's NAND read volume taken
-    /// as one fault window, then booked as prefill busy time and
-    /// traffic. The single definition shared by both event loops.
-    fn charge(
-        &mut self,
-        system: &mut System,
-        traffic: &mut TrafficBreakdown,
-        requests: &mut RequestPool,
-        faults: &mut Option<FaultRun>,
-        id: usize,
-    ) -> SimTime {
-        let m = requests.cold[id].shape.prompt_len;
-        let plan = self.plan;
-        let cost = *self
-            .buckets
-            .entry(m)
-            .or_insert_with(|| system.prefill_cost(plan, m));
-        let mut total = cost.total;
-        if let Some(f) = faults {
-            let extra = f.window_extra(
-                cost.traffic.nand_array_bytes,
-                cost.total.as_picos(),
-                &mut requests.fault_rng[id],
-            );
-            if extra > 0 {
-                total += SimTime::from_picos(extra);
-            }
-        }
-        self.busy += total;
-        traffic.absorb(&cost.traffic);
-        total
     }
 }
 
@@ -889,67 +1131,6 @@ fn trace_sizes(trace: &ArrivalTrace) -> (usize, usize) {
     }
 }
 
-/// Seeds the request pool and arrival events from a trace. Returns
-/// `(client_remaining, closed_shape)`. Shared by both simulation
-/// loops, so arrival order — and therefore event stamps — is
-/// identical regardless of policy.
-fn load_trace(
-    trace: &ArrivalTrace,
-    requests: &mut RequestPool,
-    ev: &mut EventCore,
-) -> (Vec<usize>, Option<RequestShape>) {
-    match trace {
-        ArrivalTrace::Open(arrivals) => {
-            for a in arrivals {
-                let id = requests.push(a.shape, a.at, None);
-                ev.schedule_arrival(a.at, id);
-            }
-            (Vec::new(), None)
-        }
-        ArrivalTrace::ClosedLoop {
-            clients,
-            requests_per_client,
-            shape,
-        } => {
-            // The variant's fields are public, so a hand-built trace
-            // can bypass `ArrivalTrace::closed_loop`'s asserts.
-            assert!(
-                *clients >= 1 && *requests_per_client >= 1,
-                "closed loop needs at least one client and one request per client"
-            );
-            let remaining = vec![requests_per_client - 1; *clients];
-            for client in 0..*clients {
-                let id = requests.push(*shape, SimTime::ZERO, Some(client));
-                ev.schedule_arrival(SimTime::ZERO, id);
-            }
-            (remaining, Some(*shape))
-        }
-    }
-}
-
-/// Closed-loop respawn: the client behind a departing request
-/// (completed or rejected) issues its next request at the same
-/// instant. The single implementation shared by both event loops —
-/// a free function so callers can hold disjoint borrows of their
-/// simulation's fields.
-fn respawn_client(
-    requests: &mut RequestPool,
-    ev: &mut EventCore,
-    client_remaining: &mut [usize],
-    closed_shape: Option<RequestShape>,
-    client: Option<usize>,
-    now: SimTime,
-) {
-    if let Some(client) = client {
-        if client_remaining[client] > 0 {
-            client_remaining[client] -= 1;
-            let shape = closed_shape.expect("closed loop has a shape");
-            let next = requests.push(shape, now, Some(client));
-            ev.schedule_arrival(now, next);
-        }
-    }
-}
-
 /// The DRAM KV cache for this engine's model and quantization — the
 /// single source of capacity truth: its `max_tokens()` is the
 /// never-fits rejection criterion every policy shares, and the batched
@@ -959,42 +1140,6 @@ fn kv_cache(engine: &DeviceEngine) -> KvCache {
         kv_bytes_per_token(&engine.model, engine.cfg.quant),
         &engine.cfg.npu,
     )
-}
-
-/// Starts a token for request `r`: prices this token's seq-dependent
-/// slots (through the memoizing [`System::op_cost`]) and books the
-/// whole token's traffic up front — totals at completion are identical
-/// to per-dispatch accounting because every admitted token runs all its
-/// ops. The cursor must already sit at the token's first op. Free
-/// function so the hot loop can call it while holding disjoint borrows
-/// of the simulation's fields.
-fn begin_token(
-    system: &mut System,
-    plan: &TokenPlan,
-    table: &mut PlanTable,
-    traffic: &mut TrafficBreakdown,
-    requests: &mut RequestPool,
-    faults: &mut Option<FaultRun>,
-    id: usize,
-) {
-    price_invariant(system, plan, table);
-    traffic.absorb(&table.inv_traffic);
-    let seq = requests.cursor[id].seq_len();
-    let (dep_lat, dep_traffic) = attn_at(system, plan, table, seq);
-    requests.dep_lat[id] = dep_lat;
-    traffic.absorb(&dep_traffic);
-    // Fault sampling at token granularity: the token's NAND weight
-    // stream is the page-read window, drawn from the request's own
-    // stream so reports are independent of interleaving order. The
-    // extra time lands on the token's first flash dispatch.
-    if let Some(f) = faults {
-        let extra = f.window_extra(
-            table.inv_stream_traffic.nand_array_bytes,
-            table.solo_flash_lat.as_picos(),
-            &mut requests.fault_rng[id],
-        );
-        requests.fault_extra[id] = extra;
-    }
 }
 
 /// Retires one token for `r` at boundary time `tb`: the count, the
@@ -1065,175 +1210,180 @@ fn deadline_ps(f: &FaultRun, requests: &RequestPool, id: usize) -> Option<u64> {
     total.into_iter().chain(ttft).min()
 }
 
-/// Span fast-forwarding for the per-op loops: coalesces a run of whole
-/// tokens for the **lone** in-flight request `id`, which must be parked
-/// at a token boundary (cursor at op 0, its current token already
-/// priced and booked by [`begin_token`]). With nothing else in flight
-/// the request's ops run strictly serially, so a token's latency is the
-/// sum of the plan's slot latencies — the seq-invariant positions from
-/// the [`PlanTable`], the attention positions at the token's own
-/// sequence position — and a run of `k` tokens is priced in the exact
-/// per-token order without touching the event machinery.
-///
-/// The span ends at the earliest scheduling boundary: the request's
-/// completion, a forced span cap, the first token boundary at or after
-/// one of its deadlines ([`deadline_ps`]), or the **last token boundary
-/// at or before the next arrival** — a token an arrival would land
-/// inside must run per-op, because the newcomer starts interleaving on
-/// the free resource mid-token. Returns the number of tokens coalesced;
-/// 0 means the very next token would cross an arrival and the caller
-/// must fall back to per-op dispatch for it.
-///
-/// Under fault injection each token carries its fault window's extra
-/// flash time. The first token's was drawn (and committed) by
-/// [`begin_token`]; each later token draws on a copy of the request's
-/// fault stream and commits the draw — counters, degradation, and the
-/// advanced stream — only once the token is accepted. A rejected
-/// token's draw is dropped, so its own `begin_token` later draws the
-/// identical window from the untouched stream.
-///
-/// The final token's last op becomes the span-end event, so the
-/// ordinary completion handler retires it (sample, completion report,
-/// respawn) exactly as in per-op stepping. Elided per-op dispatches are
-/// accounted into both schedule stamps so round-robin recency keys and
-/// FIFO tie-breaks stay identical.
-#[allow(clippy::too_many_arguments)]
-fn run_solo_span(
-    system: &mut System,
-    plan: &TokenPlan,
-    table: &mut PlanTable,
-    ev: &mut EventCore,
-    busy_track: &mut [BusyTracker; 2],
-    traffic: &mut TrafficBreakdown,
-    token_latencies: &mut Samples,
-    stamp: &mut u64,
-    requests: &mut RequestPool,
-    faults: &mut Option<FaultRun>,
-    id: usize,
-    span_cap: usize,
-    now: SimTime,
-) -> usize {
-    debug_assert!(table.priced, "a begun token implies a priced table");
-    debug_assert_eq!(
-        requests.cursor[id].index(),
-        0,
-        "span starts at a token boundary"
-    );
-    let n_ops = plan.len();
-    let next_arrival = ev.next_arrival_ps();
-    let remaining = requests.remaining[id];
-    let mut lats: Vec<SimTime> = Vec::with_capacity(remaining.min(span_cap).min(4096));
-    let mut t = now;
-    let mut k = 0usize;
-    // Attention latencies of the token under consideration. The first
-    // token's were already priced (and its traffic booked) by
-    // `begin_token`; later tokens are priced speculatively below and
-    // booked only on acceptance — a rejected token is re-priced by its
-    // own `begin_token` later, hitting the memo.
-    let mut dep = requests.dep_lat[id];
-    let mut unbooked: Option<TrafficBreakdown> = None;
-    // Fault time of the token under consideration, and the uncommitted
-    // draw (with its advanced stream) behind it for every token but the
-    // first.
-    let mut extra = requests.fault_extra[id];
-    let mut uncommitted: Option<(WindowDraw, SplitMix64)> = None;
-    let mut span_fault_extra = 0u64;
-    let deadline = faults.as_ref().and_then(|f| deadline_ps(f, requests, id));
-    loop {
-        let mut lat = table.solo_flash_lat + table.solo_npu_lat + SimTime::from_picos(extra);
-        for (d, &dep_lat) in dep.iter().enumerate().take(table.n_dep) {
-            lat += dep_lat * table.dep_counts[d];
+impl DeviceRun<'_> {
+    /// Span fast-forwarding for the per-op loop: coalesces a run of
+    /// whole tokens for the **lone** in-flight request `id`, which must
+    /// be parked at a token boundary (cursor at op 0, its current token
+    /// already priced and booked by [`DeviceRun::begin_token`]). With
+    /// nothing else in flight the request's ops run strictly serially,
+    /// so a token's latency is the sum of the plan's slot latencies —
+    /// the seq-invariant positions from the [`PlanTable`], the attention
+    /// positions at the token's own sequence position — and a run of `k`
+    /// tokens is priced in the exact per-token order without touching
+    /// the event machinery.
+    ///
+    /// The span ends at the earliest scheduling boundary: the request's
+    /// completion, a forced span cap, the first token boundary at or
+    /// after one of its deadlines ([`deadline_ps`]), or the **last token
+    /// boundary at or before the next arrival** — a token an arrival
+    /// would land inside must run per-op, because the newcomer starts
+    /// interleaving on the free resource mid-token. Returns the number
+    /// of tokens coalesced; 0 means the very next token would cross an
+    /// arrival and the caller must fall back to per-op dispatch for it.
+    ///
+    /// Under fault injection each token carries its fault window's extra
+    /// flash time. The first token's was drawn (and committed) by
+    /// `begin_token`; each later token draws on a copy of the request's
+    /// fault stream and commits the draw — counters, degradation, and
+    /// the advanced stream — only once the token is accepted. A rejected
+    /// token's draw is dropped, so its own `begin_token` later draws the
+    /// identical window from the untouched stream.
+    ///
+    /// The final token's last op becomes the span-end event, so the
+    /// ordinary completion handler retires it (sample, completion
+    /// report, respawn) exactly as in per-op stepping. Elided per-op
+    /// dispatches are accounted into both schedule stamps (the event
+    /// core's and the loop's dispatch `stamp`) so round-robin recency
+    /// keys and FIFO tie-breaks stay identical.
+    fn run_solo_span(&mut self, stamp: &mut u64, id: usize, now: SimTime) -> usize {
+        let DeviceRun {
+            system,
+            plan,
+            table,
+            ev,
+            requests,
+            busy_track,
+            traffic,
+            token_latencies,
+            span_cap,
+            faults,
+            ..
+        } = self;
+        debug_assert!(table.priced, "a begun token implies a priced table");
+        debug_assert_eq!(
+            requests.cursor[id].index(),
+            0,
+            "span starts at a token boundary"
+        );
+        let n_ops = plan.len();
+        let next_arrival = ev.next_arrival_ps();
+        let remaining = requests.remaining[id];
+        let mut lats: Vec<SimTime> = Vec::with_capacity(remaining.min(*span_cap).min(4096));
+        let mut t = now;
+        let mut k = 0usize;
+        // Attention latencies of the token under consideration. The first
+        // token's were already priced (and its traffic booked) by
+        // `begin_token`; later tokens are priced speculatively below and
+        // booked only on acceptance — a rejected token is re-priced by its
+        // own `begin_token` later, hitting the memo.
+        let mut dep = requests.dep_lat[id];
+        let mut unbooked: Option<TrafficBreakdown> = None;
+        // Fault time of the token under consideration, and the uncommitted
+        // draw (with its advanced stream) behind it for every token but the
+        // first.
+        let mut extra = requests.fault_extra[id];
+        let mut uncommitted: Option<(WindowDraw, SplitMix64)> = None;
+        let mut span_fault_extra = 0u64;
+        let deadline = faults.as_ref().and_then(|f| deadline_ps(f, requests, id));
+        loop {
+            let mut lat = table.solo_flash_lat + table.solo_npu_lat + SimTime::from_picos(extra);
+            for (d, &dep_lat) in dep.iter().enumerate().take(table.n_dep) {
+                lat += dep_lat * table.dep_counts[d];
+            }
+            let end = t + lat;
+            if next_arrival.is_some_and(|ta| end.as_picos() > ta) {
+                // The token would overlap the arrival: leave it per-op.
+                break;
+            }
+            if let Some(tr) = unbooked.take() {
+                // Book the accepted token exactly as `begin_token` would
+                // have at its start.
+                traffic.absorb(&table.inv_traffic);
+                traffic.absorb(&tr);
+            }
+            if let Some((draw, rng)) = uncommitted.take() {
+                faults
+                    .as_mut()
+                    .expect("a draw implies faults on")
+                    .commit_window(&draw);
+                requests.fault_rng[id] = rng;
+            }
+            span_fault_extra += extra;
+            k += 1;
+            t = end;
+            lats.push(lat);
+            if k == remaining || k >= *span_cap {
+                break;
+            }
+            if next_arrival == Some(t.as_picos()) {
+                // An arrival lands exactly on this boundary; it must see
+                // the engine at the boundary, so the span stops here.
+                break;
+            }
+            if deadline.is_some_and(|dl| t.as_picos() >= dl) {
+                // First boundary at or after a deadline: stop so the
+                // ordinary boundary handler's shed check runs.
+                break;
+            }
+            // Price the next token's attention slots (speculative; the
+            // prefix table keeps the entries either way, and a rejected
+            // token's position is re-read — not re-priced — by its own
+            // `begin_token` later).
+            let seq = requests.cursor[id].seq_len() + k;
+            let (lat, tr) = attn_at(system, plan, table, seq);
+            dep = lat;
+            unbooked = Some(tr);
+            // Its fault window, drawn speculatively on a stream copy.
+            if let Some(f) = faults.as_ref() {
+                let mut rng = requests.fault_rng[id].clone();
+                let draw = f.sample_window(
+                    table.inv_stream_traffic.nand_array_bytes,
+                    table.solo_flash_lat.as_picos(),
+                    &mut rng,
+                );
+                extra = draw.extra();
+                uncommitted = Some((draw, rng));
+            }
         }
-        let end = t + lat;
-        if next_arrival.is_some_and(|ta| end.as_picos() > ta) {
-            // The token would overlap the arrival: leave it per-op.
-            break;
+        if k == 0 {
+            return 0;
         }
-        if let Some(tr) = unbooked.take() {
-            // Book the accepted token exactly as `begin_token` would
-            // have at its start.
-            traffic.absorb(&table.inv_traffic);
-            traffic.absorb(&tr);
+        if cfg!(test) {
+            self.solo_spans.push((id, k, remaining));
         }
-        if let Some((draw, rng)) = uncommitted.take() {
-            faults
-                .as_mut()
-                .expect("a draw implies faults on")
-                .commit_window(&draw);
-            requests.fault_rng[id] = rng;
+        // The first token's fault time is spent inside the span.
+        requests.fault_extra[id] = 0;
+        // Per-op bookkeeping the span elides: one dispatch (and one event
+        // stamp) per op of every coalesced token.
+        let elided = (k * n_ops) as u64;
+        *stamp += elided;
+        requests.last_scheduled[id] = *stamp;
+        let started = &mut requests.cold[id].started;
+        if started.is_none() {
+            *started = Some(now);
         }
-        span_fault_extra += extra;
-        k += 1;
-        t = end;
-        lats.push(lat);
-        if k == remaining || k >= span_cap {
-            break;
+        // Interior boundaries: every token but the last retires inline.
+        let mut tb = now;
+        for &lat in &lats[..k - 1] {
+            tb += lat;
+            retire_token(requests, id, tb, token_latencies);
         }
-        if next_arrival == Some(t.as_picos()) {
-            // An arrival lands exactly on this boundary; it must see
-            // the engine at the boundary, so the span stops here.
-            break;
-        }
-        if deadline.is_some_and(|dl| t.as_picos() >= dl) {
-            // First boundary at or after a deadline: stop so the
-            // ordinary boundary handler's shed check runs.
-            break;
-        }
-        // Price the next token's attention slots (speculative; the
-        // prefix table keeps the entries either way, and a rejected
-        // token's position is re-read — not re-priced — by its own
-        // `begin_token` later).
-        let seq = requests.cursor[id].seq_len() + k;
-        let (lat, tr) = attn_at(system, plan, table, seq);
-        dep = lat;
-        unbooked = Some(tr);
-        // Its fault window, drawn speculatively on a stream copy.
-        if let Some(f) = faults.as_ref() {
-            let mut rng = requests.fault_rng[id].clone();
-            let draw = f.sample_window(
-                table.inv_stream_traffic.nand_array_bytes,
-                table.solo_flash_lat.as_picos(),
-                &mut rng,
-            );
-            extra = draw.extra();
-            uncommitted = Some((draw, rng));
-        }
+        // Advance the cursor past the retired tokens in one shot, then
+        // park it one op short of the final token's end so the ordinary
+        // completion handler's advance lands on the token boundary.
+        requests.cursor[id].advance_by(k - 1);
+        requests.cursor[id].seek(n_ops - 1);
+        // One busy interval per resource for the whole span: the per-class
+        // totals are identical to per-op interval accounting (integer
+        // sums), and each interval ends before the span does. Fault time
+        // is flash time: rereads occupy the flash device.
+        let flash_busy = table.solo_flash_lat * k as u64 + SimTime::from_picos(span_fault_extra);
+        busy_track[0].add_interval(now, now + flash_busy);
+        busy_track[1].add_interval(now, now + ((t - now) - flash_busy));
+        ev.schedule_op(slot(table.classes[n_ops - 1]), t, id);
+        ev.bump_stamp(elided - 1);
+        k
     }
-    if k == 0 {
-        return 0;
-    }
-    // The first token's fault time is spent inside the span.
-    requests.fault_extra[id] = 0;
-    // Per-op bookkeeping the span elides: one dispatch (and one event
-    // stamp) per op of every coalesced token.
-    let elided = (k * n_ops) as u64;
-    *stamp += elided;
-    requests.last_scheduled[id] = *stamp;
-    let started = &mut requests.cold[id].started;
-    if started.is_none() {
-        *started = Some(now);
-    }
-    // Interior boundaries: every token but the last retires inline.
-    let mut tb = now;
-    for &lat in &lats[..k - 1] {
-        tb += lat;
-        retire_token(requests, id, tb, token_latencies);
-    }
-    // Advance the cursor past the retired tokens in one shot, then
-    // park it one op short of the final token's end so the ordinary
-    // completion handler's advance lands on the token boundary.
-    requests.cursor[id].advance_by(k - 1);
-    requests.cursor[id].seek(n_ops - 1);
-    // One busy interval per resource for the whole span: the per-class
-    // totals are identical to per-op interval accounting (integer
-    // sums), and each interval ends before the span does. Fault time
-    // is flash time: rereads occupy the flash device.
-    let flash_busy = table.solo_flash_lat * k as u64 + SimTime::from_picos(span_fault_extra);
-    busy_track[0].add_interval(now, now + flash_busy);
-    busy_track[1].add_interval(now, now + ((t - now) - flash_busy));
-    ev.schedule_op(slot(table.classes[n_ops - 1]), t, id);
-    ev.bump_stamp(elided - 1);
-    k
 }
 
 /// Ready-set interface of the interleaved replay loop
@@ -1261,13 +1411,19 @@ trait FastReady {
     /// Removes and returns the queued member minimizing `(key, id)`
     /// for `rs` — the [`RequestQueue::pop_min`] contract.
     fn pop_min(&mut self, rs: usize) -> Option<u32>;
-    /// Pops the sole queued member (the caller counted exactly one),
-    /// returning `(rs, id)` with `rs` chosen like the general loop: the
-    /// flash list if non-empty, the NPU list otherwise.
-    fn pop_sole(&mut self) -> (usize, u32);
-    /// Restores the member popped by [`FastReady::pop_sole`] after a
-    /// declined solo-span attempt.
-    fn requeue_sole(&mut self, rs: usize, key: u64, id: u32);
+    /// Entry: drains the general loop's heaps into the ready set (the
+    /// in-flight ops of `ev` complete the member set) and returns the
+    /// queued count per resource.
+    fn begin(
+        &mut self,
+        ready: &mut RequestQueue,
+        ev: &EventCore,
+        requests: &RequestPool,
+    ) -> [usize; 2];
+    /// Exit: pushes the still-queued members back into the heaps with
+    /// the keys the general loop would have given them, and resets the
+    /// set for the next entry.
+    fn finish(&mut self, ready: &mut RequestQueue, requests: &RequestPool);
 }
 
 /// FCFS ready-set for the replay loop: arrival keys are static, so the
@@ -1289,7 +1445,9 @@ struct FcfsReady {
     queued: Vec<(u8, u32)>,
 }
 
-impl FcfsReady {
+impl FastReady for FcfsReady {
+    const RETAINS_MIN: bool = true;
+
     /// Drains the heaps, ranks every member (queued and in-flight),
     /// and seeds the masks. Returns the queued count per resource.
     fn begin(
@@ -1357,10 +1515,6 @@ impl FcfsReady {
         self.members.clear();
         self.queued.clear();
     }
-}
-
-impl FastReady for FcfsReady {
-    const RETAINS_MIN: bool = true;
 
     #[inline]
     fn enqueue(&mut self, rs: usize, _src: usize, _key: u64, id: u32) {
@@ -1379,16 +1533,6 @@ impl FastReady for FcfsReady {
             }
         }
         None
-    }
-
-    fn pop_sole(&mut self) -> (usize, u32) {
-        let rs = usize::from(self.mask[0].iter().all(|&w| w == 0));
-        let id = self.pop_min(rs).expect("sole member is queued");
-        (rs, id)
-    }
-
-    fn requeue_sole(&mut self, rs: usize, _key: u64, id: u32) {
-        self.enqueue(rs, 0, 0, id);
     }
 }
 
@@ -1469,11 +1613,13 @@ struct RrReady {
     lanes: [[RrLane; 3]; 2],
 }
 
-impl RrReady {
+impl FastReady for RrReady {
+    const RETAINS_MIN: bool = false;
+
     /// Drains the heaps into the entry lanes (pop order is ascending
     /// `(key, id)`) and sizes every lane for the member count. Returns
     /// the queued count per resource.
-    fn begin(&mut self, ready: &mut RequestQueue) -> [usize; 2] {
+    fn begin(&mut self, ready: &mut RequestQueue, _: &EventCore, _: &RequestPool) -> [usize; 2] {
         let members = ready.ready[0].len() + ready.ready[1].len() + 2;
         let mut n = [0usize; 2];
         for (rs, count) in n.iter_mut().enumerate() {
@@ -1492,7 +1638,7 @@ impl RrReady {
     /// Pushes the still-queued members back into the heaps. Each entry
     /// keeps the key it was enqueued with — its last-scheduled stamp,
     /// unchanged while queued — so heap keys match the general loop's.
-    fn finish(&mut self, ready: &mut RequestQueue) {
+    fn finish(&mut self, ready: &mut RequestQueue, _: &RequestPool) {
         for rs in 0..2 {
             for lane in &mut self.lanes[rs] {
                 while lane.head < lane.tail {
@@ -1504,10 +1650,6 @@ impl RrReady {
             }
         }
     }
-}
-
-impl FastReady for RrReady {
-    const RETAINS_MIN: bool = false;
 
     #[inline]
     fn enqueue(&mut self, rs: usize, src: usize, key: u64, id: u32) {
@@ -1534,17 +1676,6 @@ impl FastReady for RrReady {
             return None;
         }
         Some(lanes[best].pop())
-    }
-
-    fn pop_sole(&mut self) -> (usize, u32) {
-        let rs = usize::from(self.lanes[0].iter().all(|l| l.front == u64::MAX));
-        let id = self.pop_min(rs).expect("sole member is queued");
-        (rs, id)
-    }
-
-    fn requeue_sole(&mut self, rs: usize, key: u64, id: u32) {
-        debug_assert!(self.lanes[rs].iter().all(|l| l.front == u64::MAX));
-        self.lanes[rs][0].push(key, id);
     }
 }
 
@@ -1616,363 +1747,385 @@ fn replay_eligible(
 /// checks that the entry conditions ([`replay_eligible`]) already
 /// discharged for the whole stretch.
 ///
-/// Runs until the next event is an arrival (a scheduling boundary the
-/// general loop owns: admission, KV rejection, prefill entry) or the
-/// event core drains, then writes the in-flight events, stamps, and
-/// clock back. Token boundaries, deadline sheds, completions,
-/// closed-loop respawns and solo-span handoffs are all handled inline
-/// through the same shared helpers the general loop calls.
-#[allow(clippy::too_many_arguments)]
+/// Drains `ready` into `q` on entry and runs until the next event is an
+/// arrival (a scheduling boundary the general loop owns: admission, KV
+/// rejection, prefill entry), the event core drains, or a token
+/// boundary leaves both resources idle with exactly one request queued
+/// — the solo-span trigger, also the general loop's. It then writes the
+/// in-flight events, stamps, clock and still-queued members back.
+/// Returns whether it stopped at the solo-span trigger, in which case
+/// the general loop re-runs its solo check, dispatch pass and replay
+/// entry at the same instant instead of popping an event. Token
+/// boundaries, deadline sheds, completions and closed-loop respawns are
+/// handled inline through the same [`DeviceRun`] helpers the general
+/// loop calls.
 fn run_interleaved<Q: FastReady>(
     q: &mut Q,
-    mut rlen: [usize; 2],
-    system: &mut System,
-    plan: &TokenPlan,
-    table: &mut PlanTable,
-    ev: &mut EventCore,
-    busy_track: &mut [BusyTracker; 2],
-    traffic: &mut TrafficBreakdown,
-    token_latencies: &mut Samples,
-    queueing: &mut Aggregate,
-    done: &mut Vec<RequestReport>,
+    ready: &mut RequestQueue,
+    run: &mut DeviceRun<'_>,
     stamp: &mut u64,
-    requests: &mut RequestPool,
-    client_remaining: &mut [usize],
-    closed_shape: Option<RequestShape>,
-    span_cap: usize,
-    faults: &mut Option<FaultRun>,
-) {
-    let n_ops = plan.len();
-    table.build_fast_lat();
-    let faults_on = faults.is_some();
-    // Local mirrors of the event core's hot state: the two op slots
-    // (flattened to sentinel arrays — `u64::MAX` end time marks an
-    // empty slot, cheaper to test and update than `Option` tuples),
-    // the schedule stamp, the clock, and the earliest pending arrival
-    // (refreshed after any respawn). `EventCore::pop`'s ordering is
-    // reproduced exactly — stamps are unique, so the slot comparison
-    // and the arrival cutoff are total.
-    let mut s_at = [u64::MAX; 2];
-    let mut s_st = [u64::MAX; 2];
-    let mut s_id = [0u32; 2];
-    for rs in 0..2 {
-        if let Some((at, st, id)) = ev.op_done[rs].take() {
-            s_at[rs] = at;
-            s_st[rs] = st;
-            s_id[rs] = id;
+) -> bool {
+    let rlen = q.begin(ready, &run.ev, &run.requests);
+    run.table.build_fast_lat();
+    let mut r = Replay::enter(q, run, rlen, *stamp);
+    let solo = loop {
+        let s = usize::from((r.s_at[1], r.s_st[1]) < (r.s_at[0], r.s_st[0]));
+        let at = r.s_at[s];
+        if at == u64::MAX || r.next_arr < (at, r.s_st[s]) {
+            break false;
         }
-    }
-    let mut ev_stamp = ev.stamp;
-    let mut d_stamp = *stamp;
-    let mut now = ev.now;
-    let peek_arrival = |ev: &EventCore| {
-        ev.arrivals
-            .peek()
-            .map_or((u64::MAX, u64::MAX), |&Reverse((at, st, _))| (at, st))
+        r.now = SimTime::from_picos(at);
+        let solo = if s == 0 { r.step::<0>() } else { r.step::<1>() };
+        if solo {
+            break true;
+        }
     };
-    let mut next_arr = peek_arrival(ev);
+    *stamp = r.exit();
+    q.finish(ready, &run.requests);
+    solo
+}
 
-    // Lazy busy booking: dispatches that chain gaplessly on a resource
-    // (its start equals the previous dispatch's end — always true on a
-    // saturated resource) merge into one open run, flushed as a single
-    // `add_contiguous` when a starvation gap opens, before a solo-span
-    // handoff, and at exit. Busy sum, final `last_end`, and interval
-    // count are identical to per-op `add_interval` booking, and the
-    // two per-resource trackers are independent, so the deferral is
-    // unobservable.
-    let mut run_start = [0u64; 2];
-    let mut run_end = [u64::MAX; 2]; // sentinel: no open run
-    let mut run_k = [0u64; 2];
-    macro_rules! flush_busy {
-        ($rs:expr) => {{
-            let rs = $rs;
-            if run_k[rs] > 0 {
-                busy_track[rs].add_contiguous(
-                    SimTime::from_picos(run_start[rs]),
-                    SimTime::from_picos(run_end[rs]),
-                    run_k[rs],
-                );
-                // Dead at the exit-path expansions, where nothing
-                // dispatches afterwards.
-                #[allow(unused_assignments)]
-                {
-                    run_k[rs] = 0;
-                    run_end[rs] = u64::MAX;
-                }
+/// The replay loop's state: the ready set and its per-resource queued
+/// counts, local mirrors of the event core's hot state, and the open
+/// busy runs. A stack local of [`run_interleaved`] whose methods are all
+/// inlined into it — [`Replay::boundary`] too, kept cold by
+/// [`cold_mark`] rather than out of line — so the struct never escapes
+/// into a call and its fields stay in registers.
+///
+/// The event-core mirrors are the two op slots (flattened to sentinel
+/// arrays — `u64::MAX` end time marks an empty slot, cheaper to test and
+/// update than `Option` tuples), the schedule stamp, the clock, and the
+/// earliest pending arrival (refreshed after any respawn).
+/// `EventCore::pop`'s ordering is reproduced exactly — stamps are
+/// unique, so the slot comparison and the arrival cutoff are total.
+///
+/// Busy time is booked lazily: dispatches that chain gaplessly on a
+/// resource (its start equals the previous dispatch's end — always true
+/// on a saturated resource) merge into one open run, flushed as a
+/// single `add_contiguous` when a starvation gap opens and at exit.
+/// Busy sum, final `last_end`, and interval count are identical to
+/// per-op `add_interval` booking, and the two per-resource trackers are
+/// independent, so the deferral is unobservable.
+struct Replay<'r, 'a, Q> {
+    q: &'r mut Q,
+    run: &'r mut DeviceRun<'a>,
+    /// Queued members per resource.
+    rlen: [usize; 2],
+    n_ops: usize,
+    faults_on: bool,
+    s_at: [u64; 2],
+    s_st: [u64; 2],
+    s_id: [u32; 2],
+    ev_stamp: u64,
+    /// Mirror of the general loop's dispatch stamp.
+    d_stamp: u64,
+    now: SimTime,
+    next_arr: (u64, u64),
+    busy_start: [u64; 2],
+    /// End of each resource's open busy run; `u64::MAX` when none.
+    busy_end: [u64; 2],
+    busy_k: [u64; 2],
+}
+
+/// `(time, stamp)` of the earliest pending arrival; `u64::MAX` pairs
+/// when none.
+fn peek_arrival(ev: &EventCore) -> (u64, u64) {
+    ev.arrivals
+        .peek()
+        .map_or((u64::MAX, u64::MAX), |&Reverse((at, st, _))| (at, st))
+}
+
+impl<'r, 'a, Q: FastReady> Replay<'r, 'a, Q> {
+    /// Takes the in-flight ops out of the event core into the mirrors.
+    #[inline(always)]
+    fn enter(q: &'r mut Q, run: &'r mut DeviceRun<'a>, rlen: [usize; 2], d_stamp: u64) -> Self {
+        let mut s_at = [u64::MAX; 2];
+        let mut s_st = [u64::MAX; 2];
+        let mut s_id = [0u32; 2];
+        for rs in 0..2 {
+            if let Some((at, st, id)) = run.ev.op_done[rs].take() {
+                s_at[rs] = at;
+                s_st[rs] = st;
+                s_id[rs] = id;
             }
-        }};
+        }
+        Replay {
+            rlen,
+            n_ops: run.plan.len(),
+            faults_on: run.faults.is_some(),
+            s_at,
+            s_st,
+            s_id,
+            ev_stamp: run.ev.stamp,
+            d_stamp,
+            now: run.ev.now,
+            next_arr: peek_arrival(&run.ev),
+            busy_start: [0; 2],
+            busy_end: [u64::MAX; 2],
+            busy_k: [0; 2],
+            q,
+            run,
+        }
     }
 
-    // Dispatches `$nid32` on resource `$rs` at `now`. With a literal
-    // `$rs` the resource-conditional branches fold away.
-    macro_rules! dispatch {
-        ($rs:expr, $nid32:expr) => {{
-            let rs = $rs;
-            let nid32 = $nid32;
-            let nid = nid32 as usize;
-            debug_assert_eq!(requests.phase[nid], Phase::Decoding);
-            d_stamp += 1;
-            requests.last_scheduled[nid] = d_stamp;
-            if requests.cold[nid].started.is_none() {
-                requests.cold[nid].started = Some(now);
-            }
-            let idx = requests.cursor[nid].index();
-            debug_assert_eq!(
-                slot(table.classes[idx]),
-                rs,
-                "ready list / op class mismatch"
+    /// Writes the mirrors back and returns the dispatch stamp; the
+    /// general loop resumes where it left off.
+    #[inline(always)]
+    fn exit(mut self) -> u64 {
+        self.flush_busy(0);
+        self.flush_busy(1);
+        let ev = &mut self.run.ev;
+        for rs in 0..2 {
+            ev.op_done[rs] =
+                (self.s_at[rs] != u64::MAX).then(|| (self.s_at[rs], self.s_st[rs], self.s_id[rs]));
+        }
+        ev.stamp = self.ev_stamp;
+        ev.now = self.now;
+        self.d_stamp
+    }
+
+    /// Books resource `rs`'s open busy run, if any.
+    #[inline(always)]
+    fn flush_busy(&mut self, rs: usize) {
+        if self.busy_k[rs] > 0 {
+            self.run.busy_track[rs].add_contiguous(
+                SimTime::from_picos(self.busy_start[rs]),
+                SimTime::from_picos(self.busy_end[rs]),
+                self.busy_k[rs],
             );
-            let lat = table.fast_lat[idx];
-            let mut latency = if lat >= DEP_LAT_MARK {
-                requests.dep_lat[nid][(u64::MAX - lat) as usize]
-            } else {
-                SimTime::from_picos(lat)
-            };
-            if faults_on && rs == slot(OpClass::Flash) {
-                let extra = std::mem::take(&mut requests.fault_extra[nid]);
-                if extra > 0 {
-                    latency += SimTime::from_picos(extra);
-                }
-            }
-            let end = now + latency;
-            let end_ps = end.as_picos();
-            if run_end[rs] == now.as_picos() {
-                run_end[rs] = end_ps;
-            } else {
-                flush_busy!(rs);
-                run_start[rs] = now.as_picos();
-                run_end[rs] = end_ps;
-            }
-            run_k[rs] += 1;
-            s_at[rs] = end_ps;
-            s_st[rs] = ev_stamp;
-            s_id[rs] = nid32;
-            ev_stamp += 1;
-        }};
-    }
-
-    // The token-boundary arm: retire, shed/continue/complete, then the
-    // general solo-span check and a full dispatch pass. Rare (one op
-    // in `n_ops`), so it stays generic over the completing resource.
-    macro_rules! boundary {
-        ($s:expr, $id32:expr, $id:expr) => {{
-            cold_mark();
-            let s = $s;
-            let id32 = $id32;
-            let id = $id;
-            retire_token(requests, id, now, token_latencies);
-            let shed = faults
-                .as_mut()
-                .is_some_and(|f| deadline_shed(f, requests, id, now));
-            if shed {
-                requests.phase[id] = Phase::Done;
-                let client = requests.cold[id].client;
-                ev.stamp = ev_stamp;
-                respawn_client(requests, ev, client_remaining, closed_shape, client, now);
-                ev_stamp = ev.stamp;
-                next_arr = peek_arrival(ev);
-            } else if requests.remaining[id] > 0 {
-                requests.cursor[id].next_token();
-                begin_token(system, plan, table, traffic, requests, faults, id);
-                let rs0 = table.class_slots[0] as usize;
-                q.enqueue(rs0, s, requests.last_scheduled[id], id32);
-                rlen[rs0] += 1;
-            } else {
-                complete_request(requests, faults, queueing, done, id, now);
-                let client = requests.cold[id].client;
-                ev.stamp = ev_stamp;
-                respawn_client(requests, ev, client_remaining, closed_shape, client, now);
-                ev_stamp = ev.stamp;
-                next_arr = peek_arrival(ev);
-            }
-
-            // Solo-span handoff: same trigger as the general loop's
-            // span check.
-            if span_cap > 0 && s_at[0] == u64::MAX && s_at[1] == u64::MAX && rlen[0] + rlen[1] == 1
-            {
-                let (rs, sole) = q.pop_sole();
-                rlen[rs] -= 1;
-                let sid = sole as usize;
-                let spanned = if requests.phase[sid] == Phase::Decoding
-                    && requests.cursor[sid].index() == 0
-                {
-                    // The solo span books busy time itself; settle the
-                    // open runs first so bookings stay chronological.
-                    flush_busy!(0);
-                    flush_busy!(1);
-                    ev.stamp = ev_stamp;
-                    let k = run_solo_span(
-                        system,
-                        plan,
-                        table,
-                        ev,
-                        busy_track,
-                        traffic,
-                        token_latencies,
-                        &mut d_stamp,
-                        requests,
-                        faults,
-                        sid,
-                        span_cap,
-                        now,
-                    );
-                    ev_stamp = ev.stamp;
-                    k
-                } else {
-                    0
-                };
-                if spanned > 0 {
-                    for rs in 0..2 {
-                        if let Some((at, st, eid)) = ev.op_done[rs].take() {
-                            s_at[rs] = at;
-                            s_st[rs] = st;
-                            s_id[rs] = eid;
-                        }
-                    }
-                    continue;
-                }
-                q.requeue_sole(rs, requests.last_scheduled[sid], sole);
-                rlen[rs] += 1;
-            }
-
-            // Full dispatch pass, flash first like the general loop.
-            #[allow(clippy::needless_range_loop)]
-            for rs in 0..2 {
-                if s_at[rs] == u64::MAX && rlen[rs] > 0 {
-                    let nid32 = q.pop_min(rs).expect("counted member is queued");
-                    rlen[rs] -= 1;
-                    dispatch!(rs, nid32);
-                }
-            }
-        }};
-    }
-
-    // One op completion on resource `$s` (a literal, so each resource
-    // gets its own straight-line path with well-predicted branches).
-    // Dispatch is event-driven: only the freed slot and the enqueued-to
-    // slot can act, and the general loop's flash-before-NPU dispatch
-    // order is preserved in each arm. A member whose next op stays on
-    // the freed resource with nobody else queued redispatches directly,
-    // skipping the ready structure entirely — with identical stamps,
-    // since the pop it elides could only have returned that member.
-    macro_rules! step {
-        ($s:expr) => {{
-            const S: usize = $s;
-            const O: usize = 1 - $s;
-            let id32 = s_id[S];
-            let id = id32 as usize;
-            s_at[S] = u64::MAX;
-            requests.cursor[id].advance();
-            let idx = requests.cursor[id].index();
-            if idx < n_ops {
-                let rs2 = table.class_slots[idx] as usize;
-                if rs2 == S {
-                    if rlen[S] == 0 {
-                        dispatch!(S, id32);
-                    } else {
-                        q.enqueue(S, S, requests.last_scheduled[id], id32);
-                        let nid32 = q.pop_min(S).expect("just enqueued");
-                        dispatch!(S, nid32);
-                    }
-                    // Single-resource stretch: until the other slot's
-                    // completion fires (or forever, while it sits idle
-                    // with an empty queue — the sentinel makes its
-                    // guard always pass), every next event is a
-                    // completion on `S`, and nothing can enqueue to
-                    // `S`'s queue from outside. Chew through them
-                    // without re-selecting the slot, exiting — before
-                    // touching anything — on the other slot's turn
-                    // (ties included, stamps decide there), arrivals,
-                    // token boundaries, or a cross-resource op. The
-                    // membership and keys of `S`'s queue are frozen for
-                    // the whole stretch, so a key-static policy
-                    // (`RETAINS_MIN`) redispatches the completing member
-                    // — popped as min from this very set — directly.
-                    {
-                        let other = (s_at[O], s_st[O]);
-                        loop {
-                            let at2 = s_at[S];
-                            if !((at2, s_st[S]) < other) || next_arr < (at2, s_st[S]) {
-                                break;
-                            }
-                            let cid32 = s_id[S];
-                            let cid = cid32 as usize;
-                            let nidx = requests.cursor[cid].index() + 1;
-                            if nidx >= n_ops || table.class_slots[nidx] as usize != S {
-                                break;
-                            }
-                            requests.cursor[cid].advance();
-                            now = SimTime::from_picos(at2);
-                            s_at[S] = u64::MAX;
-                            if Q::RETAINS_MIN || rlen[S] == 0 {
-                                dispatch!(S, cid32);
-                            } else {
-                                q.enqueue(S, S, requests.last_scheduled[cid], cid32);
-                                let nid32 = q.pop_min(S).expect("just enqueued");
-                                dispatch!(S, nid32);
-                            }
-                        }
-                    }
-                } else if O == 0 {
-                    // NPU completion, next op on flash: the flash slot
-                    // dispatches first (directly if it sat idle, which
-                    // implies its queue is empty), then the freed NPU.
-                    if s_at[0] == u64::MAX {
-                        debug_assert_eq!(rlen[0], 0, "idle slot implies empty queue");
-                        dispatch!(0, id32);
-                    } else {
-                        q.enqueue(0, S, requests.last_scheduled[id], id32);
-                        rlen[0] += 1;
-                    }
-                    if rlen[1] > 0 {
-                        let nid32 = q.pop_min(1).expect("counted member is queued");
-                        rlen[1] -= 1;
-                        dispatch!(1, nid32);
-                    }
-                } else {
-                    // Flash completion, next op on NPU: the freed flash
-                    // slot dispatches first, then the NPU side.
-                    if rlen[0] > 0 {
-                        let nid32 = q.pop_min(0).expect("counted member is queued");
-                        rlen[0] -= 1;
-                        dispatch!(0, nid32);
-                    }
-                    if s_at[1] == u64::MAX {
-                        debug_assert_eq!(rlen[1], 0, "idle slot implies empty queue");
-                        dispatch!(1, id32);
-                    } else {
-                        q.enqueue(1, S, requests.last_scheduled[id], id32);
-                        rlen[1] += 1;
-                    }
-                }
-            } else {
-                boundary!(S, id32, id);
-            }
-        }};
-    }
-
-    loop {
-        let s = usize::from((s_at[1], s_st[1]) < (s_at[0], s_st[0]));
-        let at = s_at[s];
-        if at == u64::MAX || next_arr < (at, s_st[s]) {
-            break;
+            self.busy_k[rs] = 0;
+            self.busy_end[rs] = u64::MAX;
         }
-        now = SimTime::from_picos(at);
-        if s == 0 {
-            step!(0);
+    }
+
+    /// Dispatches member `nid32` on resource `rs` at `now`. Called with
+    /// a constant `rs` on the hot paths, so the resource-conditional
+    /// branches fold away.
+    #[inline(always)]
+    fn dispatch(&mut self, rs: usize, nid32: u32) {
+        let nid = nid32 as usize;
+        let now = self.now;
+        let requests = &mut self.run.requests;
+        let table = &self.run.table;
+        debug_assert_eq!(requests.phase[nid], Phase::Decoding);
+        self.d_stamp += 1;
+        requests.last_scheduled[nid] = self.d_stamp;
+        if requests.cold[nid].started.is_none() {
+            requests.cold[nid].started = Some(now);
+        }
+        let idx = requests.cursor[nid].index();
+        debug_assert_eq!(
+            slot(table.classes[idx]),
+            rs,
+            "ready list / op class mismatch"
+        );
+        let lat = table.fast_lat[idx];
+        let mut latency = if lat >= DEP_LAT_MARK {
+            requests.dep_lat[nid][(u64::MAX - lat) as usize]
         } else {
-            step!(1);
+            SimTime::from_picos(lat)
+        };
+        if self.faults_on && rs == slot(OpClass::Flash) {
+            let extra = std::mem::take(&mut requests.fault_extra[nid]);
+            if extra > 0 {
+                latency += SimTime::from_picos(extra);
+            }
+        }
+        let end_ps = (now + latency).as_picos();
+        if self.busy_end[rs] == now.as_picos() {
+            self.busy_end[rs] = end_ps;
+        } else {
+            self.flush_busy(rs);
+            self.busy_start[rs] = now.as_picos();
+            self.busy_end[rs] = end_ps;
+        }
+        self.busy_k[rs] += 1;
+        self.s_at[rs] = end_ps;
+        self.s_st[rs] = self.ev_stamp;
+        self.s_id[rs] = nid32;
+        self.ev_stamp += 1;
+    }
+
+    /// Queues member `id32` for `rs` on behalf of a completion on `src`
+    /// and dispatches the queue's winner — the general loop's
+    /// enqueue-then-pop on a freed resource.
+    #[inline(always)]
+    fn requeue_dispatch(&mut self, rs: usize, src: usize, id32: u32) {
+        let key = self.run.requests.last_scheduled[id32 as usize];
+        self.q.enqueue(rs, src, key, id32);
+        let nid32 = self.q.pop_min(rs).expect("just enqueued");
+        self.dispatch(rs, nid32);
+    }
+
+    /// Queues member `id32` for busy resource `rs`.
+    #[inline(always)]
+    fn enqueue(&mut self, rs: usize, src: usize, id32: u32) {
+        let key = self.run.requests.last_scheduled[id32 as usize];
+        self.q.enqueue(rs, src, key, id32);
+        self.rlen[rs] += 1;
+    }
+
+    /// Dispatches resource `rs`'s queue winner, if any is queued.
+    #[inline(always)]
+    fn dispatch_queued(&mut self, rs: usize) {
+        if self.rlen[rs] > 0 {
+            let nid32 = self.q.pop_min(rs).expect("counted member is queued");
+            self.rlen[rs] -= 1;
+            self.dispatch(rs, nid32);
         }
     }
-    // Write the mirrors back; the general loop resumes at its `pop`.
-    flush_busy!(0);
-    flush_busy!(1);
-    for rs in 0..2 {
-        ev.op_done[rs] = (s_at[rs] != u64::MAX).then(|| (s_at[rs], s_st[rs], s_id[rs]));
+
+    /// Re-issues the closed-loop client of departing request `id`
+    /// through the event core, keeping the stamp and arrival mirrors in
+    /// step.
+    #[inline(always)]
+    fn respawn(&mut self, id: usize) {
+        self.run.ev.stamp = self.ev_stamp;
+        self.run.respawn_client(id, self.now);
+        self.ev_stamp = self.run.ev.stamp;
+        self.next_arr = peek_arrival(&self.run.ev);
     }
-    ev.stamp = ev_stamp;
-    ev.now = now;
-    *stamp = d_stamp;
+
+    /// One op completion on resource `S`, giving each resource its own
+    /// straight-line path with well-predicted branches. Dispatch is
+    /// event-driven: only the freed slot and the enqueued-to slot can
+    /// act, and the general loop's flash-before-NPU dispatch order is
+    /// preserved in each arm. A member whose next op stays on the freed
+    /// resource with nobody else queued redispatches directly, skipping
+    /// the ready structure entirely — with identical stamps, since the
+    /// pop it elides could only have returned that member. Returns
+    /// whether the loop must stop for the solo-span trigger.
+    #[inline(always)]
+    fn step<const S: usize>(&mut self) -> bool {
+        let o = 1 - S;
+        let id32 = self.s_id[S];
+        let id = id32 as usize;
+        self.s_at[S] = u64::MAX;
+        self.run.requests.cursor[id].advance();
+        let idx = self.run.requests.cursor[id].index();
+        if idx >= self.n_ops {
+            return self.boundary(S, id32);
+        }
+        let rs2 = self.run.table.class_slots[idx] as usize;
+        if rs2 == S {
+            if self.rlen[S] == 0 {
+                self.dispatch(S, id32);
+            } else {
+                self.requeue_dispatch(S, S, id32);
+            }
+            // Single-resource stretch: until the other slot's completion
+            // fires (or forever, while it sits idle with an empty queue
+            // — the sentinel makes its guard always pass), every next
+            // event is a completion on `S`, and nothing can enqueue to
+            // `S`'s queue from outside. Chew through them without
+            // re-selecting the slot, exiting — before touching anything
+            // — on the other slot's turn (ties included, stamps decide
+            // there), arrivals, token boundaries, or a cross-resource
+            // op. The membership and keys of `S`'s queue are frozen for
+            // the whole stretch, so a key-static policy (`RETAINS_MIN`)
+            // redispatches the completing member — popped as min from
+            // this very set — directly.
+            let other = (self.s_at[o], self.s_st[o]);
+            loop {
+                let at2 = self.s_at[S];
+                if (at2, self.s_st[S]) >= other || self.next_arr < (at2, self.s_st[S]) {
+                    break;
+                }
+                let cid32 = self.s_id[S];
+                let cursor = &mut self.run.requests.cursor[cid32 as usize];
+                let nidx = cursor.index() + 1;
+                if nidx >= self.n_ops || self.run.table.class_slots[nidx] as usize != S {
+                    break;
+                }
+                cursor.advance();
+                self.now = SimTime::from_picos(at2);
+                self.s_at[S] = u64::MAX;
+                if Q::RETAINS_MIN || self.rlen[S] == 0 {
+                    self.dispatch(S, cid32);
+                } else {
+                    self.requeue_dispatch(S, S, cid32);
+                }
+            }
+        } else if o == 0 {
+            // NPU completion, next op on flash: the flash slot
+            // dispatches first (directly if it sat idle, which implies
+            // its queue is empty), then the freed NPU.
+            if self.s_at[0] == u64::MAX {
+                debug_assert_eq!(self.rlen[0], 0, "idle slot implies empty queue");
+                self.dispatch(0, id32);
+            } else {
+                self.enqueue(0, S, id32);
+            }
+            self.dispatch_queued(1);
+        } else {
+            // Flash completion, next op on NPU: the freed flash slot
+            // dispatches first, then the NPU side.
+            self.dispatch_queued(0);
+            if self.s_at[1] == u64::MAX {
+                debug_assert_eq!(self.rlen[1], 0, "idle slot implies empty queue");
+                self.dispatch(1, id32);
+            } else {
+                self.enqueue(1, S, id32);
+            }
+        }
+        false
+    }
+
+    /// The token-boundary arm of a completion on `s`: retire, then
+    /// shed, continue or complete, then the solo-span trigger and a full
+    /// dispatch pass. Rare (one op in `n_ops`), so it stays generic over
+    /// the completing resource. Returns whether the loop must stop for
+    /// the solo-span trigger: both resources idle and exactly one member
+    /// queued, which leaves that member the lone request in flight.
+    #[inline(always)]
+    fn boundary(&mut self, s: usize, id32: u32) -> bool {
+        cold_mark();
+        let id = id32 as usize;
+        let now = self.now;
+        let run = &mut *self.run;
+        retire_token(&mut run.requests, id, now, &mut run.token_latencies);
+        let shed = run
+            .faults
+            .as_mut()
+            .is_some_and(|f| deadline_shed(f, &run.requests, id, now));
+        if shed {
+            run.requests.phase[id] = Phase::Done;
+            self.respawn(id);
+        } else if run.requests.remaining[id] > 0 {
+            run.requests.cursor[id].next_token();
+            run.begin_token(id);
+            let rs0 = run.table.class_slots[0] as usize;
+            self.enqueue(rs0, s, id32);
+        } else {
+            run.complete_request(id, now);
+            self.respawn(id);
+        }
+        if self.s_at[0] == u64::MAX && self.s_at[1] == u64::MAX && self.rlen[0] + self.rlen[1] == 1
+        {
+            return true;
+        }
+        // Full dispatch pass, flash first like the general loop.
+        for rs in 0..2 {
+            if self.s_at[rs] == u64::MAX {
+                self.dispatch_queued(rs);
+            }
+        }
+        false
+    }
+}
+
+/// The per-op event loop for FCFS and round-robin: each resource serves
+/// one op at a time, and a freed resource dispatches the ready request
+/// its policy ranks first. With spans on it hands a lone request's
+/// whole tokens to [`DeviceRun::run_solo_span`] and overloaded steady
+/// stretches to [`run_interleaved`].
+struct Simulation<'a> {
+    run: DeviceRun<'a>,
+    policy: SchedulePolicy,
+    ready: RequestQueue,
+    /// Dispatch stamp, bumped per dispatched op: the round-robin
+    /// recency key.
+    stamp: u64,
 }
 
 impl<'a> Simulation<'a> {
@@ -1980,289 +2133,221 @@ impl<'a> Simulation<'a> {
         engine: &'a DeviceEngine,
         trace: &ArrivalTrace,
         policy: SchedulePolicy,
-        mut system: System,
+        system: System,
     ) -> Self {
-        let faults = FaultRun::for_engine(&engine.faults, &engine.cfg, &mut system);
-        let (total_requests, peak_arrivals) = trace_sizes(trace);
-        let mut sim = Simulation {
-            system,
-            plan: &engine.plan,
-            table: PlanTable::new(&engine.plan),
+        Simulation {
+            run: DeviceRun::new(engine, trace, system),
             policy,
-            prefill: PrefillState::new(engine),
-            ev: EventCore::with_capacity(peak_arrivals),
             ready: RequestQueue::default(),
-            requests: RequestPool::with_capacity(total_requests),
-            busy_track: [BusyTracker::new(), BusyTracker::new()],
             stamp: 0,
-            client_remaining: Vec::new(),
-            closed_shape: None,
-            traffic: TrafficBreakdown::default(),
-            token_latencies: Samples::new(),
-            queueing: Aggregate::new(),
-            done: Vec::new(),
-            first_arrival: None,
-            kv_max_context: kv_cache(engine).max_tokens(),
-            kv_rejections: 0,
-            span_cap: engine.span.cap(),
-            faults,
-        };
-        if let Some(f) = &sim.faults {
-            // simlint: allow(D1) — fault root seeded from the config's own seed; per-request streams fork() from it
-            sim.requests.fault_root = Some(SplitMix64::new(f.seed()));
         }
-        let (remaining, shape) = load_trace(trace, &mut sim.requests, &mut sim.ev);
-        sim.client_remaining = remaining;
-        sim.closed_shape = shape;
-        sim
     }
 
-    /// The event loop. One deliberately monolithic block: this is the
-    /// hottest code in the repo (one iteration per simulated op), and
-    /// destructuring `self` keeps the table/queue/request base pointers
-    /// in registers across iterations instead of re-loading them
-    /// through `self` in every helper call.
     fn run(mut self) -> (ServeReport, System) {
-        let policy = self.policy;
-        {
-            let Simulation {
-                system,
-                plan,
-                table,
-                prefill,
-                ev,
-                ready,
-                requests,
-                busy_track,
-                stamp,
-                client_remaining,
-                closed_shape,
-                traffic,
-                token_latencies,
-                queueing,
-                done,
-                first_arrival,
-                kv_max_context,
-                kv_rejections,
-                span_cap,
-                faults,
-                ..
-            } = &mut self;
-            let plan: &TokenPlan = plan;
-            let n_ops = table.classes.len();
-            // The interleaved replay structures, standing by whenever
-            // span coalescing is on for one of the per-op policies.
-            let mut fast: Option<FastLane> = match (*span_cap > 0, policy) {
-                (true, SchedulePolicy::Fcfs) => Some(FastLane::Fcfs(FcfsReady::default())),
-                (true, SchedulePolicy::RoundRobin) => Some(FastLane::Rr(RrReady::default())),
-                _ => None,
-            };
-            let ready_key = |policy: SchedulePolicy, requests: &RequestPool, id: usize| {
-                match policy {
-                    // Earliest arrival wins; id breaks ties
-                    // deterministically (heap entries are `(key, id)`).
-                    SchedulePolicy::Fcfs => requests.cold[id].arrived.as_picos(),
-                    // Least-recently-scheduled wins: fair rotation.
-                    SchedulePolicy::RoundRobin => requests.last_scheduled[id],
-                    // Routed to `BatchedSimulation` by `DeviceEngine::run`.
-                    SchedulePolicy::ContinuousBatch { .. } => {
-                        unreachable!("batched policy has its own loop")
-                    }
+        self.event_loop();
+        self.finish()
+    }
+
+    fn finish(self) -> (ServeReport, System) {
+        assert!(
+            self.ready.is_empty(),
+            "event core drained with work outstanding"
+        );
+        let run = self.run;
+        // Shed requests dispatched every op of the tokens they finished
+        // before the deadline cut them off — sheds happen only at token
+        // boundaries — so their tokens count as dispatched work even
+        // though no completion report carries them. Every weight-GeMV
+        // dispatch beyond the first per distinct shape reused a memoized
+        // flash simulation.
+        let tokens = run.done.iter().map(|r| r.tokens as u64).sum::<u64>()
+            + run.faults.as_ref().map_or(0, |f| f.shed_tokens);
+        let ops_dispatched = tokens * run.plan.len() as u64;
+        let gemv_dispatched = tokens * run.table.gemvs_per_token;
+        run.finish(self.policy, ops_dispatched, gemv_dispatched, 0, 0)
+    }
+
+    /// The general loop, one iteration per event: the hot path only
+    /// under [`SpanMode::PerOp`]. With spans on, solo spans and the
+    /// replay loop take over whole tokens and whole overloaded
+    /// stretches, and this loop handles arrivals, prefill and the
+    /// handoffs between them.
+    fn event_loop(&mut self) {
+        let Simulation {
+            run,
+            policy,
+            ready,
+            stamp,
+        } = self;
+        let policy = *policy;
+        let n_ops = run.table.classes.len();
+        // The interleaved replay structures, standing by whenever span
+        // coalescing is on for one of the per-op policies.
+        let mut fast: Option<FastLane> = match (run.span_cap > 0, policy) {
+            (true, SchedulePolicy::Fcfs) => Some(FastLane::Fcfs(FcfsReady::default())),
+            (true, SchedulePolicy::RoundRobin) => Some(FastLane::Rr(RrReady::default())),
+            _ => None,
+        };
+        let ready_key = |requests: &RequestPool, id: usize| {
+            match policy {
+                // Earliest arrival wins; id breaks ties
+                // deterministically (heap entries are `(key, id)`).
+                SchedulePolicy::Fcfs => requests.cold[id].arrived.as_picos(),
+                // Least-recently-scheduled wins: fair rotation.
+                SchedulePolicy::RoundRobin => requests.last_scheduled[id],
+                // Routed to `BatchedSimulation` by `DeviceEngine::run`.
+                SchedulePolicy::ContinuousBatch { .. } => {
+                    unreachable!("batched policy has its own loop")
                 }
-            };
+            }
+        };
 
-            while let Some(fired) = ev.pop() {
-                let now = ev.now;
-                match fired {
-                    Fired::Arrive(id) => {
-                        // KV admission control: a context (prompt +
-                        // generation) that can never fit in the DRAM KV
-                        // allocation is a counted rejection
-                        // (`KvCapacityError` at prefill/append on real
-                        // hardware), not a simulated run — the same
-                        // never-fits criterion `ContinuousBatch` uses.
-                        // Anything that fits alone is admitted
-                        // immediately; these policies interleave per-op
-                        // and do not reserve shared capacity ahead,
-                        // `ContinuousBatch` does.
-                        let shape = requests.cold[id].shape;
-                        if shape.prompt_len + shape.new_tokens > *kv_max_context {
-                            *kv_rejections += 1;
-                            let client = requests.cold[id].client;
-                            respawn_client(
-                                requests,
-                                ev,
-                                client_remaining,
-                                *closed_shape,
-                                client,
-                                now,
-                            );
-                            continue;
-                        }
-                        // The request prices its first token and enters
-                        // the ready queue of its first op's resource —
-                        // unless it owes a prefill, in which case it
-                        // queues (state `Queued`) for the whole device
-                        // on the flash list and prices its first token
-                        // only once the prompt is resident.
-                        if first_arrival.is_none() {
-                            *first_arrival = Some(requests.cold[id].arrived);
-                        }
-                        requests.token_started[id] = now;
-                        if prefill.is_some() && shape.prompt_len > 0 {
-                            ready.enqueue(
-                                slot(OpClass::Flash),
-                                ready_key(policy, requests, id),
-                                id,
-                            );
-                        } else {
-                            requests.phase[id] = Phase::Decoding;
-                            begin_token(system, plan, table, traffic, requests, faults, id);
-                            ready.enqueue(
-                                slot(table.classes[requests.cursor[id].index()]),
-                                ready_key(policy, requests, id),
-                                id,
-                            );
-                        }
-                    }
-                    Fired::Op(_, id) if id == PREFILL_HOLD => {
-                        // The NPU-side hold of a finished prefill:
-                        // nothing to step, the resource is simply free
-                        // again for the dispatch pass below.
-                    }
-                    Fired::Op(_, id) if requests.phase[id] == Phase::Prefilling => {
-                        // Prefill complete (flash-slot event): the
-                        // prompt is resident, decode begins.
-                        requests.phase[id] = Phase::Decoding;
-                        requests.cold[id].prefill_end = Some(now);
-                        begin_token(system, plan, table, traffic, requests, faults, id);
-                        ready.enqueue(
-                            slot(table.classes[requests.cursor[id].index()]),
-                            ready_key(policy, requests, id),
-                            id,
-                        );
-                    }
-                    Fired::Op(_, id) => {
-                        // The resource freed (`pop` vacated its slot);
-                        // step the request's cursor.
-                        requests.cursor[id].advance();
-                        let idx = requests.cursor[id].index();
-                        if idx < n_ops {
-                            ready.enqueue(
-                                slot(table.classes[idx]),
-                                ready_key(policy, requests, id),
-                                id,
-                            );
-                        } else {
-                            // Token complete.
-                            retire_token(requests, id, now, token_latencies);
-                            let shed = faults
-                                .as_mut()
-                                .is_some_and(|f| deadline_shed(f, requests, id, now));
-                            if shed {
-                                // Deadline missed: the request is shed
-                                // (not completed, not reported), its
-                                // client re-issues immediately.
-                                requests.phase[id] = Phase::Done;
-                                let client = requests.cold[id].client;
-                                respawn_client(
-                                    requests,
-                                    ev,
-                                    client_remaining,
-                                    *closed_shape,
-                                    client,
-                                    now,
-                                );
-                            } else if requests.remaining[id] > 0 {
-                                // Next token: context has grown by the
-                                // token just emitted.
-                                requests.cursor[id].next_token();
-                                begin_token(system, plan, table, traffic, requests, faults, id);
-                                ready.enqueue(
-                                    slot(table.classes[0]),
-                                    ready_key(policy, requests, id),
-                                    id,
-                                );
-                            } else {
-                                // Request complete.
-                                complete_request(requests, faults, queueing, done, id, now);
-
-                                // Closed loop: the client immediately
-                                // issues its next request.
-                                let client = requests.cold[id].client;
-                                respawn_client(
-                                    requests,
-                                    ev,
-                                    client_remaining,
-                                    *closed_shape,
-                                    client,
-                                    now,
-                                );
-                            }
-                        }
-                    }
-                }
-
-                // Span fast-forwarding: with exactly one request in
-                // flight, parked at a token boundary, and both
-                // resources idle, whole tokens coalesce into one
-                // bulk-priced span (every other live request would be
-                // in a ready heap or holding a pending completion, so
-                // this condition is exact).
-                if *span_cap > 0 && !ev.busy(0) && !ev.busy(1) && ready.len() == 1 {
-                    let s_heap = usize::from(ready.ready[0].is_empty());
-                    let id = ready.pop_min(s_heap).expect("ready holds one request");
-                    let spanned = if requests.phase[id] == Phase::Decoding
-                        && requests.cursor[id].index() == 0
-                    {
-                        run_solo_span(
-                            system,
-                            plan,
-                            table,
-                            ev,
-                            busy_track,
-                            traffic,
-                            token_latencies,
-                            stamp,
-                            requests,
-                            faults,
-                            id,
-                            *span_cap,
-                            now,
-                        )
-                    } else {
-                        0
-                    };
-                    if spanned > 0 {
+        while let Some(fired) = run.ev.pop() {
+            let now = run.ev.now;
+            match fired {
+                Fired::Arrive(id) => {
+                    // KV admission control: a context (prompt +
+                    // generation) that can never fit in the DRAM KV
+                    // allocation is a counted rejection
+                    // (`KvCapacityError` at prefill/append on real
+                    // hardware), not a simulated run — the same
+                    // never-fits criterion `ContinuousBatch` uses.
+                    // Anything that fits alone is admitted immediately;
+                    // these policies interleave per-op and do not
+                    // reserve shared capacity ahead, `ContinuousBatch`
+                    // does.
+                    let shape = run.requests.cold[id].shape;
+                    if shape.prompt_len + shape.new_tokens > run.kv_max_context {
+                        run.kv_rejections += 1;
+                        run.respawn_client(id, now);
                         continue;
                     }
+                    // The request prices its first token and enters the
+                    // ready queue of its first op's resource — unless it
+                    // owes a prefill, in which case it queues (state
+                    // `Queued`) for the whole device on the flash list
+                    // and prices its first token only once the prompt is
+                    // resident.
+                    if run.first_arrival.is_none() {
+                        run.first_arrival = Some(run.requests.cold[id].arrived);
+                    }
+                    run.requests.token_started[id] = now;
+                    if run.prefill.is_some() && shape.prompt_len > 0 {
+                        ready.enqueue(slot(OpClass::Flash), ready_key(&run.requests, id), id);
+                    } else {
+                        run.requests.phase[id] = Phase::Decoding;
+                        run.begin_token(id);
+                        let s = slot(run.table.classes[run.requests.cursor[id].index()]);
+                        ready.enqueue(s, ready_key(&run.requests, id), id);
+                    }
+                }
+                Fired::Op(_, id) if id == PREFILL_HOLD => {
+                    // The NPU-side hold of a finished prefill: nothing
+                    // to step, the resource is simply free again for the
+                    // dispatch pass below.
+                }
+                Fired::Op(_, id) if run.requests.phase[id] == Phase::Prefilling => {
+                    // Prefill complete (flash-slot event): the prompt is
+                    // resident, decode begins.
+                    run.requests.phase[id] = Phase::Decoding;
+                    run.requests.cold[id].prefill_end = Some(now);
+                    run.begin_token(id);
+                    let s = slot(run.table.classes[run.requests.cursor[id].index()]);
+                    ready.enqueue(s, ready_key(&run.requests, id), id);
+                }
+                Fired::Op(_, id) => {
+                    // The resource freed (`pop` vacated its slot); step
+                    // the request's cursor.
+                    run.requests.cursor[id].advance();
+                    let idx = run.requests.cursor[id].index();
+                    if idx < n_ops {
+                        ready.enqueue(
+                            slot(run.table.classes[idx]),
+                            ready_key(&run.requests, id),
+                            id,
+                        );
+                    } else {
+                        // Token complete.
+                        retire_token(&mut run.requests, id, now, &mut run.token_latencies);
+                        let shed = run
+                            .faults
+                            .as_mut()
+                            .is_some_and(|f| deadline_shed(f, &run.requests, id, now));
+                        if shed {
+                            // Deadline missed: the request is shed (not
+                            // completed, not reported), its client
+                            // re-issues immediately.
+                            run.requests.phase[id] = Phase::Done;
+                            run.respawn_client(id, now);
+                        } else if run.requests.remaining[id] > 0 {
+                            // Next token: context has grown by the token
+                            // just emitted.
+                            run.requests.cursor[id].next_token();
+                            run.begin_token(id);
+                            ready.enqueue(
+                                slot(run.table.classes[0]),
+                                ready_key(&run.requests, id),
+                                id,
+                            );
+                        } else {
+                            // Request complete; in a closed loop the
+                            // client immediately issues its next request.
+                            run.complete_request(id, now);
+                            run.respawn_client(id, now);
+                        }
+                    }
+                }
+            }
+
+            // Solo check, dispatch pass, replay — repeated at the same
+            // instant while the replay loop stops at the solo-span
+            // trigger, whose clock is then the one to act at.
+            loop {
+                let now = run.ev.now;
+                // Span fast-forwarding: with exactly one request in
+                // flight, parked at a token boundary, and both resources
+                // idle, whole tokens coalesce into one bulk-priced span
+                // (every other live request would be in a ready heap or
+                // holding a pending completion, so this condition is
+                // exact).
+                if run.span_cap > 0 && !run.ev.busy(0) && !run.ev.busy(1) && ready.len() == 1 {
+                    let s_heap = usize::from(ready.ready[0].is_empty());
+                    let id = ready.pop_min(s_heap).expect("ready holds one request");
+                    if run.requests.phase[id] == Phase::Decoding
+                        && run.requests.cursor[id].index() == 0
+                        && run.run_solo_span(stamp, id, now) > 0
+                    {
+                        break;
+                    }
                     // No coalescible token (an arrival is imminent, or
-                    // the request owes a prefill): back in the ready
-                    // heap for ordinary per-op dispatch below.
-                    ready.enqueue(s_heap, ready_key(policy, requests, id), id);
+                    // the request owes a prefill or sits mid-token):
+                    // back in the ready heap for ordinary per-op
+                    // dispatch below.
+                    ready.enqueue(s_heap, ready_key(&run.requests, id), id);
                 }
 
                 // Dispatch: start an op on every idle resource that has
-                // waiting requests (flash first, as before). The index
-                // addresses four parallel structures, not one slice.
+                // waiting requests (flash first). The index addresses
+                // four parallel structures, not one slice.
                 #[allow(clippy::needless_range_loop)]
                 for s in 0..2 {
-                    if ev.busy(s) {
+                    if run.ev.busy(s) {
                         continue;
                     }
                     let Some(id) = ready.pop_min(s) else {
                         continue;
                     };
+                    let requests = &mut run.requests;
                     if requests.phase[id] == Phase::Queued {
                         // A pending prefill: it needs the whole device
                         // (flash stream + NPU GeMMs together). If the
-                        // NPU is mid-op, the flash idles and the
-                        // prefill keeps its place at the head — no
-                        // later flash work jumps it — retrying at the
-                        // next completion event.
+                        // NPU is mid-op, the flash idles and the prefill
+                        // keeps its place at the head — no later flash
+                        // work jumps it — retrying at the next
+                        // completion event.
                         debug_assert_eq!(s, slot(OpClass::Flash));
-                        if ev.busy(slot(OpClass::Npu)) {
-                            ready.enqueue(s, ready_key(policy, requests, id), id);
+                        if run.ev.busy(slot(OpClass::Npu)) {
+                            ready.enqueue(s, ready_key(requests, id), id);
                             continue;
                         }
                         *stamp += 1;
@@ -2271,14 +2356,11 @@ impl<'a> Simulation<'a> {
                         if requests.cold[id].started.is_none() {
                             requests.cold[id].started = Some(now);
                         }
-                        let total = prefill
-                            .as_mut()
-                            .expect("Queued is only dispatched with prefill on")
-                            .charge(system, traffic, requests, faults, id);
-                        busy_track[0].add_interval(now, now + total);
-                        busy_track[1].add_interval(now, now + total);
-                        ev.schedule_op(0, now + total, id);
-                        ev.schedule_op(1, now + total, PREFILL_HOLD);
+                        let total = run.charge_prefill(id);
+                        run.busy_track[0].add_interval(now, now + total);
+                        run.busy_track[1].add_interval(now, now + total);
+                        run.ev.schedule_op(0, now + total, id);
+                        run.ev.schedule_op(1, now + total, PREFILL_HOLD);
                         continue;
                     }
                     *stamp += 1;
@@ -2286,6 +2368,7 @@ impl<'a> Simulation<'a> {
                     if requests.cold[id].started.is_none() {
                         requests.cold[id].started = Some(now);
                     }
+                    let table = &run.table;
                     let idx = requests.cursor[id].index();
                     debug_assert_eq!(
                         slot(table.classes[idx]),
@@ -2306,8 +2389,8 @@ impl<'a> Simulation<'a> {
                             latency += SimTime::from_picos(extra);
                         }
                     }
-                    busy_track[s].add_interval(now, now + latency);
-                    ev.schedule_op(s, now + latency, id);
+                    run.busy_track[s].add_interval(now, now + latency);
+                    run.ev.schedule_op(s, now + latency, id);
                 }
 
                 // Interleaved replay: when every pending event is an op
@@ -2316,238 +2399,27 @@ impl<'a> Simulation<'a> {
                 // replays in the specialized loop instead of paying the
                 // general machinery per op. Bit-identical by
                 // construction; see [`run_interleaved`].
-                if let Some(lane) = fast.as_mut() {
-                    if replay_eligible(ev, ready, requests, prefill.is_some()) {
+                let solo = match fast.as_mut() {
+                    Some(lane)
+                        if replay_eligible(
+                            &run.ev,
+                            ready,
+                            &run.requests,
+                            run.prefill.is_some(),
+                        ) =>
+                    {
                         match lane {
-                            FastLane::Fcfs(q) => {
-                                let queued = q.begin(ready, ev, requests);
-                                run_interleaved(
-                                    q,
-                                    queued,
-                                    system,
-                                    plan,
-                                    table,
-                                    ev,
-                                    busy_track,
-                                    traffic,
-                                    token_latencies,
-                                    queueing,
-                                    done,
-                                    stamp,
-                                    requests,
-                                    client_remaining,
-                                    *closed_shape,
-                                    *span_cap,
-                                    faults,
-                                );
-                                q.finish(ready, requests);
-                            }
-                            FastLane::Rr(q) => {
-                                let queued = q.begin(ready);
-                                run_interleaved(
-                                    q,
-                                    queued,
-                                    system,
-                                    plan,
-                                    table,
-                                    ev,
-                                    busy_track,
-                                    traffic,
-                                    token_latencies,
-                                    queueing,
-                                    done,
-                                    stamp,
-                                    requests,
-                                    client_remaining,
-                                    *closed_shape,
-                                    *span_cap,
-                                    faults,
-                                );
-                                q.finish(ready);
-                            }
+                            FastLane::Fcfs(q) => run_interleaved(q, ready, run, stamp),
+                            FastLane::Rr(q) => run_interleaved(q, ready, run, stamp),
                         }
                     }
+                    _ => false,
+                };
+                if !solo {
+                    break;
                 }
             }
         }
-
-        self.finish()
-    }
-
-    fn finish(self) -> (ServeReport, System) {
-        assert!(
-            self.ready.is_empty(),
-            "event core drained with work outstanding"
-        );
-        let tokens_served: u64 = self.done.iter().map(|r| r.tokens as u64).sum();
-
-        // Op-pricing accounting, in dispatched-op terms: each distinct
-        // canonical shape was derived once (a cache miss — the slot
-        // fills in `begin_token` are exactly those derivations), and
-        // every other dispatch replayed a memoized cost through the
-        // slot table. Internal table bookkeeping (e.g. a slot re-read
-        // at token start) is not counted, so hits + misses partition
-        // the dispatched ops exactly. Prefill pricing contributes its
-        // component lookups once per prompt-length bucket.
-        let (prefill_priced, prefill_busy) = self
-            .prefill
-            .as_ref()
-            .map_or((0, SimTime::ZERO), |p| (p.priced(), p.busy));
-        // Shed requests dispatched every op of the tokens they finished
-        // before the deadline cut them off — sheds happen only at token
-        // boundaries — so their tokens count as dispatched work even
-        // though no completion report carries them.
-        let shed_tokens = self.faults.as_ref().map_or(0, |f| f.shed_tokens);
-        let ops_dispatched = (tokens_served + shed_tokens) * self.plan.len() as u64
-            + prefill_priced * PrefillCost::COMPONENT_OPS;
-
-        // GeMV recall accounting: every weight-GeMV dispatch beyond the
-        // first per distinct shape reused a memoized flash simulation
-        // (whether through the GeMV cache itself or the tables above).
-        let gemv_dispatched = (tokens_served + shed_tokens) * self.table.gemvs_per_token;
-
-        let report = build_report(ReportInputs {
-            policy: self.policy,
-            prefill: if self.prefill.is_some() {
-                PrefillMode::Modeled
-            } else {
-                PrefillMode::Off
-            },
-            prefill_busy,
-            first_arrival: self.first_arrival,
-            token_latencies: self.token_latencies,
-            queueing: self.queueing,
-            busy_track: self.busy_track,
-            system: &self.system,
-            ops_dispatched,
-            gemv_dispatched,
-            occ_weighted_ps: 0,
-            peak_batch_occupancy: 0,
-            kv_rejections: self.kv_rejections,
-            traffic: self.traffic,
-            reliability: self
-                .faults
-                .as_ref()
-                .map(FaultRun::summary)
-                .unwrap_or_default(),
-            done: self.done,
-        });
-        (report, self.system)
-    }
-}
-
-/// Everything a finished event loop hands to [`build_report`]: the
-/// shared accumulators plus the few per-policy numbers (dispatch
-/// accounting, batch occupancy, rejections).
-struct ReportInputs<'a> {
-    policy: SchedulePolicy,
-    prefill: PrefillMode,
-    /// Total device time spent in prefill stages.
-    prefill_busy: SimTime,
-    /// Arrival time of the first admitted request, if any.
-    first_arrival: Option<SimTime>,
-    token_latencies: Samples,
-    queueing: Aggregate,
-    busy_track: [BusyTracker; 2],
-    system: &'a System,
-    ops_dispatched: u64,
-    gemv_dispatched: u64,
-    /// Batch-size × picoseconds integral (zero for per-op policies).
-    occ_weighted_ps: u128,
-    peak_batch_occupancy: usize,
-    kv_rejections: u64,
-    traffic: TrafficBreakdown,
-    /// Fault counters (all-zero default when faults were off); the
-    /// goodput rate is derived here, where the horizon is known.
-    reliability: ReliabilitySummary,
-    done: Vec<RequestReport>,
-}
-
-/// Assembles the fleet report both event loops share: rate,
-/// percentile, utilization and cache-recall arithmetic is identical
-/// across policies (zero-duration runs divide out to 0.0 everywhere),
-/// so a new report field or formula change lands in exactly one place.
-fn build_report(inputs: ReportInputs<'_>) -> ServeReport {
-    let ReportInputs {
-        policy,
-        prefill,
-        prefill_busy,
-        first_arrival,
-        mut token_latencies,
-        queueing,
-        busy_track,
-        system,
-        ops_dispatched,
-        gemv_dispatched,
-        occ_weighted_ps,
-        peak_batch_occupancy,
-        kv_rejections,
-        traffic,
-        mut reliability,
-        done,
-    } = inputs;
-    // TTFT in both frames: arrival-relative (queue + prefill + first
-    // decoded token — the user-visible number) and the old decode-only
-    // metric, kept side by side so neither masquerades as the other.
-    let mut ttft = Samples::new();
-    let mut decode_ttft = Aggregate::new();
-    for r in &done {
-        ttft.push(r.ttft().as_secs_f64());
-        decode_ttft.push(r.decode_ttft().as_secs_f64());
-    }
-    // Span of actual service: first admitted arrival to last
-    // completion. Rejected arrivals advance the event clock but are
-    // not simulated, so they must not stretch the makespan or dilute
-    // the rates, utilizations and occupancy derived from it.
-    let makespan = match (first_arrival, done.last()) {
-        (Some(first), Some(last)) => last.finished.saturating_sub(first),
-        _ => SimTime::ZERO,
-    };
-    let mean_batch_occupancy = if makespan > SimTime::ZERO {
-        // simlint: allow(D5) — report boundary: integer ps accounting ends here, both operands exact
-        occ_weighted_ps as f64 / makespan.as_picos() as f64
-    } else {
-        0.0
-    };
-    let tokens_served: u64 = done.iter().map(|r| r.tokens as u64).sum();
-    let horizon = makespan.as_secs_f64();
-    if horizon > 0.0 {
-        reliability.deadline_goodput_tps = reliability.goodput_tokens as f64 / horizon;
-    }
-    let op_misses = system.op_cost_cache().misses();
-    let gemv_misses = system.gemv_cache().misses();
-    ServeReport {
-        policy,
-        prefill,
-        requests_served: done.len(),
-        tokens_served,
-        makespan,
-        tokens_per_sec: if horizon > 0.0 {
-            tokens_served as f64 / horizon
-        } else {
-            0.0
-        },
-        p50_token_latency_s: token_latencies.percentile(50.0).unwrap_or(0.0),
-        p99_token_latency_s: token_latencies.percentile(99.0).unwrap_or(0.0),
-        mean_token_latency_s: token_latencies.mean().unwrap_or(0.0),
-        ttft_p50_s: ttft.percentile(50.0).unwrap_or(0.0),
-        ttft_p99_s: ttft.percentile(99.0).unwrap_or(0.0),
-        ttft_mean_s: ttft.mean().unwrap_or(0.0),
-        decode_ttft_s: decode_ttft,
-        prefill_busy_s: prefill_busy.as_secs_f64(),
-        queueing_delay_s: queueing,
-        flash_utilization: busy_track[0].utilization(makespan),
-        npu_utilization: busy_track[1].utilization(makespan),
-        gemv_cache_hits: gemv_dispatched.saturating_sub(gemv_misses),
-        gemv_cache_misses: gemv_misses,
-        op_cost_cache_hits: ops_dispatched.saturating_sub(op_misses),
-        op_cost_cache_misses: op_misses,
-        mean_batch_occupancy,
-        peak_batch_occupancy,
-        kv_rejections,
-        traffic,
-        reliability,
-        requests: done,
     }
 }
 
@@ -2629,44 +2501,18 @@ impl BatchState {
 /// op walk, so batch-of-1 reproduces the FCFS single-stream makespan
 /// tick for tick.
 struct BatchedSimulation<'a> {
-    system: System,
-    plan: &'a TokenPlan,
-    table: PlanTable,
-    /// Prefill simulation state (`Some` iff [`PrefillMode::Modeled`]):
-    /// newly admitted members prefill serially at their admission
-    /// boundary, delaying the shared step.
-    prefill: Option<PrefillState<'a>>,
-    ev: EventCore,
+    run: DeviceRun<'a>,
     batch: BatchState,
     /// Arrived requests awaiting admission, FIFO.
     pending: VecDeque<usize>,
     /// Shared DRAM KV allocation; holds one whole-context reservation
-    /// per in-flight request.
+    /// per in-flight request. Built by the same [`kv_cache`] as the
+    /// run's never-fits criterion, so the two cannot disagree.
     kv: KvCache,
-    requests: RequestPool,
-    busy_track: [BusyTracker; 2],
-    client_remaining: Vec<usize>,
-    closed_shape: Option<RequestShape>,
-    traffic: TrafficBreakdown,
-    token_latencies: Samples,
-    queueing: Aggregate,
-    done: Vec<RequestReport>,
-    /// Arrival time of the first *admitted* request — rejected
-    /// arrivals are not simulated and must not stretch the makespan.
-    first_arrival: Option<SimTime>,
-    /// `self.kv.max_tokens()`, cached: the same never-fits rejection
-    /// criterion the per-op loop applies.
-    kv_max_context: usize,
-    kv_rejections: u64,
     /// Op dispatches in batched terms: one per shared weight fetch,
     /// one per request for NPU positions.
     ops_dispatched: u64,
     gemv_dispatched: u64,
-    /// Most batch steps one span may coalesce (0 = per-position
-    /// stepping).
-    span_cap: usize,
-    /// Fault-injection state; `None` when [`FaultMode::Off`].
-    faults: Option<FaultRun>,
     /// Fault-added picoseconds of the current batch step, consumed by
     /// its first weight dispatch (always 0 with faults off).
     step_fault_extra: u64,
@@ -2677,58 +2523,27 @@ impl<'a> BatchedSimulation<'a> {
         engine: &'a DeviceEngine,
         trace: &ArrivalTrace,
         max_batch: usize,
-        mut system: System,
+        system: System,
     ) -> Self {
-        // The one authoritative cache: the admission gate (`kv.fits`)
-        // and the never-fits rejection criterion are both derived from
-        // it, so they cannot disagree.
-        let kv = kv_cache(engine);
-        let faults = FaultRun::for_engine(&engine.faults, &engine.cfg, &mut system);
-        let (total_requests, peak_arrivals) = trace_sizes(trace);
-        let mut sim = BatchedSimulation {
-            system,
-            plan: &engine.plan,
-            table: PlanTable::new(&engine.plan),
-            prefill: PrefillState::new(engine),
-            ev: EventCore::with_capacity(peak_arrivals),
+        BatchedSimulation {
+            run: DeviceRun::new(engine, trace, system),
             batch: BatchState::new(max_batch),
             pending: VecDeque::new(),
-            kv_max_context: kv.max_tokens(),
-            kv,
-            requests: RequestPool::with_capacity(total_requests),
-            busy_track: [BusyTracker::new(), BusyTracker::new()],
-            client_remaining: Vec::new(),
-            closed_shape: None,
-            traffic: TrafficBreakdown::default(),
-            token_latencies: Samples::new(),
-            queueing: Aggregate::new(),
-            done: Vec::new(),
-            first_arrival: None,
-            kv_rejections: 0,
+            kv: kv_cache(engine),
             ops_dispatched: 0,
             gemv_dispatched: 0,
-            span_cap: engine.span.cap(),
-            faults,
             step_fault_extra: 0,
-        };
-        if let Some(f) = &sim.faults {
-            // simlint: allow(D1) — fault root seeded from the config's own seed; per-request streams fork() from it
-            sim.requests.fault_root = Some(SplitMix64::new(f.seed()));
         }
-        let (remaining, shape) = load_trace(trace, &mut sim.requests, &mut sim.ev);
-        sim.client_remaining = remaining;
-        sim.closed_shape = shape;
-        sim
     }
 
     /// Whether a batched op is in flight (the step is mid-walk).
     fn stepping(&self) -> bool {
-        self.ev.busy(0) || self.ev.busy(1)
+        self.run.ev.busy(0) || self.run.ev.busy(1)
     }
 
     fn run(mut self) -> (ServeReport, System) {
-        while let Some(fired) = self.ev.pop() {
-            let now = self.ev.now;
+        while let Some(fired) = self.run.ev.pop() {
+            let now = self.run.ev.now;
             self.batch.note_occupancy(now);
             match fired {
                 Fired::Arrive(id) => {
@@ -2737,7 +2552,7 @@ impl<'a> BatchedSimulation<'a> {
                         // Device idle: this instant is a (trivial)
                         // token boundary. Fold in simultaneous
                         // arrivals so a burst forms one batch.
-                        while let Some(more) = self.ev.pop_due_arrival(now) {
+                        while let Some(more) = self.run.ev.pop_due_arrival(now) {
                             self.pending.push_back(more);
                         }
                         let delay = self.admit(now);
@@ -2749,8 +2564,8 @@ impl<'a> BatchedSimulation<'a> {
                     // joining member's prompt is resident, the delayed
                     // batch step starts.
                     for &id in &self.batch.active {
-                        if self.requests.phase[id] == Phase::Prefilling {
-                            self.requests.phase[id] = Phase::Decoding;
+                        if self.run.requests.phase[id] == Phase::Prefilling {
+                            self.run.requests.phase[id] = Phase::Decoding;
                         }
                     }
                     self.start(now);
@@ -2762,7 +2577,7 @@ impl<'a> BatchedSimulation<'a> {
                 }
                 Fired::Op(..) => {
                     self.batch.pos += 1;
-                    if self.batch.pos < self.table.classes.len() {
+                    if self.batch.pos < self.run.table.classes.len() {
                         self.dispatch(now);
                     } else {
                         self.token_boundary(now);
@@ -2780,9 +2595,14 @@ impl<'a> BatchedSimulation<'a> {
         let active = std::mem::take(&mut self.batch.active);
         let mut survivors = Vec::with_capacity(active.len());
         for id in active {
-            retire_token(&mut self.requests, id, now, &mut self.token_latencies);
-            let shed = match &mut self.faults {
-                Some(f) => deadline_shed(f, &self.requests, id, now),
+            retire_token(
+                &mut self.run.requests,
+                id,
+                now,
+                &mut self.run.token_latencies,
+            );
+            let shed = match &mut self.run.faults {
+                Some(f) => deadline_shed(f, &self.run.requests, id, now),
                 None => false,
             };
             if shed {
@@ -2790,47 +2610,24 @@ impl<'a> BatchedSimulation<'a> {
                 // not reported), its KV reservation is released so the
                 // freed capacity admits waiting work, and its client
                 // re-issues immediately.
-                self.requests.phase[id] = Phase::Done;
-                let shape = self.requests.cold[id].shape;
+                self.run.requests.phase[id] = Phase::Done;
+                let shape = self.run.requests.cold[id].shape;
                 self.kv.release(shape.prompt_len + shape.new_tokens);
-                let client = self.requests.cold[id].client;
-                respawn_client(
-                    &mut self.requests,
-                    &mut self.ev,
-                    &mut self.client_remaining,
-                    self.closed_shape,
-                    client,
-                    now,
-                );
-            } else if self.requests.remaining[id] > 0 {
-                self.requests.cursor[id].next_token();
+                self.run.respawn_client(id, now);
+            } else if self.run.requests.remaining[id] > 0 {
+                self.run.requests.cursor[id].next_token();
                 survivors.push(id);
             } else {
-                complete_request(
-                    &mut self.requests,
-                    &mut self.faults,
-                    &mut self.queueing,
-                    &mut self.done,
-                    id,
-                    now,
-                );
-                let shape = self.requests.cold[id].shape;
+                self.run.complete_request(id, now);
+                let shape = self.run.requests.cold[id].shape;
                 self.kv.release(shape.prompt_len + shape.new_tokens);
-                let client = self.requests.cold[id].client;
-                respawn_client(
-                    &mut self.requests,
-                    &mut self.ev,
-                    &mut self.client_remaining,
-                    self.closed_shape,
-                    client,
-                    now,
-                );
+                self.run.respawn_client(id, now);
             }
         }
         self.batch.active = survivors;
         // Closed-loop respawns and open-trace arrivals landing exactly
         // on this boundary join it instead of waiting out a full step.
-        while let Some(id) = self.ev.pop_due_arrival(now) {
+        while let Some(id) = self.run.ev.pop_due_arrival(now) {
             self.pending.push_back(id);
         }
         let delay = self.admit(now);
@@ -2845,9 +2642,10 @@ impl<'a> BatchedSimulation<'a> {
     fn launch(&mut self, now: SimTime, prefill_delay: SimTime) {
         if prefill_delay > SimTime::ZERO {
             debug_assert!(!self.stepping(), "prefill window overlaps a step");
-            self.busy_track[0].add_interval(now, now + prefill_delay);
-            self.busy_track[1].add_interval(now, now + prefill_delay);
-            self.ev
+            self.run.busy_track[0].add_interval(now, now + prefill_delay);
+            self.run.busy_track[1].add_interval(now, now + prefill_delay);
+            self.run
+                .ev
                 .schedule_op(slot(OpClass::Flash), now + prefill_delay, BATCH_PREFILL);
         } else {
             self.start(now);
@@ -2857,7 +2655,7 @@ impl<'a> BatchedSimulation<'a> {
     /// Starts the device on the current batch: a coalesced span when
     /// fast-forwarding is on, the per-position stepping loop otherwise.
     fn start(&mut self, now: SimTime) {
-        if self.span_cap > 0 {
+        if self.run.span_cap > 0 {
             self.start_span(now);
         } else {
             self.start_step(now);
@@ -2875,20 +2673,12 @@ impl<'a> BatchedSimulation<'a> {
             let Some(&id) = self.pending.front() else {
                 break;
             };
-            let shape = self.requests.cold[id].shape;
+            let shape = self.run.requests.cold[id].shape;
             let context = shape.prompt_len + shape.new_tokens;
-            if context > self.kv_max_context {
+            if context > self.run.kv_max_context {
                 self.pending.pop_front();
-                self.kv_rejections += 1;
-                let client = self.requests.cold[id].client;
-                respawn_client(
-                    &mut self.requests,
-                    &mut self.ev,
-                    &mut self.client_remaining,
-                    self.closed_shape,
-                    client,
-                    now,
-                );
+                self.run.kv_rejections += 1;
+                self.run.respawn_client(id, now);
                 continue;
             }
             // Capacity gate: the head waits for in-flight requests to
@@ -2901,8 +2691,8 @@ impl<'a> BatchedSimulation<'a> {
                 .prefill(context)
                 .expect("fits() is prefill's admissibility criterion");
             self.pending.pop_front();
-            if self.first_arrival.is_none() {
-                self.first_arrival = Some(self.requests.cold[id].arrived);
+            if self.run.first_arrival.is_none() {
+                self.run.first_arrival = Some(self.run.requests.cold[id].arrived);
             }
             self.batch.active.push(id);
             self.batch.peak = self.batch.peak.max(self.batch.active.len());
@@ -2912,13 +2702,13 @@ impl<'a> BatchedSimulation<'a> {
             // so token-latency percentiles are comparable across
             // policies: time spent pending for a batch slot or KV
             // capacity is in the first token's latency, not hidden.
-            if self.requests.cold[id].started.is_none() {
-                self.requests.cold[id].started = Some(now);
+            if self.run.requests.cold[id].started.is_none() {
+                self.run.requests.cold[id].started = Some(now);
             }
             // Admission puts the member straight into decode; the
             // prefill branch below overrides to `Prefilling` when the
             // member owes a prefill stage first.
-            self.requests.phase[id] = Phase::Decoding;
+            self.run.requests.phase[id] = Phase::Decoding;
             // The joining member's prompt must be made resident first:
             // its prefill runs in the admission window (serialized
             // after any other joiner's), pushing the next shared step
@@ -2926,20 +2716,13 @@ impl<'a> BatchedSimulation<'a> {
             // member's actual prefill start — after the joiners ahead
             // of it — so the serialized wait lands in queueing delay,
             // not in an inflated prefill_time.
-            if shape.prompt_len > 0 {
-                if let Some(ps) = &mut self.prefill {
-                    let total = ps.charge(
-                        &mut self.system,
-                        &mut self.traffic,
-                        &mut self.requests,
-                        &mut self.faults,
-                        id,
-                    );
-                    self.requests.cold[id].started = Some(now + delay);
-                    delay += total;
-                    self.requests.phase[id] = Phase::Prefilling;
-                    self.requests.cold[id].prefill_end = Some(now + delay);
-                }
+            if shape.prompt_len > 0 && self.run.prefill.is_some() {
+                let total = self.run.charge_prefill(id);
+                let cold = &mut self.run.requests.cold[id];
+                cold.started = Some(now + delay);
+                delay += total;
+                cold.prefill_end = Some(now + delay);
+                self.run.requests.phase[id] = Phase::Prefilling;
             }
         }
         delay
@@ -2954,30 +2737,35 @@ impl<'a> BatchedSimulation<'a> {
             return;
         }
         debug_assert!(!self.stepping(), "batch step already in flight");
-        price_invariant(&mut self.system, self.plan, &mut self.table);
-        self.traffic.absorb_batch_step(
-            &self.table.inv_stream_traffic,
-            &self.table.inv_request_traffic,
+        price_invariant(&mut self.run.system, self.run.plan, &mut self.run.table);
+        self.run.traffic.absorb_batch_step(
+            &self.run.table.inv_stream_traffic,
+            &self.run.table.inv_request_traffic,
             self.batch.active.len() as u64,
         );
         for i in 0..self.batch.active.len() {
             let id = self.batch.active[i];
-            let seq = self.requests.cursor[id].seq_len();
-            let (dep_lat, dep_traffic) = attn_at(&mut self.system, self.plan, &mut self.table, seq);
-            self.requests.dep_lat[id] = dep_lat;
-            self.traffic.absorb(&dep_traffic);
+            let seq = self.run.requests.cursor[id].seq_len();
+            let (dep_lat, dep_traffic) = attn_at(
+                &mut self.run.system,
+                self.run.plan,
+                &mut self.run.table,
+                seq,
+            );
+            self.run.requests.dep_lat[id] = dep_lat;
+            self.run.traffic.absorb(&dep_traffic);
         }
         // One fault window per batch step: the shared weight stream is
         // read once for the whole batch, so its page faults are drawn
         // once — from the head member's stream, which is stable in
         // admission order. The extra time rides on the step's first
         // weight dispatch.
-        if let Some(f) = &mut self.faults {
+        if let Some(f) = &mut self.run.faults {
             let owner = self.batch.active[0];
             self.step_fault_extra = f.window_extra(
-                self.table.inv_stream_traffic.nand_array_bytes,
-                self.table.solo_flash_lat.as_picos(),
-                &mut self.requests.fault_rng[owner],
+                self.run.table.inv_stream_traffic.nand_array_bytes,
+                self.run.table.solo_flash_lat.as_picos(),
+                &mut self.run.requests.fault_rng[owner],
             );
         }
         self.batch.pos = 0;
@@ -3016,37 +2804,39 @@ impl<'a> BatchedSimulation<'a> {
             return;
         }
         debug_assert!(!self.stepping(), "span overlaps a step");
-        price_invariant(&mut self.system, self.plan, &mut self.table);
+        price_invariant(&mut self.run.system, self.run.plan, &mut self.run.table);
         let batch = self.batch.active.len() as u64;
-        let n_ops = self.table.classes.len();
+        let n_ops = self.run.table.classes.len();
         // Per-step invariant latencies at this batch size.
         let mut flash_step = SimTime::ZERO;
         let mut npu_inv_step = SimTime::ZERO;
-        for s in 0..self.table.n_inv {
-            let count = self.table.inv_counts[s];
-            if self.table.inv_is_weight[s] {
-                let lat = self.table.inv_lat[s]
+        for s in 0..self.run.table.n_inv {
+            let count = self.run.table.inv_counts[s];
+            if self.run.table.inv_is_weight[s] {
+                let lat = self.run.table.inv_lat[s]
                     .max(
-                        self.system
-                            .npu_compute_time(self.table.inv_npu_ops[s] * batch),
+                        self.run
+                            .system
+                            .npu_compute_time(self.run.table.inv_npu_ops[s] * batch),
                     )
                     .max(
-                        self.system
-                            .flash_compute_time(self.table.inv_flash_ops[s] * batch),
+                        self.run
+                            .system
+                            .flash_compute_time(self.run.table.inv_flash_ops[s] * batch),
                     );
                 flash_step += lat * count;
             } else {
-                npu_inv_step += (self.table.inv_lat[s] * batch) * count;
+                npu_inv_step += (self.run.table.inv_lat[s] * batch) * count;
             }
         }
         let k_max = self
             .batch
             .active
             .iter()
-            .map(|&id| self.requests.remaining[id])
+            .map(|&id| self.run.requests.remaining[id])
             .min()
             .expect("batch is non-empty")
-            .min(self.span_cap);
+            .min(self.run.span_cap);
         // A request already waiting for admission (it arrived during a
         // prefill window or mid-step) may act at the *very next* token
         // boundary, so the span may not run past it — but only when the
@@ -3059,9 +2849,9 @@ impl<'a> BatchedSimulation<'a> {
         // the span.
         let k_max = match self.pending.front() {
             Some(&head) if self.batch.active.len() < self.batch.max_batch => {
-                let shape = self.requests.cold[head].shape;
+                let shape = self.run.requests.cold[head].shape;
                 let context = shape.prompt_len + shape.new_tokens;
-                if context > self.kv_max_context || self.kv.fits(context) {
+                if context > self.run.kv_max_context || self.kv.fits(context) {
                     1
                 } else {
                     k_max
@@ -3073,11 +2863,11 @@ impl<'a> BatchedSimulation<'a> {
         // Deadlines bound the span: it ends at the first token boundary
         // at or after the earliest member deadline, where
         // `token_boundary`'s shed check runs.
-        let min_deadline_ps: Option<u64> = self.faults.as_ref().and_then(|f| {
+        let min_deadline_ps: Option<u64> = self.run.faults.as_ref().and_then(|f| {
             self.batch
                 .active
                 .iter()
-                .filter_map(|&id| deadline_ps(f, &self.requests, id))
+                .filter_map(|&id| deadline_ps(f, &self.run.requests, id))
                 .min()
         });
         // An arrival landing mid-span only matters if the boundary after
@@ -3093,7 +2883,7 @@ impl<'a> BatchedSimulation<'a> {
         let consider_arrivals =
             self.batch.active.len() < self.batch.max_batch && self.pending.is_empty();
         let next_arrival = if consider_arrivals {
-            self.ev.next_arrival_ps()
+            self.run.ev.next_arrival_ps()
         } else {
             None
         };
@@ -3118,17 +2908,22 @@ impl<'a> BatchedSimulation<'a> {
             let mut dep_step = SimTime::ZERO;
             let mut i = 0;
             while i < self.batch.active.len() {
-                let seq = self.requests.cursor[self.batch.active[i]].seq_len() + k;
+                let seq = self.run.requests.cursor[self.batch.active[i]].seq_len() + k;
                 let mut run = 1usize;
                 while i + run < self.batch.active.len()
-                    && self.requests.cursor[self.batch.active[i + run]].seq_len() + k == seq
+                    && self.run.requests.cursor[self.batch.active[i + run]].seq_len() + k == seq
                 {
                     run += 1;
                 }
-                let (lat, tr) = attn_at(&mut self.system, self.plan, &mut self.table, seq);
+                let (lat, tr) = attn_at(
+                    &mut self.run.system,
+                    self.run.plan,
+                    &mut self.run.table,
+                    seq,
+                );
                 let mut pos_dep = SimTime::ZERO;
-                for (d, &l) in lat.iter().enumerate().take(self.table.n_dep) {
-                    pos_dep += l * self.table.dep_counts[d];
+                for (d, &l) in lat.iter().enumerate().take(self.run.table.n_dep) {
+                    pos_dep += l * self.run.table.dep_counts[d];
                 }
                 dep_step += pos_dep * run as u64;
                 dep_traffic.absorb_scaled(&tr, run as u64);
@@ -3138,12 +2933,12 @@ impl<'a> BatchedSimulation<'a> {
             // One fault window per step, same stream and window as
             // per-step mode — every priced step is committed, so the
             // draws are never speculative.
-            if let Some(f) = &mut self.faults {
+            if let Some(f) = &mut self.run.faults {
                 let owner = self.batch.active[0];
                 let extra = f.window_extra(
-                    self.table.inv_stream_traffic.nand_array_bytes,
-                    self.table.solo_flash_lat.as_picos(),
-                    &mut self.requests.fault_rng[owner],
+                    self.run.table.inv_stream_traffic.nand_array_bytes,
+                    self.run.table.solo_flash_lat.as_picos(),
+                    &mut self.run.requests.fault_rng[owner],
                 );
                 if extra > 0 {
                     lat += SimTime::from_picos(extra);
@@ -3171,26 +2966,26 @@ impl<'a> BatchedSimulation<'a> {
                 break;
             }
         }
-        self.traffic.absorb(&dep_traffic);
+        self.run.traffic.absorb(&dep_traffic);
         // The span's invariant traffic in one bulk booking: `k ×` the
         // shared stream plus `k × batch ×` the per-request share.
-        self.traffic.absorb_batch_span(
-            &self.table.inv_stream_traffic,
-            &self.table.inv_request_traffic,
+        self.run.traffic.absorb_batch_span(
+            &self.run.table.inv_stream_traffic,
+            &self.run.table.inv_request_traffic,
             batch,
             k as u64,
         );
-        let weights = self.table.gemvs_per_token;
+        let weights = self.run.table.gemvs_per_token;
         self.gemv_dispatched += k as u64 * weights;
         self.ops_dispatched += k as u64 * (weights + (n_ops as u64 - weights) * batch);
         // One busy interval per resource for the whole span; per-class
         // totals are identical to per-position interval accounting.
         // Fault time is flash time: rereads occupy the flash device.
-        self.busy_track[0].add_interval(
+        self.run.busy_track[0].add_interval(
             now,
             now + flash_step * k as u64 + SimTime::from_picos(span_fault_extra),
         );
-        self.busy_track[1].add_interval(now, now + npu_busy);
+        self.run.busy_track[1].add_interval(now, now + npu_busy);
         // Interior token boundaries (all steps but the last) retire
         // inline: samples and first tokens in the same member order as
         // `token_boundary`. No member completes here — `k` never
@@ -3200,19 +2995,26 @@ impl<'a> BatchedSimulation<'a> {
             tb += lat;
             for i in 0..self.batch.active.len() {
                 let id = self.batch.active[i];
-                retire_token(&mut self.requests, id, tb, &mut self.token_latencies);
+                retire_token(
+                    &mut self.run.requests,
+                    id,
+                    tb,
+                    &mut self.run.token_latencies,
+                );
             }
         }
         // Every member's cursor jumps the retired tokens in one shot.
         for i in 0..self.batch.active.len() {
             let id = self.batch.active[i];
-            self.requests.cursor[id].advance_by(k - 1);
+            self.run.requests.cursor[id].advance_by(k - 1);
         }
         // The final step's boundary is the span-end event. Elided
         // per-position events are accounted into the schedule stamp so
         // FIFO tie-breaking stays identical to per-step mode.
-        self.ev.schedule_op(slot(OpClass::Flash), t, SPAN_BOUNDARY);
-        self.ev.bump_stamp((k * n_ops - 1) as u64);
+        self.run
+            .ev
+            .schedule_op(slot(OpClass::Flash), t, SPAN_BOUNDARY);
+        self.run.ev.bump_stamp((k * n_ops - 1) as u64);
     }
 
     /// Launches the batched op at the current plan position: one shared
@@ -3220,8 +3022,8 @@ impl<'a> BatchedSimulation<'a> {
     /// work.
     fn dispatch(&mut self, now: SimTime) {
         let idx = self.batch.pos;
-        let s = slot(self.table.classes[idx]);
-        let cost_slot = self.table.slots[idx] as usize;
+        let s = slot(self.run.table.classes[idx]);
+        let cost_slot = self.run.table.slots[idx] as usize;
         let batch = self.batch.active.len() as u64;
         let latency = if s == slot(OpClass::Flash) {
             // One weight stream serves every cursor parked here — but
@@ -3232,16 +3034,21 @@ impl<'a> BatchedSimulation<'a> {
             // at batch 1, so they throttle first) and the NPU. This is
             // the compute ceiling that ends batching's free lunch; at
             // batch 1 both floors are already inside the table price.
-            debug_assert!(cost_slot < self.table.n_inv, "weight slots are invariant");
+            debug_assert!(
+                cost_slot < self.run.table.n_inv,
+                "weight slots are invariant"
+            );
             self.gemv_dispatched += 1;
             self.ops_dispatched += 1;
             let npu_floor = self
+                .run
                 .system
-                .npu_compute_time(self.table.inv_npu_ops[cost_slot] * batch);
+                .npu_compute_time(self.run.table.inv_npu_ops[cost_slot] * batch);
             let flash_floor = self
+                .run
                 .system
-                .flash_compute_time(self.table.inv_flash_ops[cost_slot] * batch);
-            let base = self.table.inv_lat[cost_slot]
+                .flash_compute_time(self.run.table.inv_flash_ops[cost_slot] * batch);
+            let base = self.run.table.inv_lat[cost_slot]
                 .max(npu_floor)
                 .max(flash_floor);
             // The step's sampled fault time rides on its first weight
@@ -3251,22 +3058,22 @@ impl<'a> BatchedSimulation<'a> {
             } else {
                 base
             }
-        } else if cost_slot < self.table.n_inv {
+        } else if cost_slot < self.run.table.n_inv {
             // Per-request NPU work at the shared table price.
             self.ops_dispatched += batch;
-            self.table.inv_lat[cost_slot] * batch
+            self.run.table.inv_lat[cost_slot] * batch
         } else {
             // Attention: summed over each member's sequence position.
             self.ops_dispatched += batch;
-            let d = cost_slot - self.table.n_inv;
+            let d = cost_slot - self.run.table.n_inv;
             self.batch
                 .active
                 .iter()
-                .map(|&id| self.requests.dep_lat[id][d])
+                .map(|&id| self.run.requests.dep_lat[id][d])
                 .sum()
         };
-        self.busy_track[s].add_interval(now, now + latency);
-        self.ev.schedule_op(s, now + latency, BATCH_EVENT);
+        self.run.busy_track[s].add_interval(now, now + latency);
+        self.run.ev.schedule_op(s, now + latency, BATCH_EVENT);
     }
 
     fn finish(mut self) -> (ServeReport, System) {
@@ -3275,42 +3082,16 @@ impl<'a> BatchedSimulation<'a> {
             "event core drained with work outstanding"
         );
         debug_assert_eq!(self.kv.tokens(), 0, "kv reservations leaked");
-        self.batch.note_occupancy(self.ev.now);
-        let (prefill_priced, prefill_busy) = self
-            .prefill
-            .as_ref()
-            .map_or((0, SimTime::ZERO), |p| (p.priced(), p.busy));
-        self.ops_dispatched += prefill_priced * PrefillCost::COMPONENT_OPS;
-
-        let report = build_report(ReportInputs {
-            policy: SchedulePolicy::ContinuousBatch {
+        self.batch.note_occupancy(self.run.ev.now);
+        self.run.finish(
+            SchedulePolicy::ContinuousBatch {
                 max_batch: self.batch.max_batch,
             },
-            prefill: if self.prefill.is_some() {
-                PrefillMode::Modeled
-            } else {
-                PrefillMode::Off
-            },
-            prefill_busy,
-            first_arrival: self.first_arrival,
-            token_latencies: self.token_latencies,
-            queueing: self.queueing,
-            busy_track: self.busy_track,
-            system: &self.system,
-            ops_dispatched: self.ops_dispatched,
-            gemv_dispatched: self.gemv_dispatched,
-            occ_weighted_ps: self.batch.occ_weighted_ps,
-            peak_batch_occupancy: self.batch.peak,
-            kv_rejections: self.kv_rejections,
-            traffic: self.traffic,
-            reliability: self
-                .faults
-                .as_ref()
-                .map(FaultRun::summary)
-                .unwrap_or_default(),
-            done: self.done,
-        });
-        (report, self.system)
+            self.ops_dispatched,
+            self.gemv_dispatched,
+            self.batch.occ_weighted_ps,
+            self.batch.peak,
+        )
     }
 }
 
@@ -3319,7 +3100,7 @@ mod tests {
     use super::*;
     use crate::reliability::FaultConfig;
     use flash_sim::FlashAge;
-    use llm_workload::zoo;
+    use llm_workload::{zoo, RequestArrival};
 
     const TOKENS: usize = 12;
 
@@ -3334,48 +3115,20 @@ mod tests {
 
     /// Admits the trace's lone request the way the general loop does
     /// (first token begun, fault window drawn), then runs one solo span
-    /// with no arrival pending. Returns the simulation, the tokens
-    /// coalesced, and the span-end event's time.
-    fn lone_span(engine: &DeviceEngine) -> (Simulation<'_>, usize, SimTime) {
-        let trace = lone_trace();
-        let mut sim = Simulation::new(
-            engine,
-            &trace,
-            SchedulePolicy::Fcfs,
-            System::new(engine.cfg),
-        );
-        let Some(Fired::Arrive(id)) = sim.ev.pop() else {
+    /// with no arrival pending. Returns the run, the tokens coalesced,
+    /// and the span-end event's time.
+    fn lone_span(engine: &DeviceEngine) -> (DeviceRun<'_>, usize, SimTime) {
+        let mut run = DeviceRun::new(engine, &lone_trace(), System::new(engine.cfg));
+        let Some(Fired::Arrive(id)) = run.ev.pop() else {
             panic!("the trace's first event is its arrival");
         };
-        assert_eq!(sim.ev.next_arrival_ps(), None);
-        let now = sim.ev.now;
-        sim.requests.phase[id] = Phase::Decoding;
-        sim.requests.token_started[id] = now;
-        begin_token(
-            &mut sim.system,
-            sim.plan,
-            &mut sim.table,
-            &mut sim.traffic,
-            &mut sim.requests,
-            &mut sim.faults,
-            id,
-        );
-        let k = run_solo_span(
-            &mut sim.system,
-            sim.plan,
-            &mut sim.table,
-            &mut sim.ev,
-            &mut sim.busy_track,
-            &mut sim.traffic,
-            &mut sim.token_latencies,
-            &mut sim.stamp,
-            &mut sim.requests,
-            &mut sim.faults,
-            id,
-            sim.span_cap,
-            now,
-        );
-        let (end, _, _) = sim
+        assert_eq!(run.ev.next_arrival_ps(), None);
+        let now = run.ev.now;
+        run.requests.phase[id] = Phase::Decoding;
+        run.requests.token_started[id] = now;
+        run.begin_token(id);
+        let k = run.run_solo_span(&mut 0, id, now);
+        let (end, _, _) = run
             .ev
             .op_done
             .iter()
@@ -3383,7 +3136,71 @@ mod tests {
             .copied()
             .next()
             .expect("a span schedules its end event");
-        (sim, k, SimTime::from_picos(end))
+        (run, k, SimTime::from_picos(end))
+    }
+
+    /// Runs `trace` through the per-op loop under `policy`; returns the
+    /// report and the solo spans the run took.
+    fn run_counting_spans(
+        engine: &DeviceEngine,
+        trace: &ArrivalTrace,
+        policy: SchedulePolicy,
+    ) -> (ServeReport, Vec<(usize, usize, usize)>) {
+        let mut sim = Simulation::new(engine, trace, policy, System::new(engine.cfg));
+        sim.event_loop();
+        let spans = std::mem::take(&mut sim.run.solo_spans);
+        (sim.finish().0, spans)
+    }
+
+    const POLICIES: [SchedulePolicy; 2] = [SchedulePolicy::Fcfs, SchedulePolicy::RoundRobin];
+
+    #[test]
+    fn lone_arrival_decodes_in_one_solo_span() {
+        let engine = DeviceEngine::new(SystemConfig::cambricon_s(), zoo::opt_6_7b());
+        for policy in POLICIES {
+            let (report, spans) = run_counting_spans(&engine, &lone_trace(), policy);
+            assert_eq!(spans, [(0, TOKENS, TOKENS)], "{policy:?}");
+            assert_eq!(report.tokens_served, TOKENS as u64);
+        }
+    }
+
+    #[test]
+    fn overlap_survivor_finishes_in_one_solo_span() {
+        // Two decodes overlap from time zero, so the replay loop runs
+        // them. Once the short one completes, the replay loop must hand
+        // the survivor back at its next token boundary, and its
+        // remaining tokens must run as one span ending at completion.
+        // Reports cannot show this: they are equal with or without it.
+        const SHORT: usize = 3;
+        const LONG: usize = 20;
+        let engine = DeviceEngine::new(SystemConfig::cambricon_s(), zoo::opt_6_7b());
+        let trace = ArrivalTrace::Open(
+            [SHORT, LONG]
+                .map(|n| RequestArrival {
+                    at: SimTime::ZERO,
+                    shape: RequestShape::new(300, n),
+                })
+                .to_vec(),
+        );
+        for policy in POLICIES {
+            let (report, spans) = run_counting_spans(&engine, &trace, policy);
+            let [short, long] = &report.requests[..] else {
+                panic!("both requests complete");
+            };
+            assert_eq!((short.id, long.id), (0, 1), "{policy:?}");
+            assert!(short.finished < long.finished, "{policy:?}");
+            let [(id, k, owed)] = spans[..] else {
+                panic!("{policy:?}: expected one solo span, got {spans:?}");
+            };
+            assert_eq!(id, 1, "{policy:?}");
+            assert_eq!(k, owed, "{policy:?}: the span ends at completion");
+            assert!(k < LONG, "{policy:?}: the overlapped tokens ran per op");
+            let per_op = engine
+                .clone()
+                .with_span_mode(SpanMode::PerOp)
+                .run(&trace, policy);
+            assert_eq!(report, per_op, "{policy:?}");
+        }
     }
 
     #[test]
@@ -3394,9 +3211,9 @@ mod tests {
         // stepping finishes.
         let fc = FaultConfig::aged(FlashAge::worn_out());
         let engine = faulted_engine(fc);
-        let (sim, k, end) = lone_span(&engine);
+        let (run, k, end) = lone_span(&engine);
         assert_eq!(k, TOKENS);
-        let f = sim.faults.as_ref().expect("faults on");
+        let f = run.faults.as_ref().expect("faults on");
         assert!(f.page_rereads > 0 && f.degraded_chips > 0);
         let per_op = faulted_engine(fc)
             .with_span_mode(SpanMode::PerOp)
@@ -3414,10 +3231,10 @@ mod tests {
         let deadline = probe.requests[0].finished / 2;
         let fc = FaultConfig::aged(FlashAge::worn_out()).with_deadlines(None, Some(deadline));
         let engine = faulted_engine(fc);
-        let (sim, k, end) = lone_span(&engine);
+        let (run, k, end) = lone_span(&engine);
         assert!((2..TOKENS).contains(&k), "span of {k} tokens");
         // The request arrived at zero, so the deadline is absolute.
-        let last_interior = sim.requests.token_started[0];
+        let last_interior = run.requests.token_started[0];
         assert!(last_interior < deadline && deadline <= end);
     }
 }

@@ -50,9 +50,21 @@
 //!
 //! # Hot-path structure
 //!
-//! The engine retires one simulated op per event, so op dispatch is the
-//! hottest code in the repo and is built around reuse instead of
-//! re-materialization:
+//! A device run has four execution paths:
+//!
+//! * the **per-op loop**, one event-core round per simulated op — the
+//!   reference semantics, and the hot path only under
+//!   [`SpanMode::PerOp`];
+//! * **solo spans**, which price a lone in-flight request's whole
+//!   tokens with a few adds each;
+//! * the **replay loop**, which re-executes the overloaded FCFS and
+//!   round-robin steady state between arrivals without the event core
+//!   or the ready heaps;
+//! * **batch steps** for continuous batching, coalesced into spans of
+//!   whole steps.
+//!
+//! With spans on (the default), nearly all wall time is in the last
+//! three. All four are built around reuse instead of re-materialization:
 //!
 //! * the per-token op sequence is never materialized — every request
 //!   walks the engine's one [`TokenPlan`] with a cursor, and only the
@@ -60,17 +72,20 @@
 //! * op latencies come from a per-plan **slot table**: each distinct
 //!   cost slot is priced once through [`System::op_cost`] (which itself
 //!   memoizes by canonical shape in the system-wide
-//!   [`crate::system::OpCostCache`]) and replayed by array index;
-//! * the ready lists are per-resource binary heaps keyed by the active
-//!   policy's priority at enqueue time (exact, because both policies'
-//!   keys are frozen while a request waits), so a dispatch is O(log n)
-//!   instead of an O(n) scan;
+//!   [`crate::system::OpCostCache`]) and replayed by array index, and
+//!   attention prices sit in a prefix table over sequence positions,
+//!   so a position priced once is two reads thereafter;
 //! * the event core is specialized to this scheduler's shape: at most
 //!   one completion can be pending per resource, so "next event" is a
 //!   three-way minimum over two completion slots and an arrival queue
 //!   rather than a general priority queue, with the same
 //!   `(time, schedule-order)` FIFO tie-breaking as
-//!   [`sim_core::EventQueue`].
+//!   [`sim_core::EventQueue`];
+//! * the per-op loop's ready lists are per-resource binary heaps keyed
+//!   by the active policy's priority at enqueue time (exact, because
+//!   both policies' keys are frozen while a request waits). The replay
+//!   loop swaps them for policy-specialized sets: rank-indexed bitmasks
+//!   for FCFS, three ascending FIFO lanes for round-robin.
 //!
 //! All timing still flows through the same flash discrete-event model
 //! and NPU roofline as the single-request path; with one in-flight
@@ -100,7 +115,7 @@
 //! [`TrafficBreakdown::absorb_batch_span`], and a single span-end
 //! event. The batched loop spans whole batch steps (one heap/hash/event
 //! round per span instead of per plan position), so the win compounds
-//! with batch size; the per-op loops span a lone in-flight request
+//! with batch size; the per-op loop spans a lone in-flight request
 //! between arrivals.
 //!
 //! **Bit-exactness invariant:** every quantity the engine accumulates —

@@ -13,11 +13,14 @@ test: build
 perfbench-test:
     cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
-# End-to-end oracle smoke: each benchmark workload for one second. The
-# command exits 1 when a warm-up differs from its `SpanMode::PerOp`
-# reference, so a bit-exactness break in a fast path fails here too.
+# End-to-end oracle smoke: each workload `BENCHMARK.json` lists, for one
+# second. The command exits 1 when a warm-up differs from its
+# `SpanMode::PerOp` reference, so a bit-exactness break in a fast path
+# fails here too. The `jq -e` line fails the recipe when jq is missing
+# or the list is empty, instead of letting the loop run zero times.
 perfbench-smoke:
-    for w in design_sweep overload_rr open_batched_mc fleet_faulted; do \
+    jq -e '.workloads | length > 0' BENCHMARK.json > /dev/null
+    for w in $(jq -r '.workloads[].name' BENCHMARK.json); do \
         cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
             --workload $w --seconds 1 --trace 0 || exit 1; \
     done

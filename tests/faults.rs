@@ -203,9 +203,24 @@ fn wear_trajectory_finds_the_slo_cliff() {
         .days_until_slo
         .expect("2000x-amplified traffic never wore the chip out within ten years");
     assert!(days > 0.0 && days <= wt.max_days);
+    // `days` is only an upper bound: the crossing is bracketed by the
+    // last sample that held and the first that broke, one step apart,
+    // and the summary reports that bracket.
+    let [.., held, broke] = &rep.points[..] else {
+        panic!("a violation after day zero leaves two samples");
+    };
+    assert!(held.goodput_tps >= wt.slo_goodput_tps);
+    assert!(broke.goodput_tps < wt.slo_goodput_tps);
+    assert_eq!(broke.day, days);
+    assert_eq!(broke.day - held.day, wt.days_per_step);
+    let summary = rep.summary();
+    let bracket = format!(
+        "held through day {:.1}, violated by day {days:.1}",
+        held.day
+    );
+    assert!(summary.contains(&bracket), "{summary}");
     // RBER grows monotonically along the trajectory.
     for w in rep.points.windows(2) {
         assert!(w[1].rber >= w[0].rber);
     }
-    assert!(!rep.summary().is_empty());
 }
