@@ -23,7 +23,9 @@
 //! Under fault injection, solo spans price each later token's fault
 //! window on a copy of the request's fault stream and commit it only
 //! when the token is accepted. The spaced matrix pins that on open
-//! traces where lone decodes dominate, with deadlines that shed.
+//! traces where lone decodes dominate, with deadlines that shed. The
+//! batched matrix pins faulted continuous batching the same way, where
+//! each step draws one window from the head member's stream.
 
 use cambricon_llm_repro::prelude::*;
 use flash_sim::FlashAge;
@@ -435,6 +437,92 @@ fn faulted_solo_spans_are_bit_exact_across_the_spaced_matrix() {
         }
     }
     assert!(ttft_timeouts > 0 && deadline_sheds > 0);
+}
+
+#[test]
+fn faulted_batched_spans_are_bit_exact_across_the_matrix() {
+    // A batched span draws one fault window per step from the head
+    // member's stream and ends at the first boundary at or after a
+    // member's deadline. Pin whole reports against the per-op
+    // reference for batch caps 1, 2 and 4 on Poisson, closed-loop and
+    // burst traces, both prefill modes, a knee and a worn-out age, with
+    // and without a total deadline. The deadline sits between the
+    // fastest and the median request of a deadline-free probe (or
+    // below every request when they all take equally long), so it
+    // sheds mid-decode.
+    let model = zoo::opt_6_7b();
+    let cfg = SystemConfig::cambricon_s();
+    let mixed = |at: Vec<SimTime>| {
+        let arrivals = at
+            .into_iter()
+            .enumerate()
+            .map(|(i, at)| {
+                let (prompt, tokens) = SPACED_SHAPES[i % SPACED_SHAPES.len()];
+                RequestArrival {
+                    at,
+                    shape: RequestShape::new(prompt, tokens),
+                }
+            })
+            .collect();
+        ArrivalTrace::Open(arrivals)
+    };
+    let ArrivalTrace::Open(poisson) = ArrivalTrace::poisson(1.0, 6, RequestShape::new(1, 1), 42)
+    else {
+        unreachable!("poisson traces are open");
+    };
+    let traces = [
+        mixed(poisson.iter().map(|a| a.at).collect()),
+        ArrivalTrace::closed_loop(3, 2, RequestShape::new(300, 7)),
+        mixed(vec![SimTime::ZERO; 4]),
+    ];
+    let mut comparisons = 0;
+    let mut deadline_sheds = 0;
+    for trace in &traces {
+        for max_batch in [1, 2, 4] {
+            let policy = SchedulePolicy::ContinuousBatch { max_batch };
+            for prefill in [PrefillMode::Off, PrefillMode::Modeled] {
+                for age in [KNEE, FlashAge::worn_out()] {
+                    let run = |fc: FaultConfig, mode: SpanMode| {
+                        ServeEngine::new(cfg, model.clone())
+                            .with_prefill(prefill)
+                            .with_span_mode(mode)
+                            .with_faults(FaultMode::Injected(fc))
+                            .run(trace, policy)
+                    };
+                    let base = FaultConfig::aged(age);
+                    let probe = run(base, SpanMode::PerOp);
+                    assert!(probe.reliability.page_rereads > 0, "{age:?}");
+                    let mut spans: Vec<SimTime> = probe
+                        .requests
+                        .iter()
+                        .map(|r| r.finished - r.arrived)
+                        .collect();
+                    spans.sort();
+                    let (lo, median) = (spans[0], spans[spans.len() / 2]);
+                    let deadline = if median > lo {
+                        lo + (median - lo) / 2
+                    } else {
+                        lo - lo / 4
+                    };
+                    for total in [None, Some(deadline)] {
+                        let fc = base.with_deadlines(None, total);
+                        let reference = run(fc, SpanMode::PerOp);
+                        deadline_sheds += reference.reliability.deadline_sheds;
+                        for mode in SPAN_MODES {
+                            assert_eq!(
+                                reference,
+                                run(fc, mode),
+                                "{trace:?} {max_batch} {prefill:?} {age:?} total={total:?} {mode:?}"
+                            );
+                            comparisons += 1;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(comparisons, 216);
+    assert!(deadline_sheds > 0);
 }
 
 #[test]
