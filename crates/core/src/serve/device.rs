@@ -2696,15 +2696,17 @@ impl<'a> BatchedSimulation<'a> {
             }
             self.batch.active.push(id);
             self.batch.peak = self.batch.peak.max(self.batch.active.len());
-            // The step including this request starts at `now`. Its
-            // first-token clock keeps running from *arrival* (set at
-            // request construction), exactly like the per-op policies,
-            // so token-latency percentiles are comparable across
-            // policies: time spent pending for a batch slot or KV
-            // capacity is in the first token's latency, not hidden.
-            if self.run.requests.cold[id].started.is_none() {
-                self.run.requests.cold[id].started = Some(now);
-            }
+            // The device first works for this member after the prefill
+            // windows of the joiners ahead of it: its own prefill
+            // starts there, or, with none owed, its first step does.
+            // Either way the serialized wait lands in queueing delay,
+            // not in an inflated prefill_time. Its first-token clock
+            // keeps running from *arrival* (set at request
+            // construction), exactly like the per-op policies, so
+            // token-latency percentiles are comparable across policies:
+            // time spent pending for a batch slot or KV capacity is in
+            // the first token's latency, not hidden.
+            self.run.requests.cold[id].started = Some(now + delay);
             // Admission puts the member straight into decode; the
             // prefill branch below overrides to `Prefilling` when the
             // member owes a prefill stage first.
@@ -2712,14 +2714,10 @@ impl<'a> BatchedSimulation<'a> {
             // The joining member's prompt must be made resident first:
             // its prefill runs in the admission window (serialized
             // after any other joiner's), pushing the next shared step
-            // out by its full overlapped latency. `started` is the
-            // member's actual prefill start — after the joiners ahead
-            // of it — so the serialized wait lands in queueing delay,
-            // not in an inflated prefill_time.
+            // out by its full overlapped latency.
             if shape.prompt_len > 0 && self.run.prefill.is_some() {
                 let total = self.run.charge_prefill(id);
                 let cold = &mut self.run.requests.cold[id];
-                cold.started = Some(now + delay);
                 delay += total;
                 cold.prefill_end = Some(now + delay);
                 self.run.requests.phase[id] = Phase::Prefilling;

@@ -900,6 +900,30 @@ mod tests {
     }
 
     #[test]
+    fn promptless_joiner_starts_when_the_prefill_window_closes() {
+        // Two requests join one boundary under modelled prefill: the
+        // first owes a prefill, the second has an empty prompt. The
+        // device first works for the second in the shared step after
+        // the first's prefill window, so that is when it starts; the
+        // window is its queueing delay.
+        let arrival = |prompt| llm_workload::RequestArrival {
+            at: SimTime::ZERO,
+            shape: RequestShape::new(prompt, 2),
+        };
+        let rep = engine().with_prefill(PrefillMode::Modeled).run(
+            &ArrivalTrace::Open(vec![arrival(300), arrival(0)]),
+            SchedulePolicy::ContinuousBatch { max_batch: 2 },
+        );
+        let [first, second] = &rep.requests[..] else {
+            panic!("both requests complete");
+        };
+        assert!(first.prefill_time() > SimTime::ZERO);
+        assert_eq!(second.started, first.prefill_end);
+        assert_eq!(second.prefill_time(), SimTime::ZERO);
+        assert_eq!(second.queueing_delay(), first.prefill_time());
+    }
+
+    #[test]
     fn closed_loop_clients_rejoin_the_batch() {
         // 2 clients x 3 requests each: every completion respawns at the
         // token boundary, so the batch stays full and everything is
