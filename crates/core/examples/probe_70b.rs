@@ -1,6 +1,7 @@
 //! Diagnostic: per-GeMV tiling plans and simulated latencies for
-//! Llama2-70B on Cambricon-LLM-L — the breakdown behind the headline
-//! 3.4 tokens/s.
+//! Llama2-70B on Cambricon-LLM-L — the breakdown behind the model's
+//! 4.09 tokens/s, against the paper's 3.44 (ROADMAP item 2 tracks the
+//! gap).
 //!
 //! ```text
 //! cargo run -p cambricon-llm --example probe_70b

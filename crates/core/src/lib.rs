@@ -27,7 +27,8 @@
 //!
 //! let mut sys = System::new(SystemConfig::cambricon_l());
 //! let speed = sys.decode_speed(&zoo::llama2_70b(), 1000);
-//! // The headline result: ~3.4 tokens/s for a 70B model on device.
+//! // The headline result: the paper reports 3.44 tokens/s for a 70B
+//! // model on device; this model gives 4.09 (ROADMAP item 2).
 //! assert!(speed > 2.0, "{speed}");
 //! ```
 

@@ -88,12 +88,20 @@ impl FileCtx {
 /// Marks every token inside an item carrying `#[test]` or a
 /// `#[cfg(...)]` attribute that mentions `test` (without `not`). The
 /// item's extent is taken as the brace block that follows the
-/// attribute; a `;` at bracket depth 0 before any `{` ends a bodyless
-/// item.
+/// attribute. Before any `{`, a `;` at bracket depth 0 ends a bodyless
+/// item, and a `,` at bracket and generics depth 0 or a `}` ends a
+/// struct field, enum variant or struct-literal field: the brace block
+/// after those (say, the next `impl`) is live code. A comma in a test
+/// item's `where` clause ends its region early too; its body is then
+/// linted as live code, a loud false positive rather than a silent
+/// skip.
 fn test_regions(toks: &[Tok]) -> Vec<bool> {
     let mut flag = vec![false; toks.len()];
     let mut depth: u32 = 0;
     let mut paren_depth: u32 = 0;
+    // `<`/`>` nesting since the pending attribute: generics in the item
+    // header, whose commas do not end the item.
+    let mut angle_depth: u32 = 0;
     let mut region_stack: Vec<u32> = Vec::new();
     let mut pending = false;
     let mut i = 0;
@@ -125,6 +133,7 @@ fn test_regions(toks: &[Tok]) -> Vec<bool> {
                 }
                 if has_test && !has_not {
                     pending = true;
+                    angle_depth = 0;
                 }
                 let inside = !region_stack.is_empty();
                 for f in flag.iter_mut().take(j).skip(i) {
@@ -149,12 +158,23 @@ fn test_regions(toks: &[Tok]) -> Vec<bool> {
                     region_stack.pop();
                 }
                 depth = depth.saturating_sub(1);
+                pending = false;
             }
             (TokKind::Punct, "(") | (TokKind::Punct, "[") => paren_depth += 1,
             (TokKind::Punct, ")") | (TokKind::Punct, "]") => {
                 paren_depth = paren_depth.saturating_sub(1);
             }
+            (TokKind::Punct, "<") if pending => angle_depth += 1,
+            // `->` and `=>` are arrows, not closing generics.
+            (TokKind::Punct, ">")
+                if pending && !is_punct(toks, i - 1, '-') && !is_punct(toks, i - 1, '=') =>
+            {
+                angle_depth = angle_depth.saturating_sub(1);
+            }
             (TokKind::Punct, ";") if paren_depth == 0 => {
+                pending = false;
+            }
+            (TokKind::Punct, ",") if paren_depth == 0 && angle_depth == 0 => {
                 pending = false;
             }
             _ => {}
