@@ -18,9 +18,11 @@
 //!   tokens with a few adds, and the **replay loop**
 //!   ([`run_interleaved`]), which re-executes the multi-request steady
 //!   state between arrivals without the event core or heaps.
-//! * [`BatchedSimulation`], the continuous-batching loop, stepping the
-//!   batch per plan position or, with spans on, in bulk-priced spans
-//!   of whole batch steps.
+//! * [`BatchedSimulation`], the continuous-batching loop. It runs the
+//!   batch in bulk-priced spans of whole batch steps; under
+//!   [`SpanMode::PerOp`] each span is one step. Its independent
+//!   reference is the naive oracle in `tests/support/oracle.rs`, which
+//!   shares none of this module's structures.
 //!
 //! Everything here is an implementation detail of the serving model
 //! documented on [`crate::serve`]; the public surface is
@@ -760,9 +762,11 @@ struct DeviceRun<'a> {
     /// it are rejected, not simulated.
     kv_max_context: usize,
     kv_rejections: u64,
-    /// Most tokens (or batch steps) one span may coalesce (0 = per-op
-    /// stepping). Any nonzero cap also lets the interleaved replay loop
-    /// ([`run_interleaved`]) take over multi-request steady stretches.
+    /// Most tokens (or batch steps) one span may coalesce. 0 encodes
+    /// [`SpanMode::PerOp`]: the per-op loop steps op by op, and the
+    /// batched loop runs one-step spans. Any nonzero cap also lets the
+    /// interleaved replay loop ([`run_interleaved`]) take over
+    /// multi-request steady stretches.
     span_cap: usize,
     /// Fault-injection state; `None` when [`FaultMode::Off`].
     faults: Option<FaultRun>,
@@ -2423,22 +2427,14 @@ impl<'a> Simulation<'a> {
     }
 }
 
-/// Event-core request id for batched op completions: the whole batch
-/// retires one plan position together, so no single request owns the
-/// event.
-const BATCH_EVENT: usize = u32::MAX as usize;
-
 /// The running batch of a [`SchedulePolicy::ContinuousBatch`]
-/// simulation: the requests marching through the plan in lockstep plus
-/// the shared walk state. "Many cursors parked at the same plan
-/// position" — the batch holds one position, each member holds its own
-/// sequence length.
+/// simulation: the requests stepping through the plan in lockstep,
+/// each at its own sequence length, plus the occupancy accounting. A
+/// span moves every member by the same number of whole tokens.
 #[derive(Debug)]
 struct BatchState {
     /// Requests in the batch, admission order.
     active: Vec<usize>,
-    /// Plan position of the in-flight batched op.
-    pos: usize,
     /// Admission cap.
     max_batch: usize,
     /// Occupancy integral (batch size × picoseconds) for the
@@ -2454,7 +2450,6 @@ impl BatchState {
     fn new(max_batch: usize) -> Self {
         BatchState {
             active: Vec::with_capacity(max_batch),
-            pos: 0,
             max_batch,
             occ_weighted_ps: 0,
             occ_last: SimTime::ZERO,
@@ -2476,14 +2471,15 @@ impl BatchState {
 /// Compared with [`Simulation`], which interleaves *individual* ops of
 /// independent requests across the two resources, this loop executes
 /// **batch steps**: one walk of the shared [`TokenPlan`] serving every
-/// in-flight request at once. Per plan position:
+/// in-flight request at once, priced in spans of whole steps
+/// ([`BatchedSimulation::start_span`]). Per step:
 ///
 /// * a weight GeMV occupies the flash device **once** for the whole
 ///   batch — the weight stream is fetched a single time and every
 ///   request consumes it (the amortization that makes cloud serving
-///   batch-efficient, now at the edge), floored by the NPU roofline on
-///   `batch ×` the per-request MAC share so huge batches hit the
-///   compute ceiling instead of scaling forever, and with each
+///   batch-efficient, now at the edge), floored by both compute
+///   rooflines on `batch ×` the per-request MAC shares so huge batches
+///   hit the compute ceiling instead of scaling forever, and with each
 ///   member's share of the GeMV arithmetic booked in the traffic
 ///   ledger;
 /// * NPU-side work (attention, softmax, norms, KV appends) runs per
@@ -2513,9 +2509,6 @@ struct BatchedSimulation<'a> {
     /// one per request for NPU positions.
     ops_dispatched: u64,
     gemv_dispatched: u64,
-    /// Fault-added picoseconds of the current batch step, consumed by
-    /// its first weight dispatch (always 0 with faults off).
-    step_fault_extra: u64,
 }
 
 impl<'a> BatchedSimulation<'a> {
@@ -2532,7 +2525,6 @@ impl<'a> BatchedSimulation<'a> {
             kv: kv_cache(engine),
             ops_dispatched: 0,
             gemv_dispatched: 0,
-            step_fault_extra: 0,
         }
     }
 
@@ -2568,21 +2560,13 @@ impl<'a> BatchedSimulation<'a> {
                             self.run.requests.phase[id] = Phase::Decoding;
                         }
                     }
-                    self.start(now);
+                    self.start_span(now);
                 }
                 Fired::Op(_, id) if id == SPAN_BOUNDARY => {
-                    // A coalesced span closed: its final step's token
-                    // boundary retires exactly like a per-step one.
+                    // A span closed: its final step's token boundary.
                     self.token_boundary(now);
                 }
-                Fired::Op(..) => {
-                    self.batch.pos += 1;
-                    if self.batch.pos < self.run.table.classes.len() {
-                        self.dispatch(now);
-                    } else {
-                        self.token_boundary(now);
-                    }
-                }
+                Fired::Op(..) => unreachable!("batched events are prefill windows and span ends"),
             }
         }
         self.finish()
@@ -2648,17 +2632,7 @@ impl<'a> BatchedSimulation<'a> {
                 .ev
                 .schedule_op(slot(OpClass::Flash), now + prefill_delay, BATCH_PREFILL);
         } else {
-            self.start(now);
-        }
-    }
-
-    /// Starts the device on the current batch: a coalesced span when
-    /// fast-forwarding is on, the per-position stepping loop otherwise.
-    fn start(&mut self, now: SimTime) {
-        if self.run.span_cap > 0 {
             self.start_span(now);
-        } else {
-            self.start_step(now);
         }
     }
 
@@ -2726,77 +2700,38 @@ impl<'a> BatchedSimulation<'a> {
         delay
     }
 
-    /// Prices and launches one batch step: the invariant table is
-    /// shared, each member's attention slots are re-priced at its own
-    /// sequence position, and the step's traffic books the weight
-    /// stream once plus per-request work × batch.
-    fn start_step(&mut self, now: SimTime) {
-        if self.batch.active.is_empty() {
-            return;
-        }
-        debug_assert!(!self.stepping(), "batch step already in flight");
-        price_invariant(&mut self.run.system, self.run.plan, &mut self.run.table);
-        self.run.traffic.absorb_batch_step(
-            &self.run.table.inv_stream_traffic,
-            &self.run.table.inv_request_traffic,
-            self.batch.active.len() as u64,
-        );
-        for i in 0..self.batch.active.len() {
-            let id = self.batch.active[i];
-            let seq = self.run.requests.cursor[id].seq_len();
-            let (dep_lat, dep_traffic) = attn_at(
-                &mut self.run.system,
-                self.run.plan,
-                &mut self.run.table,
-                seq,
-            );
-            self.run.requests.dep_lat[id] = dep_lat;
-            self.run.traffic.absorb(&dep_traffic);
-        }
-        // One fault window per batch step: the shared weight stream is
-        // read once for the whole batch, so its page faults are drawn
-        // once — from the head member's stream, which is stable in
-        // admission order. The extra time rides on the step's first
-        // weight dispatch.
-        if let Some(f) = &mut self.run.faults {
-            let owner = self.batch.active[0];
-            self.step_fault_extra = f.window_extra(
-                self.run.table.inv_stream_traffic.nand_array_bytes,
-                self.run.table.solo_flash_lat.as_picos(),
-                &mut self.run.requests.fault_rng[owner],
-            );
-        }
-        self.batch.pos = 0;
-        self.dispatch(now);
-    }
-
     /// Prices and launches a **span**: a run of up to `span_cap` batch
-    /// steps executed as one event-core round instead of one round per
-    /// plan position. Between scheduling boundaries the batch is fixed,
-    /// so each step's latency decomposes into
+    /// steps (one under [`SpanMode::PerOp`]) executed as one event-core
+    /// round. Between scheduling boundaries the batch is fixed, so each
+    /// step's latency decomposes into
     ///
-    /// * a flash term — every weight slot at the table price floored by
-    ///   both compute rooflines on `batch ×` the per-request MAC shares
-    ///   (identical to [`BatchedSimulation::dispatch`]'s per-position
-    ///   arithmetic, hoisted out of the loop because the batch cannot
-    ///   change mid-span);
+    /// * a flash term — one weight stream serves every member, but each
+    ///   member still multiplies the streamed weights by its own
+    ///   activations, so every weight slot's table price is floored by
+    ///   both compute rooflines on `batch ×` the per-request MAC shares:
+    ///   the in-flash cores (sized to just match the read rate at batch
+    ///   1, so they throttle first) and the NPU. This is the compute
+    ///   ceiling that ends batching's free lunch; at batch 1 both
+    ///   floors are already inside the table price;
     /// * an NPU term — invariant slots at `table price × batch` plus
     ///   the attention slots summed over each member's own growing
     ///   sequence position, priced step by step in the exact per-token
-    ///   order so the op-cost cache sees the same lookup sequence.
+    ///   order so the op-cost cache sees the same lookup sequence;
+    /// * the step's fault time, flash time like the first term.
     ///
     /// The span ends at the earliest scheduling boundary: the next
     /// completion (minimum remaining tokens in flight), the first token
     /// boundary at or after the next arrival (an admission
     /// opportunity — the arrival itself fires mid-span and queues, like
-    /// it would mid-step), or a forced span cap. Admission blocked on
-    /// KV capacity or a full batch can only unblock at a completion, so
+    /// it would mid-step), the first token boundary at or after a
+    /// member's deadline, or the span cap. Admission blocked on KV
+    /// capacity or a full batch can only unblock at a completion, so
     /// no opportunity is skipped. Interior token boundaries retire
     /// inline; the final one is the scheduled span-end event, handled
     /// by the ordinary [`BatchedSimulation::token_boundary`].
     ///
     /// Every quantity is integer picoseconds/bytes/ops, so the
-    /// regrouped sums are bit-identical to per-position stepping.
+    /// regrouped sums are bit-identical to one-step spans.
     fn start_span(&mut self, now: SimTime) {
         if self.batch.active.is_empty() {
             return;
@@ -2834,7 +2769,8 @@ impl<'a> BatchedSimulation<'a> {
             .map(|&id| self.run.requests.remaining[id])
             .min()
             .expect("batch is non-empty")
-            .min(self.run.span_cap);
+            // `SpanMode::PerOp` encodes its cap as 0: one-step spans.
+            .min(self.run.span_cap.max(1));
         // A request already waiting for admission (it arrived during a
         // prefill window or mid-step) may act at the *very next* token
         // boundary, so the span may not run past it — but only when the
@@ -2877,7 +2813,7 @@ impl<'a> BatchedSimulation<'a> {
         // already decided above. In both cases every intervening token
         // boundary is a no-op for the arrival: the span runs through it,
         // and the span-end `token_boundary` pops the (time-ordered) due
-        // arrivals into `pending` exactly as per-step mode would have.
+        // arrivals into `pending` exactly as a one-step span's would.
         let consider_arrivals =
             self.batch.active.len() < self.batch.max_batch && self.pending.is_empty();
         let next_arrival = if consider_arrivals {
@@ -2928,9 +2864,11 @@ impl<'a> BatchedSimulation<'a> {
                 i += run;
             }
             let mut lat = flash_step + npu_inv_step + dep_step;
-            // One fault window per step, same stream and window as
-            // per-step mode — every priced step is committed, so the
-            // draws are never speculative.
+            // One fault window per step: the shared weight stream is
+            // read once for the whole batch, so its page faults are
+            // drawn once, from the head member's stream, which is
+            // stable in admission order. Every priced step is
+            // committed, so the draws are never speculative.
             if let Some(f) = &mut self.run.faults {
                 let owner = self.batch.active[0];
                 let extra = f.window_extra(
@@ -2977,8 +2915,8 @@ impl<'a> BatchedSimulation<'a> {
         self.gemv_dispatched += k as u64 * weights;
         self.ops_dispatched += k as u64 * (weights + (n_ops as u64 - weights) * batch);
         // One busy interval per resource for the whole span; per-class
-        // totals are identical to per-position interval accounting.
-        // Fault time is flash time: rereads occupy the flash device.
+        // totals are identical to per-step interval accounting. Fault
+        // time is flash time: rereads occupy the flash device.
         self.run.busy_track[0].add_interval(
             now,
             now + flash_step * k as u64 + SimTime::from_picos(span_fault_extra),
@@ -3006,72 +2944,10 @@ impl<'a> BatchedSimulation<'a> {
             let id = self.batch.active[i];
             self.run.requests.cursor[id].advance_by(k - 1);
         }
-        // The final step's boundary is the span-end event. Elided
-        // per-position events are accounted into the schedule stamp so
-        // FIFO tie-breaking stays identical to per-step mode.
+        // The final step's boundary is the span-end event.
         self.run
             .ev
             .schedule_op(slot(OpClass::Flash), t, SPAN_BOUNDARY);
-        self.run.ev.bump_stamp((k * n_ops - 1) as u64);
-    }
-
-    /// Launches the batched op at the current plan position: one shared
-    /// fetch for a weight GeMV, the batch's summed latency for NPU
-    /// work.
-    fn dispatch(&mut self, now: SimTime) {
-        let idx = self.batch.pos;
-        let s = slot(self.run.table.classes[idx]);
-        let cost_slot = self.run.table.slots[idx] as usize;
-        let batch = self.batch.active.len() as u64;
-        let latency = if s == slot(OpClass::Flash) {
-            // One weight stream serves every cursor parked here — but
-            // every member still multiplies the streamed weights by its
-            // own activations, so the shared window is floored by both
-            // compute rooflines on `batch ×` the per-request MAC shares
-            // — the in-flash cores (sized to just match the read rate
-            // at batch 1, so they throttle first) and the NPU. This is
-            // the compute ceiling that ends batching's free lunch; at
-            // batch 1 both floors are already inside the table price.
-            debug_assert!(
-                cost_slot < self.run.table.n_inv,
-                "weight slots are invariant"
-            );
-            self.gemv_dispatched += 1;
-            self.ops_dispatched += 1;
-            let npu_floor = self
-                .run
-                .system
-                .npu_compute_time(self.run.table.inv_npu_ops[cost_slot] * batch);
-            let flash_floor = self
-                .run
-                .system
-                .flash_compute_time(self.run.table.inv_flash_ops[cost_slot] * batch);
-            let base = self.run.table.inv_lat[cost_slot]
-                .max(npu_floor)
-                .max(flash_floor);
-            // The step's sampled fault time rides on its first weight
-            // window (always 0 with faults off).
-            if self.step_fault_extra > 0 {
-                base + SimTime::from_picos(std::mem::take(&mut self.step_fault_extra))
-            } else {
-                base
-            }
-        } else if cost_slot < self.run.table.n_inv {
-            // Per-request NPU work at the shared table price.
-            self.ops_dispatched += batch;
-            self.run.table.inv_lat[cost_slot] * batch
-        } else {
-            // Attention: summed over each member's sequence position.
-            self.ops_dispatched += batch;
-            let d = cost_slot - self.run.table.n_inv;
-            self.batch
-                .active
-                .iter()
-                .map(|&id| self.run.requests.dep_lat[id][d])
-                .sum()
-        };
-        self.run.busy_track[s].add_interval(now, now + latency);
-        self.run.ev.schedule_op(s, now + latency, BATCH_EVENT);
     }
 
     fn finish(mut self) -> (ServeReport, System) {

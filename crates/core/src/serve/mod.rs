@@ -53,15 +53,15 @@
 //! A device run has four execution paths:
 //!
 //! * the **per-op loop**, one event-core round per simulated op — the
-//!   reference semantics, and the hot path only under
-//!   [`SpanMode::PerOp`];
+//!   reference semantics for FCFS and round-robin, and their hot path
+//!   only under [`SpanMode::PerOp`];
 //! * **solo spans**, which price a lone in-flight request's whole
 //!   tokens with a few adds each;
 //! * the **replay loop**, which re-executes the overloaded FCFS and
 //!   round-robin steady state between arrivals without the event core
 //!   or the ready heaps;
 //! * **batch steps** for continuous batching, coalesced into spans of
-//!   whole steps.
+//!   whole steps (one-step spans under [`SpanMode::PerOp`]).
 //!
 //! With spans on (the default), nearly all wall time is in the last
 //! three. All four are built around reuse instead of re-materialization:
@@ -113,10 +113,9 @@
 //! advanced `k` tokens in one shot ([`OpCursor::advance_by`]), traffic
 //! booked through the bulk
 //! [`TrafficBreakdown::absorb_batch_span`], and a single span-end
-//! event. The batched loop spans whole batch steps (one heap/hash/event
-//! round per span instead of per plan position), so the win compounds
-//! with batch size; the per-op loop spans a lone in-flight request
-//! between arrivals.
+//! event. The batched loop spans whole batch steps (one event round per
+//! span instead of per step), so the win compounds with batch size; the
+//! per-op loop spans a lone in-flight request between arrivals.
 //!
 //! **Bit-exactness invariant:** every quantity the engine accumulates —
 //! timestamps, busy time, occupancy integrals, traffic, dispatch
@@ -124,7 +123,12 @@
 //! the identical per-token order, so regrouping is exact: coalesced
 //! reports equal [`SpanMode::PerOp`] reports field for field (pinned by
 //! the goldens and a span-equivalence proptest across policies, prefill
-//! modes and forced-tiny-span caps).
+//! modes and forced-tiny-span caps). Under batching, `PerOp` itself is
+//! a one-step span, so the batched loop's independent reference is a
+//! deliberately naive oracle, `tests/support/oracle.rs`: it prices
+//! every op of every member per step through [`System::op_cost`] and
+//! shares none of the engine's structures, and `tests/oracle.rs` pins
+//! whole reports to it.
 //!
 //! # Prefill
 //!
@@ -212,9 +216,11 @@ pub enum PrefillMode {
 /// integer picoseconds/bytes/ops, so regrouped sums are exact).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SpanMode {
-    /// One event-core round per op (per plan position in the batched
-    /// loop) — the original engines, kept as the executable reference
-    /// semantics the span path is pinned against.
+    /// One event-core round per op under FCFS and round-robin — the
+    /// original engine, kept as the executable reference semantics the
+    /// span paths are pinned against. Under continuous batching it runs
+    /// one-step spans; the independent reference there is the naive
+    /// oracle in `tests/support/oracle.rs`.
     PerOp,
     /// Fast-forward up to `max_span` whole tokens per span between
     /// scheduling boundaries. The default mode is unbounded
@@ -235,7 +241,8 @@ impl Default for SpanMode {
 }
 
 impl SpanMode {
-    /// The span cap this mode imposes: 0 encodes per-op stepping.
+    /// The span cap this mode imposes: 0 encodes per-op stepping (one
+    /// step per span under batching).
     fn cap(self) -> usize {
         match self {
             SpanMode::PerOp => 0,

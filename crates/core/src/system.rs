@@ -106,36 +106,20 @@ impl TrafficBreakdown {
         self.absorb_scaled(other, 1);
     }
 
-    /// Accumulates one **batched step**: `shared` once plus
-    /// `per_request × batch`.
+    /// Accumulates a **span** of `steps` batched steps:
+    /// `shared × steps` plus `per_request × batch × steps`.
     ///
     /// This is the traffic law of continuous batching
     /// ([`crate::serve::SchedulePolicy::ContinuousBatch`]): the weight
     /// *stream* — NAND reads, in-flash consumption, the D2D weight
-    /// share — is fetched **once** per plan slot for all requests
-    /// parked at that position, while everything a request does for
-    /// itself (its share of the GeMV arithmetic on both sides, KV
-    /// reads/writes, special functions) repeats per batch member.
-    pub fn absorb_batch_step(
-        &mut self,
-        shared: &TrafficBreakdown,
-        per_request: &TrafficBreakdown,
-        batch: u64,
-    ) {
-        self.absorb(shared);
-        self.absorb_scaled(per_request, batch);
-    }
-
-    /// Accumulates a **span** of `steps` batched steps at once:
-    /// `shared × steps` plus `per_request × batch × steps`.
-    ///
-    /// This is the bulk form of
-    /// [`absorb_batch_step`](TrafficBreakdown::absorb_batch_step) for
-    /// span fast-forwarding: a run of decode steps between two
+    /// share — is fetched **once** per step for all requests in the
+    /// batch, while everything a request does for itself (its share of
+    /// the GeMV arithmetic on both sides, KV reads/writes, special
+    /// functions) repeats per batch member. A span between two
     /// scheduling boundaries has a fixed batch, so its invariant
-    /// traffic is one multiplication instead of one call per step.
-    /// Because every field is an exact integer, the result is
-    /// bit-identical to `steps` repeated `absorb_batch_step` calls.
+    /// traffic is one multiplication instead of one call per step;
+    /// every field is an exact integer, so the result is bit-identical
+    /// to `steps` one-step calls.
     pub fn absorb_batch_span(
         &mut self,
         shared: &TrafficBreakdown,
@@ -930,7 +914,7 @@ mod tests {
             ..TrafficBreakdown::default()
         };
         let mut t = TrafficBreakdown::default();
-        t.absorb_batch_step(&shared, &per_request, 4);
+        t.absorb_batch_span(&shared, &per_request, 4, 1);
         assert_eq!(t.nand_array_bytes, 1000); // weights streamed once
         assert_eq!(t.in_flash_bytes, 600);
         assert_eq!(t.d2d_bytes, 400);
@@ -939,7 +923,7 @@ mod tests {
         assert_eq!(t.flash_ops, 70);
         // batch == 1 degenerates to absorbing both once.
         let mut one = TrafficBreakdown::default();
-        one.absorb_batch_step(&shared, &per_request, 1);
+        one.absorb_batch_span(&shared, &per_request, 1, 1);
         let mut serial = TrafficBreakdown::default();
         serial.absorb(&shared);
         serial.absorb(&per_request);
@@ -967,7 +951,7 @@ mod tests {
             bulk.absorb_batch_span(&shared, &per_request, batch, steps);
             let mut stepped = TrafficBreakdown::default();
             for _ in 0..steps {
-                stepped.absorb_batch_step(&shared, &per_request, batch);
+                stepped.absorb_batch_span(&shared, &per_request, batch, 1);
             }
             assert_eq!(bulk, stepped, "batch {batch} steps {steps}");
         }

@@ -371,12 +371,12 @@ impl Run<'_> {
             self.events.schedule(now + window, Event::PrefillEnd);
             self.device_busy = true;
         } else {
-            self.start_step(now);
+            self.launch_step(now);
         }
     }
 
     /// Prices one batch step from scratch and schedules its end.
-    fn start_step(&mut self, now: SimTime) {
+    fn launch_step(&mut self, now: SimTime) {
         if self.batch.is_empty() {
             return;
         }
@@ -602,7 +602,7 @@ pub fn run(sc: &Scenario, trace: &ArrivalTrace, system: &mut System) -> ServeRep
             }
             Event::PrefillEnd => {
                 run.device_busy = false;
-                run.start_step(now);
+                run.launch_step(now);
             }
             Event::StepEnd => {
                 run.device_busy = false;
