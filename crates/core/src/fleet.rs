@@ -108,7 +108,7 @@ pub struct Interconnect {
 impl Interconnect {
     /// A free interconnect (both hops zero) — the fleet timeline
     /// degenerates to the device timeline, which is what the
-    /// single-replica golden pins against [`crate::ServeEngine`].
+    /// single-replica golden pins against [`DeviceEngine::run`].
     pub const ZERO: Interconnect = Interconnect {
         dispatch_hop: SimTime::ZERO,
         response_hop: SimTime::ZERO,
@@ -133,7 +133,6 @@ pub struct FleetEngine {
     router: RouterPolicy,
     interconnect: Interconnect,
     threads: Option<usize>,
-    warm_sharing: bool,
 }
 
 impl FleetEngine {
@@ -151,7 +150,6 @@ impl FleetEngine {
             router: RouterPolicy::RoundRobin,
             interconnect: Interconnect::ZERO,
             threads: None,
-            warm_sharing: true,
         }
     }
 
@@ -180,17 +178,6 @@ impl FleetEngine {
     /// bit-identical at any value; this only trades wall-clock.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads);
-        self
-    }
-
-    /// Disables warm-system sharing: every replica prices from a cold
-    /// [`System`], so a single-replica fleet reproduces
-    /// [`crate::ServeEngine::run`] bit for bit, cache counters
-    /// included (the golden-test configuration). The default shares
-    /// one pre-warmed system clone per replica, which changes only the
-    /// cache hit/miss counters — exactly the Monte Carlo trade.
-    pub fn with_cold_systems(mut self) -> Self {
-        self.warm_sharing = false;
         self
     }
 
@@ -234,18 +221,10 @@ impl FleetEngine {
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(1)
         });
-        let per_replica: Vec<ServeReport> = if self.warm_sharing {
-            let warm = self.warm_system(&arrivals, engine_for(0), policy);
-            parallel_map_workers(&subtraces, workers, |i, sub| {
-                engine_for(i).run_with_system(sub, policy, warm.clone()).0
-            })
-        } else {
-            parallel_map_workers(&subtraces, workers, |i, sub| {
-                engine_for(i)
-                    .run_with_system(sub, policy, System::new(self.device.config()))
-                    .0
-            })
-        };
+        let warm = self.warm_system(&arrivals, engine_for(0), policy);
+        let per_replica: Vec<ServeReport> = parallel_map_workers(&subtraces, workers, |i, sub| {
+            engine_for(i).run_with_system(sub, policy, warm.clone()).0
+        });
 
         self.merge(policy, per_replica)
     }

@@ -68,6 +68,6 @@ pub use roofline::{attainable_gops, cambricon_point, smartphone_npu_point, Roofl
 pub use serve::{
     DeviceEngine, PrefillMode, RequestReport, SchedulePolicy, ServeEngine, ServeReport, SpanMode,
 };
-pub use sweep::{smallest_config_reaching, sweep_channels, sweep_chips, SweepPoint};
+pub use sweep::{sweep_channels, sweep_chips, SweepPoint};
 pub use system::{GemvCache, OpClass, OpCost, PrefillCost, System, TokenReport, TrafficBreakdown};
 pub use validate::{cross_check, CrossCheck};

@@ -253,6 +253,9 @@ pub(crate) struct FaultRun {
     pub(crate) ttft_timeouts: u64,
     pub(crate) deadline_sheds: u64,
     pub(crate) shed_tokens: u64,
+    /// Instant of the latest deadline shed: the run's service span
+    /// ends no earlier, since work on a shed request is still busy time.
+    pub(crate) last_shed: Option<SimTime>,
     pub(crate) goodput_requests: u64,
     pub(crate) goodput_tokens: u64,
 }
@@ -309,6 +312,7 @@ impl FaultRun {
             ttft_timeouts: 0,
             deadline_sheds: 0,
             shed_tokens: 0,
+            last_shed: None,
             goodput_requests: 0,
             goodput_tokens: 0,
         })

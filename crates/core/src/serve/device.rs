@@ -773,6 +773,7 @@ struct DeviceRun<'a> {
     /// Every solo span run, as `(request, tokens coalesced, tokens the
     /// request owed at its start)`. Filled only in unit tests, which
     /// use it to see that a span engaged: reports cannot show that.
+    #[cfg(test)]
     solo_spans: Vec<(usize, usize, usize)>,
 }
 
@@ -836,6 +837,7 @@ impl<'a> DeviceRun<'a> {
             kv_rejections: 0,
             span_cap: engine.span.cap(),
             faults,
+            #[cfg(test)]
             solo_spans: Vec::new(),
         }
     }
@@ -1003,12 +1005,18 @@ impl<'a> DeviceRun<'a> {
             ttft.push(r.ttft().as_secs_f64());
             decode_ttft.push(r.decode_ttft().as_secs_f64());
         }
-        // Span of actual service: first admitted arrival to last
-        // completion. Rejected arrivals advance the event clock but are
-        // not simulated, so they must not stretch the makespan or dilute
-        // the rates, utilizations and occupancy derived from it.
-        let makespan = match (first_arrival, done.last()) {
-            (Some(first), Some(last)) => last.finished.saturating_sub(first),
+        // Span of actual service: first admitted arrival to the later of
+        // the last completion and the last deadline shed, so busy time
+        // spent on a shed request stays inside the horizon. Rejected
+        // arrivals advance the event clock but are not simulated, so
+        // they must not stretch the makespan or dilute the rates,
+        // utilizations and occupancy derived from it.
+        let last_exit = done
+            .last()
+            .map(|r| r.finished)
+            .max(faults.as_ref().and_then(|f| f.last_shed));
+        let makespan = match (first_arrival, last_exit) {
+            (Some(first), Some(last)) => last.saturating_sub(first),
             _ => SimTime::ZERO,
         };
         let mean_batch_occupancy = if makespan > SimTime::ZERO {
@@ -1167,34 +1175,29 @@ fn retire_token(requests: &mut RequestPool, id: usize, tb: SimTime, token_latenc
 
 /// Deadline check at a token boundary, shared by both event loops:
 /// returns whether the in-flight request `id` must be shed at `now`,
-/// updating the fault counters. Checks are strict (`>`): a request
-/// finishing exactly on its deadline meets it. A request whose tokens
-/// are all done is never shed — late completions are penalized through
-/// goodput scoring instead, so the completion path stays the only exit
-/// for finished work.
+/// updating the fault counters and the last-shed instant. Checks are
+/// strict (`>`): a request finishing exactly on its deadline meets it.
+/// A request whose tokens are all done is never shed — late
+/// completions are penalized through goodput scoring instead, so the
+/// completion path stays the only exit for finished work.
 fn deadline_shed(f: &mut FaultRun, requests: &RequestPool, id: usize, now: SimTime) -> bool {
     if requests.remaining[id] == 0 {
         return false;
     }
     let elapsed = now.saturating_sub(requests.cold[id].arrived);
     // The TTFT check fires exactly once, at the first token's boundary.
-    if requests.tokens_done(id) == 1 {
-        if let Some(dl) = f.ttft_deadline() {
-            if elapsed > dl {
-                f.ttft_timeouts += 1;
-                f.shed_tokens += requests.tokens_done(id) as u64;
-                return true;
-            }
-        }
+    let ttft_missed =
+        requests.tokens_done(id) == 1 && f.ttft_deadline().is_some_and(|dl| elapsed > dl);
+    if ttft_missed {
+        f.ttft_timeouts += 1;
+    } else if f.total_deadline().is_some_and(|dl| elapsed > dl) {
+        f.deadline_sheds += 1;
+    } else {
+        return false;
     }
-    if let Some(dl) = f.total_deadline() {
-        if elapsed > dl {
-            f.deadline_sheds += 1;
-            f.shed_tokens += requests.tokens_done(id) as u64;
-            return true;
-        }
-    }
-    false
+    f.shed_tokens += requests.tokens_done(id) as u64;
+    f.last_shed = Some(now);
+    true
 }
 
 /// The earliest absolute instant (picoseconds) at which
@@ -1352,9 +1355,8 @@ impl DeviceRun<'_> {
         if k == 0 {
             return 0;
         }
-        if cfg!(test) {
-            self.solo_spans.push((id, k, remaining));
-        }
+        #[cfg(test)]
+        self.solo_spans.push((id, k, remaining));
         // The first token's fault time is spent inside the span.
         requests.fault_extra[id] = 0;
         // Per-op bookkeeping the span elides: one dispatch (and one event

@@ -367,8 +367,9 @@ pub struct ServeReport {
     /// Tokens generated across all requests.
     pub tokens_served: u64,
     /// Virtual time from the first *admitted* request's arrival to the
-    /// last completion. Rejected arrivals are not simulated and do not
-    /// stretch it (or the rates/utilizations derived from it).
+    /// last completion or deadline shed, whichever is later. Rejected
+    /// arrivals are not simulated and do not stretch it (or the
+    /// rates/utilizations derived from it).
     pub makespan: SimTime,
     /// Aggregate decode throughput over the makespan.
     pub tokens_per_sec: f64,

@@ -85,39 +85,6 @@ fn evaluate_grid(model: &ModelSpec, grid: &[(usize, usize)], seq_len: usize) -> 
     })
 }
 
-/// Finds the smallest configuration (by total compute cores) in a grid
-/// that reaches `min_tokens_per_sec` — the sizing question an architect
-/// actually asks ("what do I need for interactive 70B?").
-pub fn smallest_config_reaching(
-    model: &ModelSpec,
-    min_tokens_per_sec: f64,
-    seq_len: usize,
-) -> Option<SweepPoint> {
-    let mut candidates: Vec<(usize, usize)> = Vec::new();
-    for ch in [4usize, 8, 16, 32, 64] {
-        for chips in [1usize, 2, 4, 8] {
-            candidates.push((ch, chips));
-        }
-    }
-    // Ascending by core count so the first hit is the smallest.
-    // Evaluate in parallel waves of one grid-worth of threads each,
-    // stopping at the first wave containing a hit — an easy target
-    // costs one wave, not the full 20-point grid.
-    candidates.sort_by_key(|&(ch, chips)| ch * chips);
-    let wave = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    for chunk in candidates.chunks(wave) {
-        let hit = evaluate_grid(model, chunk, seq_len)
-            .into_iter()
-            .find(|p| p.tokens_per_sec >= min_tokens_per_sec);
-        if hit.is_some() {
-            return hit;
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,25 +105,6 @@ mod tests {
         for w in pts.windows(2) {
             assert!(w[1].tokens_per_sec > w[0].tokens_per_sec * 1.3);
         }
-    }
-
-    #[test]
-    fn sizing_for_interactive_70b() {
-        // 3 tok/s for Llama2-70B needs a Cam-L-class device, not Cam-S.
-        let p = smallest_config_reaching(&zoo::llama2_70b(), 3.0, 1000).unwrap();
-        let cores = p.channels * p.chips_per_channel * 2;
-        assert!(
-            cores > 64,
-            "found {}ch x {}chips",
-            p.channels,
-            p.chips_per_channel
-        );
-        assert!(p.tokens_per_sec >= 3.0);
-    }
-
-    #[test]
-    fn impossible_target_returns_none() {
-        assert!(smallest_config_reaching(&zoo::llama2_70b(), 1e9, 100).is_none());
     }
 
     #[test]

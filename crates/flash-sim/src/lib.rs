@@ -37,7 +37,6 @@
 pub mod aging;
 pub mod device;
 pub mod engine;
-pub mod provision;
 pub mod report;
 pub mod slice;
 pub mod timing;
@@ -47,7 +46,6 @@ pub mod workload;
 pub use aging::{BerModel, FlashAge};
 pub use device::FlashDevice;
 pub use engine::ChannelEngine;
-pub use provision::{bulk_load, ProvisionReport};
 pub use report::{ChannelReport, DeviceReport};
 pub use slice::SlicePolicy;
 pub use timing::{CoreParams, RequestModel, Timing};

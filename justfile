@@ -1,8 +1,10 @@
 # Developer entry points; `just --list` shows this menu.
 
 # Build everything in release mode.
+# `--locked` fails on a Cargo.lock that lags the manifests instead of
+# rewriting it.
 build:
-    cargo build --release
+    cargo build --release --locked
 
 # The tier-1 verify: release build plus the full test suite.
 test: build
@@ -24,10 +26,6 @@ perfbench-smoke:
         cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
             --workload $w --seconds 1 --trace 0 || exit 1; \
     done
-
-# Criterion smoke benches (vendored harness: fixed-iteration timings).
-bench:
-    cargo bench -p bench
 
 # Regenerate every paper table/figure ("full" for full-resolution sweeps).
 repro target="all":

@@ -4,6 +4,7 @@
 
 use cambricon_llm_repro::prelude::*;
 use flash_sim::FlashAge;
+use llm_workload::RequestArrival;
 use proptest::prelude::*;
 use sim_core::SimTime;
 
@@ -223,4 +224,96 @@ fn wear_trajectory_finds_the_slo_cliff() {
     for w in rep.points.windows(2) {
         assert!(w[1].rber >= w[0].rber);
     }
+}
+
+/// Busy time spent on a request that is shed after the last completion
+/// must stay inside the makespan, so no utilization exceeds 1 and mean
+/// batch occupancy stays within the batch cap. Two requests arrive at
+/// once; the long one misses a deadline of six token-times and is shed
+/// long after the short one completes.
+#[test]
+fn makespan_covers_deadline_sheds() {
+    let at_zero = |tokens| RequestArrival {
+        at: SimTime::ZERO,
+        shape: RequestShape::new(64, tokens),
+    };
+    let alone =
+        engine(PrefillMode::Off).run(&ArrivalTrace::Open(vec![at_zero(40)]), SchedulePolicy::Fcfs);
+    let token_time = alone.makespan.as_picos() / 40;
+    let fc = FaultConfig::aged(FlashAge::fresh())
+        .with_deadlines(None, Some(SimTime::from_picos(6 * token_time)));
+    let trace = ArrivalTrace::Open(vec![at_zero(2), at_zero(40)]);
+    let max_batch = 1;
+    for policy in [
+        SchedulePolicy::Fcfs,
+        SchedulePolicy::RoundRobin,
+        SchedulePolicy::ContinuousBatch { max_batch },
+    ] {
+        let rep = engine(PrefillMode::Off)
+            .with_faults(FaultMode::Injected(fc))
+            .run(&trace, policy);
+        assert_eq!(rep.requests_served, 1, "{policy:?}");
+        assert_eq!(rep.reliability.deadline_sheds, 1, "{policy:?}");
+        assert!(
+            rep.flash_utilization <= 1.0 && rep.npu_utilization <= 1.0,
+            "{policy:?}: utilization past the makespan (flash {}, npu {})",
+            rep.flash_utilization,
+            rep.npu_utilization
+        );
+        assert!(
+            rep.mean_batch_occupancy <= max_batch as f64,
+            "{policy:?}: mean occupancy {} above the cap",
+            rep.mean_batch_occupancy
+        );
+    }
+}
+
+/// Graceful degradation across the ECC knee: on a ladder of retention
+/// ages whose RBER climbs from about 100 to 300 ppm, page rereads rise
+/// from rung to rung, deadline goodput never rises, and some rung sheds
+/// part of the trace rather than none or all of it.
+#[test]
+fn goodput_degrades_gracefully_across_the_ecc_knee() {
+    let tr = trace(21);
+    let fault_free = engine(PrefillMode::Off).run(&tr, SchedulePolicy::Fcfs);
+    let worst = fault_free
+        .requests
+        .iter()
+        .map(|r| r.finished - r.arrived)
+        .max()
+        .expect("the trace is served");
+    let deadline = SimTime::from_picos(2 * worst.as_picos());
+    let mut last: Option<(u64, u64)> = None;
+    let mut partial_shed = false;
+    for retention_days in [50.0, 80.0, 110.0, 140.0, 170.0] {
+        let age = FlashAge {
+            pe_cycles: 0,
+            retention_days,
+        };
+        let fc = FaultConfig::aged(age).with_deadlines(None, Some(deadline));
+        let rep = engine(PrefillMode::Off)
+            .with_faults(FaultMode::Injected(fc))
+            .run(&tr, SchedulePolicy::Fcfs);
+        let rel = rep.reliability;
+        assert!(
+            (90e-6..310e-6).contains(&rel.rber),
+            "rung at {retention_days} days sits at {} ppm",
+            rel.rber * 1e6
+        );
+        if let Some((rereads, goodput)) = last {
+            assert!(
+                rel.page_rereads > rereads,
+                "rereads fell at {retention_days} days: {} <= {rereads}",
+                rel.page_rereads
+            );
+            assert!(
+                rel.goodput_tokens <= goodput,
+                "goodput rose at {retention_days} days: {} > {goodput}",
+                rel.goodput_tokens
+            );
+        }
+        partial_shed |= rel.total_sheds() > 0 && rep.requests_served > 0;
+        last = Some((rel.page_rereads, rel.goodput_tokens));
+    }
+    assert!(partial_shed, "no rung shed part of the trace");
 }

@@ -33,6 +33,8 @@
 //! * Deadlines shed a request at a token boundary: the TTFT deadline at
 //!   its first token, the total deadline at any token it does not
 //!   finish on. Both checks are strict.
+//! * The makespan runs from the first admitted arrival to the last
+//!   completion or shed, whichever is later.
 //!
 //! The four cache counters (`gemv_cache_*`, `op_cost_cache_*`) count
 //! the engine's own memo traffic, so the oracle leaves them zero.
@@ -116,6 +118,8 @@ struct Ladder {
     ttft_timeouts: u64,
     deadline_sheds: u64,
     shed_tokens: u64,
+    /// When the latest shed happened: the makespan runs to it.
+    last_shed: Option<SimTime>,
     goodput_requests: u64,
     goodput_tokens: u64,
 }
@@ -160,6 +164,7 @@ impl Ladder {
             ttft_timeouts: 0,
             deadline_sheds: 0,
             shed_tokens: 0,
+            last_shed: None,
             goodput_requests: 0,
             goodput_tokens: 0,
         }
@@ -213,6 +218,7 @@ impl Ladder {
             return false;
         }
         self.shed_tokens += r.tokens as u64;
+        self.last_shed = Some(now);
         true
     }
 
@@ -477,8 +483,12 @@ impl Run<'_> {
     }
 
     fn report(mut self) -> ServeReport {
-        let makespan = match (self.first_admitted_arrival, self.done.last()) {
-            (Some(first), Some(last)) => last.finished - first,
+        // Service runs from the first admitted arrival to the last
+        // completion or shed, whichever is later.
+        let last_shed = self.ladder.as_ref().and_then(|l| l.last_shed);
+        let last_exit = self.done.last().map(|r| r.finished).max(last_shed);
+        let makespan = match (self.first_admitted_arrival, last_exit) {
+            (Some(first), Some(last)) => last - first,
             _ => SimTime::ZERO,
         };
         let secs = makespan.as_secs_f64();
