@@ -294,8 +294,13 @@ impl FleetEngine {
         let mut ttft = Samples::new();
         let mut token_latency = Samples::new();
         let mut first_arrival: Option<SimTime> = None;
-        let mut last_response = SimTime::ZERO;
+        let mut last_exit = SimTime::ZERO;
         for rep in &per_replica {
+            // A shed is answered over the return hop like a completion,
+            // and the replica's work on it stays inside the horizon.
+            if let Some(shed) = rep.reliability.last_shed {
+                last_exit = last_exit.max(shed + self.interconnect.response_hop);
+            }
             for r in &rep.requests {
                 ttft.push((r.ttft() + round_trip).as_secs_f64());
                 token_latency.push(r.mean_token_latency().as_secs_f64());
@@ -303,11 +308,11 @@ impl FleetEngine {
                 // the cluster did; responses pay the return hop.
                 let at_cluster = r.arrived.saturating_sub(self.interconnect.dispatch_hop);
                 first_arrival = Some(first_arrival.map_or(at_cluster, |f| f.min(at_cluster)));
-                last_response = last_response.max(r.finished + self.interconnect.response_hop);
+                last_exit = last_exit.max(r.finished + self.interconnect.response_hop);
             }
         }
         let makespan = match first_arrival {
-            Some(first) => last_response.saturating_sub(first),
+            Some(first) => last_exit.saturating_sub(first),
             None => SimTime::ZERO,
         };
         let horizon = makespan.as_secs_f64();
@@ -384,8 +389,9 @@ pub struct FleetReport {
     pub tokens_served: u64,
     /// KV-capacity rejections across the fleet.
     pub kv_rejections: u64,
-    /// Cluster-visible window: first arrival at the router to last
-    /// response back at the router (both hops included).
+    /// Cluster-visible window: first arrival at the router to the last
+    /// response or deadline shed back at the router (both hops
+    /// included).
     pub makespan: SimTime,
     /// Fleet decode throughput over the cluster makespan.
     pub tokens_per_sec: f64,

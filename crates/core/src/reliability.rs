@@ -146,6 +146,10 @@ pub struct ReliabilitySummary {
     pub deadline_sheds: u64,
     /// Tokens generated for requests that were later shed (work wasted).
     pub shed_tokens: u64,
+    /// Instant of the latest TTFT timeout or deadline shed, if any. A
+    /// run's service span ends no earlier: the work spent on a shed
+    /// request is still busy time.
+    pub last_shed: Option<SimTime>,
     /// Completed requests that met every configured deadline.
     pub goodput_requests: u64,
     /// Tokens of deadline-meeting completions.
@@ -430,6 +434,7 @@ impl FaultRun {
             ttft_timeouts: self.ttft_timeouts,
             deadline_sheds: self.deadline_sheds,
             shed_tokens: self.shed_tokens,
+            last_shed: self.last_shed,
             goodput_requests: self.goodput_requests,
             goodput_tokens: self.goodput_tokens,
             deadline_goodput_tps: 0.0,

@@ -1011,10 +1011,7 @@ impl<'a> DeviceRun<'a> {
         // arrivals advance the event clock but are not simulated, so
         // they must not stretch the makespan or dilute the rates,
         // utilizations and occupancy derived from it.
-        let last_exit = done
-            .last()
-            .map(|r| r.finished)
-            .max(faults.as_ref().and_then(|f| f.last_shed));
+        let last_exit = done.last().map(|r| r.finished).max(reliability.last_shed);
         let makespan = match (first_arrival, last_exit) {
             (Some(first), Some(last)) => last.saturating_sub(first),
             _ => SimTime::ZERO,

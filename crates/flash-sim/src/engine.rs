@@ -26,6 +26,37 @@
 //! [`SlicePolicy::Unsliced`](crate::SlicePolicy::Unsliced) everything is served FIFO and a page
 //! transfer is one monolithic bus transaction, reproducing the blocking
 //! behaviour of Figure 6(b).
+//!
+//! ## Event loop
+//!
+//! After each event the engine makes one *pass*: it queues the input
+//! broadcasts the prefetch window allows, advances every *dirty* die in
+//! index order (array read, register move, compute start, read-transfer
+//! start), then starts the next bus transaction if the bus is idle. A
+//! die's actions depend only on its own state and on how many inputs
+//! have arrived, so an event dirties exactly the dies whose actions it
+//! can enable:
+//!
+//! * `ArrayReadDone`, `MoveDone` and `ComputeDone` dirty their own die;
+//! * a bus transfer dirties its die when it frees an output-buffer slot
+//!   (a result vector) or the plain-read cache register (the last chunk
+//!   of a page); other read chunks dirty nothing;
+//! * an input broadcast's arrival dirties every die, since any core may
+//!   be waiting for it. That happens once per round, while each round
+//!   costs every die at least four events of its own, so a pass costs
+//!   amortized O(1) dies per event at any die count.
+//!
+//! Within one die the array-read check runs before the register move.
+//! So when a move frees the data register, that plane's next array
+//! read starts at the channel's *next* event, whichever die it belongs
+//! to, not at the instant the register freed. The die stays dirty
+//! until then. This deferral is part of the model's timing.
+//!
+//! Visiting the dirty dies in index order schedules the same events in
+//! the same order as scanning every die after every event, so the dirty
+//! set changes the cost of a run and no report field, `events`
+//! included. `tests/channel_equivalence.rs` checks this against such a
+//! scan.
 
 use crate::report::ChannelReport;
 use crate::workload::{ChannelWorkload, EngineConfig};
@@ -87,6 +118,10 @@ impl PlanePipe {
             && self.moving.is_none()
             && self.cache_reg.is_none()
     }
+    /// Whether the next array read could start now.
+    fn read_startable(&self) -> bool {
+        self.reading.is_none() && self.started < self.total && self.data_reg.is_none()
+    }
 }
 
 #[derive(Debug)]
@@ -105,8 +140,51 @@ struct DieState {
     rd_transfer_active: bool,
     /// Bytes of the active read page not yet queued on the bus.
     rd_bytes_left: u64,
-    /// Plain-read pages fully delivered.
-    rd_pages_done: usize,
+}
+
+/// A set of die indices, one bit per die.
+#[derive(Debug, Clone)]
+struct DieSet {
+    words: Vec<u64>,
+}
+
+impl DieSet {
+    fn empty(dies: usize) -> Self {
+        DieSet {
+            words: vec![0; dies.div_ceil(64)],
+        }
+    }
+
+    fn insert(&mut self, die: usize) {
+        self.words[die / 64] |= 1 << (die % 64);
+    }
+
+    fn remove(&mut self, die: usize) {
+        self.words[die / 64] &= !(1 << (die % 64));
+    }
+
+    /// Adds every die below `dies`.
+    fn insert_all(&mut self, dies: usize) {
+        self.words.fill(u64::MAX);
+        if dies % 64 != 0 {
+            *self.words.last_mut().expect("at least one die") = (1 << (dies % 64)) - 1;
+        }
+    }
+
+    /// The first member at or after `from`, wrapping past the end.
+    fn next_cyclic(&self, from: usize) -> Option<usize> {
+        let (w0, bit) = (from / 64, from % 64);
+        let at = |w: usize, bits: u64| w * 64 + bits.trailing_zeros() as usize;
+        let head = self.words[w0] & (u64::MAX << bit);
+        if head != 0 {
+            return Some(at(w0, head));
+        }
+        let later = (w0 + 1..self.words.len()).chain(0..=w0);
+        later
+            .map(|w| (w, self.words[w]))
+            .find(|&(_, bits)| bits != 0)
+            .map(|(w, bits)| at(w, bits))
+    }
 }
 
 /// Discrete-event simulator of a single flash channel.
@@ -116,12 +194,24 @@ pub struct ChannelEngine {
     wl: ChannelWorkload,
     q: EventQueue<Ev>,
     dies: Vec<DieState>,
+    /// Dies the next pass must visit (see the module docs).
+    dirty: DieSet,
+    /// Dies with read-page bytes not yet queued on the bus (sliced mode).
+    rd_pending: DieSet,
+    /// Dies per `next_round`, indexed by round modulo its length. Cores
+    /// run at most `input_prefetch` rounds ahead of the slowest, so
+    /// `input_prefetch + 1` slots never alias.
+    round_counts: Vec<usize>,
+    /// The smallest `next_round` over all dies.
+    min_round: usize,
     /// Input rounds whose broadcast transfer has been queued.
     inputs_queued: usize,
     /// Input rounds fully arrived at the cores.
     inputs_arrived: usize,
     /// Completed result transfers (rc retirement condition).
     results_done: usize,
+    /// Plain-read pages fully delivered.
+    reads_done: usize,
     /// Bus state.
     bus_inflight: Option<(Xfer, SimTime)>, // (transfer, start time)
     control_q: VecDeque<Xfer>,
@@ -134,6 +224,10 @@ pub struct ChannelEngine {
     read_finish: SimTime,
     out_slots: usize,
     t_compute: SimTime,
+    /// Dies visited by passes, summed over the run. Unit tests read it
+    /// to pin the per-event work: reports cannot show it.
+    #[cfg(test)]
+    die_visits: u64,
 }
 
 impl ChannelEngine {
@@ -185,18 +279,26 @@ impl ChannelEngine {
                 pending_results: 0,
                 rd_transfer_active: false,
                 rd_bytes_left: 0,
-                rd_pages_done: 0,
             })
             .collect();
+        let mut dirty = DieSet::empty(dies_n);
+        dirty.insert_all(dies_n);
+        let mut round_counts = vec![0; cfg.input_prefetch + 1];
+        round_counts[0] = dies_n;
         let t_compute = cfg.core.compute_time(wl.ops_per_page);
         ChannelEngine {
             cfg,
             wl,
             q: EventQueue::new(),
             dies,
+            dirty,
+            rd_pending: DieSet::empty(dies_n),
+            round_counts,
+            min_round: 0,
             inputs_queued: 0,
             inputs_arrived: 0,
             results_done: 0,
+            reads_done: 0,
             bus_inflight: None,
             control_q: VecDeque::new(),
             fifo_q: VecDeque::new(),
@@ -208,6 +310,8 @@ impl ChannelEngine {
             read_finish: SimTime::ZERO,
             out_slots,
             t_compute,
+            #[cfg(test)]
+            die_visits: 0,
         }
     }
 
@@ -217,17 +321,25 @@ impl ChannelEngine {
     ///
     /// Panics on internal deadlock (a bug, not a user error).
     pub fn run(mut self) -> ChannelReport {
+        self.event_loop();
+        self.report()
+    }
+
+    fn event_loop(&mut self) {
         self.try_advance();
         while let Some((t, ev)) = self.q.pop() {
             self.handle(t, ev);
             self.try_advance();
         }
+    }
+
+    fn report(&self) -> ChannelReport {
         assert!(
             self.done(),
             "flash channel deadlocked: {}/{} rc results, {}/{} reads",
             self.results_done,
             self.total_results(),
-            self.reads_done(),
+            self.reads_done,
             self.wl.read_pages
         );
         let finish = self.q.now();
@@ -240,7 +352,7 @@ impl ChannelEngine {
             control_bytes: self.control_bytes,
             read_bytes: self.read_bytes,
             rc_rounds_done: self.wl.rc_rounds,
-            read_pages_done: self.reads_done(),
+            read_pages_done: self.reads_done,
             events: self.q.total_popped(),
         }
     }
@@ -249,12 +361,8 @@ impl ChannelEngine {
         self.wl.rc_rounds * self.dies.len()
     }
 
-    fn reads_done(&self) -> usize {
-        self.dies.iter().map(|d| d.rd_pages_done).sum()
-    }
-
     fn done(&self) -> bool {
-        self.results_done == self.total_results() && self.reads_done() == self.wl.read_pages
+        self.results_done == self.total_results() && self.reads_done == self.wl.read_pages
     }
 
     fn handle(&mut self, t: SimTime, ev: Ev) {
@@ -264,19 +372,24 @@ impl ChannelEngine {
                 let page = pipe.reading.take().expect("array read done w/o read");
                 debug_assert!(pipe.data_reg.is_none());
                 pipe.data_reg = Some(page);
+                self.dirty.insert(die);
             }
             Ev::MoveDone { die, rc } => {
                 let pipe = self.pipe_mut(die, rc);
                 let page = pipe.moving.take().expect("move done w/o move");
                 debug_assert!(pipe.cache_reg.is_none());
                 pipe.cache_reg = Some(page);
+                self.dirty.insert(die);
             }
             Ev::ComputeDone { die } => {
                 let d = &mut self.dies[die];
                 d.core_busy = false;
                 d.rc.cache_reg = None; // core consumed the page
                 d.pending_results += 1;
+                let round = d.next_round;
                 d.next_round += 1;
+                self.advance_round_counts(round);
+                self.dirty.insert(die);
                 self.enqueue(Xfer::RcResult { die });
             }
             Ev::BusFree => {
@@ -287,6 +400,7 @@ impl ChannelEngine {
                         debug_assert_eq!(round, self.inputs_arrived);
                         self.inputs_arrived += 1;
                         self.control_bytes += self.wl.rc_input_bytes;
+                        self.dirty.insert_all(self.dies.len());
                     }
                     Xfer::RcResult { die } => {
                         self.dies[die].pending_results -= 1;
@@ -295,6 +409,7 @@ impl ChannelEngine {
                         if self.results_done == self.total_results() {
                             self.rc_finish = t;
                         }
+                        self.dirty.insert(die);
                     }
                     Xfer::ReadChunk { die, bytes, last } => {
                         self.read_bytes += bytes;
@@ -302,14 +417,30 @@ impl ChannelEngine {
                             let d = &mut self.dies[die];
                             d.rd.cache_reg = None;
                             d.rd_transfer_active = false;
-                            d.rd_pages_done += 1;
-                            if self.reads_done() == self.wl.read_pages {
+                            self.reads_done += 1;
+                            if self.reads_done == self.wl.read_pages {
                                 self.read_finish = t;
                             }
+                            self.dirty.insert(die);
                         }
                     }
                 }
             }
+        }
+    }
+
+    /// Moves one die from `round` to `round + 1` in `round_counts` and
+    /// raises `min_round` past rounds no die is on any more.
+    fn advance_round_counts(&mut self, round: usize) {
+        let slots = self.round_counts.len();
+        debug_assert!(
+            round + 1 - self.min_round < slots,
+            "die ran past the window"
+        );
+        self.round_counts[round % slots] -= 1;
+        self.round_counts[(round + 1) % slots] += 1;
+        while self.round_counts[self.min_round % slots] == 0 {
+            self.min_round += 1;
         }
     }
 
@@ -326,44 +457,59 @@ impl ChannelEngine {
     fn try_advance(&mut self) {
         let now = self.q.now();
         // 1. Channel-level: queue input broadcasts within the prefetch window.
-        let min_round = self
-            .dies
-            .iter()
-            .map(|d| d.next_round)
-            .min()
-            .unwrap_or(usize::MAX);
         while self.inputs_queued < self.wl.rc_rounds
-            && self.inputs_queued < min_round + self.cfg.input_prefetch
+            && self.inputs_queued < self.min_round + self.cfg.input_prefetch
         {
             let round = self.inputs_queued;
             self.inputs_queued += 1;
             self.enqueue(Xfer::RcInput { round });
         }
 
-        // 2. Per-die register pipelines and cores.
-        let single_plane = self.cfg.topology.planes_per_die < 2;
-        for die in 0..self.dies.len() {
-            self.advance_pipe(die, true, now, false);
-            // With one physical plane, plain reads wait for the rc stream.
-            let rd_blocked = single_plane && !self.dies[die].rc.exhausted();
-            self.advance_pipe(die, false, now, rd_blocked);
-            self.maybe_start_compute(die, now);
-            self.maybe_start_read_transfer(die);
+        // 2. Register pipelines and cores of the dirty dies, in index
+        // order. A visit re-dirties only its own die, whose bit is
+        // already cleared from the word being walked.
+        for w in 0..self.dirty.words.len() {
+            let mut bits = std::mem::take(&mut self.dirty.words[w]);
+            while bits != 0 {
+                let die = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                self.advance_die(die, now);
+            }
         }
 
         // 3. Bus.
         self.maybe_start_bus(now);
     }
 
-    fn advance_pipe(&mut self, die: usize, rc: bool, now: SimTime, blocked: bool) {
+    /// Fires the actions of one die; keeps it dirty when a register
+    /// move freed a data register the next array read now waits on.
+    fn advance_die(&mut self, die: usize, now: SimTime) {
+        #[cfg(test)]
+        {
+            self.die_visits += 1;
+        }
+        let mut again = self.advance_pipe(die, true, now, false);
+        // With one physical plane, plain reads wait for the rc stream.
+        let rd_blocked = self.cfg.topology.planes_per_die < 2 && !self.dies[die].rc.exhausted();
+        again |= self.advance_pipe(die, false, now, rd_blocked);
+        self.maybe_start_compute(die, now);
+        self.maybe_start_read_transfer(die);
+        if again {
+            self.dirty.insert(die);
+        }
+    }
+
+    /// Advances one plane; returns whether its next array read became
+    /// startable during the call (it then starts on the next pass).
+    fn advance_pipe(&mut self, die: usize, rc: bool, now: SimTime, blocked: bool) -> bool {
         if blocked {
-            return;
+            return false;
         }
         let t_r = self.cfg.timing.t_r;
         let t_move = self.cfg.timing.t_move;
         let pipe = self.pipe_mut(die, rc);
         // Start the next array read if the data register will be free.
-        if pipe.reading.is_none() && pipe.started < pipe.total && pipe.data_reg.is_none() {
+        if pipe.read_startable() {
             pipe.reading = Some(pipe.started);
             pipe.started += 1;
             self.q.schedule(now + t_r, Ev::ArrayReadDone { die, rc });
@@ -377,6 +523,7 @@ impl ChannelEngine {
                 self.q.schedule(now + t_move, Ev::MoveDone { die, rc });
             }
         }
+        self.pipe_mut(die, rc).read_startable()
     }
 
     fn maybe_start_compute(&mut self, die: usize, now: SimTime) {
@@ -404,7 +551,10 @@ impl ChannelEngine {
         if !d.rd_transfer_active && d.rd.cache_reg.is_some() {
             d.rd_transfer_active = true;
             d.rd_bytes_left = self.cfg.topology.page_bytes as u64;
-            if !self.cfg.slice.is_sliced() {
+            if self.cfg.slice.is_sliced() {
+                // Chunks are pulled on demand by the bus.
+                self.rd_pending.insert(die);
+            } else {
                 // FIFO mode: one monolithic page transaction.
                 let bytes = d.rd_bytes_left;
                 d.rd_bytes_left = 0;
@@ -414,7 +564,6 @@ impl ChannelEngine {
                     last: true,
                 });
             }
-            // Sliced mode: chunks are pulled on demand by the bus.
         }
     }
 
@@ -433,20 +582,17 @@ impl ChannelEngine {
                 return Some(x);
             }
             // Round-robin a read chunk from dies with active transfers.
-            let n = self.dies.len();
+            let die = self.rd_pending.next_cyclic(self.read_rr)?;
             let chunk = self.cfg.slice.chunk_bytes(self.cfg.topology.page_bytes) as u64;
-            for k in 0..n {
-                let die = (self.read_rr + k) % n;
-                let d = &mut self.dies[die];
-                if d.rd_transfer_active && d.rd_bytes_left > 0 {
-                    let bytes = chunk.min(d.rd_bytes_left);
-                    d.rd_bytes_left -= bytes;
-                    let last = d.rd_bytes_left == 0;
-                    self.read_rr = (die + 1) % n;
-                    return Some(Xfer::ReadChunk { die, bytes, last });
-                }
+            let d = &mut self.dies[die];
+            let bytes = chunk.min(d.rd_bytes_left);
+            d.rd_bytes_left -= bytes;
+            let last = d.rd_bytes_left == 0;
+            if last {
+                self.rd_pending.remove(die);
             }
-            None
+            self.read_rr = (die + 1) % self.dies.len();
+            Some(Xfer::ReadChunk { die, bytes, last })
         } else {
             self.fifo_q.pop_front()
         }
@@ -628,6 +774,33 @@ mod tests {
         let rep = ChannelEngine::new(cfg, s_workload(10, 10)).run();
         assert_eq!(rep.rc_rounds_done, 10);
         assert_eq!(rep.read_pages_done, 10);
+    }
+
+    /// A pass visits only the dies an event touched. At 256 dies on one
+    /// channel a scan of every die would visit 256 per event; the
+    /// dirty set must stay within a few, for every workload kind and
+    /// both slice policies.
+    #[test]
+    fn passes_visit_few_dies_per_event_at_256_dies() {
+        for slice in [SlicePolicy::default(), SlicePolicy::Unsliced] {
+            for wl in [
+                s_workload(6, 0),
+                ChannelWorkload::read_only(768),
+                s_workload(6, 768),
+            ] {
+                let mut cfg = EngineConfig::paper(Topology::custom(1, 128));
+                cfg.slice = slice;
+                let mut engine = ChannelEngine::new(cfg, wl);
+                engine.event_loop();
+                let events = engine.q.total_popped();
+                let per_event = engine.die_visits as f64 / events as f64;
+                assert!(
+                    per_event <= 4.0,
+                    "{slice:?} {wl:?}: {} die visits over {events} events",
+                    engine.die_visits
+                );
+            }
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@ build:
 
 # The tier-1 verify: release build plus the full test suite.
 test: build
-    cargo test -q
+    cargo test -q --locked
 
 # The repo benchmark's self-tests, built against the workspace crates:
 # a public-API change that breaks the benchmark fails here.

@@ -7,6 +7,7 @@
 
 use cambricon_llm_repro::prelude::*;
 use flash_sim::FlashAge;
+use llm_workload::RequestArrival;
 use proptest::prelude::*;
 use sim_core::{Samples, SimTime};
 
@@ -140,6 +141,48 @@ fn fault_streams_differ_across_replicas() {
     );
 }
 
+/// A deadline shed after the last completion ends the cluster
+/// makespan, as it ends the replica's: a one-replica fleet spans its
+/// replica's makespan plus both hops, whatever the hop cost.
+#[test]
+fn cluster_makespan_covers_a_late_shed() {
+    let at_zero = |tokens| RequestArrival {
+        at: SimTime::ZERO,
+        shape: RequestShape::new(64, tokens),
+    };
+    let alone =
+        device(PrefillMode::Off).run(&ArrivalTrace::Open(vec![at_zero(40)]), SchedulePolicy::Fcfs);
+    let token_time = alone.makespan.as_picos() / 40;
+    let fc = FaultConfig::aged(FlashAge::fresh())
+        .with_deadlines(None, Some(SimTime::from_picos(6 * token_time)));
+    let trace = ArrivalTrace::Open(vec![at_zero(2), at_zero(40)]);
+    for hop_us in [0, 20] {
+        let interconnect = Interconnect::symmetric(SimTime::from_micros(hop_us));
+        let fleet = FleetEngine::new(
+            device(PrefillMode::Off).with_faults(FaultMode::Injected(fc)),
+            1,
+        )
+        .with_interconnect(interconnect)
+        .run(&trace, SchedulePolicy::Fcfs);
+        let replica = &fleet.per_replica[0];
+        assert_eq!(replica.requests_served, 1);
+        assert_eq!(replica.reliability.deadline_sheds, 1);
+        let shed = replica
+            .reliability
+            .last_shed
+            .expect("the long request is shed");
+        assert!(
+            shed > replica.requests[0].finished,
+            "the shed is the last exit"
+        );
+        assert_eq!(
+            fleet.makespan,
+            replica.makespan + interconnect.dispatch_hop + interconnect.response_hop,
+            "{hop_us} us hops"
+        );
+    }
+}
+
 /// Recomputes the replica-major merge of a [`FleetReport`] from its
 /// `per_replica` reports, in the exact operation order the engine
 /// uses, so equality is bit-for-bit.
@@ -148,17 +191,20 @@ fn remerge(report: &FleetReport) -> (usize, u64, u64, SimTime, f64, [f64; 5], f6
     let mut ttft = Samples::new();
     let mut token_latency = Samples::new();
     let mut first_arrival: Option<SimTime> = None;
-    let mut last_response = SimTime::ZERO;
+    let mut last_exit = SimTime::ZERO;
     for rep in &report.per_replica {
+        if let Some(shed) = rep.reliability.last_shed {
+            last_exit = last_exit.max(shed + report.interconnect.response_hop);
+        }
         for r in &rep.requests {
             ttft.push((r.ttft() + round_trip).as_secs_f64());
             token_latency.push(r.mean_token_latency().as_secs_f64());
             let at_cluster = r.arrived.saturating_sub(report.interconnect.dispatch_hop);
             first_arrival = Some(first_arrival.map_or(at_cluster, |f| f.min(at_cluster)));
-            last_response = last_response.max(r.finished + report.interconnect.response_hop);
+            last_exit = last_exit.max(r.finished + report.interconnect.response_hop);
         }
     }
-    let makespan = first_arrival.map_or(SimTime::ZERO, |f| last_response.saturating_sub(f));
+    let makespan = first_arrival.map_or(SimTime::ZERO, |f| last_exit.saturating_sub(f));
     let horizon = makespan.as_secs_f64();
     let requests: usize = report.per_replica.iter().map(|r| r.requests_served).sum();
     let tokens: u64 = report.per_replica.iter().map(|r| r.tokens_served).sum();

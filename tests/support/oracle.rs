@@ -247,6 +247,7 @@ impl Ladder {
             ttft_timeouts: self.ttft_timeouts,
             deadline_sheds: self.deadline_sheds,
             shed_tokens: self.shed_tokens,
+            last_shed: self.last_shed,
             goodput_requests: self.goodput_requests,
             goodput_tokens: self.goodput_tokens,
             deadline_goodput_tps: 0.0,
