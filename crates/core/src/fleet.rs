@@ -296,6 +296,15 @@ impl FleetEngine {
         let mut first_arrival: Option<SimTime> = None;
         let mut last_exit = SimTime::ZERO;
         for rep in &per_replica {
+            // The replica's service starts at its first admitted
+            // arrival, shed or not: its makespan runs from there to its
+            // last completion or shed. The cluster saw that arrival one
+            // dispatch hop earlier.
+            let replica_end = rep.requests.last().map(|r| r.finished);
+            if let Some(end) = replica_end.max(rep.reliability.last_shed) {
+                let start = (end - rep.makespan).saturating_sub(self.interconnect.dispatch_hop);
+                first_arrival = Some(first_arrival.map_or(start, |f| f.min(start)));
+            }
             // A shed is answered over the return hop like a completion,
             // and the replica's work on it stays inside the horizon.
             if let Some(shed) = rep.reliability.last_shed {
@@ -304,10 +313,6 @@ impl FleetEngine {
             for r in &rep.requests {
                 ttft.push((r.ttft() + round_trip).as_secs_f64());
                 token_latency.push(r.mean_token_latency().as_secs_f64());
-                // The replica saw the arrival one dispatch hop after
-                // the cluster did; responses pay the return hop.
-                let at_cluster = r.arrived.saturating_sub(self.interconnect.dispatch_hop);
-                first_arrival = Some(first_arrival.map_or(at_cluster, |f| f.min(at_cluster)));
                 last_exit = last_exit.max(r.finished + self.interconnect.response_hop);
             }
         }

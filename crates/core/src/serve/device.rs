@@ -1,7 +1,7 @@
 //! The device component: one flash/NPU device's entire event loop.
 //!
 //! [`DeviceEngine`] owns everything that happens *inside* one device —
-//! the request pool, ready queues, span coalescing, fault windows and
+//! the request pool, ready sets, span coalescing, fault windows and
 //! prefill holds. Traces are fed in from the outside (a whole trace for
 //! a single device, a routed sub-trace per replica under
 //! [`crate::fleet`]), and the device runs its own specialized event
@@ -11,18 +11,21 @@
 //! run, report accumulators — lives in a [`DeviceRun`], built once and
 //! turned into the report once. Two event loops drive it:
 //!
-//! * [`Simulation`], the per-op loop for FCFS and round-robin. It is
+//! * [`Simulation`], the per-op loop for FCFS and round-robin, generic
+//!   over the policy's [`ReadySet`], the one queue of the run. It is
 //!   the reference semantics ([`SpanMode::PerOp`]) and, with spans on,
 //!   the dispatcher for two fast paths: **solo spans**
 //!   ([`DeviceRun::run_solo_span`]), which price a lone request's whole
 //!   tokens with a few adds, and the **replay loop**
 //!   ([`run_interleaved`]), which re-executes the multi-request steady
-//!   state between arrivals without the event core or heaps.
+//!   state between arrivals without the event core.
 //! * [`BatchedSimulation`], the continuous-batching loop. It runs the
 //!   batch in bulk-priced spans of whole batch steps; under
-//!   [`SpanMode::PerOp`] each span is one step. Its independent
-//!   reference is the naive oracle in `tests/support/oracle.rs`, which
-//!   shares none of this module's structures.
+//!   [`SpanMode::PerOp`] each span is one step.
+//!
+//! Every path of both loops is pinned to the naive oracle in
+//! `tests/support/oracle.rs`, which shares none of this module's
+//! structures.
 //!
 //! Everything here is an implementation detail of the serving model
 //! documented on [`crate::serve`]; the public surface is
@@ -41,46 +44,6 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
 use super::{PrefillMode, RequestReport, SchedulePolicy, ServeReport, SpanMode};
-
-/// The scheduler's ready queues: per resource, a priority heap of the
-/// requests whose next op is waiting for that resource.
-///
-/// Used by the per-op interleaving policies (FCFS, round-robin): every
-/// arrival whose context fits in DRAM is admitted immediately and
-/// enqueued here. The batched policy keeps its own FIFO admission
-/// queue instead ([`BatchedSimulation`]). Entries carry the
-/// active policy's priority key, computed **at enqueue time** — exact
-/// because both policies' keys (FCFS arrival time, round-robin
-/// last-scheduled stamp) cannot change while a request waits — so a
-/// freed resource pops its winner in O(log n) instead of scanning.
-#[derive(Debug, Default)]
-pub(crate) struct RequestQueue {
-    ready: [BinaryHeap<Reverse<(u64, u64)>>; 2],
-}
-
-impl RequestQueue {
-    #[inline]
-    fn enqueue(&mut self, class_slot: usize, key: u64, id: usize) {
-        self.ready[class_slot].push(Reverse((key, id as u64)));
-    }
-
-    /// Removes and returns the waiting request minimizing `(key, id)`.
-    #[inline]
-    fn pop_min(&mut self, class_slot: usize) -> Option<usize> {
-        let Reverse((_, id)) = self.ready[class_slot].pop()?;
-        Some(id as usize)
-    }
-
-    /// Total requests waiting across both resources.
-    fn len(&self) -> usize {
-        self.ready.iter().map(BinaryHeap::len).sum()
-    }
-
-    /// Whether no request is waiting.
-    fn is_empty(&self) -> bool {
-        self.ready.iter().all(BinaryHeap::is_empty)
-    }
-}
 
 /// A multi-request serving engine over one simulated device.
 #[derive(Debug, Clone)]
@@ -216,7 +179,8 @@ impl DeviceEngine {
                 assert!(max_batch >= 1, "a batch must hold at least one request");
                 BatchedSimulation::new(self, trace, max_batch, system).run()
             }
-            _ => Simulation::new(self, trace, policy, system).run(),
+            SchedulePolicy::Fcfs => Simulation::<FcfsReady>::new(self, trace, system).run(),
+            SchedulePolicy::RoundRobin => Simulation::<RrReady>::new(self, trace, system).run(),
         }
     }
 }
@@ -231,19 +195,16 @@ const MAX_DEP_SLOTS: usize = 4;
 /// materialization plus cost derivation.
 #[derive(Debug)]
 struct PlanTable {
-    /// Resource class of each plan position.
-    classes: Vec<OpClass>,
-    /// `slot(classes[idx])` per plan position — the resource index the
-    /// interleaved fast loop reads per op (a load instead of a match).
+    /// Resource index ([`FLASH`] or [`NPU`]) of each plan position.
     class_slots: Vec<u8>,
-    /// Per-op dispatch latency in picoseconds for the fast loop, built
-    /// once the invariant slots are priced: invariant positions carry
-    /// their latency directly; seq-dependent positions carry
-    /// `u64::MAX - dep_index` (never a real latency), telling the
-    /// dispatcher to read the member's own attention pricing instead.
-    fast_lat: Vec<u64>,
-    /// Cost slot of each plan position.
-    slots: Vec<u32>,
+    /// Dispatch latency of each plan position in picoseconds, filled by
+    /// [`price_invariant`] (empty until then: pricing is lazy so an
+    /// empty trace prices nothing): an invariant position carries its
+    /// slot's latency; a seq-dependent position carries
+    /// `u64::MAX - dep_index` (never a real latency), telling
+    /// [`op_latency`] to read the request's own attention pricing
+    /// instead.
+    pos_lat: Vec<u64>,
     /// Latency per seq-invariant slot (indices `0..n_inv`).
     inv_lat: Vec<SimTime>,
     n_inv: usize,
@@ -279,9 +240,6 @@ struct PlanTable {
     inv_flash_ops: Vec<u64>,
     /// Weight GeMVs per token (for GeMV-cache recall accounting).
     gemvs_per_token: u64,
-    /// Whether the invariant slots have been priced yet (done lazily so
-    /// an empty trace prices nothing, like the engine it replaced).
-    priced: bool,
     /// Memoized cumulative attention prices by sequence position, grown
     /// on demand: pricing a position a second time (another member of a
     /// cohort, another span probe) is two table reads instead of three
@@ -303,13 +261,16 @@ struct AttnPoint {
 
 impl PlanTable {
     fn new(plan: &TokenPlan) -> Self {
-        let classes: Vec<OpClass> = (0..plan.len())
-            .map(|idx| OpClass::of(&plan.op_at(idx, 0)))
+        let class_slots: Vec<u8> = (0..plan.len())
+            .map(|idx| match OpClass::of(&plan.op_at(idx, 0)) {
+                OpClass::Flash => FLASH as u8,
+                OpClass::Npu => NPU as u8,
+            })
             .collect();
         let gemvs_per_token = plan.weight_ops_per_token() as u64;
         debug_assert_eq!(
             gemvs_per_token,
-            classes.iter().filter(|c| **c == OpClass::Flash).count() as u64,
+            class_slots.iter().filter(|&&c| c == FLASH as u8).count() as u64,
             "plan's weight positions disagree with the op classification"
         );
         let n_inv = plan.invariant_slots();
@@ -323,12 +284,8 @@ impl PlanTable {
             *count = plan.slot_count(n_inv + d) as u64;
         }
         PlanTable {
-            class_slots: classes.iter().map(|c| slot(*c) as u8).collect(),
-            fast_lat: Vec::new(),
-            classes,
-            slots: (0..plan.len())
-                .map(|idx| plan.cost_slot(idx) as u32)
-                .collect(),
+            class_slots,
+            pos_lat: Vec::new(),
             inv_lat: vec![SimTime::ZERO; n_inv],
             n_inv,
             n_dep,
@@ -343,38 +300,48 @@ impl PlanTable {
             inv_npu_ops: vec![0; n_inv],
             inv_flash_ops: vec![0; n_inv],
             gemvs_per_token,
-            priced: false,
             attn: AttnPrefix::new(),
         }
     }
-
-    /// Builds [`PlanTable::fast_lat`] from the priced invariant slots.
-    /// Idempotent; the invariant prices never change once set.
-    fn build_fast_lat(&mut self) {
-        if self.fast_lat.len() == self.slots.len() {
-            return;
-        }
-        debug_assert!(self.priced, "fast_lat needs priced invariant slots");
-        self.fast_lat = self
-            .slots
-            .iter()
-            .map(|&s| {
-                let s = s as usize;
-                if s < self.n_inv {
-                    let lat = self.inv_lat[s].as_picos();
-                    debug_assert!(lat < DEP_LAT_MARK, "latency collides with dep marker");
-                    lat
-                } else {
-                    u64::MAX - (s - self.n_inv) as u64
-                }
-            })
-            .collect();
-    }
 }
 
-/// `fast_lat` values at or above this are seq-dependent-slot markers
-/// (`u64::MAX - dep_index`), not latencies.
+/// [`PlanTable::pos_lat`] values at or above this are seq-dependent-slot
+/// markers (`u64::MAX - dep_index`), not latencies.
 const DEP_LAT_MARK: u64 = u64::MAX - MAX_DEP_SLOTS as u64;
+
+/// Latency of request `id`'s current op, which runs on resource `rs`:
+/// the plan position's price (the request's own attention price at an
+/// attention position) plus, on flash with faults on, the fault time
+/// its token has not spent yet — the token's sampled fault time rides
+/// on its first flash dispatch. The one pricing rule of both per-op
+/// dispatchers.
+#[inline(always)]
+fn op_latency(
+    table: &PlanTable,
+    requests: &mut RequestPool,
+    id: usize,
+    rs: usize,
+    faults_on: bool,
+) -> SimTime {
+    let idx = requests.cursor[id].index();
+    debug_assert_eq!(
+        table.class_slots[idx] as usize, rs,
+        "ready list / op class mismatch"
+    );
+    let lat = table.pos_lat[idx];
+    let mut latency = if lat >= DEP_LAT_MARK {
+        requests.dep_lat[id][(u64::MAX - lat) as usize]
+    } else {
+        SimTime::from_picos(lat)
+    };
+    if faults_on && rs == FLASH {
+        let extra = std::mem::take(&mut requests.fault_extra[id]);
+        if extra > 0 {
+            latency += SimTime::from_picos(extra);
+        }
+    }
+    latency
+}
 
 /// Branch-layout hint: calling this marks the enclosing block cold, so
 /// the replay loop's rare arms (one token boundary per `n_ops` events)
@@ -426,12 +393,12 @@ fn attn_at(
     (lat, hi.traffic.difference(&lo.traffic))
 }
 
-/// Prices the seq-invariant slots once, filling the latency table and
+/// Prices the seq-invariant slots once, filling the latency tables and
 /// both traffic views (serial total for the unbatched engines, the
 /// stream/per-request split for batched steps). Lazy so an empty trace
 /// prices nothing, like the engine it replaced.
 fn price_invariant(system: &mut System, plan: &TokenPlan, table: &mut PlanTable) {
-    if table.priced {
+    if !table.pos_lat.is_empty() {
         return;
     }
     for s in 0..table.n_inv {
@@ -468,7 +435,16 @@ fn price_invariant(system: &mut System, plan: &TokenPlan, table: &mut PlanTable)
                 .absorb_scaled(&cost.traffic, count);
         }
     }
-    table.priced = true;
+    table.pos_lat = (0..plan.len())
+        .map(|idx| match plan.cost_slot(idx) {
+            s if s < table.n_inv => {
+                let lat = table.inv_lat[s].as_picos();
+                debug_assert!(lat < DEP_LAT_MARK, "latency collides with dep marker");
+                lat
+            }
+            s => u64::MAX - (s - table.n_inv) as u64,
+        })
+        .collect();
 }
 
 /// Where a request sits in its lifecycle: the serving state machine
@@ -601,6 +577,15 @@ impl RequestPool {
         id
     }
 
+    /// Records a dispatch of `id` at `now` under dispatch stamp `stamp`:
+    /// the stamp becomes its round-robin key, and its first dispatch
+    /// starts its service.
+    #[inline(always)]
+    fn note_dispatch(&mut self, id: usize, stamp: u64, now: SimTime) {
+        self.last_scheduled[id] = stamp;
+        self.cold[id].started.get_or_insert(now);
+    }
+
     /// Tokens generated so far — the report-facing complement of
     /// [`RequestPool::remaining`].
     fn tokens_done(&self, id: usize) -> usize {
@@ -671,12 +656,14 @@ impl EventCore {
         self.op_done[class_slot].is_some()
     }
 
-    /// Earliest pending arrival's timestamp (picoseconds), if any —
-    /// the next externally imposed scheduling boundary a coalesced
-    /// span must respect.
+    /// `(time_ps, stamp)` of the earliest pending arrival, `u64::MAX`
+    /// pairs when none — the next externally imposed scheduling
+    /// boundary a span or the replay loop must respect.
     #[inline]
-    fn next_arrival_ps(&self) -> Option<u64> {
-        self.arrivals.peek().map(|&Reverse((at, _, _))| at)
+    fn next_arrival(&self) -> (u64, u64) {
+        self.arrivals
+            .peek()
+            .map_or((u64::MAX, u64::MAX), |&Reverse((at, st, _))| (at, st))
     }
 
     /// Advances the schedule stamp by `n` without scheduling anything.
@@ -775,6 +762,11 @@ struct DeviceRun<'a> {
     /// use it to see that a span engaged: reports cannot show that.
     #[cfg(test)]
     solo_spans: Vec<(usize, usize, usize)>,
+    /// Ops dispatched inside the replay loop ([`run_interleaved`]).
+    /// Filled only in unit tests, which use it to see that the loop
+    /// engaged: reports cannot show that either.
+    #[cfg(test)]
+    replay_ops: u64,
 }
 
 impl<'a> DeviceRun<'a> {
@@ -839,6 +831,8 @@ impl<'a> DeviceRun<'a> {
             faults,
             #[cfg(test)]
             solo_spans: Vec::new(),
+            #[cfg(test)]
+            replay_ops: 0,
         }
     }
 
@@ -1100,12 +1094,10 @@ impl<'a> PrefillState<'a> {
     }
 }
 
-fn slot(class: OpClass) -> usize {
-    match class {
-        OpClass::Flash => 0,
-        OpClass::Npu => 1,
-    }
-}
+/// Resource index of the flash device.
+const FLASH: usize = 0;
+/// Resource index of the NPU.
+const NPU: usize = 1;
 
 /// Event-core sentinel: the NPU-side hold of an in-flight prefill. A
 /// prefill occupies both resources; its completion event lives on the
@@ -1263,14 +1255,17 @@ impl DeviceRun<'_> {
             faults,
             ..
         } = self;
-        debug_assert!(table.priced, "a begun token implies a priced table");
+        debug_assert!(
+            !table.pos_lat.is_empty(),
+            "a begun token implies a priced table"
+        );
         debug_assert_eq!(
             requests.cursor[id].index(),
             0,
             "span starts at a token boundary"
         );
         let n_ops = plan.len();
-        let next_arrival = ev.next_arrival_ps();
+        let (next_arrival, _) = ev.next_arrival();
         let remaining = requests.remaining[id];
         let mut lats: Vec<SimTime> = Vec::with_capacity(remaining.min(*span_cap).min(4096));
         let mut t = now;
@@ -1295,7 +1290,7 @@ impl DeviceRun<'_> {
                 lat += dep_lat * table.dep_counts[d];
             }
             let end = t + lat;
-            if next_arrival.is_some_and(|ta| end.as_picos() > ta) {
+            if end.as_picos() > next_arrival {
                 // The token would overlap the arrival: leave it per-op.
                 break;
             }
@@ -1319,7 +1314,7 @@ impl DeviceRun<'_> {
             if k == remaining || k >= *span_cap {
                 break;
             }
-            if next_arrival == Some(t.as_picos()) {
+            if t.as_picos() == next_arrival {
                 // An arrival lands exactly on this boundary; it must see
                 // the engine at the boundary, so the span stops here.
                 break;
@@ -1360,11 +1355,7 @@ impl DeviceRun<'_> {
         // stamp) per op of every coalesced token.
         let elided = (k * n_ops) as u64;
         *stamp += elided;
-        requests.last_scheduled[id] = *stamp;
-        let started = &mut requests.cold[id].started;
-        if started.is_none() {
-            *started = Some(now);
-        }
+        requests.note_dispatch(id, *stamp, now);
         // Interior boundaries: every token but the last retires inline.
         let mut tb = now;
         for &lat in &lats[..k - 1] {
@@ -1383,169 +1374,159 @@ impl DeviceRun<'_> {
         let flash_busy = table.solo_flash_lat * k as u64 + SimTime::from_picos(span_fault_extra);
         busy_track[0].add_interval(now, now + flash_busy);
         busy_track[1].add_interval(now, now + ((t - now) - flash_busy));
-        ev.schedule_op(slot(table.classes[n_ops - 1]), t, id);
+        ev.schedule_op(table.class_slots[n_ops - 1] as usize, t, id);
         ev.bump_stamp(elided - 1);
         k
     }
 }
 
-/// Ready-set interface of the interleaved replay loop
-/// ([`run_interleaved`]): a policy-specialized stand-in for
-/// [`RequestQueue`] whose operations avoid per-op heap churn.
+/// A per-op policy's ready set: per resource, the admitted requests
+/// whose next op waits for that resource, popped in ascending
+/// `(key, id)` order. The FCFS key is the arrival time; the
+/// round-robin key is the last-scheduled dispatch stamp, 0 before the
+/// first dispatch. One set lives for the whole run: the general loop
+/// ([`Simulation`]), its solo-span check and the replay loop
+/// ([`run_interleaved`]) all enqueue into it and pop from it.
 ///
-/// Implementations must reproduce `RequestQueue`'s pop order exactly
-/// under the replay loop's **fixed-membership discipline**: the member
-/// set is frozen at entry (only members and their re-enqueues flow
-/// through), and each policy's key law holds — FCFS keys are static
-/// per member, round-robin keys strictly increase along each enqueue
-/// source.
-trait FastReady {
+/// Neither key changes while a request waits, so each policy orders its
+/// members by a law of its own instead of a heap: FCFS ranks a request
+/// once, at admission, and round-robin relies on each resource
+/// completing its ops in dispatch-stamp order. The independent check of
+/// the pop order is the oracle in `tests/support/oracle.rs`.
+trait ReadySet: Default {
+    /// The policy the set implements.
+    const POLICY: SchedulePolicy;
     /// Whether a member popped as the minimum stays the minimum for as
-    /// long as the member set and every key are unchanged (true for
+    /// long as the membership and every key are unchanged (true for
     /// FCFS, whose keys are static; false for round-robin, whose
-    /// rotation re-keys every dispatch). Inside a frozen-membership
-    /// stretch this licenses redispatching the completing member
-    /// without touching the ready structure.
+    /// rotation re-keys every dispatch). Inside a single-resource
+    /// stretch of the replay loop this licenses redispatching the
+    /// completing member without touching the set.
     const RETAINS_MIN: bool;
-    /// Queues member `id` for resource `rs`. `src` is the resource
-    /// whose completion triggered the enqueue and `key` the policy key
-    /// at enqueue time (what the general loop's `ready_key` computes).
+    /// Admits request `id`, which arrived at `arrived_ps`, and queues
+    /// it for resource `rs`. Admissions come in ascending
+    /// `(arrival, id)` order: ids and arrival events are handed out
+    /// together, in push order, and arrivals fire in `(time, push)`
+    /// order.
+    fn admit(&mut self, rs: usize, arrived_ps: u64, id: u32);
+    /// Re-queues member `id` for resource `rs` after its op on resource
+    /// `src` completed; `key` is its last-scheduled stamp, the stamp of
+    /// that op's dispatch.
     fn enqueue(&mut self, rs: usize, src: usize, key: u64, id: u32);
-    /// Removes and returns the queued member minimizing `(key, id)`
-    /// for `rs` — the [`RequestQueue::pop_min`] contract.
+    /// The queued member minimizing `(key, id)` for `rs`.
+    fn peek_min(&self, rs: usize) -> Option<u32>;
+    /// Removes and returns [`ReadySet::peek_min`].
     fn pop_min(&mut self, rs: usize) -> Option<u32>;
-    /// Entry: drains the general loop's heaps into the ready set (the
-    /// in-flight ops of `ev` complete the member set) and returns the
-    /// queued count per resource.
-    fn begin(
-        &mut self,
-        ready: &mut RequestQueue,
-        ev: &EventCore,
-        requests: &RequestPool,
-    ) -> [usize; 2];
-    /// Exit: pushes the still-queued members back into the heaps with
-    /// the keys the general loop would have given them, and resets the
-    /// set for the next entry.
-    fn finish(&mut self, ready: &mut RequestQueue, requests: &RequestPool);
+    /// Members queued for `rs`.
+    fn queued(&self, rs: usize) -> usize;
 }
 
-/// FCFS ready-set for the replay loop: arrival keys are static, so the
-/// members are ranked once at entry (ascending `(arrived, id)` — the
-/// heap's exact order) and each resource's ready set is a rank-indexed
-/// bitmask. Pop-min is a trailing-zeros scan; enqueue sets one bit.
+/// FCFS ready set. Arrival keys are static and admissions come in key
+/// order, so a request's rank is its admission index, assigned once,
+/// and each resource's set is a rank-indexed bitmask. Enqueue sets one
+/// bit. Pop-min is a trailing-zeros scan from the lowest word that can
+/// hold a bit, so it walks the live rank window, not every request
+/// admitted so far.
 #[derive(Debug, Default)]
 struct FcfsReady {
     /// Member id per rank.
     order: Vec<u32>,
-    /// id → rank, dense over the request pool. Member entries are
-    /// reset at writeback; anything else is never read.
+    /// id → rank, dense over the admitted ids.
     rank: Vec<u32>,
     /// Rank-indexed ready bits per resource.
     mask: [Vec<u64>; 2],
-    /// Entry scratch: `(key, id)` of every member, heap order.
-    members: Vec<(u64, u32)>,
-    /// Entry scratch: `(resource, id)` of the initially queued members.
-    queued: Vec<(u8, u32)>,
+    /// Per resource, a word index with no ready bit below it.
+    lo: [usize; 2],
+    queued: [usize; 2],
+    /// Arrival of the latest admission, for the order check.
+    last_arrival: u64,
 }
 
-impl FastReady for FcfsReady {
-    const RETAINS_MIN: bool = true;
-
-    /// Drains the heaps, ranks every member (queued and in-flight),
-    /// and seeds the masks. Returns the queued count per resource.
-    fn begin(
-        &mut self,
-        ready: &mut RequestQueue,
-        ev: &EventCore,
-        requests: &RequestPool,
-    ) -> [usize; 2] {
-        debug_assert!(self.order.is_empty() && self.members.is_empty());
-        let mut n = [0usize; 2];
-        for (rs, count) in n.iter_mut().enumerate() {
-            while let Some(Reverse((key, id))) = ready.ready[rs].pop() {
-                self.members.push((key, id as u32));
-                self.queued.push((rs as u8, id as u32));
-                *count += 1;
-            }
-        }
-        for slot_ev in &ev.op_done {
-            if let Some((_, _, id)) = *slot_ev {
-                self.members
-                    .push((requests.cold[id as usize].arrived.as_picos(), id));
-            }
-        }
-        self.members.sort_unstable();
-        if self.rank.len() < requests.phase.len() {
-            self.rank.resize(requests.phase.len(), u32::MAX);
-        }
-        for (r, &(_, id)) in self.members.iter().enumerate() {
-            self.rank[id as usize] = r as u32;
-            self.order.push(id);
-        }
-        let words = self.members.len().div_ceil(64);
-        for m in &mut self.mask {
-            m.clear();
-            m.resize(words, 0);
-        }
-        for i in 0..self.queued.len() {
-            let (rs, id) = self.queued[i];
-            let r = self.rank[id as usize] as usize;
-            self.mask[rs as usize][r / 64] |= 1u64 << (r % 64);
-        }
-        n
+impl FcfsReady {
+    #[inline(always)]
+    fn set(&mut self, rs: usize, r: usize) {
+        let w = r / 64;
+        self.mask[rs][w] |= 1u64 << (r % 64);
+        self.lo[rs] = self.lo[rs].min(w);
+        self.queued[rs] += 1;
     }
 
-    /// Pushes the still-queued members back into the heaps (their keys
-    /// are static, so re-push order is irrelevant to pop order) and
-    /// resets the member ranks for the next entry.
-    fn finish(&mut self, ready: &mut RequestQueue, requests: &RequestPool) {
-        for rs in 0..2 {
-            for w in 0..self.mask[rs].len() {
-                let mut word = self.mask[rs][w];
-                while word != 0 {
-                    let r = w * 64 + word.trailing_zeros() as usize;
-                    word &= word - 1;
-                    let id = self.order[r] as usize;
-                    ready.enqueue(rs, requests.cold[id].arrived.as_picos(), id);
-                }
+    /// Word and bit of the lowest queued rank for `rs`.
+    #[inline(always)]
+    fn first(&self, rs: usize) -> Option<(usize, usize)> {
+        if self.queued[rs] == 0 {
+            return None;
+        }
+        let mask = &self.mask[rs];
+        let mut w = self.lo[rs];
+        while mask[w] == 0 {
+            w += 1;
+        }
+        Some((w, mask[w].trailing_zeros() as usize))
+    }
+}
+
+impl ReadySet for FcfsReady {
+    const POLICY: SchedulePolicy = SchedulePolicy::Fcfs;
+    const RETAINS_MIN: bool = true;
+
+    fn admit(&mut self, rs: usize, arrived_ps: u64, id: u32) {
+        debug_assert!(
+            self.order
+                .last()
+                .map_or(true, |&prev| (self.last_arrival, prev) < (arrived_ps, id)),
+            "admissions out of (arrival, id) order"
+        );
+        self.last_arrival = arrived_ps;
+        let r = self.order.len();
+        self.order.push(id);
+        let i = id as usize;
+        if self.rank.len() <= i {
+            self.rank.resize(i + 1, u32::MAX);
+        }
+        self.rank[i] = r as u32;
+        if r % 64 == 0 {
+            for m in &mut self.mask {
+                m.push(0);
             }
-            self.mask[rs].clear();
         }
-        for &id in &self.order {
-            self.rank[id as usize] = u32::MAX;
-        }
-        self.order.clear();
-        self.members.clear();
-        self.queued.clear();
+        self.set(rs, r);
     }
 
     #[inline]
     fn enqueue(&mut self, rs: usize, _src: usize, _key: u64, id: u32) {
         let r = self.rank[id as usize] as usize;
         debug_assert_ne!(r, u32::MAX as usize, "enqueue of a non-member");
-        self.mask[rs][r / 64] |= 1u64 << (r % 64);
+        self.set(rs, r);
+    }
+
+    #[inline]
+    fn peek_min(&self, rs: usize) -> Option<u32> {
+        let (w, b) = self.first(rs)?;
+        Some(self.order[w * 64 + b])
     }
 
     #[inline]
     fn pop_min(&mut self, rs: usize) -> Option<u32> {
-        for (w, word) in self.mask[rs].iter_mut().enumerate() {
-            if *word != 0 {
-                let b = word.trailing_zeros() as usize;
-                *word &= *word - 1;
-                return Some(self.order[w * 64 + b]);
-            }
-        }
-        None
+        let (w, b) = self.first(rs)?;
+        self.mask[rs][w] &= !(1u64 << b);
+        self.lo[rs] = w;
+        self.queued[rs] -= 1;
+        Some(self.order[w * 64 + b])
+    }
+
+    #[inline]
+    fn queued(&self, rs: usize) -> usize {
+        self.queued[rs]
     }
 }
 
-/// One ascending FIFO lane of the round-robin replay ready-set: a
-/// power-of-two ring whose front key is cached in a register-friendly
-/// field (`u64::MAX` when empty), so the three-way pop-min compares
-/// three plain loads. Head and tail grow monotonically and are masked
-/// on access; live entries never exceed the member count the ring was
-/// sized for.
-#[derive(Debug, Default)]
+/// One ascending FIFO lane of the round-robin ready set: a power-of-two
+/// ring whose front key is cached in a register-friendly field
+/// (`u64::MAX` when empty), so pop-min compares plain loads. Head and
+/// tail grow monotonically and are masked on access; a full ring
+/// doubles.
+#[derive(Debug)]
 struct RrLane {
     key: Vec<u64>,
     id: Vec<u32>,
@@ -1557,24 +1538,27 @@ struct RrLane {
     front: u64,
 }
 
-impl RrLane {
-    fn reset(&mut self, cap: usize) {
-        let cap = cap.next_power_of_two().max(4);
-        if self.key.len() < cap {
-            self.key.resize(cap, 0);
-            self.id.resize(cap, 0);
+impl Default for RrLane {
+    fn default() -> Self {
+        RrLane {
+            key: Vec::new(),
+            id: Vec::new(),
+            head: 0,
+            tail: 0,
+            mask: 0,
+            front: u64::MAX,
         }
-        self.mask = self.key.len() - 1;
-        self.head = 0;
-        self.tail = 0;
-        self.front = u64::MAX;
     }
+}
 
+impl RrLane {
     #[inline]
     fn push(&mut self, key: u64, id: u32) {
-        debug_assert!(self.tail - self.head <= self.mask, "lane overflow");
+        if self.tail - self.head == self.key.len() {
+            self.grow();
+        }
         debug_assert!(
-            self.head == self.tail || key >= self.key[(self.tail - 1) & self.mask],
+            self.head == self.tail || key > self.key[(self.tail - 1) & self.mask],
             "lane keys must ascend"
         );
         if self.head == self.tail {
@@ -1586,11 +1570,37 @@ impl RrLane {
         self.tail += 1;
     }
 
+    /// Doubles the ring (at least 4 entries), keeping the queued
+    /// entries in order.
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self) {
+        let n = self.tail - self.head;
+        let cap = (2 * n).max(4);
+        let mut key = Vec::with_capacity(cap);
+        let mut id = Vec::with_capacity(cap);
+        for i in self.head..self.tail {
+            key.push(self.key[i & self.mask]);
+            id.push(self.id[i & self.mask]);
+        }
+        key.resize(cap, 0);
+        id.resize(cap, 0);
+        self.key = key;
+        self.id = id;
+        self.head = 0;
+        self.tail = n;
+        self.mask = cap - 1;
+    }
+
+    #[inline]
+    fn peek(&self) -> u32 {
+        debug_assert!(self.head < self.tail, "peek of an empty lane");
+        self.id[self.head & self.mask]
+    }
+
     #[inline]
     fn pop(&mut self) -> u32 {
-        debug_assert!(self.head < self.tail, "pop of an empty lane");
-        let h = self.head & self.mask;
-        let v = self.id[h];
+        let v = self.peek();
         self.head += 1;
         self.front = if self.head == self.tail {
             u64::MAX
@@ -1601,111 +1611,95 @@ impl RrLane {
     }
 }
 
-/// Round-robin ready-set for the replay loop. Keys are last-scheduled
-/// stamps, which strictly increase along each of the three enqueue
-/// sources — the entry drain arrives heap-sorted, and each resource
-/// completes ops in dispatch-stamp order, so its completions enqueue
-/// ascending keys. Three ascending FIFO lanes per resource therefore
-/// replace the heap, and pop-min is a three-way cached-front
-/// comparison. Fresh never-scheduled members share key 0, but only the
-/// (sorted) entry lane can hold them, so cross-lane ties cannot occur.
+/// Round-robin ready set. A scheduled member's key is the stamp of its
+/// last dispatch, and each resource completes its ops in dispatch-stamp
+/// order, so the members one resource's completions re-queue arrive in
+/// ascending key order. Per target resource, one ascending FIFO lane
+/// per completing resource therefore replaces a heap, and pop-min
+/// compares two cached fronts. Keys are unique stamps, so the
+/// comparison is total. Never-scheduled members share key 0 and rank
+/// by id: they wait in a lane of their own, kept in id order (closed
+/// loops and hand-built open traces can admit ids out of order), which
+/// wins whenever it is non-empty.
 #[derive(Debug, Default)]
 struct RrReady {
-    /// `lanes[rs][src]`: src 0 = entry drain, 1 = fed by flash
-    /// completions, 2 = fed by NPU completions.
-    lanes: [[RrLane; 3]; 2],
+    /// Per resource: never-scheduled members, ascending id.
+    fresh: [VecDeque<u32>; 2],
+    /// `lanes[rs][src]`: members re-queued for `rs` by a completion on
+    /// `src`.
+    lanes: [[RrLane; 2]; 2],
+    queued: [usize; 2],
 }
 
-impl FastReady for RrReady {
+impl ReadySet for RrReady {
+    const POLICY: SchedulePolicy = SchedulePolicy::RoundRobin;
     const RETAINS_MIN: bool = false;
 
-    /// Drains the heaps into the entry lanes (pop order is ascending
-    /// `(key, id)`) and sizes every lane for the member count. Returns
-    /// the queued count per resource.
-    fn begin(&mut self, ready: &mut RequestQueue, _: &EventCore, _: &RequestPool) -> [usize; 2] {
-        let members = ready.ready[0].len() + ready.ready[1].len() + 2;
-        let mut n = [0usize; 2];
-        for (rs, count) in n.iter_mut().enumerate() {
-            for lane in &mut self.lanes[rs] {
-                debug_assert_eq!(lane.head, lane.tail);
-                lane.reset(members);
-            }
-            while let Some(Reverse((key, id))) = ready.ready[rs].pop() {
-                self.lanes[rs][0].push(key, id as u32);
-                *count += 1;
-            }
-        }
-        n
-    }
-
-    /// Pushes the still-queued members back into the heaps. Each entry
-    /// keeps the key it was enqueued with — its last-scheduled stamp,
-    /// unchanged while queued — so heap keys match the general loop's.
-    fn finish(&mut self, ready: &mut RequestQueue, _: &RequestPool) {
-        for rs in 0..2 {
-            for lane in &mut self.lanes[rs] {
-                while lane.head < lane.tail {
-                    let h = lane.head & lane.mask;
-                    ready.enqueue(rs, lane.key[h], lane.id[h] as usize);
-                    lane.head += 1;
-                }
-                lane.front = u64::MAX;
-            }
-        }
+    fn admit(&mut self, rs: usize, _arrived_ps: u64, id: u32) {
+        let fresh = &mut self.fresh[rs];
+        let at = fresh.partition_point(|&f| f < id);
+        fresh.insert(at, id);
+        self.queued[rs] += 1;
     }
 
     #[inline]
     fn enqueue(&mut self, rs: usize, src: usize, key: u64, id: u32) {
-        self.lanes[rs][src + 1].push(key, id);
+        debug_assert!(key > 0, "a re-queued member was scheduled");
+        self.lanes[rs][src].push(key, id);
+        self.queued[rs] += 1;
+    }
+
+    #[inline]
+    fn peek_min(&self, rs: usize) -> Option<u32> {
+        if let Some(&id) = self.fresh[rs].front() {
+            return Some(id);
+        }
+        let [a, b] = &self.lanes[rs];
+        if a.front < b.front {
+            Some(a.peek())
+        } else if b.front != u64::MAX {
+            Some(b.peek())
+        } else {
+            None
+        }
     }
 
     #[inline]
     fn pop_min(&mut self, rs: usize) -> Option<u32> {
-        let lanes = &mut self.lanes[rs];
-        // Keys are globally unique dispatch stamps (the shared key 0 of
-        // fresh members lives only in the sorted entry lane), so strict
-        // comparison is total and tie handling is moot.
-        let mut best = 0usize;
-        let mut bk = lanes[0].front;
-        if lanes[1].front < bk {
-            best = 1;
-            bk = lanes[1].front;
-        }
-        if lanes[2].front < bk {
-            best = 2;
-            bk = lanes[2].front;
-        }
-        if bk == u64::MAX {
-            return None;
-        }
-        Some(lanes[best].pop())
+        let id = match self.fresh[rs].pop_front() {
+            Some(id) => id,
+            None => {
+                let [a, b] = &mut self.lanes[rs];
+                if a.front < b.front {
+                    a.pop()
+                } else if b.front != u64::MAX {
+                    b.pop()
+                } else {
+                    return None;
+                }
+            }
+        };
+        self.queued[rs] -= 1;
+        Some(id)
     }
-}
 
-/// The per-policy replay structures, chosen once per run.
-// One long-lived stack local per run; the six-ring round-robin
-// variant's size is irrelevant there and boxing it would put a deref
-// on every ready-set call in the hot loop.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
-enum FastLane {
-    Fcfs(FcfsReady),
-    Rr(RrReady),
+    #[inline]
+    fn queued(&self, rs: usize) -> usize {
+        self.queued[rs]
+    }
 }
 
 /// Whether the general loop may hand control to [`run_interleaved`]:
 /// the next event to fire must be an op completion (not an arrival)
-/// belonging to a `Decoding` request, and — when prefill is modeled —
-/// no queued member may be awaiting a prefill (the replay loop has no
+/// belonging to a `Decoding` request, and no queued member may be
+/// awaiting a prefill (`awaiting_prefill`; the replay loop has no
 /// whole-device dispatch path). Exact, not heuristic: any state this
 /// rejects is handled by the general loop, which re-checks after every
 /// event.
-fn replay_eligible(
-    ev: &EventCore,
-    ready: &RequestQueue,
-    requests: &RequestPool,
-    prefill_on: bool,
-) -> bool {
+fn replay_eligible(ev: &EventCore, requests: &RequestPool, awaiting_prefill: usize) -> bool {
+    if awaiting_prefill > 0 {
+        return false;
+    }
     let mut best: Option<(u64, u64)> = None;
     for slot_ev in &ev.op_done {
         if let Some((at, st, id)) = *slot_ev {
@@ -1721,56 +1715,34 @@ fn replay_eligible(
     let Some(best) = best else {
         return false;
     };
-    if let Some(&Reverse((at, st, _))) = ev.arrivals.peek() {
-        if (at, st) < best {
-            return false;
-        }
-    }
-    if prefill_on {
-        for heap in &ready.ready {
-            for &Reverse((_, id)) in heap.iter() {
-                if requests.phase[id as usize] != Phase::Decoding {
-                    return false;
-                }
-            }
-        }
-    }
-    true
+    ev.next_arrival() >= best
 }
 
 /// The interleaved replay loop: executes the multi-request steady
 /// state — every live request decoding, arrivals quiescent — as a
 /// faithful specialized replica of the general event loop, firing op
-/// completions and dispatching through a [`FastReady`] instead of the
-/// event core and heaps. Every decision point is replayed in the same
-/// order with the same keys and stamps, so the trajectory (dispatch
-/// order, busy intervals, fault draws, retire times, completion
-/// reports) is bit-identical by construction; what's elided is pure
-/// mechanism — heap rebalancing, arrival re-peeks, sentinel and phase
-/// checks that the entry conditions ([`replay_eligible`]) already
-/// discharged for the whole stretch.
+/// completions and dispatching through the run's [`ReadySet`] without
+/// the event core. Every decision point is replayed in the same order
+/// with the same keys and stamps, so the trajectory (dispatch order,
+/// busy intervals, fault draws, retire times, completion reports) is
+/// bit-identical by construction; what's elided is pure mechanism —
+/// event-core round trips, arrival re-peeks, sentinel and phase checks
+/// that the entry conditions ([`replay_eligible`]) already discharged
+/// for the whole stretch.
 ///
-/// Drains `ready` into `q` on entry and runs until the next event is an
-/// arrival (a scheduling boundary the general loop owns: admission, KV
-/// rejection, prefill entry), the event core drains, or a token
-/// boundary leaves both resources idle with exactly one request queued
-/// — the solo-span trigger, also the general loop's. It then writes the
-/// in-flight events, stamps, clock and still-queued members back.
-/// Returns whether it stopped at the solo-span trigger, in which case
-/// the general loop re-runs its solo check, dispatch pass and replay
-/// entry at the same instant instead of popping an event. Token
-/// boundaries, deadline sheds, completions and closed-loop respawns are
-/// handled inline through the same [`DeviceRun`] helpers the general
-/// loop calls.
-fn run_interleaved<Q: FastReady>(
-    q: &mut Q,
-    ready: &mut RequestQueue,
-    run: &mut DeviceRun<'_>,
-    stamp: &mut u64,
-) -> bool {
-    let rlen = q.begin(ready, &run.ev, &run.requests);
-    run.table.build_fast_lat();
-    let mut r = Replay::enter(q, run, rlen, *stamp);
+/// Runs until the next event is an arrival (a scheduling boundary the
+/// general loop owns: admission, KV rejection, prefill entry), the
+/// event core drains, or a token boundary leaves both resources idle
+/// with exactly one request queued — the solo-span trigger, also the
+/// general loop's. It then writes the in-flight events, stamps and
+/// clock back. Returns whether it stopped at the solo-span trigger, in
+/// which case the general loop re-runs its solo check, dispatch pass
+/// and replay entry at the same instant instead of popping an event.
+/// Token boundaries, deadline sheds, completions and closed-loop
+/// respawns are handled inline through the same [`DeviceRun`] helpers
+/// the general loop calls.
+fn run_interleaved<Q: ReadySet>(q: &mut Q, run: &mut DeviceRun<'_>, stamp: &mut u64) -> bool {
+    let mut r = Replay::enter(q, run, *stamp);
     let solo = loop {
         let s = usize::from((r.s_at[1], r.s_st[1]) < (r.s_at[0], r.s_st[0]));
         let at = r.s_at[s];
@@ -1784,16 +1756,15 @@ fn run_interleaved<Q: FastReady>(
         }
     };
     *stamp = r.exit();
-    q.finish(ready, &run.requests);
     solo
 }
 
-/// The replay loop's state: the ready set and its per-resource queued
-/// counts, local mirrors of the event core's hot state, and the open
-/// busy runs. A stack local of [`run_interleaved`] whose methods are all
-/// inlined into it — [`Replay::boundary`] too, kept cold by
-/// [`cold_mark`] rather than out of line — so the struct never escapes
-/// into a call and its fields stay in registers.
+/// The replay loop's state: the ready set, local mirrors of the event
+/// core's hot state, and the open busy runs. A stack local of
+/// [`run_interleaved`] whose methods are all inlined into it —
+/// [`Replay::boundary`] too, kept cold by [`cold_mark`] rather than out
+/// of line — so the struct never escapes into a call and its fields
+/// stay in registers.
 ///
 /// The event-core mirrors are the two op slots (flattened to sentinel
 /// arrays — `u64::MAX` end time marks an empty slot, cheaper to test and
@@ -1812,8 +1783,6 @@ fn run_interleaved<Q: FastReady>(
 struct Replay<'r, 'a, Q> {
     q: &'r mut Q,
     run: &'r mut DeviceRun<'a>,
-    /// Queued members per resource.
-    rlen: [usize; 2],
     n_ops: usize,
     faults_on: bool,
     s_at: [u64; 2],
@@ -1830,18 +1799,10 @@ struct Replay<'r, 'a, Q> {
     busy_k: [u64; 2],
 }
 
-/// `(time, stamp)` of the earliest pending arrival; `u64::MAX` pairs
-/// when none.
-fn peek_arrival(ev: &EventCore) -> (u64, u64) {
-    ev.arrivals
-        .peek()
-        .map_or((u64::MAX, u64::MAX), |&Reverse((at, st, _))| (at, st))
-}
-
-impl<'r, 'a, Q: FastReady> Replay<'r, 'a, Q> {
+impl<'r, 'a, Q: ReadySet> Replay<'r, 'a, Q> {
     /// Takes the in-flight ops out of the event core into the mirrors.
     #[inline(always)]
-    fn enter(q: &'r mut Q, run: &'r mut DeviceRun<'a>, rlen: [usize; 2], d_stamp: u64) -> Self {
+    fn enter(q: &'r mut Q, run: &'r mut DeviceRun<'a>, d_stamp: u64) -> Self {
         let mut s_at = [u64::MAX; 2];
         let mut s_st = [u64::MAX; 2];
         let mut s_id = [0u32; 2];
@@ -1853,7 +1814,6 @@ impl<'r, 'a, Q: FastReady> Replay<'r, 'a, Q> {
             }
         }
         Replay {
-            rlen,
             n_ops: run.plan.len(),
             faults_on: run.faults.is_some(),
             s_at,
@@ -1862,7 +1822,7 @@ impl<'r, 'a, Q: FastReady> Replay<'r, 'a, Q> {
             ev_stamp: run.ev.stamp,
             d_stamp,
             now: run.ev.now,
-            next_arr: peek_arrival(&run.ev),
+            next_arr: run.ev.next_arrival(),
             busy_start: [0; 2],
             busy_end: [u64::MAX; 2],
             busy_k: [0; 2],
@@ -1909,30 +1869,13 @@ impl<'r, 'a, Q: FastReady> Replay<'r, 'a, Q> {
         let nid = nid32 as usize;
         let now = self.now;
         let requests = &mut self.run.requests;
-        let table = &self.run.table;
         debug_assert_eq!(requests.phase[nid], Phase::Decoding);
         self.d_stamp += 1;
-        requests.last_scheduled[nid] = self.d_stamp;
-        if requests.cold[nid].started.is_none() {
-            requests.cold[nid].started = Some(now);
-        }
-        let idx = requests.cursor[nid].index();
-        debug_assert_eq!(
-            slot(table.classes[idx]),
-            rs,
-            "ready list / op class mismatch"
-        );
-        let lat = table.fast_lat[idx];
-        let mut latency = if lat >= DEP_LAT_MARK {
-            requests.dep_lat[nid][(u64::MAX - lat) as usize]
-        } else {
-            SimTime::from_picos(lat)
-        };
-        if self.faults_on && rs == slot(OpClass::Flash) {
-            let extra = std::mem::take(&mut requests.fault_extra[nid]);
-            if extra > 0 {
-                latency += SimTime::from_picos(extra);
-            }
+        requests.note_dispatch(nid, self.d_stamp, now);
+        let latency = op_latency(&self.run.table, requests, nid, rs, self.faults_on);
+        #[cfg(test)]
+        {
+            self.run.replay_ops += 1;
         }
         let end_ps = (now + latency).as_picos();
         if self.busy_end[rs] == now.as_picos() {
@@ -1954,26 +1897,22 @@ impl<'r, 'a, Q: FastReady> Replay<'r, 'a, Q> {
     /// enqueue-then-pop on a freed resource.
     #[inline(always)]
     fn requeue_dispatch(&mut self, rs: usize, src: usize, id32: u32) {
-        let key = self.run.requests.last_scheduled[id32 as usize];
-        self.q.enqueue(rs, src, key, id32);
-        let nid32 = self.q.pop_min(rs).expect("just enqueued");
-        self.dispatch(rs, nid32);
+        self.enqueue(rs, src, id32);
+        self.dispatch_queued(rs);
     }
 
-    /// Queues member `id32` for busy resource `rs`.
+    /// Queues member `id32` for resource `rs` on behalf of a completion
+    /// on `src`.
     #[inline(always)]
     fn enqueue(&mut self, rs: usize, src: usize, id32: u32) {
         let key = self.run.requests.last_scheduled[id32 as usize];
         self.q.enqueue(rs, src, key, id32);
-        self.rlen[rs] += 1;
     }
 
     /// Dispatches resource `rs`'s queue winner, if any is queued.
     #[inline(always)]
     fn dispatch_queued(&mut self, rs: usize) {
-        if self.rlen[rs] > 0 {
-            let nid32 = self.q.pop_min(rs).expect("counted member is queued");
-            self.rlen[rs] -= 1;
+        if let Some(nid32) = self.q.pop_min(rs) {
             self.dispatch(rs, nid32);
         }
     }
@@ -1986,7 +1925,7 @@ impl<'r, 'a, Q: FastReady> Replay<'r, 'a, Q> {
         self.run.ev.stamp = self.ev_stamp;
         self.run.respawn_client(id, self.now);
         self.ev_stamp = self.run.ev.stamp;
-        self.next_arr = peek_arrival(&self.run.ev);
+        self.next_arr = self.run.ev.next_arrival();
     }
 
     /// One op completion on resource `S`, giving each resource its own
@@ -1995,9 +1934,9 @@ impl<'r, 'a, Q: FastReady> Replay<'r, 'a, Q> {
     /// act, and the general loop's flash-before-NPU dispatch order is
     /// preserved in each arm. A member whose next op stays on the freed
     /// resource with nobody else queued redispatches directly, skipping
-    /// the ready structure entirely — with identical stamps, since the
-    /// pop it elides could only have returned that member. Returns
-    /// whether the loop must stop for the solo-span trigger.
+    /// the ready set entirely — with identical stamps, since the pop it
+    /// elides could only have returned that member. Returns whether the
+    /// loop must stop for the solo-span trigger.
     #[inline(always)]
     fn step<const S: usize>(&mut self) -> bool {
         let o = 1 - S;
@@ -2011,7 +1950,7 @@ impl<'r, 'a, Q: FastReady> Replay<'r, 'a, Q> {
         }
         let rs2 = self.run.table.class_slots[idx] as usize;
         if rs2 == S {
-            if self.rlen[S] == 0 {
+            if self.q.queued(S) == 0 {
                 self.dispatch(S, id32);
             } else {
                 self.requeue_dispatch(S, S, id32);
@@ -2043,7 +1982,7 @@ impl<'r, 'a, Q: FastReady> Replay<'r, 'a, Q> {
                 cursor.advance();
                 self.now = SimTime::from_picos(at2);
                 self.s_at[S] = u64::MAX;
-                if Q::RETAINS_MIN || self.rlen[S] == 0 {
+                if Q::RETAINS_MIN || self.q.queued(S) == 0 {
                     self.dispatch(S, cid32);
                 } else {
                     self.requeue_dispatch(S, S, cid32);
@@ -2054,7 +1993,7 @@ impl<'r, 'a, Q: FastReady> Replay<'r, 'a, Q> {
             // dispatches first (directly if it sat idle, which implies
             // its queue is empty), then the freed NPU.
             if self.s_at[0] == u64::MAX {
-                debug_assert_eq!(self.rlen[0], 0, "idle slot implies empty queue");
+                debug_assert_eq!(self.q.queued(0), 0, "idle slot implies empty queue");
                 self.dispatch(0, id32);
             } else {
                 self.enqueue(0, S, id32);
@@ -2065,7 +2004,7 @@ impl<'r, 'a, Q: FastReady> Replay<'r, 'a, Q> {
             // dispatches first, then the NPU side.
             self.dispatch_queued(0);
             if self.s_at[1] == u64::MAX {
-                debug_assert_eq!(self.rlen[1], 0, "idle slot implies empty queue");
+                debug_assert_eq!(self.q.queued(1), 0, "idle slot implies empty queue");
                 self.dispatch(1, id32);
             } else {
                 self.enqueue(1, S, id32);
@@ -2103,7 +2042,9 @@ impl<'r, 'a, Q: FastReady> Replay<'r, 'a, Q> {
             run.complete_request(id, now);
             self.respawn(id);
         }
-        if self.s_at[0] == u64::MAX && self.s_at[1] == u64::MAX && self.rlen[0] + self.rlen[1] == 1
+        if self.s_at[0] == u64::MAX
+            && self.s_at[1] == u64::MAX
+            && self.q.queued(0) + self.q.queued(1) == 1
         {
             return true;
         }
@@ -2117,32 +2058,30 @@ impl<'r, 'a, Q: FastReady> Replay<'r, 'a, Q> {
     }
 }
 
-/// The per-op event loop for FCFS and round-robin: each resource serves
-/// one op at a time, and a freed resource dispatches the ready request
-/// its policy ranks first. With spans on it hands a lone request's
-/// whole tokens to [`DeviceRun::run_solo_span`] and overloaded steady
-/// stretches to [`run_interleaved`].
-struct Simulation<'a> {
+/// The per-op event loop for FCFS and round-robin, generic over the
+/// policy's [`ReadySet`]: each resource serves one op at a time, and a
+/// freed resource dispatches the ready request its policy ranks first.
+/// With spans on it hands a lone request's whole tokens to
+/// [`DeviceRun::run_solo_span`] and overloaded steady stretches to
+/// [`run_interleaved`].
+struct Simulation<'a, Q> {
     run: DeviceRun<'a>,
-    policy: SchedulePolicy,
-    ready: RequestQueue,
+    ready: Q,
     /// Dispatch stamp, bumped per dispatched op: the round-robin
     /// recency key.
     stamp: u64,
+    /// Queued members still owing their prefill: the replay loop may
+    /// start only when none waits ([`replay_eligible`]).
+    awaiting_prefill: usize,
 }
 
-impl<'a> Simulation<'a> {
-    fn new(
-        engine: &'a DeviceEngine,
-        trace: &ArrivalTrace,
-        policy: SchedulePolicy,
-        system: System,
-    ) -> Self {
+impl<'a, Q: ReadySet> Simulation<'a, Q> {
+    fn new(engine: &'a DeviceEngine, trace: &ArrivalTrace, system: System) -> Self {
         Simulation {
             run: DeviceRun::new(engine, trace, system),
-            policy,
-            ready: RequestQueue::default(),
+            ready: Q::default(),
             stamp: 0,
+            awaiting_prefill: 0,
         }
     }
 
@@ -2153,7 +2092,7 @@ impl<'a> Simulation<'a> {
 
     fn finish(self) -> (ServeReport, System) {
         assert!(
-            self.ready.is_empty(),
+            self.ready.queued(FLASH) + self.ready.queued(NPU) == 0,
             "event core drained with work outstanding"
         );
         let run = self.run;
@@ -2167,7 +2106,7 @@ impl<'a> Simulation<'a> {
             + run.faults.as_ref().map_or(0, |f| f.shed_tokens);
         let ops_dispatched = tokens * run.plan.len() as u64;
         let gemv_dispatched = tokens * run.table.gemvs_per_token;
-        run.finish(self.policy, ops_dispatched, gemv_dispatched, 0, 0)
+        run.finish(Q::POLICY, ops_dispatched, gemv_dispatched, 0, 0)
     }
 
     /// The general loop, one iteration per event: the hot path only
@@ -2178,33 +2117,11 @@ impl<'a> Simulation<'a> {
     fn event_loop(&mut self) {
         let Simulation {
             run,
-            policy,
             ready,
             stamp,
+            awaiting_prefill,
         } = self;
-        let policy = *policy;
-        let n_ops = run.table.classes.len();
-        // The interleaved replay structures, standing by whenever span
-        // coalescing is on for one of the per-op policies.
-        let mut fast: Option<FastLane> = match (run.span_cap > 0, policy) {
-            (true, SchedulePolicy::Fcfs) => Some(FastLane::Fcfs(FcfsReady::default())),
-            (true, SchedulePolicy::RoundRobin) => Some(FastLane::Rr(RrReady::default())),
-            _ => None,
-        };
-        let ready_key = |requests: &RequestPool, id: usize| {
-            match policy {
-                // Earliest arrival wins; id breaks ties
-                // deterministically (heap entries are `(key, id)`).
-                SchedulePolicy::Fcfs => requests.cold[id].arrived.as_picos(),
-                // Least-recently-scheduled wins: fair rotation.
-                SchedulePolicy::RoundRobin => requests.last_scheduled[id],
-                // Routed to `BatchedSimulation` by `DeviceEngine::run`.
-                SchedulePolicy::ContinuousBatch { .. } => {
-                    unreachable!("batched policy has its own loop")
-                }
-            }
-        };
-
+        let n_ops = run.table.class_slots.len();
         while let Some(fired) = run.ev.pop() {
             let now = run.ev.now;
             match fired {
@@ -2226,49 +2143,48 @@ impl<'a> Simulation<'a> {
                         continue;
                     }
                     // The request prices its first token and enters the
-                    // ready queue of its first op's resource — unless it
+                    // ready set of its first op's resource — unless it
                     // owes a prefill, in which case it queues (state
-                    // `Queued`) for the whole device on the flash list
+                    // `Queued`) for the whole device on the flash side
                     // and prices its first token only once the prompt is
                     // resident.
+                    let arrived = run.requests.cold[id].arrived;
                     if run.first_arrival.is_none() {
-                        run.first_arrival = Some(run.requests.cold[id].arrived);
+                        run.first_arrival = Some(arrived);
                     }
                     run.requests.token_started[id] = now;
-                    if run.prefill.is_some() && shape.prompt_len > 0 {
-                        ready.enqueue(slot(OpClass::Flash), ready_key(&run.requests, id), id);
+                    let rs = if run.prefill.is_some() && shape.prompt_len > 0 {
+                        *awaiting_prefill += 1;
+                        FLASH
                     } else {
                         run.requests.phase[id] = Phase::Decoding;
                         run.begin_token(id);
-                        let s = slot(run.table.classes[run.requests.cursor[id].index()]);
-                        ready.enqueue(s, ready_key(&run.requests, id), id);
-                    }
+                        run.table.class_slots[run.requests.cursor[id].index()] as usize
+                    };
+                    ready.admit(rs, arrived.as_picos(), id as u32);
                 }
                 Fired::Op(_, id) if id == PREFILL_HOLD => {
                     // The NPU-side hold of a finished prefill: nothing
                     // to step, the resource is simply free again for the
                     // dispatch pass below.
                 }
-                Fired::Op(_, id) if run.requests.phase[id] == Phase::Prefilling => {
+                Fired::Op(s, id) if run.requests.phase[id] == Phase::Prefilling => {
                     // Prefill complete (flash-slot event): the prompt is
                     // resident, decode begins.
                     run.requests.phase[id] = Phase::Decoding;
                     run.requests.cold[id].prefill_end = Some(now);
                     run.begin_token(id);
-                    let s = slot(run.table.classes[run.requests.cursor[id].index()]);
-                    ready.enqueue(s, ready_key(&run.requests, id), id);
+                    let rs = run.table.class_slots[run.requests.cursor[id].index()] as usize;
+                    ready.enqueue(rs, s, run.requests.last_scheduled[id], id as u32);
                 }
-                Fired::Op(_, id) => {
+                Fired::Op(s, id) => {
                     // The resource freed (`pop` vacated its slot); step
                     // the request's cursor.
                     run.requests.cursor[id].advance();
                     let idx = run.requests.cursor[id].index();
+                    let key = run.requests.last_scheduled[id];
                     if idx < n_ops {
-                        ready.enqueue(
-                            slot(run.table.classes[idx]),
-                            ready_key(&run.requests, id),
-                            id,
-                        );
+                        ready.enqueue(run.table.class_slots[idx] as usize, s, key, id as u32);
                     } else {
                         // Token complete.
                         retire_token(&mut run.requests, id, now, &mut run.token_latencies);
@@ -2287,11 +2203,7 @@ impl<'a> Simulation<'a> {
                             // just emitted.
                             run.requests.cursor[id].next_token();
                             run.begin_token(id);
-                            ready.enqueue(
-                                slot(run.table.classes[0]),
-                                ready_key(&run.requests, id),
-                                id,
-                            );
+                            ready.enqueue(run.table.class_slots[0] as usize, s, key, id as u32);
                         } else {
                             // Request complete; in a closed loop the
                             // client immediately issues its next request.
@@ -2310,36 +2222,37 @@ impl<'a> Simulation<'a> {
                 // Span fast-forwarding: with exactly one request in
                 // flight, parked at a token boundary, and both resources
                 // idle, whole tokens coalesce into one bulk-priced span
-                // (every other live request would be in a ready heap or
-                // holding a pending completion, so this condition is
-                // exact).
-                if run.span_cap > 0 && !run.ev.busy(0) && !run.ev.busy(1) && ready.len() == 1 {
-                    let s_heap = usize::from(ready.ready[0].is_empty());
-                    let id = ready.pop_min(s_heap).expect("ready holds one request");
+                // (every other live request would be queued or holding
+                // a pending completion, so this condition is exact). A
+                // request that cannot coalesce a token (an arrival is
+                // imminent, or it owes a prefill or sits mid-token)
+                // stays queued for ordinary per-op dispatch below.
+                if run.span_cap > 0
+                    && !run.ev.busy(FLASH)
+                    && !run.ev.busy(NPU)
+                    && ready.queued(FLASH) + ready.queued(NPU) == 1
+                {
+                    let rs = usize::from(ready.queued(FLASH) == 0);
+                    let id = ready.peek_min(rs).expect("one request is queued") as usize;
                     if run.requests.phase[id] == Phase::Decoding
                         && run.requests.cursor[id].index() == 0
                         && run.run_solo_span(stamp, id, now) > 0
                     {
+                        ready.pop_min(rs);
                         break;
                     }
-                    // No coalescible token (an arrival is imminent, or
-                    // the request owes a prefill or sits mid-token):
-                    // back in the ready heap for ordinary per-op
-                    // dispatch below.
-                    ready.enqueue(s_heap, ready_key(&run.requests, id), id);
                 }
 
                 // Dispatch: start an op on every idle resource that has
-                // waiting requests (flash first). The index addresses
-                // four parallel structures, not one slice.
-                #[allow(clippy::needless_range_loop)]
-                for s in 0..2 {
+                // waiting requests (flash first).
+                for s in [FLASH, NPU] {
                     if run.ev.busy(s) {
                         continue;
                     }
-                    let Some(id) = ready.pop_min(s) else {
+                    let Some(id) = ready.peek_min(s) else {
                         continue;
                     };
+                    let id = id as usize;
                     let requests = &mut run.requests;
                     if requests.phase[id] == Phase::Queued {
                         // A pending prefill: it needs the whole device
@@ -2348,50 +2261,26 @@ impl<'a> Simulation<'a> {
                         // keeps its place at the head — no later flash
                         // work jumps it — retrying at the next
                         // completion event.
-                        debug_assert_eq!(s, slot(OpClass::Flash));
-                        if run.ev.busy(slot(OpClass::Npu)) {
-                            ready.enqueue(s, ready_key(requests, id), id);
+                        debug_assert_eq!(s, FLASH);
+                        if run.ev.busy(NPU) {
                             continue;
                         }
+                        ready.pop_min(s);
+                        *awaiting_prefill -= 1;
                         *stamp += 1;
-                        requests.last_scheduled[id] = *stamp;
+                        requests.note_dispatch(id, *stamp, now);
                         requests.phase[id] = Phase::Prefilling;
-                        if requests.cold[id].started.is_none() {
-                            requests.cold[id].started = Some(now);
-                        }
                         let total = run.charge_prefill(id);
-                        run.busy_track[0].add_interval(now, now + total);
-                        run.busy_track[1].add_interval(now, now + total);
-                        run.ev.schedule_op(0, now + total, id);
-                        run.ev.schedule_op(1, now + total, PREFILL_HOLD);
+                        run.busy_track[FLASH].add_interval(now, now + total);
+                        run.busy_track[NPU].add_interval(now, now + total);
+                        run.ev.schedule_op(FLASH, now + total, id);
+                        run.ev.schedule_op(NPU, now + total, PREFILL_HOLD);
                         continue;
                     }
+                    ready.pop_min(s);
                     *stamp += 1;
-                    requests.last_scheduled[id] = *stamp;
-                    if requests.cold[id].started.is_none() {
-                        requests.cold[id].started = Some(now);
-                    }
-                    let table = &run.table;
-                    let idx = requests.cursor[id].index();
-                    debug_assert_eq!(
-                        slot(table.classes[idx]),
-                        s,
-                        "ready list / op class mismatch"
-                    );
-                    let cost_slot = table.slots[idx] as usize;
-                    let mut latency = if cost_slot < table.n_inv {
-                        table.inv_lat[cost_slot]
-                    } else {
-                        requests.dep_lat[id][cost_slot - table.n_inv]
-                    };
-                    // The token's sampled fault time rides on its first
-                    // flash dispatch (always 0 with faults off).
-                    if s == slot(OpClass::Flash) {
-                        let extra = std::mem::take(&mut requests.fault_extra[id]);
-                        if extra > 0 {
-                            latency += SimTime::from_picos(extra);
-                        }
-                    }
+                    requests.note_dispatch(id, *stamp, now);
+                    let latency = op_latency(&run.table, requests, id, s, run.faults.is_some());
                     run.busy_track[s].add_interval(now, now + latency);
                     run.ev.schedule_op(s, now + latency, id);
                 }
@@ -2402,22 +2291,9 @@ impl<'a> Simulation<'a> {
                 // replays in the specialized loop instead of paying the
                 // general machinery per op. Bit-identical by
                 // construction; see [`run_interleaved`].
-                let solo = match fast.as_mut() {
-                    Some(lane)
-                        if replay_eligible(
-                            &run.ev,
-                            ready,
-                            &run.requests,
-                            run.prefill.is_some(),
-                        ) =>
-                    {
-                        match lane {
-                            FastLane::Fcfs(q) => run_interleaved(q, ready, run, stamp),
-                            FastLane::Rr(q) => run_interleaved(q, ready, run, stamp),
-                        }
-                    }
-                    _ => false,
-                };
+                let solo = run.span_cap > 0
+                    && replay_eligible(&run.ev, &run.requests, *awaiting_prefill)
+                    && run_interleaved(ready, run, stamp);
                 if !solo {
                     break;
                 }
@@ -2629,7 +2505,7 @@ impl<'a> BatchedSimulation<'a> {
             self.run.busy_track[1].add_interval(now, now + prefill_delay);
             self.run
                 .ev
-                .schedule_op(slot(OpClass::Flash), now + prefill_delay, BATCH_PREFILL);
+                .schedule_op(FLASH, now + prefill_delay, BATCH_PREFILL);
         } else {
             self.start_span(now);
         }
@@ -2738,7 +2614,7 @@ impl<'a> BatchedSimulation<'a> {
         debug_assert!(!self.stepping(), "span overlaps a step");
         price_invariant(&mut self.run.system, self.run.plan, &mut self.run.table);
         let batch = self.batch.active.len() as u64;
-        let n_ops = self.run.table.classes.len();
+        let n_ops = self.run.table.class_slots.len();
         // Per-step invariant latencies at this batch size.
         let mut flash_step = SimTime::ZERO;
         let mut npu_inv_step = SimTime::ZERO;
@@ -2816,9 +2692,9 @@ impl<'a> BatchedSimulation<'a> {
         let consider_arrivals =
             self.batch.active.len() < self.batch.max_batch && self.pending.is_empty();
         let next_arrival = if consider_arrivals {
-            self.run.ev.next_arrival_ps()
+            self.run.ev.next_arrival().0
         } else {
-            None
+            u64::MAX
         };
         let mut lats: Vec<SimTime> = Vec::with_capacity(k_max.min(4096));
         let mut t = now;
@@ -2889,7 +2765,7 @@ impl<'a> BatchedSimulation<'a> {
                 // scheduling boundary, handled by the span-end event.
                 break;
             }
-            if next_arrival.is_some_and(|ta| t.as_picos() >= ta) {
+            if t.as_picos() >= next_arrival {
                 // First boundary at or after the next arrival: stop so
                 // the admission pass sees it (the arrival itself fires
                 // mid-span and queues, exactly as it would mid-step).
@@ -2944,9 +2820,7 @@ impl<'a> BatchedSimulation<'a> {
             self.run.requests.cursor[id].advance_by(k - 1);
         }
         // The final step's boundary is the span-end event.
-        self.run
-            .ev
-            .schedule_op(slot(OpClass::Flash), t, SPAN_BOUNDARY);
+        self.run.ev.schedule_op(FLASH, t, SPAN_BOUNDARY);
     }
 
     fn finish(mut self) -> (ServeReport, System) {
@@ -2995,7 +2869,7 @@ mod tests {
         let Some(Fired::Arrive(id)) = run.ev.pop() else {
             panic!("the trace's first event is its arrival");
         };
-        assert_eq!(run.ev.next_arrival_ps(), None);
+        assert_eq!(run.ev.next_arrival().0, u64::MAX, "no arrival pending");
         let now = run.ev.now;
         run.requests.phase[id] = Phase::Decoding;
         run.requests.token_started[id] = now;
@@ -3012,17 +2886,37 @@ mod tests {
         (run, k, SimTime::from_picos(end))
     }
 
+    /// What a per-op run did that its report cannot show: the solo
+    /// spans it took and the ops it dispatched inside the replay loop.
+    struct FastPaths {
+        solo_spans: Vec<(usize, usize, usize)>,
+        replay_ops: u64,
+    }
+
     /// Runs `trace` through the per-op loop under `policy`; returns the
-    /// report and the solo spans the run took.
-    fn run_counting_spans(
+    /// report and the fast paths the run took.
+    fn run_counting(
         engine: &DeviceEngine,
         trace: &ArrivalTrace,
         policy: SchedulePolicy,
-    ) -> (ServeReport, Vec<(usize, usize, usize)>) {
-        let mut sim = Simulation::new(engine, trace, policy, System::new(engine.cfg));
-        sim.event_loop();
-        let spans = std::mem::take(&mut sim.run.solo_spans);
-        (sim.finish().0, spans)
+    ) -> (ServeReport, FastPaths) {
+        fn go<Q: ReadySet>(
+            engine: &DeviceEngine,
+            trace: &ArrivalTrace,
+        ) -> (ServeReport, FastPaths) {
+            let mut sim = Simulation::<Q>::new(engine, trace, System::new(engine.cfg));
+            sim.event_loop();
+            let paths = FastPaths {
+                solo_spans: std::mem::take(&mut sim.run.solo_spans),
+                replay_ops: sim.run.replay_ops,
+            };
+            (sim.finish().0, paths)
+        }
+        match policy {
+            SchedulePolicy::Fcfs => go::<FcfsReady>(engine, trace),
+            SchedulePolicy::RoundRobin => go::<RrReady>(engine, trace),
+            SchedulePolicy::ContinuousBatch { .. } => unreachable!("batched runs have no replay"),
+        }
     }
 
     const POLICIES: [SchedulePolicy; 2] = [SchedulePolicy::Fcfs, SchedulePolicy::RoundRobin];
@@ -3031,8 +2925,8 @@ mod tests {
     fn lone_arrival_decodes_in_one_solo_span() {
         let engine = DeviceEngine::new(SystemConfig::cambricon_s(), zoo::opt_6_7b());
         for policy in POLICIES {
-            let (report, spans) = run_counting_spans(&engine, &lone_trace(), policy);
-            assert_eq!(spans, [(0, TOKENS, TOKENS)], "{policy:?}");
+            let (report, paths) = run_counting(&engine, &lone_trace(), policy);
+            assert_eq!(paths.solo_spans, [(0, TOKENS, TOKENS)], "{policy:?}");
             assert_eq!(report.tokens_served, TOKENS as u64);
         }
     }
@@ -3056,7 +2950,8 @@ mod tests {
                 .to_vec(),
         );
         for policy in POLICIES {
-            let (report, spans) = run_counting_spans(&engine, &trace, policy);
+            let (report, paths) = run_counting(&engine, &trace, policy);
+            let spans = paths.solo_spans;
             let [short, long] = &report.requests[..] else {
                 panic!("both requests complete");
             };
@@ -3073,6 +2968,26 @@ mod tests {
                 .with_span_mode(SpanMode::PerOp)
                 .run(&trace, policy);
             assert_eq!(report, per_op, "{policy:?}");
+        }
+    }
+
+    #[test]
+    fn overloaded_closed_loop_runs_in_the_replay_loop() {
+        // Sixteen closed-loop clients keep every decode overlapping, so
+        // almost every op must run inside the replay loop. A handoff bug
+        // that left it idle would keep reports equal (the general loop
+        // computes the same trajectory) and show only as wall time.
+        let engine = DeviceEngine::new(SystemConfig::cambricon_s(), zoo::opt_6_7b());
+        let trace = ArrivalTrace::closed_loop(16, 3, RequestShape::new(300, 16));
+        for policy in POLICIES {
+            let (report, paths) = run_counting(&engine, &trace, policy);
+            let ops = report.tokens_served * engine.plan().len() as u64;
+            assert_eq!(report.tokens_served, 16 * 3 * 16, "{policy:?}");
+            assert!(
+                paths.replay_ops * 100 >= ops * 95,
+                "{policy:?}: {} of {ops} ops in the replay loop",
+                paths.replay_ops
+            );
         }
     }
 

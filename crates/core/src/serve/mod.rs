@@ -58,8 +58,7 @@
 //! * **solo spans**, which price a lone in-flight request's whole
 //!   tokens with a few adds each;
 //! * the **replay loop**, which re-executes the overloaded FCFS and
-//!   round-robin steady state between arrivals without the event core
-//!   or the ready heaps;
+//!   round-robin steady state between arrivals without the event core;
 //! * **batch steps** for continuous batching, coalesced into spans of
 //!   whole steps (one-step spans under [`SpanMode::PerOp`]).
 //!
@@ -81,11 +80,13 @@
 //!   rather than a general priority queue, with the same
 //!   `(time, schedule-order)` FIFO tie-breaking as
 //!   [`sim_core::EventQueue`];
-//! * the per-op loop's ready lists are per-resource binary heaps keyed
-//!   by the active policy's priority at enqueue time (exact, because
-//!   both policies' keys are frozen while a request waits). The replay
-//!   loop swaps them for policy-specialized sets: rank-indexed bitmasks
-//!   for FCFS, three ascending FIFO lanes for round-robin.
+//! * each per-op policy keeps one ready set for the whole run, shared
+//!   by the per-op loop, solo spans and the replay loop. Neither
+//!   policy's key changes while a request waits, so no heap is needed:
+//!   FCFS ranks a request once at admission and keeps rank-indexed
+//!   bitmasks; round-robin keeps an id-ordered lane for never-scheduled
+//!   requests and, per completing resource, an ascending FIFO lane of
+//!   last-dispatch stamps.
 //!
 //! All timing still flows through the same flash discrete-event model
 //! and NPU roofline as the single-request path; with one in-flight
@@ -123,10 +124,12 @@
 //! the identical per-token order, so regrouping is exact: coalesced
 //! reports equal [`SpanMode::PerOp`] reports field for field (pinned by
 //! the goldens and a span-equivalence proptest across policies, prefill
-//! modes and forced-tiny-span caps). Under batching, `PerOp` itself is
-//! a one-step span, so the batched loop's independent reference is a
-//! deliberately naive oracle, `tests/support/oracle.rs`: it prices
-//! every op of every member per step through [`System::op_cost`] and
+//! modes and forced-tiny-span caps). Span equivalence compares the
+//! engine's paths with each other: under batching `PerOp` is itself a
+//! one-step span, and under FCFS and round-robin every path pops the
+//! same ready set. The independent reference for all three policies
+//! is a deliberately naive oracle, `tests/support/oracle.rs`: it
+//! prices every op of every request through [`System::op_cost`] and
 //! shares none of the engine's structures, and `tests/oracle.rs` pins
 //! whole reports to it.
 //!
@@ -218,9 +221,10 @@ pub enum PrefillMode {
 pub enum SpanMode {
     /// One event-core round per op under FCFS and round-robin — the
     /// original engine, kept as the executable reference semantics the
-    /// span paths are pinned against. Under continuous batching it runs
-    /// one-step spans; the independent reference there is the naive
-    /// oracle in `tests/support/oracle.rs`.
+    /// span paths are pinned against. It shares the ready set with the
+    /// fast paths, and under continuous batching it runs one-step
+    /// spans, so the independent reference for all three policies is
+    /// the naive oracle in `tests/support/oracle.rs`.
     PerOp,
     /// Fast-forward up to `max_span` whole tokens per span between
     /// scheduling boundaries. The default mode is unbounded

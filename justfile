@@ -27,6 +27,12 @@ perfbench-smoke:
             --workload $w --seconds 1 --trace 0 || exit 1; \
     done
 
+# Run the user-facing 70B examples once in release: a panic on the
+# FCFS, round-robin, batched or fleet paths they drive fails here.
+examples:
+    cargo run --release --locked --example serving_70b
+    cargo run --release --locked --example chatbot_70b
+
 # Regenerate every paper table/figure ("full" for full-resolution sweeps).
 repro target="all":
     cargo run --release -p bench --bin repro -- {{target}}

@@ -183,6 +183,57 @@ fn cluster_makespan_covers_a_late_shed() {
     }
 }
 
+/// A deadline shed before the first completion starts the cluster
+/// makespan, as it starts the replica's: an early request shed at its
+/// TTFT deadline, then a later one completing, still spans the
+/// replica's makespan plus both hops.
+#[test]
+fn cluster_makespan_starts_at_an_early_shed() {
+    let long_prompt = RequestArrival {
+        at: SimTime::ZERO,
+        shape: RequestShape::new(1500, 4),
+    };
+    let late = |at| RequestArrival {
+        at,
+        shape: RequestShape::new(0, 4),
+    };
+    let ttft_alone = |arrival: RequestArrival| {
+        let mut arrival = arrival;
+        arrival.at = SimTime::ZERO;
+        device(PrefillMode::Modeled)
+            .run(&ArrivalTrace::Open(vec![arrival]), SchedulePolicy::Fcfs)
+            .requests[0]
+            .ttft()
+    };
+    let (slow, fast) = (ttft_alone(long_prompt), ttft_alone(late(SimTime::ZERO)));
+    assert!(fast < slow, "a prompt-free request answers first");
+    let fc =
+        FaultConfig::aged(FlashAge::fresh()).with_deadlines(Some(fast + (slow - fast) / 2), None);
+    // The late request arrives long after the early one is shed.
+    let trace = ArrivalTrace::Open(vec![long_prompt, late(slow * 4)]);
+    for hop_us in [0, 20] {
+        let interconnect = Interconnect::symmetric(SimTime::from_micros(hop_us));
+        let fleet = FleetEngine::new(
+            device(PrefillMode::Modeled).with_faults(FaultMode::Injected(fc)),
+            1,
+        )
+        .with_interconnect(interconnect)
+        .run(&trace, SchedulePolicy::Fcfs);
+        let replica = &fleet.per_replica[0];
+        assert_eq!(replica.requests_served, 1);
+        assert_eq!(replica.reliability.ttft_timeouts, 1);
+        assert!(
+            replica.requests[0].arrived > replica.reliability.last_shed.expect("a shed"),
+            "the completed request arrives after the shed"
+        );
+        assert_eq!(
+            fleet.makespan,
+            replica.makespan + interconnect.dispatch_hop + interconnect.response_hop,
+            "{hop_us} us hops"
+        );
+    }
+}
+
 /// Recomputes the replica-major merge of a [`FleetReport`] from its
 /// `per_replica` reports, in the exact operation order the engine
 /// uses, so equality is bit-for-bit.
@@ -193,14 +244,17 @@ fn remerge(report: &FleetReport) -> (usize, u64, u64, SimTime, f64, [f64; 5], f6
     let mut first_arrival: Option<SimTime> = None;
     let mut last_exit = SimTime::ZERO;
     for rep in &report.per_replica {
+        let replica_end = rep.requests.last().map(|r| r.finished);
+        if let Some(end) = replica_end.max(rep.reliability.last_shed) {
+            let start = (end - rep.makespan).saturating_sub(report.interconnect.dispatch_hop);
+            first_arrival = Some(first_arrival.map_or(start, |f| f.min(start)));
+        }
         if let Some(shed) = rep.reliability.last_shed {
             last_exit = last_exit.max(shed + report.interconnect.response_hop);
         }
         for r in &rep.requests {
             ttft.push((r.ttft() + round_trip).as_secs_f64());
             token_latency.push(r.mean_token_latency().as_secs_f64());
-            let at_cluster = r.arrived.saturating_sub(report.interconnect.dispatch_hop);
-            first_arrival = Some(first_arrival.map_or(at_cluster, |f| f.min(at_cluster)));
             last_exit = last_exit.max(r.finished + report.interconnect.response_hop);
         }
     }

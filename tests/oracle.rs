@@ -1,11 +1,13 @@
-//! Continuous batching against an independent oracle.
+//! Every scheduling policy against an independent oracle.
 //!
-//! `support::oracle` re-derives a `ContinuousBatch` run from public
-//! pricing calls alone, one op of one member at a time, with none of
-//! the engine's plan tables, spans, request pool or event core. A bug
-//! in code the engine's execution paths share shows up here even
-//! though span equivalence, which compares those paths to each other,
-//! cannot see it.
+//! `support::oracle` re-derives a run from public pricing calls alone,
+//! one op of one request at a time, with none of the engine's plan
+//! tables, spans, ready sets, request pool or event core. A bug in code
+//! the engine's execution paths share shows up here even though span
+//! equivalence, which compares those paths to each other, cannot see
+//! it. Under FCFS and round-robin the per-op reference, the solo spans
+//! and the replay loop all pop from the same ready set, so this is the
+//! only check of that set's order.
 //!
 //! Whole reports must be equal, per-request timelines included. Only
 //! the four cache counters are copied over from the engine, because
@@ -103,6 +105,8 @@ fn shedding_deadline(spans: impl Iterator<Item = SimTime>) -> Option<SimTime> {
 struct Coverage {
     kv_rejections: u64,
     kv_blocked: usize,
+    /// Requests that waited between arrival and their first dispatch.
+    queued: usize,
     prefill_runs: usize,
     rereads: u64,
     uncorrectable: u64,
@@ -114,15 +118,12 @@ struct Coverage {
 /// span modes, and asserts whole-report equality.
 fn check(sc: &Scenario, trace: &ArrivalTrace, system: &mut System, seen: &mut Coverage) {
     let mut expected = oracle::run(sc, trace, system);
-    let policy = SchedulePolicy::ContinuousBatch {
-        max_batch: sc.max_batch,
-    };
     for mode in [SpanMode::default(), SpanMode::PerOp] {
         let actual = DeviceEngine::new(sc.cfg, sc.model.clone())
             .with_prefill(sc.prefill)
             .with_faults(sc.faults)
             .with_span_mode(mode)
-            .run(trace, policy);
+            .run(trace, sc.policy);
         expected.gemv_cache_hits = actual.gemv_cache_hits;
         expected.gemv_cache_misses = actual.gemv_cache_misses;
         expected.op_cost_cache_hits = actual.op_cost_cache_hits;
@@ -134,9 +135,16 @@ fn check(sc: &Scenario, trace: &ArrivalTrace, system: &mut System, seen: &mut Co
     }
     let rel = expected.reliability;
     seen.kv_rejections += expected.kv_rejections;
-    if expected.peak_batch_occupancy < sc.max_batch.min(expected.requests.len()) {
-        seen.kv_blocked += 1;
+    if let SchedulePolicy::ContinuousBatch { max_batch } = sc.policy {
+        if expected.peak_batch_occupancy < max_batch.min(expected.requests.len()) {
+            seen.kv_blocked += 1;
+        }
     }
+    seen.queued += expected
+        .requests
+        .iter()
+        .filter(|r| r.started > r.arrived)
+        .count();
     if expected.prefill_busy_s > 0.0 {
         seen.prefill_runs += 1;
     }
@@ -146,13 +154,31 @@ fn check(sc: &Scenario, trace: &ArrivalTrace, system: &mut System, seen: &mut Co
     seen.deadline_sheds += rel.deadline_sheds;
 }
 
-/// Every batch cap, prefill mode, fault level and deadline kind on one
-/// trace. Deadlines come from a deadline-free oracle probe of the same
-/// scenario.
-fn check_matrix(model: &ModelSpec, trace: &ArrivalTrace, seed: u64, seen: &mut Coverage) {
+/// The batched policies under test: every batch cap from 1 to 4.
+fn batched() -> Vec<SchedulePolicy> {
+    (1..=4)
+        .map(|max_batch| SchedulePolicy::ContinuousBatch { max_batch })
+        .collect()
+}
+
+/// The per-op policies under test.
+fn per_op() -> Vec<SchedulePolicy> {
+    vec![SchedulePolicy::Fcfs, SchedulePolicy::RoundRobin]
+}
+
+/// Every policy of `policies`, prefill mode, fault level and deadline
+/// kind on one trace. Deadlines come from a deadline-free oracle probe
+/// of the same scenario.
+fn check_matrix(
+    policies: &[SchedulePolicy],
+    model: &ModelSpec,
+    trace: &ArrivalTrace,
+    seed: u64,
+    seen: &mut Coverage,
+) {
     let cfg = config(model);
     let mut system = System::new(cfg);
-    for max_batch in 1..=4 {
+    for &policy in policies {
         for prefill in [PrefillMode::Off, PrefillMode::Modeled] {
             for age in fault_levels() {
                 let mut sc = Scenario {
@@ -160,7 +186,7 @@ fn check_matrix(model: &ModelSpec, trace: &ArrivalTrace, seed: u64, seen: &mut C
                     model: model.clone(),
                     prefill,
                     faults: FaultMode::Off,
-                    max_batch,
+                    policy,
                 };
                 let Some(age) = age else {
                     check(&sc, trace, &mut system, seen);
@@ -214,6 +240,43 @@ fn open_trace(n: usize, first_shape: usize, gap_ms: Option<u64>, seed: u64) -> A
     ArrivalTrace::Open(arrivals)
 }
 
+/// `n` mixed-shape arrivals 20 µs apart, listed latest first: each
+/// request arrives while the earlier ones still wait, and its id is
+/// lower than theirs, so admission runs against id order — the order
+/// round-robin breaks ties among never-scheduled requests by.
+fn latest_first(n: usize, first_shape: usize) -> ArrivalTrace {
+    ArrivalTrace::Open(
+        (0..n)
+            .map(|i| RequestArrival {
+                at: SimTime::from_micros(20 * (n - 1 - i) as u64),
+                shape: shape(first_shape + i),
+            })
+            .collect(),
+    )
+}
+
+/// The fixed draw of the property's inputs that the coverage tests
+/// check: one closed loop, one burst and one Poisson trace.
+fn fixed_traces() -> [ArrivalTrace; 3] {
+    [
+        ArrivalTrace::closed_loop(3, 2, shape(2)),
+        open_trace(6, 0, None, 7),
+        open_trace(6, 1, Some(20), 7),
+    ]
+}
+
+/// Runs the fixed draw under `policies` on both models and returns
+/// what it covered.
+fn fixed_draw_coverage(policies: &[SchedulePolicy]) -> Coverage {
+    let mut seen = Coverage::default();
+    for model in [tiny_opt(), tiny_llama()] {
+        for trace in &fixed_traces() {
+            check_matrix(policies, &model, trace, 7, &mut seen);
+        }
+    }
+    seen
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -240,7 +303,33 @@ proptest! {
             open_trace(n, first_shape, Some(gap_ms), seed),
         ];
         for trace in &traces {
-            check_matrix(&model, trace, seed, &mut Coverage::default());
+            check_matrix(&batched(), &model, trace, seed, &mut Coverage::default());
+        }
+    }
+
+    /// The same property under FCFS and round-robin, plus a trace
+    /// listed latest first: the per-op reference, solo spans and the
+    /// interleaved replay loop must all reproduce the oracle's report.
+    #[test]
+    fn fcfs_and_round_robin_reports_equal_the_oracle(
+        llama in 0usize..2,
+        n in 2usize..6,
+        first_shape in 0usize..SHAPES.len(),
+        clients in 1usize..4,
+        per_client in 1usize..4,
+        closed_shape in 0usize..SHAPES.len() - 1,
+        gap_ms in 5u64..400,
+        seed in 0u64..1000,
+    ) {
+        let model = if llama == 1 { tiny_llama() } else { tiny_opt() };
+        let traces = [
+            ArrivalTrace::closed_loop(clients, per_client, shape(closed_shape)),
+            open_trace(n, first_shape, None, seed),
+            open_trace(n, first_shape, Some(gap_ms), seed),
+            latest_first(n, first_shape),
+        ];
+        for trace in &traces {
+            check_matrix(&per_op(), &model, trace, seed, &mut Coverage::default());
         }
     }
 }
@@ -250,19 +339,24 @@ fn the_oracle_property_exercises_every_mechanism() {
     // One fixed draw of the property's inputs, checked for coverage:
     // each mechanism the oracle models must fire at least once, or the
     // equality above could pass without testing it.
-    let mut seen = Coverage::default();
-    for model in [tiny_opt(), tiny_llama()] {
-        let traces = [
-            ArrivalTrace::closed_loop(3, 2, shape(2)),
-            open_trace(6, 0, None, 7),
-            open_trace(6, 1, Some(20), 7),
-        ];
-        for trace in &traces {
-            check_matrix(&model, trace, 7, &mut seen);
-        }
-    }
+    let seen = fixed_draw_coverage(&batched());
     assert!(seen.kv_rejections > 0, "{seen:?}");
     assert!(seen.kv_blocked > 0, "{seen:?}");
+    assert!(seen.prefill_runs > 0, "{seen:?}");
+    assert!(seen.rereads > 0 && seen.uncorrectable > 0, "{seen:?}");
+    assert!(
+        seen.ttft_timeouts > 0 && seen.deadline_sheds > 0,
+        "{seen:?}"
+    );
+}
+
+#[test]
+fn the_per_op_oracle_property_exercises_every_mechanism() {
+    // The same fixed draw under FCFS and round-robin. Requests must
+    // also contend: some wait between arrival and their first dispatch.
+    let seen = fixed_draw_coverage(&per_op());
+    assert!(seen.kv_rejections > 0, "{seen:?}");
+    assert!(seen.queued > 0, "{seen:?}");
     assert!(seen.prefill_runs > 0, "{seen:?}");
     assert!(seen.rereads > 0 && seen.uncorrectable > 0, "{seen:?}");
     assert!(

@@ -1,23 +1,36 @@
-//! A deliberately naive reference for continuous batching.
+//! A deliberately naive reference for every scheduling policy.
 //!
-//! [`run`] serves a trace under [`SchedulePolicy::ContinuousBatch`]
-//! the slow, obvious way, and builds a whole [`ServeReport`] that must
-//! equal `DeviceEngine::run`'s. It shares none of the engine's
-//! structures: no token plan, pricing table, attention prefix table,
-//! span, request pool or event core. Each batch step re-enumerates
-//! every member's op stream with [`decode_step`] and prices each op
-//! through [`System::op_cost`]. Requests live in a plain `Vec`, events
-//! in a [`sim_core::EventQueue`], and the NAND fault ladder is
-//! re-derived here from [`FaultConfig`]'s public fields.
+//! [`run`] serves a trace the slow, obvious way, and builds a whole
+//! [`ServeReport`] that must equal `DeviceEngine::run`'s. It shares
+//! none of the engine's structures: no token plan, pricing table,
+//! attention prefix table, span, ready set, request pool or event
+//! core. Each token re-enumerates its op stream with [`decode_step`]
+//! and prices each op through [`System::op_cost`]. Requests live in a
+//! plain `Vec`, events in a [`sim_core::EventQueue`], and the NAND
+//! fault ladder is re-derived here from [`FaultConfig`]'s public
+//! fields.
 //!
-//! The semantics it encodes, in the engine's own terms:
+//! Shared by every policy, in the engine's own terms:
+//!
+//! * A context (`prompt + new_tokens`) larger than the empty KV cache
+//!   is rejected at admission and counted. A closed-loop client
+//!   re-issues at the instant its request completes, is shed, or is
+//!   rejected.
+//! * Faults: each page-read window draws from one request's stream.
+//!   Streams fork from the seed root in the order requests are
+//!   created. A prefill is one window over the prompt's NAND bytes,
+//!   drawn from the joiner's stream.
+//! * Deadlines shed a request at a token boundary: the TTFT deadline at
+//!   its first token, the total deadline at any token it does not
+//!   finish on. Both checks are strict.
+//! * The makespan runs from the first admitted arrival to the last
+//!   completion or shed, whichever is later.
+//!
+//! [`SchedulePolicy::ContinuousBatch`]:
 //!
 //! * Arrivals queue FIFO and are admitted at token boundaries, or at
 //!   once when the device is idle. Admission reserves KV for the whole
-//!   context (`prompt + new_tokens`). A head that does not fit waits
-//!   and blocks the queue; a context larger than the empty cache is
-//!   rejected and counted. A closed-loop client re-issues at the
-//!   instant its request completes, is shed, or is rejected.
+//!   context. A head that does not fit waits and blocks the queue.
 //! * Under modelled prefill, each joining member's prefill runs in a
 //!   window at its admission boundary, after the joiners ahead of it.
 //!   The window holds both resources, and the next step starts when it
@@ -26,15 +39,26 @@
 //!   streams once per step, floored by both compute rooflines at
 //!   `batch ×` the per-request MAC shares. NPU ops run per member, with
 //!   attention at the member's own sequence position.
-//! * Faults: one page-read window per step, drawn from the head
-//!   member's stream over the step's weight bytes at their batch-1
-//!   flash time, and one per prefill, drawn from the joiner's stream.
-//!   Streams fork from the seed root in the order requests are created.
-//! * Deadlines shed a request at a token boundary: the TTFT deadline at
-//!   its first token, the total deadline at any token it does not
-//!   finish on. Both checks are strict.
-//! * The makespan runs from the first admitted arrival to the last
-//!   completion or shed, whichever is later.
+//! * One fault window per step, drawn from the head member's stream
+//!   over the step's weight bytes at their batch-1 flash time.
+//!
+//! [`SchedulePolicy::Fcfs`] and [`SchedulePolicy::RoundRobin`]:
+//!
+//! * The flash device runs the weight GeMVs, the NPU everything else.
+//!   Each serves one op at a time. Every request that fits is admitted
+//!   at arrival and waits for the resource of its next op.
+//! * After every event, each idle resource, flash first, starts the
+//!   waiting request with the smallest `(key, id)`. The key is the
+//!   arrival time under FCFS and, under round-robin, the value of a
+//!   dispatch counter at the request's last dispatch (0 before its
+//!   first).
+//! * Under modelled prefill, a request with a prompt first waits on
+//!   the flash device for its prefill, which holds both resources. A
+//!   prefill at the head of the flash queue waits for a busy NPU, and
+//!   the flash device idles meanwhile.
+//! * One fault window per token, drawn from the request's stream when
+//!   the token starts, over its weight bytes at their flash time. The
+//!   extra time lands on the token's first flash op.
 //!
 //! The four cache counters (`gemv_cache_*`, `op_cost_cache_*`) count
 //! the engine's own memo traffic, so the oracle leaves them zero.
@@ -63,8 +87,8 @@ pub struct Scenario {
     pub prefill: PrefillMode,
     /// Fault mode.
     pub faults: FaultMode,
-    /// `ContinuousBatch`'s admission cap.
-    pub max_batch: usize,
+    /// Scheduling policy.
+    pub policy: SchedulePolicy,
 }
 
 /// One request, every field in one place.
@@ -81,6 +105,20 @@ struct Request {
     token_started: SimTime,
     tokens: usize,
     faults: SplitMix64,
+    /// FCFS and round-robin only: whether the request still owes its
+    /// prefill.
+    owes_prefill: bool,
+    /// FCFS and round-robin only: the current token's ops, in order,
+    /// as `(runs on flash, latency)`.
+    ops: Vec<(bool, SimTime)>,
+    /// FCFS and round-robin only: index of the op waiting or running.
+    next_op: usize,
+    /// FCFS and round-robin only: fault time of the current token, not
+    /// yet spent by its first flash op.
+    fault_extra: u64,
+    /// FCFS and round-robin only: the dispatch counter at the last
+    /// dispatch, 0 before the first.
+    last_dispatch: u64,
 }
 
 impl Request {
@@ -92,9 +130,20 @@ impl Request {
 #[derive(Debug, Clone, Copy)]
 enum Event {
     Arrive(usize),
+    /// Batched: the admission prefill window closed.
     PrefillEnd,
+    /// Batched: a batch step finished.
     StepEnd,
+    /// Per-op: request `.1`'s op on resource `.0` finished.
+    OpEnd(usize, usize),
+    /// Per-op: the request's prefill finished; it frees the flash.
+    PrefillDone(usize),
+    /// Per-op: the NPU side of a prefill frees the NPU.
+    HoldDone,
 }
+
+const FLASH: usize = 0;
+const NPU: usize = 1;
 
 /// The NAND reread ladder of `FaultConfig`: a page failing the sense
 /// at attempt `j` is re-read at the next, finer sense, until
@@ -268,10 +317,20 @@ struct Run<'s> {
     client_left: Vec<usize>,
     client_shape: Option<RequestShape>,
     events: EventQueue<Event>,
-    /// Whether a step or a prefill window is in flight.
+    /// Batched: whether a step or a prefill window is in flight.
     device_busy: bool,
+    /// Batched: the admission queue.
     pending: VecDeque<usize>,
+    /// Batched: the running batch.
     batch: Vec<usize>,
+    /// Batched: the admission cap.
+    max_batch: usize,
+    /// Per-op: the requests waiting for each resource.
+    waiting: [Vec<usize>; 2],
+    /// Per-op: whether each resource is serving an op.
+    serving: [bool; 2],
+    /// Per-op: dispatches so far, the round-robin key.
+    dispatches: u64,
     kv: KvCache,
     // Report accumulators.
     first_admitted_arrival: Option<SimTime>,
@@ -301,6 +360,11 @@ impl Run<'_> {
             token_started: at,
             tokens: 0,
             faults: self.fault_root.fork(),
+            owes_prefill: false,
+            ops: Vec::new(),
+            next_op: 0,
+            fault_extra: 0,
+            last_dispatch: 0,
         });
         self.events.schedule(at, Event::Arrive(id));
     }
@@ -332,7 +396,7 @@ impl Run<'_> {
     /// the joiners or, if none is owed, the next step.
     fn admit_and_start(&mut self, now: SimTime) {
         let mut window = SimTime::ZERO;
-        while self.batch.len() < self.sc.max_batch {
+        while self.batch.len() < self.max_batch {
             let Some(&id) = self.pending.front() else {
                 break;
             };
@@ -462,23 +526,163 @@ impl Run<'_> {
             }
             let context = r.context();
             if finished {
-                let started = r.started.expect("admitted");
-                let report = RequestReport {
-                    id,
-                    arrived: r.arrived,
-                    started,
-                    prefill_end: r.prefill_end.unwrap_or(started),
-                    first_token_at: r.first_token.expect("retired a token"),
-                    finished: now,
-                    tokens: r.tokens,
-                };
-                if let Some(ladder) = &mut self.ladder {
-                    ladder.score(&report);
-                }
-                self.queueing.push(report.queueing_delay().as_secs_f64());
-                self.done.push(report);
+                self.complete(id, now);
             }
             self.kv.release(context);
+            self.reissue(id, now);
+        }
+    }
+
+    /// Files the report of request `id`, which finished at `now`.
+    fn complete(&mut self, id: usize, now: SimTime) {
+        let r = &self.requests[id];
+        let started = r.started.expect("admitted");
+        let report = RequestReport {
+            id,
+            arrived: r.arrived,
+            started,
+            prefill_end: r.prefill_end.unwrap_or(started),
+            first_token_at: r.first_token.expect("retired a token"),
+            finished: now,
+            tokens: r.tokens,
+        };
+        if let Some(ladder) = &mut self.ladder {
+            ladder.score(&report);
+        }
+        self.queueing.push(report.queueing_delay().as_secs_f64());
+        self.done.push(report);
+    }
+
+    /// Per-op: starts request `id`'s next token. Prices its ops from
+    /// scratch, books their traffic, and draws the token's fault window.
+    fn begin_token(&mut self, id: usize) {
+        let r = &mut self.requests[id];
+        let step = decode_step(
+            &self.sc.model,
+            self.sc.cfg.quant,
+            r.shape.prompt_len + r.tokens,
+        );
+        r.ops.clear();
+        r.next_op = 0;
+        let mut stream_bytes = 0u64;
+        let mut stream_ps = 0u64;
+        for op in &step.ops {
+            let cost = self.system.op_cost(op);
+            self.traffic.absorb(&cost.traffic);
+            let on_flash = matches!(op, DecodeOp::WeightGemv { .. });
+            if on_flash {
+                stream_bytes += cost.traffic.nand_array_bytes;
+                stream_ps += cost.latency.as_picos();
+            }
+            r.ops.push((on_flash, cost.latency));
+        }
+        if let Some(ladder) = &mut self.ladder {
+            r.fault_extra = ladder.window(stream_bytes, stream_ps, &mut r.faults);
+        }
+    }
+
+    /// Per-op: queues request `id` for the resource of its next op.
+    fn wait_for_next_op(&mut self, id: usize) {
+        let r = &self.requests[id];
+        let resource = if r.ops[r.next_op].0 { FLASH } else { NPU };
+        self.waiting[resource].push(id);
+    }
+
+    /// Per-op: the request waiting for `resource` that the policy
+    /// serves first, as an index into `waiting[resource]`.
+    fn first_waiting(&self, resource: usize) -> Option<usize> {
+        let key = |id: usize| match self.sc.policy {
+            SchedulePolicy::Fcfs => self.requests[id].arrived.as_picos(),
+            SchedulePolicy::RoundRobin => self.requests[id].last_dispatch,
+            SchedulePolicy::ContinuousBatch { .. } => unreachable!("batched runs step"),
+        };
+        (0..self.waiting[resource].len()).min_by_key(|&i| {
+            let id = self.waiting[resource][i];
+            (key(id), id)
+        })
+    }
+
+    /// Per-op: each idle resource, flash first, starts the waiting
+    /// request the policy serves first.
+    fn dispatch(&mut self, now: SimTime) {
+        for resource in [FLASH, NPU] {
+            if self.serving[resource] {
+                continue;
+            }
+            let Some(i) = self.first_waiting(resource) else {
+                continue;
+            };
+            let id = self.waiting[resource][i];
+            if self.requests[id].owes_prefill && self.serving[NPU] {
+                // A prefill needs both resources: the flash device
+                // idles until the NPU frees.
+                continue;
+            }
+            self.waiting[resource].remove(i);
+            self.dispatches += 1;
+            let r = &mut self.requests[id];
+            r.last_dispatch = self.dispatches;
+            r.started.get_or_insert(now);
+            if r.owes_prefill {
+                r.owes_prefill = false;
+                let plan = self.prefill_plan.as_ref().expect("prefill is modelled");
+                let cost = self.system.prefill_cost(plan, r.shape.prompt_len);
+                let mut total = cost.total;
+                if let Some(ladder) = &mut self.ladder {
+                    let extra = ladder.window(
+                        cost.traffic.nand_array_bytes,
+                        cost.total.as_picos(),
+                        &mut r.faults,
+                    );
+                    total += SimTime::from_picos(extra);
+                }
+                self.traffic.absorb(&cost.traffic);
+                self.prefill_busy += total;
+                self.flash_busy.add_interval(now, now + total);
+                self.npu_busy.add_interval(now, now + total);
+                self.events.schedule(now + total, Event::PrefillDone(id));
+                self.events.schedule(now + total, Event::HoldDone);
+                self.serving = [true, true];
+                continue;
+            }
+            let (_, mut latency) = r.ops[r.next_op];
+            if resource == FLASH {
+                latency += SimTime::from_picos(std::mem::take(&mut r.fault_extra));
+            }
+            let busy = if resource == FLASH {
+                &mut self.flash_busy
+            } else {
+                &mut self.npu_busy
+            };
+            busy.add_interval(now, now + latency);
+            self.events
+                .schedule(now + latency, Event::OpEnd(resource, id));
+            self.serving[resource] = true;
+        }
+    }
+
+    /// Per-op: request `id` finished an op at `now`. Queues its next
+    /// op, or retires the token and then continues, sheds or completes.
+    fn op_done(&mut self, id: usize, now: SimTime) {
+        let r = &mut self.requests[id];
+        r.next_op += 1;
+        if r.next_op < r.ops.len() {
+            self.wait_for_next_op(id);
+            return;
+        }
+        r.tokens += 1;
+        self.token_latencies
+            .push((now - r.token_started).as_secs_f64());
+        r.token_started = now;
+        r.first_token.get_or_insert(now);
+        let finished = r.tokens == r.shape.new_tokens;
+        if !finished && self.ladder.as_mut().is_some_and(|l| l.sheds(r, now)) {
+            self.reissue(id, now);
+        } else if !finished {
+            self.begin_token(id);
+            self.wait_for_next_op(id);
+        } else {
+            self.complete(id, now);
             self.reissue(id, now);
         }
     }
@@ -508,9 +712,7 @@ impl Run<'_> {
         reliability.deadline_goodput_tps = per_sec(reliability.goodput_tokens as f64);
         let lat = &mut self.token_latencies;
         ServeReport {
-            policy: SchedulePolicy::ContinuousBatch {
-                max_batch: self.sc.max_batch,
-            },
+            policy: self.sc.policy,
             prefill: self.sc.prefill,
             requests_served: self.done.len(),
             tokens_served,
@@ -545,11 +747,14 @@ impl Run<'_> {
     }
 }
 
-/// Serves `trace` under `ContinuousBatch { max_batch }` as described in
-/// the module docs. `system` must be configured as `sc.cfg`; its memo
-/// state changes no price, so one system may serve many runs.
+/// Serves `trace` under `sc.policy` as described in the module docs.
+/// `system` must be configured as `sc.cfg`; its memo state changes no
+/// price, so one system may serve many runs.
 pub fn run(sc: &Scenario, trace: &ArrivalTrace, system: &mut System) -> ServeReport {
-    assert!(sc.max_batch >= 1, "a batch holds at least one request");
+    let max_batch = match sc.policy {
+        SchedulePolicy::ContinuousBatch { max_batch } => max_batch,
+        SchedulePolicy::Fcfs | SchedulePolicy::RoundRobin => 0,
+    };
     let ladder = match sc.faults {
         FaultMode::Off => None,
         FaultMode::Injected(fc) => Some(Ladder::new(fc, &sc.cfg, system)),
@@ -571,6 +776,10 @@ pub fn run(sc: &Scenario, trace: &ArrivalTrace, system: &mut System) -> ServeRep
         device_busy: false,
         pending: VecDeque::new(),
         batch: Vec::new(),
+        max_batch,
+        waiting: [Vec::new(), Vec::new()],
+        serving: [false, false],
+        dispatches: 0,
         kv: KvCache::new(kv_bytes_per_token(&sc.model, sc.cfg.quant), &sc.cfg.npu),
         first_admitted_arrival: None,
         rejections: 0,
@@ -602,6 +811,16 @@ pub fn run(sc: &Scenario, trace: &ArrivalTrace, system: &mut System) -> ServeRep
             }
         }
     }
+    if max_batch > 0 {
+        run_batched(&mut run);
+    } else {
+        run_per_op(&mut run);
+    }
+    run.report()
+}
+
+/// The continuous-batching event loop.
+fn run_batched(run: &mut Run<'_>) {
     while let Some((now, event)) = run.events.pop() {
         match event {
             Event::Arrive(id) => {
@@ -621,6 +840,7 @@ pub fn run(sc: &Scenario, trace: &ArrivalTrace, system: &mut System) -> ServeRep
                 run.queue_due_arrivals(now);
                 run.admit_and_start(now);
             }
+            other => panic!("per-op event {other:?} in a batched run"),
         }
     }
     assert!(
@@ -628,5 +848,43 @@ pub fn run(sc: &Scenario, trace: &ArrivalTrace, system: &mut System) -> ServeRep
         "work left over"
     );
     assert_eq!(run.kv.tokens(), 0, "KV reservations leaked");
-    run.report()
+}
+
+/// The FCFS and round-robin event loop: one event, then one dispatch
+/// pass.
+fn run_per_op(run: &mut Run<'_>) {
+    while let Some((now, event)) = run.events.pop() {
+        match event {
+            Event::Arrive(id) => {
+                if run.requests[id].context() > run.kv.max_tokens() {
+                    run.rejections += 1;
+                    run.reissue(id, now);
+                } else {
+                    let arrived = run.requests[id].arrived;
+                    run.first_admitted_arrival.get_or_insert(arrived);
+                    if run.prefill_plan.is_some() && run.requests[id].shape.prompt_len > 0 {
+                        run.requests[id].owes_prefill = true;
+                        run.waiting[FLASH].push(id);
+                    } else {
+                        run.begin_token(id);
+                        run.wait_for_next_op(id);
+                    }
+                }
+            }
+            Event::PrefillDone(id) => {
+                run.serving[FLASH] = false;
+                run.requests[id].prefill_end = Some(now);
+                run.begin_token(id);
+                run.wait_for_next_op(id);
+            }
+            Event::HoldDone => run.serving[NPU] = false,
+            Event::OpEnd(resource, id) => {
+                run.serving[resource] = false;
+                run.op_done(id, now);
+            }
+            other => panic!("batched event {other:?} in a per-op run"),
+        }
+        run.dispatch(now);
+    }
+    assert!(run.waiting.iter().all(Vec::is_empty), "work left over");
 }
