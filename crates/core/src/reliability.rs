@@ -456,7 +456,8 @@ pub struct WearTrajectory {
     pub start: FlashAge,
     /// Simulated days advanced per step.
     pub days_per_step: f64,
-    /// Horizon: stop after this many days even if the SLO holds.
+    /// Horizon: stop before sampling a day past this, even if the SLO
+    /// holds.
     pub max_days: f64,
     /// How many times per day the measured trace repeats. A trace
     /// covering one virtual minute of traffic served all day is
@@ -478,7 +479,9 @@ impl WearTrajectory {
     pub const MAX_STEPS: usize = 512;
 
     /// Runs the trajectory: one fault-injected serve per step until the
-    /// SLO breaks, `max_days` elapse, or [`Self::MAX_STEPS`] steps run.
+    /// SLO breaks, the next step would pass `max_days`, or
+    /// [`Self::MAX_STEPS`] steps run. Day zero is always sampled, and no
+    /// sampled day exceeds `max_days`.
     ///
     /// # Panics
     ///
@@ -495,12 +498,12 @@ impl WearTrajectory {
             self.days_per_step > 0.0,
             "WearTrajectory needs a positive step"
         );
-        let steps = (self.max_days / self.days_per_step).ceil() as usize;
         let mut age = self.start;
         let mut day = 0.0;
         let mut points = Vec::new();
         let mut days_until_slo = None;
-        for _ in 0..=steps.min(Self::MAX_STEPS) {
+        let mut truncated = false;
+        loop {
             let fc = FaultConfig { age, ..self.base };
             let engine = ServeEngine::new(cfg, model.clone())
                 .with_prefill(prefill)
@@ -521,16 +524,24 @@ impl WearTrajectory {
                 days_until_slo = Some(day);
                 break;
             }
+            let next_day = day + self.days_per_step;
+            if next_day > self.max_days {
+                break;
+            }
+            if points.len() > Self::MAX_STEPS {
+                truncated = true;
+                break;
+            }
             let day_reads = (rep.traffic.nand_array_bytes as f64
                 * self.traffic_scale
                 * self.days_per_step) as u64;
             age.absorb_reads(day_reads, self.bytes_per_pe, self.days_per_step);
-            day += self.days_per_step;
+            day = next_day;
         }
         WearReport {
             slo_goodput_tps: self.slo_goodput_tps,
             last_day: points.last().map_or(0.0, |p| p.day),
-            truncated: days_until_slo.is_none() && steps > Self::MAX_STEPS,
+            truncated,
             points,
             days_until_slo,
         }
@@ -788,6 +799,35 @@ mod tests {
         assert!(!short.truncated);
         assert_eq!(short.last_day, 4.0);
         assert!(short.summary().contains("whole horizon"));
+    }
+
+    #[test]
+    fn wear_trajectory_never_samples_past_its_horizon() {
+        // 10 days in 3-day steps: the last sample is day 9, not day 12.
+        let shape = llm_workload::RequestShape::new(8, 1);
+        let trace = ArrivalTrace::burst(1, shape);
+        let wt = WearTrajectory {
+            start: FlashAge::fresh(),
+            days_per_step: 3.0,
+            max_days: 10.0,
+            traffic_scale: 1.0,
+            bytes_per_pe: 0,
+            slo_goodput_tps: 0.0,
+            base: FaultConfig::default(),
+        };
+        let rep = wt.run(
+            SystemConfig::cambricon_s(),
+            &llm_workload::zoo::opt_6_7b(),
+            PrefillMode::Off,
+            &trace,
+            SchedulePolicy::Fcfs,
+        );
+        let days: Vec<f64> = rep.points.iter().map(|p| p.day).collect();
+        assert_eq!(days, [0.0, 3.0, 6.0, 9.0]);
+        assert_eq!(rep.last_day, 9.0);
+        assert_eq!(rep.days_until_slo, None);
+        assert!(!rep.truncated);
+        assert!(rep.summary().contains("whole horizon"));
     }
 
     #[test]

@@ -55,12 +55,24 @@
 //! Visiting the dirty dies in index order schedules the same events in
 //! the same order as scanning every die after every event, so the dirty
 //! set changes the cost of a run and no report field, `events`
-//! included. `tests/channel_equivalence.rs` checks this against such a
-//! scan.
+//! included.
+//!
+//! Events wait in three FIFO lanes and one bus slot, not in a heap.
+//! Every event kind has one fixed delay: `ArrayReadDone` fires `t_r`
+//! after it is scheduled, `MoveDone` `t_move` after, and `ComputeDone`
+//! `t_compute` after, one value per engine. At most one `BusFree` is
+//! pending, because the bus starts a transaction only when idle. The
+//! clock never goes backwards, so each lane is sorted by `(time, seq)`
+//! as it is filled, `seq` counting schedules. The next event is the
+//! smallest `(time, seq)` of at most four heads, exactly the event a
+//! `(time, seq)` heap would pop, same-instant ties included.
+//!
+//! `tests/channel_equivalence.rs` checks both against the earlier loop,
+//! which scans every die after every event and pops a binary heap.
 
 use crate::report::ChannelReport;
 use crate::workload::{ChannelWorkload, EngineConfig};
-use sim_core::{BusyTracker, EventQueue, SimTime};
+use sim_core::{BusyTracker, SimTime};
 use std::collections::VecDeque;
 
 /// Events inside one channel.
@@ -74,6 +86,90 @@ enum Ev {
     ComputeDone { die: usize },
     /// The current bus transaction completed.
     BusFree,
+}
+
+/// One scheduled event of a fixed-delay lane.
+#[derive(Debug, Clone, Copy)]
+struct Pending {
+    time: SimTime,
+    seq: u64,
+    ev: Ev,
+}
+
+/// The engine's event queue: a FIFO lane per fixed-delay event kind
+/// plus one slot for the bus (see the module docs, "Event loop").
+///
+/// Pops follow `(time, seq)`, where `seq` counts schedules, so
+/// same-instant events leave in scheduling order, as from a heap.
+#[derive(Debug, Default)]
+struct Lanes {
+    /// `ArrayReadDone`, `MoveDone` and `ComputeDone`, in that order.
+    fixed: [VecDeque<Pending>; 3],
+    /// The pending `BusFree` as `(time, seq)`.
+    bus: Option<(SimTime, u64)>,
+    seq: u64,
+    now: SimTime,
+    popped: u64,
+}
+
+impl Lanes {
+    /// Schedules `ev` at `at`. Every event of a lane must be scheduled
+    /// with that lane's one delay, so lanes stay sorted.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is before the current time, or if a `BusFree` is
+    /// scheduled while another is pending.
+    fn schedule(&mut self, at: SimTime, ev: Ev) {
+        assert!(
+            at >= self.now,
+            "causality violation: scheduling at {at} but now is {}",
+            self.now
+        );
+        let seq = self.seq;
+        self.seq += 1;
+        let lane = match ev {
+            Ev::ArrayReadDone { .. } => 0,
+            Ev::MoveDone { .. } => 1,
+            Ev::ComputeDone { .. } => 2,
+            Ev::BusFree => {
+                assert!(self.bus.is_none(), "two bus transactions in flight");
+                self.bus = Some((at, seq));
+                return;
+            }
+        };
+        let lane = &mut self.fixed[lane];
+        debug_assert!(
+            lane.back().map_or(true, |p| p.time <= at),
+            "{ev:?} at {at} breaks its lane's order"
+        );
+        lane.push_back(Pending { time: at, seq, ev });
+    }
+
+    /// Pops the event with the smallest `(time, seq)`, advancing the
+    /// clock to it.
+    fn pop(&mut self) -> Option<(SimTime, Ev)> {
+        // `3` names the bus slot.
+        let mut best = self.bus.map(|(time, seq)| (time, seq, 3));
+        for (i, lane) in self.fixed.iter().enumerate() {
+            if let Some(p) = lane.front() {
+                if best.map_or(true, |(t, s, _)| (p.time, p.seq) < (t, s)) {
+                    best = Some((p.time, p.seq, i));
+                }
+            }
+        }
+        let (time, _, lane) = best?;
+        let ev = match lane {
+            3 => {
+                self.bus = None;
+                Ev::BusFree
+            }
+            i => self.fixed[i].pop_front().expect("lane head").ev,
+        };
+        self.now = time;
+        self.popped += 1;
+        Some((time, ev))
+    }
 }
 
 /// A bus transaction.
@@ -192,7 +288,7 @@ impl DieSet {
 pub struct ChannelEngine {
     cfg: EngineConfig,
     wl: ChannelWorkload,
-    q: EventQueue<Ev>,
+    q: Lanes,
     dies: Vec<DieState>,
     /// Dies the next pass must visit (see the module docs).
     dirty: DieSet,
@@ -289,7 +385,7 @@ impl ChannelEngine {
         ChannelEngine {
             cfg,
             wl,
-            q: EventQueue::new(),
+            q: Lanes::default(),
             dies,
             dirty,
             rd_pending: DieSet::empty(dies_n),
@@ -342,7 +438,7 @@ impl ChannelEngine {
             self.reads_done,
             self.wl.read_pages
         );
-        let finish = self.q.now();
+        let finish = self.q.now;
         ChannelReport {
             finish,
             rc_finish: self.rc_finish,
@@ -353,7 +449,7 @@ impl ChannelEngine {
             read_bytes: self.read_bytes,
             rc_rounds_done: self.wl.rc_rounds,
             read_pages_done: self.reads_done,
-            events: self.q.total_popped(),
+            events: self.q.popped,
         }
     }
 
@@ -455,7 +551,7 @@ impl ChannelEngine {
 
     /// Fires every action whose preconditions now hold.
     fn try_advance(&mut self) {
-        let now = self.q.now();
+        let now = self.q.now;
         // 1. Channel-level: queue input broadcasts within the prefetch window.
         while self.inputs_queued < self.wl.rc_rounds
             && self.inputs_queued < self.min_round + self.cfg.input_prefetch
@@ -792,7 +888,7 @@ mod tests {
                 cfg.slice = slice;
                 let mut engine = ChannelEngine::new(cfg, wl);
                 engine.event_loop();
-                let events = engine.q.total_popped();
+                let events = engine.q.popped;
                 let per_event = engine.die_visits as f64 / events as f64;
                 assert!(
                     per_event <= 4.0,
@@ -800,6 +896,54 @@ mod tests {
                     engine.die_visits
                 );
             }
+        }
+    }
+
+    /// The lanes pop what a `(time, seq)` heap pops, for schedules that
+    /// keep each lane's one delay. Delays on a 64 ns grid, zero
+    /// included, and several pushes per pop put every lane and the bus
+    /// slot on the same instants.
+    #[test]
+    fn lanes_pop_like_the_reference_heap() {
+        type Heap = sim_core::EventQueue<Ev>;
+        fn push(lanes: &mut Lanes, heap: &mut Heap, at: SimTime, ev: Ev) {
+            lanes.schedule(at, ev);
+            heap.schedule(at, ev);
+        }
+        let grid = |k: u64| SimTime::from_nanos(64 * k);
+        let mut rng = sim_core::SplitMix64::new(0x1a7e5);
+        for _ in 0..200 {
+            let delays = [(); 3].map(|()| grid(rng.next_below(4)));
+            let (mut lanes, mut heap) = (Lanes::default(), Heap::new());
+            let ev = Ev::ArrayReadDone { die: 0, rc: true };
+            push(&mut lanes, &mut heap, delays[0], ev);
+            let (mut pushes, mut bus_pending) = (1, false);
+            loop {
+                let popped = heap.pop();
+                assert_eq!(lanes.pop(), popped);
+                let Some((now, ev)) = popped else { break };
+                bus_pending &= ev != Ev::BusFree;
+                if pushes >= 400 {
+                    continue;
+                }
+                for _ in 0..rng.next_below(4) {
+                    let die = pushes;
+                    pushes += 1;
+                    let (lane, ev) = match rng.next_below(3) {
+                        0 => (0, Ev::ArrayReadDone { die, rc: false }),
+                        1 => (1, Ev::MoveDone { die, rc: true }),
+                        _ => (2, Ev::ComputeDone { die }),
+                    };
+                    push(&mut lanes, &mut heap, now + delays[lane], ev);
+                }
+                if !bus_pending && rng.chance(0.7) {
+                    bus_pending = true;
+                    let at = now + grid(rng.next_below(3));
+                    push(&mut lanes, &mut heap, at, Ev::BusFree);
+                }
+            }
+            assert_eq!(lanes.popped, heap.total_popped());
+            assert_eq!(lanes.now, heap.now());
         }
     }
 

@@ -1,9 +1,8 @@
 //! A minimal discrete-event simulation kernel.
 //!
 //! The kernel is a time-ordered priority queue of opaque events plus a
-//! monotonically advancing clock. Simulators (the flash device, the NPU,
-//! the full Cambricon-LLM system) define their own event payload type `E`
-//! and drive the loop themselves:
+//! monotonically advancing clock. A simulator defines its own event
+//! payload type `E` and drives the loop itself:
 //!
 //! ```
 //! use sim_core::{EventQueue, SimTime};
@@ -25,6 +24,13 @@
 //! Events scheduled for the same instant are delivered in FIFO order of
 //! scheduling, which makes simulations deterministic without requiring
 //! payloads to be `Ord`.
+//!
+//! The library's own event loops use specialized queues with the same
+//! `(time, schedule order)` ordering: the serving event core and the flash
+//! channel engine's fixed-delay lanes. `EventQueue` is the reference
+//! kernel of the test oracles that pin them: `tests/support/oracle.rs`
+//! for serving and `crates/flash-sim/tests/support/full_scan.rs` for the
+//! flash channel.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;

@@ -6,7 +6,8 @@
 //! equivalent substrate in Rust:
 //!
 //! * [`SimTime`] — picosecond-resolution virtual time,
-//! * [`EventQueue`] — a deterministic time-ordered event queue,
+//! * [`EventQueue`] — a deterministic time-ordered event queue, the
+//!   reference kernel of the test oracles,
 //! * [`BusyTracker`] / [`Counter`] / [`Aggregate`] — the statistics the
 //!   paper's figures report (channel utilization, bytes moved),
 //! * [`SplitMix64`] — a pinned, reproducible RNG for error injection.
