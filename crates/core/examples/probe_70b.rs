@@ -8,7 +8,7 @@
 //! ```
 
 use cambricon_llm::{System, SystemConfig};
-use flash_sim::FlashDevice;
+use flash_sim::{ChannelRuns, FlashDevice};
 use llm_workload::{decode_step, zoo, Quant};
 use tiling::plan_gemv;
 
@@ -18,10 +18,11 @@ fn main() {
     let step = decode_step(&model, Quant::W8A8, 1000);
     let inp = cfg.alpha_inputs();
     println!("per-shape GeMV plans for {model} on {}:", cfg.name);
+    let mut runs = ChannelRuns::new();
     for (r, c, n) in step.gemv_shape_census() {
         let plan = plan_gemv(&inp, r, c, tiling::Strategy::HardwareAware, None);
         let dev = FlashDevice::new(cfg.engine);
-        let rep = dev.run_per_channel(&plan.channel_workloads(&inp));
+        let rep = dev.run_per_channel(&plan.channel_workloads(&inp), &mut runs);
         println!(
             "  {r:>5}x{c:<5} x{n:<3} tile {:>4}x{:<5} rc={:<3} reads={:<5} alpha={:.2} \
              finish={:>7.1}us util={:.2}",

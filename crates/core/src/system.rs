@@ -12,11 +12,14 @@
 //! Decode is strictly sequential (each op consumes the previous op's
 //! output at batch size 1), so per-token latency is the sum of op
 //! latencies. Layers share identical GeMV shapes, so each distinct shape
-//! is simulated once and its measured latency reused — exact for the
-//! steady state and what makes full-model sweeps fast.
+//! is planned once and its measured latency reused; below that, each
+//! distinct channel workload is simulated once per system, so two shapes
+//! that tile to the same per-channel work (an FFN up/down pair on
+//! Cambricon-LLM-S or -M) share one discrete-event run. Both are exact
+//! for the steady state and are what make full-model sweeps fast.
 
 use crate::config::SystemConfig;
-use flash_sim::{DeviceReport, FlashDevice};
+use flash_sim::{ChannelRuns, DeviceReport, FlashDevice};
 use llm_workload::{
     decode_step, DecodeOp, ModelSpec, OpShape, PrefillPlan, SpecialKind, TokenPlan,
 };
@@ -183,16 +186,23 @@ pub struct TokenReport {
     pub traffic: TrafficBreakdown,
 }
 
-/// Memoized GeMV simulations: shape → (plan, device report).
+/// Memoized GeMV simulations: shape → (plan, device report), over a
+/// memo of the channel runs behind them.
 ///
 /// Layers share identical GeMV shapes within a token, tokens share them
 /// across a request, and concurrent requests of the same model share
-/// them across the fleet — so each distinct shape is simulated through
-/// the discrete-event flash device exactly once per [`System`]. The
-/// hit/miss counters surface that sharing in serving reports.
+/// them across the fleet — so each distinct shape is planned exactly
+/// once per [`System`]. Below the shapes, each distinct channel workload
+/// (under the active engine configuration, after any die shrink) is
+/// simulated through the discrete-event flash engine exactly once per
+/// [`System`]: transposed shapes often tile to the same per-channel
+/// work and then share one run. The hit/miss counters surface the shape
+/// sharing in serving reports; [`GemvCache::channel_runs`] and
+/// [`GemvCache::channel_events`] count the simulation work.
 #[derive(Debug, Clone, Default)]
 pub struct GemvCache {
     entries: Vec<((usize, usize), GemvPlan, DeviceReport)>,
+    runs: ChannelRuns,
     stats: CacheStats,
 }
 
@@ -202,24 +212,39 @@ impl GemvCache {
         Self::default()
     }
 
-    /// Number of distinct shapes simulated so far.
+    /// Number of distinct shapes planned so far.
     pub fn len(&self) -> usize {
         self.entries.len()
     }
 
-    /// Whether no shapes have been simulated yet.
+    /// Whether no shapes have been planned yet.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
 
-    /// Lookups served from memory (shape already simulated).
+    /// Lookups served from memory (shape already planned).
     pub fn hits(&self) -> u64 {
         self.stats.hits()
     }
 
-    /// Lookups that ran the flash discrete-event simulation.
+    /// Lookups that planned a new shape. A miss runs the flash
+    /// discrete-event simulation only for channel workloads no earlier
+    /// miss ran ([`GemvCache::channel_runs`]).
     pub fn misses(&self) -> u64 {
         self.stats.misses()
+    }
+
+    /// Flash channel simulations run so far: one per distinct (engine
+    /// configuration, channel workload) pair. Unlike the hit/miss
+    /// counters, [`System::reset_cache_stats`] keeps it, since it counts
+    /// memo entries rather than lookups.
+    pub fn channel_runs(&self) -> u64 {
+        self.runs.runs()
+    }
+
+    /// Discrete events those channel simulations processed, summed.
+    pub fn channel_events(&self) -> u64 {
+        self.runs.events()
     }
 
     /// Both counters as one summary.
@@ -457,7 +482,8 @@ impl System {
         self.op_cache.stats.reset();
     }
 
-    /// Simulates (or recalls) one weight GeMV of shape `rows × cols`.
+    /// Plans (or recalls) one weight GeMV of shape `rows × cols`,
+    /// simulating only the channel workloads this system has not run.
     fn gemv(&mut self, rows: usize, cols: usize) -> (GemvPlan, DeviceReport) {
         if let Some(hit) = self.gemv_cache.lookup(rows, cols) {
             return hit;
@@ -483,8 +509,8 @@ impl System {
             }
         }
         let plan = plan_gemv(&inp, rows, cols, self.cfg.strategy, self.cfg.tile_override);
-        let device = FlashDevice::new(engine);
-        let rep = device.run_per_channel(&plan.channel_workloads(&inp));
+        let rep = FlashDevice::new(engine)
+            .run_per_channel(&plan.channel_workloads(&inp), &mut self.gemv_cache.runs);
         self.gemv_cache.insert(rows, cols, plan, rep);
         (plan, rep)
     }
@@ -968,6 +994,120 @@ mod tests {
         sys.decode_token(&model, 100);
         // OPT layers have 4 distinct shapes (h×h, 4h×h, h×4h) + lm_head.
         assert!(sys.gemv_cache.len() <= 5, "{}", sys.gemv_cache.len());
+    }
+
+    fn weight_gemv(rows: usize, cols: usize) -> DecodeOp {
+        DecodeOp::WeightGemv {
+            label: "W",
+            rows,
+            cols,
+        }
+    }
+
+    /// The paper's design grid, one fresh system per point: every zoo
+    /// model at W8A8 on Cambricon-LLM-S/M/L and at W4A16 on -S/L
+    /// (Figures 9 and 11, 35 points), then Figure 15's chip sweep at 8
+    /// channels and channel sweep at 4 chips per channel for the first
+    /// three zoo models at W8A8 (45 points).
+    fn design_grid() -> Vec<(ModelSpec, SystemConfig)> {
+        let [s, m, l] = SystemConfig::paper_variants();
+        let mut grid = Vec::new();
+        for model in zoo::all() {
+            for cfg in [
+                s,
+                m,
+                l,
+                s.with_quant(Quant::W4A16),
+                l.with_quant(Quant::W4A16),
+            ] {
+                grid.push((model.clone(), cfg));
+            }
+        }
+        for model in &zoo::all()[..3] {
+            let chips = [1, 2, 4, 8, 16, 32, 64, 128].map(|c| (8, c));
+            let channels = [1, 2, 4, 8, 16, 32, 64].map(|ch| (ch, 4));
+            for (ch, c) in chips.into_iter().chain(channels) {
+                grid.push((model.clone(), SystemConfig::custom(ch, c)));
+            }
+        }
+        grid
+    }
+
+    /// The flash simulation work of the design grid: shapes planned,
+    /// channel runs and their events. Context length moves only NPU
+    /// attention ops, so none of the three depends on it.
+    #[test]
+    fn design_grid_channel_work_is_pinned() {
+        let grid = design_grid();
+        assert_eq!(grid.len(), 35 + 45);
+        let (mut shapes, mut runs, mut events) = (0, 0, 0);
+        for (model, cfg) in &grid {
+            let mut sys = System::new(*cfg);
+            sys.decode_token(model, 1000);
+            let cache = sys.gemv_cache();
+            shapes += cache.misses();
+            runs += cache.channel_runs();
+            events += cache.channel_events();
+        }
+        assert_eq!((shapes, runs, events), (325, 332, 1_950_912));
+    }
+
+    /// OPT-6.7B's FFN pair (`4h × h` up, `h × 4h` down) tiles to one
+    /// channel workload on Cambricon-LLM-S, which runs it once; on -L
+    /// the transposes tile differently and each runs its own.
+    #[test]
+    fn transposed_ffn_pair_shares_a_run_on_cam_s_only() {
+        let (up, down) = (weight_gemv(16384, 4096), weight_gemv(4096, 16384));
+        for (cfg, shared) in [
+            (SystemConfig::cambricon_s(), true),
+            (SystemConfig::cambricon_l(), false),
+        ] {
+            let mut sys = System::new(cfg);
+            sys.op_cost(&up);
+            let runs = sys.gemv_cache().channel_runs();
+            assert!(runs >= 1);
+            sys.op_cost(&down);
+            assert_eq!(sys.gemv_cache().misses(), 2);
+            let added = sys.gemv_cache().channel_runs() - runs;
+            assert_eq!(added == 0, shared, "{}: {added} new runs", cfg.name);
+        }
+    }
+
+    /// Every weight GeMV priced on one shared system costs exactly what
+    /// it costs on a fresh system of its own, where no run is shared:
+    /// each recalled channel run is the run the shape would have made.
+    /// Covers every zoo model on Cambricon-LLM-S/M/L at W8A8 and W4A16
+    /// and Figure 15's 1×4, 2×4 and 8×128 points (the last shrinks the
+    /// active dies per shape).
+    #[test]
+    fn shared_channel_runs_match_fresh_systems() {
+        let mut cfgs = Vec::new();
+        for quant in [Quant::W8A8, Quant::W4A16] {
+            cfgs.extend(SystemConfig::paper_variants().map(|c| c.with_quant(quant)));
+        }
+        cfgs.extend([(1, 4), (2, 4), (8, 128)].map(|(ch, c)| SystemConfig::custom(ch, c)));
+        let (mut shared_runs, mut fresh_runs) = (0, 0);
+        for cfg in cfgs {
+            for model in zoo::all() {
+                let mut shared = System::new(cfg);
+                for (rows, cols, _) in decode_step(&model, cfg.quant, 1).gemv_shape_census() {
+                    let op = weight_gemv(rows, cols);
+                    let mut fresh = System::new(cfg);
+                    assert_eq!(
+                        shared.op_cost(&op),
+                        fresh.op_cost(&op),
+                        "{model} {rows}x{cols} on {} {:?}",
+                        cfg.name,
+                        cfg.quant
+                    );
+                    fresh_runs += fresh.gemv_cache().channel_runs();
+                }
+                shared_runs += shared.gemv_cache().channel_runs();
+            }
+        }
+        // The shared systems did recall runs, so the equality above
+        // checked some.
+        assert!(shared_runs < fresh_runs, "{shared_runs} vs {fresh_runs}");
     }
 
     #[test]

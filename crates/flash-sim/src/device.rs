@@ -2,15 +2,65 @@
 //!
 //! Channels are symmetric and independent in Cambricon-LLM's GeMV
 //! workloads (each channel owns a column slice of every tile and its own
-//! share of NPU-bound pages), so the device simulator runs one
-//! [`ChannelEngine`] per *distinct* per-channel workload and replicates
-//! the result across identical channels. This is exact, not an
-//! approximation, and keeps full-model simulations fast.
+//! share of NPU-bound pages), so a channel's report depends only on the
+//! engine configuration and its own [`ChannelWorkload`]. The device
+//! simulator runs one [`ChannelEngine`] per *distinct* per-channel
+//! workload and replicates the result across identical channels. This
+//! is exact, not an approximation, and keeps full-model simulations
+//! fast.
+//!
+//! The memo of runs is a [`ChannelRuns`] the caller owns and passes to
+//! every [`FlashDevice::run_per_channel`] call, so dedup reaches across
+//! calls as well as across the channels of one call: the system
+//! simulator keeps one per system, where an FFN up/down pair (`R×C` and
+//! `C×R`) often tiles to the same channel workload.
 
 use crate::engine::ChannelEngine;
 use crate::report::{ChannelReport, DeviceReport};
 use crate::workload::{ChannelWorkload, EngineConfig};
 use sim_core::SimTime;
+
+/// Channel runs memoized by (engine configuration, workload).
+///
+/// Each distinct non-empty pair runs the [`ChannelEngine`] once; a
+/// repeat recalls its report. Empty workloads are never run. The
+/// counters report the work done, for benchmarks and tests.
+#[derive(Debug, Clone, Default)]
+pub struct ChannelRuns {
+    entries: Vec<(EngineConfig, ChannelWorkload, ChannelReport)>,
+}
+
+impl ChannelRuns {
+    /// An empty memo.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Engine runs performed: one per distinct non-empty pair seen.
+    pub fn runs(&self) -> u64 {
+        self.entries.len() as u64
+    }
+
+    /// Discrete events those runs processed ([`ChannelReport::events`],
+    /// summed).
+    pub fn events(&self) -> u64 {
+        self.entries.iter().map(|(_, _, rep)| rep.events).sum()
+    }
+
+    /// The report of `wl` under `cfg`, running the engine only the first
+    /// time the pair is seen.
+    fn run(&mut self, cfg: &EngineConfig, wl: ChannelWorkload) -> ChannelReport {
+        if wl.is_empty() {
+            return ChannelReport::empty();
+        }
+        if let Some((_, _, rep)) = self.entries.iter().find(|(c, w, _)| *w == wl && c == cfg) {
+            return *rep;
+        }
+        let rep = ChannelEngine::new(*cfg, wl).run();
+        self.entries.push((*cfg, wl, rep));
+        rep
+    }
+}
 
 /// The flash device: a bundle of identical channels.
 #[derive(Debug, Clone, Copy)]
@@ -48,30 +98,23 @@ impl FlashDevice {
     }
 
     /// Runs per-channel workloads (which may differ, e.g. remainder
-    /// pages on the last channel). Identical workloads are simulated
-    /// once and replicated.
-    pub fn run_per_channel(&self, workloads: &[ChannelWorkload]) -> DeviceReport {
+    /// pages on the last channel). A workload `runs` already holds for
+    /// this configuration is recalled instead of simulated, and each new
+    /// one is simulated once and added to `runs`.
+    pub fn run_per_channel(
+        &self,
+        workloads: &[ChannelWorkload],
+        runs: &mut ChannelRuns,
+    ) -> DeviceReport {
         assert_eq!(
             workloads.len(),
             self.cfg.topology.channels,
             "need one workload per channel"
         );
-        let mut pairs: Vec<(ChannelWorkload, ChannelReport)> = Vec::with_capacity(workloads.len());
-        let mut memo: Vec<(ChannelWorkload, ChannelReport)> = Vec::new();
-        for wl in workloads {
-            let rep = if let Some((_, rep)) = memo.iter().find(|(w, _)| w == wl) {
-                *rep
-            } else {
-                let rep = if wl.is_empty() {
-                    ChannelReport::empty()
-                } else {
-                    ChannelEngine::new(self.cfg, *wl).run()
-                };
-                memo.push((*wl, rep));
-                rep
-            };
-            pairs.push((*wl, rep));
-        }
+        let pairs: Vec<(ChannelWorkload, ChannelReport)> = workloads
+            .iter()
+            .map(|wl| (*wl, runs.run(&self.cfg, *wl)))
+            .collect();
         self.aggregate(&pairs)
     }
 
@@ -144,16 +187,40 @@ mod tests {
         let dev = FlashDevice::new(EngineConfig::paper(Topology::cambricon_s()));
         let mut wls = vec![wl(50, 40); 8];
         wls[7] = wl(50, 55); // remainder pages on the last channel
-        let rep = dev.run_per_channel(&wls);
+        let mut runs = ChannelRuns::new();
+        let rep = dev.run_per_channel(&wls, &mut runs);
         let uni = dev.run_uniform(wl(50, 40));
         assert!(rep.finish >= uni.finish);
+        // Seven identical channels share one run.
+        assert_eq!(runs.runs(), 2);
+    }
+
+    #[test]
+    fn runs_are_shared_across_calls_and_keyed_by_config() {
+        let s = EngineConfig::paper(Topology::cambricon_s());
+        let mut unsliced = s;
+        unsliced.slice = crate::SlicePolicy::Unsliced;
+        let mut runs = ChannelRuns::new();
+        let first = FlashDevice::new(s).run_per_channel(&[wl(20, 10); 8], &mut runs);
+        assert_eq!(runs.runs(), 1);
+        let events = runs.events();
+        assert!(events > 0);
+        // The same workload again, on every channel: pure recall.
+        let again = FlashDevice::new(s).run_per_channel(&[wl(20, 10); 8], &mut runs);
+        assert_eq!((again, runs.runs(), runs.events()), (first, 1, events));
+        // Another configuration is another run; empty channels are none.
+        let mut wls = [wl(20, 10); 8];
+        wls[0] = ChannelWorkload::read_only(0);
+        let other = FlashDevice::new(unsliced).run_per_channel(&wls, &mut runs);
+        assert_eq!(runs.runs(), 2);
+        assert_ne!(other.finish, first.finish);
     }
 
     #[test]
     #[should_panic(expected = "one workload per channel")]
     fn wrong_channel_count_panics() {
         let dev = FlashDevice::new(EngineConfig::paper(Topology::cambricon_s()));
-        dev.run_per_channel(&[wl(1, 1); 3]);
+        dev.run_per_channel(&[wl(1, 1); 3], &mut ChannelRuns::new());
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! executing a [`ChannelWorkload`] (read-compute rounds + plain reads).
 //! Channels in the device are symmetric and independent for the paper's
 //! workloads, so [`FlashDevice`](crate::device::FlashDevice) runs one
-//! engine per distinct per-channel workload.
+//! engine per distinct per-channel workload, memoized across calls in a
+//! [`ChannelRuns`](crate::device::ChannelRuns).
 //!
 //! ## Pipeline model
 //!
@@ -56,6 +57,12 @@
 //! the same order as scanning every die after every event, so the dirty
 //! set changes the cost of a run and no report field, `events`
 //! included.
+//!
+//! Bus durations are fixed per run too: `new` computes the input
+//! broadcast, the result vector and a full read chunk (the slice, or the
+//! whole page unsliced) once, so a bus transaction costs no division.
+//! Only the short last chunk of a page the slice does not divide
+//! computes its own.
 //!
 //! Events wait in three FIFO lanes and one bus slot, not in a heap.
 //! Every event kind has one fixed delay: `ArrayReadDone` fires `t_r`
@@ -320,6 +327,14 @@ pub struct ChannelEngine {
     read_finish: SimTime,
     out_slots: usize,
     t_compute: SimTime,
+    /// Bus time of one input broadcast.
+    t_input: SimTime,
+    /// Bus time of one result vector.
+    t_result: SimTime,
+    /// Bytes of a full read chunk: the slice, or the whole page unsliced.
+    chunk_bytes: u64,
+    /// Bus time of one full read chunk.
+    t_chunk: SimTime,
     /// Dies visited by passes, summed over the run. Unit tests read it
     /// to pin the per-event work: reports cannot show it.
     #[cfg(test)]
@@ -382,6 +397,14 @@ impl ChannelEngine {
         let mut round_counts = vec![0; cfg.input_prefetch + 1];
         round_counts[0] = dies_n;
         let t_compute = cfg.core.compute_time(wl.ops_per_page);
+        let chunk_bytes = cfg.slice.chunk_bytes(cfg.topology.page_bytes) as u64;
+        // Result vectors are drained by the controller in streaming
+        // mode (the Slice Control polls output buffers round-robin), so
+        // they pay pure wire time; command/address cycles apply to input
+        // broadcasts and read(-chunk) transactions.
+        let t_input = cfg.timing.bus_occupancy(wl.rc_input_bytes);
+        let t_result = cfg.timing.xfer(wl.rc_result_bytes_per_core);
+        let t_chunk = cfg.timing.bus_occupancy(chunk_bytes);
         ChannelEngine {
             cfg,
             wl,
@@ -406,6 +429,10 @@ impl ChannelEngine {
             read_finish: SimTime::ZERO,
             out_slots,
             t_compute,
+            t_input,
+            t_result,
+            chunk_bytes,
+            t_chunk,
             #[cfg(test)]
             die_visits: 0,
         }
@@ -679,9 +706,8 @@ impl ChannelEngine {
             }
             // Round-robin a read chunk from dies with active transfers.
             let die = self.rd_pending.next_cyclic(self.read_rr)?;
-            let chunk = self.cfg.slice.chunk_bytes(self.cfg.topology.page_bytes) as u64;
             let d = &mut self.dies[die];
-            let bytes = chunk.min(d.rd_bytes_left);
+            let bytes = self.chunk_bytes.min(d.rd_bytes_left);
             d.rd_bytes_left -= bytes;
             let last = d.rd_bytes_left == 0;
             if last {
@@ -699,13 +725,11 @@ impl ChannelEngine {
             return;
         }
         if let Some(x) = self.next_xfer() {
-            // Result vectors are drained by the controller in streaming
-            // mode (the Slice Control polls output buffers round-robin),
-            // so they pay pure wire time; command/address cycles apply
-            // to input broadcasts and read(-chunk) transactions.
             let dur = match x {
-                Xfer::RcInput { .. } => self.cfg.timing.bus_occupancy(self.wl.rc_input_bytes),
-                Xfer::RcResult { .. } => self.cfg.timing.xfer(self.wl.rc_result_bytes_per_core),
+                Xfer::RcInput { .. } => self.t_input,
+                Xfer::RcResult { .. } => self.t_result,
+                Xfer::ReadChunk { bytes, .. } if bytes == self.chunk_bytes => self.t_chunk,
+                // The short last chunk of a page the slice does not divide.
                 Xfer::ReadChunk { bytes, .. } => self.cfg.timing.bus_occupancy(bytes),
             };
             self.bus_inflight = Some((x, now));

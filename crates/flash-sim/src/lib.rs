@@ -44,7 +44,7 @@ pub mod topology;
 pub mod workload;
 
 pub use aging::{BerModel, FlashAge};
-pub use device::FlashDevice;
+pub use device::{ChannelRuns, FlashDevice};
 pub use engine::ChannelEngine;
 pub use report::{ChannelReport, DeviceReport};
 pub use slice::SlicePolicy;

@@ -77,7 +77,7 @@ impl ChannelWorkload {
 }
 
 /// Full engine configuration for one run.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
     /// Device topology.
     pub topology: crate::Topology,

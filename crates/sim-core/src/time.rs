@@ -240,7 +240,8 @@ impl fmt::Display for SimTime {
 ///
 /// # Panics
 ///
-/// Panics if `bytes_per_second` is zero.
+/// Panics if `bytes_per_second` is zero, or if the time does not fit
+/// in a [`SimTime`] (about 213 days).
 ///
 /// # Examples
 ///
@@ -255,7 +256,7 @@ pub fn transfer_time(bytes: u64, bytes_per_second: u64) -> SimTime {
     assert!(bytes_per_second > 0, "zero bandwidth");
     // ps = bytes * 1e12 / B/s, computed in u128 to avoid overflow.
     let ps = (bytes as u128 * 1_000_000_000_000u128).div_ceil(bytes_per_second as u128);
-    SimTime::from_picos(ps as u64)
+    SimTime::from_picos(u64::try_from(ps).expect("SimTime overflow: transfer time"))
 }
 
 #[cfg(test)]
@@ -323,6 +324,12 @@ mod tests {
         // 70 GB at 40 GB/s = 1.75 s.
         let t = transfer_time(70_000_000_000, 40_000_000_000);
         assert!((t.as_secs_f64() - 1.75).abs() < 1e-9);
+    }
+
+    #[test]
+    #[should_panic(expected = "SimTime overflow")]
+    fn transfer_time_overflow_panics() {
+        transfer_time(u64::MAX, 1);
     }
 
     #[test]

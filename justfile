@@ -40,15 +40,15 @@ repro target="all":
 # Format + lint exactly as CI runs them.
 lint:
     cargo fmt --check
-    cargo clippy --workspace --all-targets -- -D warnings
-    RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+    cargo clippy --workspace --all-targets --locked -- -D warnings
+    RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline --locked
     just simlint
 
 # The determinism lint: self-test the rule corpus, then lint the tree
 # (see README "Determinism lint" for the D1–D5 rule catalog).
 simlint:
-    cargo run --release -p simlint -- --fixtures
-    cargo run --release -p simlint
+    cargo run --release --locked -p simlint -- --fixtures
+    cargo run --release --locked -p simlint
 
 # Auto-format the workspace.
 fmt:
