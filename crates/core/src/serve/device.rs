@@ -11,14 +11,14 @@
 //! run, report accumulators — lives in a [`DeviceRun`], built once and
 //! turned into the report once. Two event loops drive it:
 //!
-//! * [`Simulation`], the per-op loop for FCFS and round-robin, generic
-//!   over the policy's [`ReadySet`], the one queue of the run. It is
-//!   the reference semantics ([`SpanMode::PerOp`]) and, with spans on,
-//!   the dispatcher for two fast paths: **solo spans**
-//!   ([`DeviceRun::run_solo_span`]), which price a lone request's whole
-//!   tokens with a few adds, and the **replay loop**
-//!   ([`run_interleaved`]), which re-executes the multi-request steady
-//!   state between arrivals without the event core.
+//! * [`Simulation`], the one loop for FCFS and round-robin, generic over
+//!   the policy's [`ReadySet`], the one queue of the run. It interleaves
+//!   the two resources op by op: a hot completion handler with targeted
+//!   dispatch, out-of-line handlers for arrivals and for completions
+//!   around a prefill, and one post-event dispatch pass. With spans on,
+//!   that pass also starts **solo spans** ([`Simulation::solo_span`]),
+//!   which price a lone request's whole tokens with a few adds;
+//!   [`SpanMode::PerOp`] turns them off.
 //! * [`BatchedSimulation`], the continuous-batching loop. It runs the
 //!   batch in bulk-priced spans of whole batch steps; under
 //!   [`SpanMode::PerOp`] each span is one step.
@@ -93,8 +93,8 @@ impl DeviceEngine {
     /// Sets the span-coalescing mode for every subsequent run.
     /// [`SpanMode::Coalesced`] (the default) is bit-identical to
     /// [`SpanMode::PerOp`] and only changes wall-clock speed; the
-    /// per-op mode exists as the reference semantics and for pinning
-    /// tests.
+    /// per-op mode (no solo spans, one-step batch spans) exists for the
+    /// span-equivalence tests.
     ///
     /// # Panics
     ///
@@ -105,11 +105,6 @@ impl DeviceEngine {
         mode.cap();
         self.span = mode;
         self
-    }
-
-    /// The active span-coalescing mode.
-    pub fn span_mode(&self) -> SpanMode {
-        self.span
     }
 
     /// Sets the fault-injection mode for every subsequent run.
@@ -246,7 +241,7 @@ struct PlanTable {
     /// op-cost lookups, and a contiguous range prices as one
     /// prefix-sum difference. Segmented, so only positions requests
     /// actually visit are ever priced — the op-cost cache's miss count
-    /// (a report field) sees exactly the per-op loop's derivations.
+    /// (a report field) sees exactly per-op stepping's derivations.
     attn: AttnPrefix<AttnPoint>,
 }
 
@@ -313,8 +308,8 @@ const DEP_LAT_MARK: u64 = u64::MAX - MAX_DEP_SLOTS as u64;
 /// the plan position's price (the request's own attention price at an
 /// attention position) plus, on flash with faults on, the fault time
 /// its token has not spent yet — the token's sampled fault time rides
-/// on its first flash dispatch. The one pricing rule of both per-op
-/// dispatchers.
+/// on its first flash dispatch. The one pricing rule of every per-op
+/// dispatch.
 #[inline(always)]
 fn op_latency(
     table: &PlanTable,
@@ -344,7 +339,7 @@ fn op_latency(
 }
 
 /// Branch-layout hint: calling this marks the enclosing block cold, so
-/// the replay loop's rare arms (one token boundary per `n_ops` events)
+/// the FCFS/RR loop's rare arms (one token boundary per `n_ops` events)
 /// are laid out away from the hot op path.
 #[cold]
 #[inline(never)]
@@ -354,7 +349,7 @@ fn cold_mark() {}
 /// table's prefix table and returns the position's per-slot latencies
 /// plus its combined count-scaled traffic. First visit of a position
 /// prices it through [`System::op_cost`] in ascending slot order —
-/// exactly the calls (and therefore the cache misses) the per-op loop
+/// exactly the calls (and therefore the cache misses) per-op stepping
 /// makes — and every later visit is two adjacent prefix reads.
 fn attn_at(
     system: &mut System,
@@ -602,6 +597,9 @@ impl RequestPool {
 /// Ordering matches [`sim_core::EventQueue`] exactly: earliest
 /// `(time, schedule_stamp)` wins, so simultaneous events fire in the
 /// order they were scheduled (FIFO) and every run is deterministic.
+/// The batched loop pops it; the FCFS/RR loop ([`Simulation`]) keeps
+/// its own op-slot mirrors and uses only the arrival heap and the
+/// stamp.
 #[derive(Debug, Default)]
 struct EventCore {
     /// Pending op completion per resource: `(fires_at_ps, stamp, req)`.
@@ -658,22 +656,12 @@ impl EventCore {
 
     /// `(time_ps, stamp)` of the earliest pending arrival, `u64::MAX`
     /// pairs when none — the next externally imposed scheduling
-    /// boundary a span or the replay loop must respect.
+    /// boundary a span or the FCFS/RR loop must respect.
     #[inline]
     fn next_arrival(&self) -> (u64, u64) {
         self.arrivals
             .peek()
             .map_or((u64::MAX, u64::MAX), |&Reverse((at, st, _))| (at, st))
-    }
-
-    /// Advances the schedule stamp by `n` without scheduling anything.
-    /// Span fast-forwarding accounts for the per-op events it elides so
-    /// stamp-based FIFO tie-breaking (and the round-robin recency keys
-    /// derived from the sibling dispatch stamp) stay identical to
-    /// per-op stepping.
-    #[inline]
-    fn bump_stamp(&mut self, n: u64) {
-        self.stamp += n;
     }
 
     /// Pops an arrival scheduled for exactly `now`, if any — used by
@@ -750,23 +738,11 @@ struct DeviceRun<'a> {
     kv_max_context: usize,
     kv_rejections: u64,
     /// Most tokens (or batch steps) one span may coalesce. 0 encodes
-    /// [`SpanMode::PerOp`]: the per-op loop steps op by op, and the
-    /// batched loop runs one-step spans. Any nonzero cap also lets the
-    /// interleaved replay loop ([`run_interleaved`]) take over
-    /// multi-request steady stretches.
+    /// [`SpanMode::PerOp`]: no solo spans under FCFS and round-robin,
+    /// one-step spans under batching.
     span_cap: usize,
     /// Fault-injection state; `None` when [`FaultMode::Off`].
     faults: Option<FaultRun>,
-    /// Every solo span run, as `(request, tokens coalesced, tokens the
-    /// request owed at its start)`. Filled only in unit tests, which
-    /// use it to see that a span engaged: reports cannot show that.
-    #[cfg(test)]
-    solo_spans: Vec<(usize, usize, usize)>,
-    /// Ops dispatched inside the replay loop ([`run_interleaved`]).
-    /// Filled only in unit tests, which use it to see that the loop
-    /// engaged: reports cannot show that either.
-    #[cfg(test)]
-    replay_ops: u64,
 }
 
 impl<'a> DeviceRun<'a> {
@@ -829,10 +805,6 @@ impl<'a> DeviceRun<'a> {
             kv_rejections: 0,
             span_cap: engine.span.cap(),
             faults,
-            #[cfg(test)]
-            solo_spans: Vec::new(),
-            #[cfg(test)]
-            replay_ops: 0,
         }
     }
 
@@ -1206,187 +1178,12 @@ fn deadline_ps(f: &FaultRun, requests: &RequestPool, id: usize) -> Option<u64> {
     total.into_iter().chain(ttft).min()
 }
 
-impl DeviceRun<'_> {
-    /// Span fast-forwarding for the per-op loop: coalesces a run of
-    /// whole tokens for the **lone** in-flight request `id`, which must
-    /// be parked at a token boundary (cursor at op 0, its current token
-    /// already priced and booked by [`DeviceRun::begin_token`]). With
-    /// nothing else in flight the request's ops run strictly serially,
-    /// so a token's latency is the sum of the plan's slot latencies —
-    /// the seq-invariant positions from the [`PlanTable`], the attention
-    /// positions at the token's own sequence position — and a run of `k`
-    /// tokens is priced in the exact per-token order without touching
-    /// the event machinery.
-    ///
-    /// The span ends at the earliest scheduling boundary: the request's
-    /// completion, a forced span cap, the first token boundary at or
-    /// after one of its deadlines ([`deadline_ps`]), or the **last token
-    /// boundary at or before the next arrival** — a token an arrival
-    /// would land inside must run per-op, because the newcomer starts
-    /// interleaving on the free resource mid-token. Returns the number
-    /// of tokens coalesced; 0 means the very next token would cross an
-    /// arrival and the caller must fall back to per-op dispatch for it.
-    ///
-    /// Under fault injection each token carries its fault window's extra
-    /// flash time. The first token's was drawn (and committed) by
-    /// `begin_token`; each later token draws on a copy of the request's
-    /// fault stream and commits the draw — counters, degradation, and
-    /// the advanced stream — only once the token is accepted. A rejected
-    /// token's draw is dropped, so its own `begin_token` later draws the
-    /// identical window from the untouched stream.
-    ///
-    /// The final token's last op becomes the span-end event, so the
-    /// ordinary completion handler retires it (sample, completion
-    /// report, respawn) exactly as in per-op stepping. Elided per-op
-    /// dispatches are accounted into both schedule stamps (the event
-    /// core's and the loop's dispatch `stamp`) so round-robin recency
-    /// keys and FIFO tie-breaks stay identical.
-    fn run_solo_span(&mut self, stamp: &mut u64, id: usize, now: SimTime) -> usize {
-        let DeviceRun {
-            system,
-            plan,
-            table,
-            ev,
-            requests,
-            busy_track,
-            traffic,
-            token_latencies,
-            span_cap,
-            faults,
-            ..
-        } = self;
-        debug_assert!(
-            !table.pos_lat.is_empty(),
-            "a begun token implies a priced table"
-        );
-        debug_assert_eq!(
-            requests.cursor[id].index(),
-            0,
-            "span starts at a token boundary"
-        );
-        let n_ops = plan.len();
-        let (next_arrival, _) = ev.next_arrival();
-        let remaining = requests.remaining[id];
-        let mut lats: Vec<SimTime> = Vec::with_capacity(remaining.min(*span_cap).min(4096));
-        let mut t = now;
-        let mut k = 0usize;
-        // Attention latencies of the token under consideration. The first
-        // token's were already priced (and its traffic booked) by
-        // `begin_token`; later tokens are priced speculatively below and
-        // booked only on acceptance — a rejected token is re-priced by its
-        // own `begin_token` later, hitting the memo.
-        let mut dep = requests.dep_lat[id];
-        let mut unbooked: Option<TrafficBreakdown> = None;
-        // Fault time of the token under consideration, and the uncommitted
-        // draw (with its advanced stream) behind it for every token but the
-        // first.
-        let mut extra = requests.fault_extra[id];
-        let mut uncommitted: Option<(WindowDraw, SplitMix64)> = None;
-        let mut span_fault_extra = 0u64;
-        let deadline = faults.as_ref().and_then(|f| deadline_ps(f, requests, id));
-        loop {
-            let mut lat = table.solo_flash_lat + table.solo_npu_lat + SimTime::from_picos(extra);
-            for (d, &dep_lat) in dep.iter().enumerate().take(table.n_dep) {
-                lat += dep_lat * table.dep_counts[d];
-            }
-            let end = t + lat;
-            if end.as_picos() > next_arrival {
-                // The token would overlap the arrival: leave it per-op.
-                break;
-            }
-            if let Some(tr) = unbooked.take() {
-                // Book the accepted token exactly as `begin_token` would
-                // have at its start.
-                traffic.absorb(&table.inv_traffic);
-                traffic.absorb(&tr);
-            }
-            if let Some((draw, rng)) = uncommitted.take() {
-                faults
-                    .as_mut()
-                    .expect("a draw implies faults on")
-                    .commit_window(&draw);
-                requests.fault_rng[id] = rng;
-            }
-            span_fault_extra += extra;
-            k += 1;
-            t = end;
-            lats.push(lat);
-            if k == remaining || k >= *span_cap {
-                break;
-            }
-            if t.as_picos() == next_arrival {
-                // An arrival lands exactly on this boundary; it must see
-                // the engine at the boundary, so the span stops here.
-                break;
-            }
-            if deadline.is_some_and(|dl| t.as_picos() >= dl) {
-                // First boundary at or after a deadline: stop so the
-                // ordinary boundary handler's shed check runs.
-                break;
-            }
-            // Price the next token's attention slots (speculative; the
-            // prefix table keeps the entries either way, and a rejected
-            // token's position is re-read — not re-priced — by its own
-            // `begin_token` later).
-            let seq = requests.cursor[id].seq_len() + k;
-            let (lat, tr) = attn_at(system, plan, table, seq);
-            dep = lat;
-            unbooked = Some(tr);
-            // Its fault window, drawn speculatively on a stream copy.
-            if let Some(f) = faults.as_ref() {
-                let mut rng = requests.fault_rng[id].clone();
-                let draw = f.sample_window(
-                    table.inv_stream_traffic.nand_array_bytes,
-                    table.solo_flash_lat.as_picos(),
-                    &mut rng,
-                );
-                extra = draw.extra();
-                uncommitted = Some((draw, rng));
-            }
-        }
-        if k == 0 {
-            return 0;
-        }
-        #[cfg(test)]
-        self.solo_spans.push((id, k, remaining));
-        // The first token's fault time is spent inside the span.
-        requests.fault_extra[id] = 0;
-        // Per-op bookkeeping the span elides: one dispatch (and one event
-        // stamp) per op of every coalesced token.
-        let elided = (k * n_ops) as u64;
-        *stamp += elided;
-        requests.note_dispatch(id, *stamp, now);
-        // Interior boundaries: every token but the last retires inline.
-        let mut tb = now;
-        for &lat in &lats[..k - 1] {
-            tb += lat;
-            retire_token(requests, id, tb, token_latencies);
-        }
-        // Advance the cursor past the retired tokens in one shot, then
-        // park it one op short of the final token's end so the ordinary
-        // completion handler's advance lands on the token boundary.
-        requests.cursor[id].advance_by(k - 1);
-        requests.cursor[id].seek(n_ops - 1);
-        // One busy interval per resource for the whole span: the per-class
-        // totals are identical to per-op interval accounting (integer
-        // sums), and each interval ends before the span does. Fault time
-        // is flash time: rereads occupy the flash device.
-        let flash_busy = table.solo_flash_lat * k as u64 + SimTime::from_picos(span_fault_extra);
-        busy_track[0].add_interval(now, now + flash_busy);
-        busy_track[1].add_interval(now, now + ((t - now) - flash_busy));
-        ev.schedule_op(table.class_slots[n_ops - 1] as usize, t, id);
-        ev.bump_stamp(elided - 1);
-        k
-    }
-}
-
 /// A per-op policy's ready set: per resource, the admitted requests
 /// whose next op waits for that resource, popped in ascending
 /// `(key, id)` order. The FCFS key is the arrival time; the
 /// round-robin key is the last-scheduled dispatch stamp, 0 before the
-/// first dispatch. One set lives for the whole run: the general loop
-/// ([`Simulation`]), its solo-span check and the replay loop
-/// ([`run_interleaved`]) all enqueue into it and pop from it.
+/// first dispatch. One set lives for the whole run, and every handler
+/// of [`Simulation`] enqueues into it and pops from it.
 ///
 /// Neither key changes while a request waits, so each policy orders its
 /// members by a law of its own instead of a heap: FCFS ranks a request
@@ -1400,7 +1197,7 @@ trait ReadySet: Default {
     /// long as the membership and every key are unchanged (true for
     /// FCFS, whose keys are static; false for round-robin, whose
     /// rotation re-keys every dispatch). Inside a single-resource
-    /// stretch of the replay loop this licenses redispatching the
+    /// stretch of [`Simulation::step`] this licenses redispatching the
     /// completing member without touching the set.
     const RETAINS_MIN: bool;
     /// Admits request `id`, which arrived at `arrived_ps`, and queues
@@ -1689,176 +1486,389 @@ impl ReadySet for RrReady {
     }
 }
 
-/// Whether the general loop may hand control to [`run_interleaved`]:
-/// the next event to fire must be an op completion (not an arrival)
-/// belonging to a `Decoding` request, and no queued member may be
-/// awaiting a prefill (`awaiting_prefill`; the replay loop has no
-/// whole-device dispatch path). Exact, not heuristic: any state this
-/// rejects is handled by the general loop, which re-checks after every
-/// event.
-fn replay_eligible(ev: &EventCore, requests: &RequestPool, awaiting_prefill: usize) -> bool {
-    if awaiting_prefill > 0 {
-        return false;
-    }
-    let mut best: Option<(u64, u64)> = None;
-    for slot_ev in &ev.op_done {
-        if let Some((at, st, id)) = *slot_ev {
-            let id = id as usize;
-            if id == PREFILL_HOLD || requests.phase[id] != Phase::Decoding {
-                return false;
-            }
-            if best.map_or(true, |b| (at, st) < b) {
-                best = Some((at, st));
-            }
-        }
-    }
-    let Some(best) = best else {
-        return false;
-    };
-    ev.next_arrival() >= best
-}
-
-/// The interleaved replay loop: executes the multi-request steady
-/// state — every live request decoding, arrivals quiescent — as a
-/// faithful specialized replica of the general event loop, firing op
-/// completions and dispatching through the run's [`ReadySet`] without
-/// the event core. Every decision point is replayed in the same order
-/// with the same keys and stamps, so the trajectory (dispatch order,
-/// busy intervals, fault draws, retire times, completion reports) is
-/// bit-identical by construction; what's elided is pure mechanism —
-/// event-core round trips, arrival re-peeks, sentinel and phase checks
-/// that the entry conditions ([`replay_eligible`]) already discharged
-/// for the whole stretch.
+/// The event loop for FCFS and round-robin, generic over the policy's
+/// [`ReadySet`]: each resource serves one op at a time, and a freed
+/// resource dispatches the ready request its policy ranks first.
 ///
-/// Runs until the next event is an arrival (a scheduling boundary the
-/// general loop owns: admission, KV rejection, prefill entry), the
-/// event core drains, or a token boundary leaves both resources idle
-/// with exactly one request queued — the solo-span trigger, also the
-/// general loop's. It then writes the in-flight events, stamps and
-/// clock back. Returns whether it stopped at the solo-span trigger, in
-/// which case the general loop re-runs its solo check, dispatch pass
-/// and replay entry at the same instant instead of popping an event.
-/// Token boundaries, deadline sheds, completions and closed-loop
-/// respawns are handled inline through the same [`DeviceRun`] helpers
-/// the general loop calls.
-fn run_interleaved<Q: ReadySet>(q: &mut Q, run: &mut DeviceRun<'_>, stamp: &mut u64) -> bool {
-    let mut r = Replay::enter(q, run, *stamp);
-    let solo = loop {
-        let s = usize::from((r.s_at[1], r.s_st[1]) < (r.s_at[0], r.s_st[0]));
-        let at = r.s_at[s];
-        if at == u64::MAX || r.next_arr < (at, r.s_st[s]) {
-            break false;
-        }
-        r.now = SimTime::from_picos(at);
-        let solo = if s == 0 { r.step::<0>() } else { r.step::<1>() };
-        if solo {
-            break true;
-        }
-    };
-    *stamp = r.exit();
-    solo
-}
-
-/// The replay loop's state: the ready set, local mirrors of the event
-/// core's hot state, and the open busy runs. A stack local of
-/// [`run_interleaved`] whose methods are all inlined into it —
-/// [`Replay::boundary`] too, kept cold by [`cold_mark`] rather than out
-/// of line — so the struct never escapes into a call and its fields
-/// stay in registers.
+/// The loop keeps its own mirrors of the two op slots for the whole run
+/// (flattened to sentinel arrays — `u64::MAX` end time marks an idle
+/// slot, cheaper to test and update than `Option` tuples) and reads
+/// arrivals from the event core's heap through a cached head. The next
+/// event is the earliest `(time, stamp)` of the two slots and that
+/// head; stamps are unique, so the order is total and simultaneous
+/// events fire in the order they were scheduled. Each event takes one
+/// of three handlers:
 ///
-/// The event-core mirrors are the two op slots (flattened to sentinel
-/// arrays — `u64::MAX` end time marks an empty slot, cheaper to test and
-/// update than `Option` tuples), the schedule stamp, the clock, and the
-/// earliest pending arrival (refreshed after any respawn).
-/// `EventCore::pop`'s ordering is reproduced exactly — stamps are
-/// unique, so the slot comparison and the arrival cutoff are total.
+/// * [`Simulation::step`], the hot path: an op completion no prefill
+///   interacts with, dispatching only on the resources the completion
+///   can affect;
+/// * [`Simulation::arrive`]: KV admission control, the first token's
+///   pricing, and entry into the ready set;
+/// * [`Simulation::general`]: the op completions a prefill interacts
+///   with ([`Simulation::prefill_blocks`]) — the prefill's finish, the
+///   release of its NPU hold, and decodes that must not take `step`'s
+///   targeted dispatch because a queued prefill may be next on the
+///   flash or may keep it idle with its queue non-empty.
+///
+/// [`Simulation::settle`] then runs the solo-span check and a dispatch
+/// pass over every idle resource; it follows every event except a KV
+/// rejection and a `step` completion that stays inside a token. Token
+/// boundaries go through one [`Simulation::token_done`] on both
+/// completion paths.
 ///
 /// Busy time is booked lazily: dispatches that chain gaplessly on a
 /// resource (its start equals the previous dispatch's end — always true
 /// on a saturated resource) merge into one open run, flushed as a
-/// single `add_contiguous` when a starvation gap opens and at exit.
-/// Busy sum, final `last_end`, and interval count are identical to
-/// per-op `add_interval` booking, and the two per-resource trackers are
-/// independent, so the deferral is unobservable.
-struct Replay<'r, 'a, Q> {
-    q: &'r mut Q,
-    run: &'r mut DeviceRun<'a>,
+/// single interval when a gap opens and at the end of the run. Busy
+/// sums are integer picoseconds and the two trackers are independent,
+/// so the deferral is unobservable.
+struct Simulation<'a, Q> {
+    run: DeviceRun<'a>,
+    ready: Q,
     n_ops: usize,
     faults_on: bool,
+    /// Per resource: end time in picoseconds of the op in flight
+    /// (`u64::MAX` when idle), its event stamp and its request.
     s_at: [u64; 2],
     s_st: [u64; 2],
     s_id: [u32; 2],
-    ev_stamp: u64,
-    /// Mirror of the general loop's dispatch stamp.
+    /// Dispatch stamp, bumped per dispatched op: the round-robin
+    /// recency key.
     d_stamp: u64,
     now: SimTime,
+    /// `(time_ps, stamp)` of the earliest pending arrival, refreshed
+    /// whenever the heap changes.
     next_arr: (u64, u64),
+    /// Admitted requests whose prefill has not released the NPU yet.
+    /// While it is nonzero, [`Simulation::prefill_blocks`] picks the
+    /// completions that take [`Simulation::general`].
+    prefills: usize,
     busy_start: [u64; 2],
     /// End of each resource's open busy run; `u64::MAX` when none.
     busy_end: [u64; 2],
-    busy_k: [u64; 2],
+    /// Every solo span run, as `(request, tokens coalesced, tokens the
+    /// request owed at its start)`. Filled only in unit tests, which
+    /// use it to see that a span engaged: reports cannot show that.
+    #[cfg(test)]
+    solo_spans: Vec<(usize, usize, usize)>,
+    /// Op completions that took [`Simulation::general`]. Filled only in
+    /// unit tests: reports are the same whichever path an op takes.
+    #[cfg(test)]
+    general_ops: u64,
 }
 
-impl<'r, 'a, Q: ReadySet> Replay<'r, 'a, Q> {
-    /// Takes the in-flight ops out of the event core into the mirrors.
-    #[inline(always)]
-    fn enter(q: &'r mut Q, run: &'r mut DeviceRun<'a>, d_stamp: u64) -> Self {
-        let mut s_at = [u64::MAX; 2];
-        let mut s_st = [u64::MAX; 2];
-        let mut s_id = [0u32; 2];
-        for rs in 0..2 {
-            if let Some((at, st, id)) = run.ev.op_done[rs].take() {
-                s_at[rs] = at;
-                s_st[rs] = st;
-                s_id[rs] = id;
-            }
-        }
-        Replay {
+impl<'a, Q: ReadySet> Simulation<'a, Q> {
+    fn new(engine: &'a DeviceEngine, trace: &ArrivalTrace, system: System) -> Self {
+        let run = DeviceRun::new(engine, trace, system);
+        Simulation {
+            ready: Q::default(),
             n_ops: run.plan.len(),
             faults_on: run.faults.is_some(),
-            s_at,
-            s_st,
-            s_id,
-            ev_stamp: run.ev.stamp,
-            d_stamp,
-            now: run.ev.now,
+            s_at: [u64::MAX; 2],
+            s_st: [u64::MAX; 2],
+            s_id: [0; 2],
+            d_stamp: 0,
+            now: SimTime::ZERO,
             next_arr: run.ev.next_arrival(),
+            prefills: 0,
             busy_start: [0; 2],
             busy_end: [u64::MAX; 2],
-            busy_k: [0; 2],
-            q,
             run,
+            #[cfg(test)]
+            solo_spans: Vec::new(),
+            #[cfg(test)]
+            general_ops: 0,
         }
     }
 
-    /// Writes the mirrors back and returns the dispatch stamp; the
-    /// general loop resumes where it left off.
-    #[inline(always)]
-    fn exit(mut self) -> u64 {
-        self.flush_busy(0);
-        self.flush_busy(1);
-        let ev = &mut self.run.ev;
-        for rs in 0..2 {
-            ev.op_done[rs] =
-                (self.s_at[rs] != u64::MAX).then(|| (self.s_at[rs], self.s_st[rs], self.s_id[rs]));
+    fn run(mut self) -> (ServeReport, System) {
+        self.drive();
+        self.finish()
+    }
+
+    fn finish(self) -> (ServeReport, System) {
+        assert!(
+            self.ready.queued(FLASH) + self.ready.queued(NPU) == 0,
+            "event loop drained with work outstanding"
+        );
+        let run = self.run;
+        // Shed requests dispatched every op of the tokens they finished
+        // before the deadline cut them off — sheds happen only at token
+        // boundaries — so their tokens count as dispatched work even
+        // though no completion report carries them. Every weight-GeMV
+        // dispatch beyond the first per distinct shape reused a memoized
+        // flash simulation.
+        let tokens = run.done.iter().map(|r| r.tokens as u64).sum::<u64>()
+            + run.faults.as_ref().map_or(0, |f| f.shed_tokens);
+        let ops_dispatched = tokens * run.plan.len() as u64;
+        let gemv_dispatched = tokens * run.table.gemvs_per_token;
+        run.finish(Q::POLICY, ops_dispatched, gemv_dispatched, 0, 0)
+    }
+
+    /// Fires events until none is pending, then books the open busy
+    /// runs.
+    fn drive(&mut self) {
+        loop {
+            let s = usize::from((self.s_at[1], self.s_st[1]) < (self.s_at[0], self.s_st[0]));
+            let at = self.s_at[s];
+            if self.next_arr < (at, self.s_st[s]) {
+                self.arrive();
+                continue;
+            }
+            if at == u64::MAX {
+                break;
+            }
+            debug_assert!(at >= self.now.as_picos(), "event loop went back in time");
+            self.now = SimTime::from_picos(at);
+            if self.prefills > 0 && self.prefill_blocks(s) {
+                self.general(s);
+            } else if s == 0 {
+                self.step::<0>();
+            } else {
+                self.step::<1>();
+            }
         }
-        ev.stamp = self.ev_stamp;
-        ev.now = self.now;
-        self.d_stamp
+        self.flush_busy(FLASH);
+        self.flush_busy(NPU);
+    }
+
+    /// Whether the completion on `s` must take [`Simulation::general`]
+    /// while [`Simulation::prefills`] is nonzero: a prefill is in flight
+    /// (its finish, and the release of its NPU hold), the NPU frees
+    /// while the flash idles behind a queued prefill, or the flash frees
+    /// with a queued prefill at the head of its queue. Any other
+    /// completion leaves a queued prefill where it is, so `step`'s
+    /// targeted dispatch stays exact.
+    #[inline(always)]
+    fn prefill_blocks(&self, s: usize) -> bool {
+        if self.s_at[NPU] != u64::MAX && self.s_id[NPU] == PREFILL_HOLD as u32 {
+            return true;
+        }
+        if s == NPU {
+            return self.s_at[FLASH] == u64::MAX;
+        }
+        self.ready
+            .peek_min(FLASH)
+            .is_some_and(|id| self.run.requests.phase[id as usize] == Phase::Queued)
+    }
+
+    /// The arrival handler: pops the earliest arrival and either rejects
+    /// it or admits it into the ready set, then settles.
+    #[inline(never)]
+    fn arrive(&mut self) {
+        let Reverse((at, _, id)) = self.run.ev.arrivals.pop().expect("an arrival is pending");
+        debug_assert!(at >= self.now.as_picos(), "event loop went back in time");
+        let now = SimTime::from_picos(at);
+        self.now = now;
+        let id = id as usize;
+        let run = &mut self.run;
+        // KV admission control: a context (prompt + generation) that can
+        // never fit in the DRAM KV allocation is a counted rejection
+        // (`KvCapacityError` at prefill/append on real hardware), not a
+        // simulated run — the same never-fits criterion
+        // `ContinuousBatch` uses. Anything that fits alone is admitted
+        // immediately; these policies interleave per-op and do not
+        // reserve shared capacity ahead, `ContinuousBatch` does. A
+        // rejection changes nothing a dispatch pass could act on.
+        let shape = run.requests.cold[id].shape;
+        if shape.prompt_len + shape.new_tokens > run.kv_max_context {
+            run.kv_rejections += 1;
+            self.respawn(id);
+            return;
+        }
+        self.next_arr = run.ev.next_arrival();
+        // The request prices its first token and enters the ready set of
+        // its first op's resource — unless it owes a prefill, in which
+        // case it queues (state `Queued`) for the whole device on the
+        // flash side and prices its first token only once the prompt is
+        // resident.
+        let arrived = run.requests.cold[id].arrived;
+        run.first_arrival.get_or_insert(arrived);
+        run.requests.token_started[id] = now;
+        let rs = if run.prefill.is_some() && shape.prompt_len > 0 {
+            self.prefills += 1;
+            FLASH
+        } else {
+            run.requests.phase[id] = Phase::Decoding;
+            run.begin_token(id);
+            run.table.class_slots[run.requests.cursor[id].index()] as usize
+        };
+        self.ready.admit(rs, arrived.as_picos(), id as u32);
+        self.settle();
+    }
+
+    /// An op completion on `s` that a prefill interacts with: finishes
+    /// the prefill or releases its hold, or re-queues the completing
+    /// request wherever its next op waits; then settles.
+    #[inline(never)]
+    fn general(&mut self, s: usize) {
+        #[cfg(test)]
+        {
+            self.general_ops += 1;
+        }
+        let id32 = self.s_id[s];
+        let id = id32 as usize;
+        self.s_at[s] = u64::MAX;
+        let run = &mut self.run;
+        if id == PREFILL_HOLD {
+            // The NPU-side hold of a finished prefill: nothing to step,
+            // the resource is simply free again for the dispatch pass.
+            self.prefills -= 1;
+        } else if run.requests.phase[id] == Phase::Prefilling {
+            // Prefill complete (flash-slot event): the prompt is
+            // resident, decode begins.
+            run.requests.phase[id] = Phase::Decoding;
+            run.requests.cold[id].prefill_end = Some(self.now);
+            run.begin_token(id);
+            let rs = run.table.class_slots[run.requests.cursor[id].index()] as usize;
+            self.enqueue(rs, s, id32);
+        } else {
+            run.requests.cursor[id].advance();
+            let idx = run.requests.cursor[id].index();
+            if idx < self.n_ops {
+                let rs = run.table.class_slots[idx] as usize;
+                self.enqueue(rs, s, id32);
+            } else {
+                self.token_done(s, id32);
+            }
+        }
+        self.settle();
+    }
+
+    /// The post-event pass: the solo-span check, then a dispatch on
+    /// every idle resource with a ready request, flash first. A queued
+    /// prefill waits for both resources.
+    #[inline(never)]
+    fn settle(&mut self) {
+        // Span fast-forwarding: with exactly one request in flight,
+        // parked at a token boundary, and both resources idle, whole
+        // tokens coalesce into one bulk-priced span (every other live
+        // request would be queued or holding a pending completion, so
+        // this condition is exact). A request that cannot coalesce a
+        // token (an arrival is imminent, or it owes a prefill or sits
+        // mid-token) stays queued for ordinary per-op dispatch below.
+        if self.run.span_cap > 0
+            && self.s_at[FLASH] == u64::MAX
+            && self.s_at[NPU] == u64::MAX
+            && self.ready.queued(FLASH) + self.ready.queued(NPU) == 1
+        {
+            let rs = usize::from(self.ready.queued(FLASH) == 0);
+            let id = self.ready.peek_min(rs).expect("one request is queued") as usize;
+            if self.run.requests.phase[id] == Phase::Decoding
+                && self.run.requests.cursor[id].index() == 0
+                && self.solo_span(id) > 0
+            {
+                self.ready.pop_min(rs);
+                return;
+            }
+        }
+        for s in [FLASH, NPU] {
+            if self.s_at[s] != u64::MAX {
+                continue;
+            }
+            let Some(id32) = self.ready.peek_min(s) else {
+                continue;
+            };
+            let id = id32 as usize;
+            if self.run.requests.phase[id] == Phase::Queued {
+                // A pending prefill: it needs the whole device (flash
+                // stream + NPU GeMMs together). If the NPU is mid-op,
+                // the flash idles and the prefill keeps its place at the
+                // head — no later flash work jumps it — retrying at the
+                // next completion event.
+                debug_assert_eq!(s, FLASH);
+                if self.s_at[NPU] != u64::MAX {
+                    continue;
+                }
+                self.ready.pop_min(s);
+                self.d_stamp += 1;
+                let now = self.now;
+                self.run.requests.note_dispatch(id, self.d_stamp, now);
+                self.run.requests.phase[id] = Phase::Prefilling;
+                let end = (now + self.run.charge_prefill(id)).as_picos();
+                self.book(FLASH, now.as_picos(), end);
+                self.book(NPU, now.as_picos(), end);
+                self.schedule(FLASH, end, id32);
+                self.schedule(NPU, end, PREFILL_HOLD as u32);
+                continue;
+            }
+            self.ready.pop_min(s);
+            self.dispatch(s, id32);
+        }
+    }
+
+    /// The token-boundary half of a completion on `s`: retire the token,
+    /// then shed, continue or complete the request. Both completion
+    /// paths call it, and settle after it.
+    #[inline(always)]
+    fn token_done(&mut self, s: usize, id32: u32) {
+        let id = id32 as usize;
+        let now = self.now;
+        let run = &mut self.run;
+        retire_token(&mut run.requests, id, now, &mut run.token_latencies);
+        let shed = run
+            .faults
+            .as_mut()
+            .is_some_and(|f| deadline_shed(f, &run.requests, id, now));
+        if shed {
+            // Deadline missed: the request is shed (not completed, not
+            // reported), its client re-issues immediately.
+            run.requests.phase[id] = Phase::Done;
+            self.respawn(id);
+        } else if run.requests.remaining[id] > 0 {
+            // Next token: context has grown by the token just emitted.
+            run.requests.cursor[id].next_token();
+            run.begin_token(id);
+            let rs0 = run.table.class_slots[0] as usize;
+            self.enqueue(rs0, s, id32);
+        } else {
+            // Request complete; in a closed loop the client immediately
+            // issues its next request.
+            run.complete_request(id, now);
+            self.respawn(id);
+        }
+    }
+
+    /// Re-issues the closed-loop client of departing request `id`, if
+    /// any, and refreshes the arrival head.
+    #[inline(always)]
+    fn respawn(&mut self, id: usize) {
+        self.run.respawn_client(id, self.now);
+        self.next_arr = self.run.ev.next_arrival();
+    }
+
+    /// Books `[start, end)` picoseconds busy on `rs`, extending the open
+    /// run when the interval chains onto it.
+    #[inline(always)]
+    fn book(&mut self, rs: usize, start: u64, end: u64) {
+        if self.busy_end[rs] != start {
+            self.flush_busy(rs);
+            self.busy_start[rs] = start;
+        }
+        self.busy_end[rs] = end;
     }
 
     /// Books resource `rs`'s open busy run, if any.
     #[inline(always)]
     fn flush_busy(&mut self, rs: usize) {
-        if self.busy_k[rs] > 0 {
-            self.run.busy_track[rs].add_contiguous(
+        if self.busy_end[rs] != u64::MAX {
+            self.run.busy_track[rs].add_interval(
                 SimTime::from_picos(self.busy_start[rs]),
                 SimTime::from_picos(self.busy_end[rs]),
-                self.busy_k[rs],
             );
-            self.busy_k[rs] = 0;
             self.busy_end[rs] = u64::MAX;
         }
+    }
+
+    /// Fills slot `rs` with an op of request `id32` ending at `end_ps`,
+    /// under the next event stamp.
+    #[inline(always)]
+    fn schedule(&mut self, rs: usize, end_ps: u64, id32: u32) {
+        debug_assert_eq!(self.s_at[rs], u64::MAX, "resource already busy");
+        self.s_at[rs] = end_ps;
+        self.s_st[rs] = self.run.ev.stamp;
+        self.s_id[rs] = id32;
+        self.run.ev.stamp += 1;
     }
 
     /// Dispatches member `nid32` on resource `rs` at `now`. Called with
@@ -1873,28 +1883,14 @@ impl<'r, 'a, Q: ReadySet> Replay<'r, 'a, Q> {
         self.d_stamp += 1;
         requests.note_dispatch(nid, self.d_stamp, now);
         let latency = op_latency(&self.run.table, requests, nid, rs, self.faults_on);
-        #[cfg(test)]
-        {
-            self.run.replay_ops += 1;
-        }
         let end_ps = (now + latency).as_picos();
-        if self.busy_end[rs] == now.as_picos() {
-            self.busy_end[rs] = end_ps;
-        } else {
-            self.flush_busy(rs);
-            self.busy_start[rs] = now.as_picos();
-            self.busy_end[rs] = end_ps;
-        }
-        self.busy_k[rs] += 1;
-        self.s_at[rs] = end_ps;
-        self.s_st[rs] = self.ev_stamp;
-        self.s_id[rs] = nid32;
-        self.ev_stamp += 1;
+        self.book(rs, now.as_picos(), end_ps);
+        self.schedule(rs, end_ps, nid32);
     }
 
     /// Queues member `id32` for `rs` on behalf of a completion on `src`
-    /// and dispatches the queue's winner — the general loop's
-    /// enqueue-then-pop on a freed resource.
+    /// and dispatches the queue's winner — enqueue-then-pop on a freed
+    /// resource.
     #[inline(always)]
     fn requeue_dispatch(&mut self, rs: usize, src: usize, id32: u32) {
         self.enqueue(rs, src, id32);
@@ -1906,39 +1902,30 @@ impl<'r, 'a, Q: ReadySet> Replay<'r, 'a, Q> {
     #[inline(always)]
     fn enqueue(&mut self, rs: usize, src: usize, id32: u32) {
         let key = self.run.requests.last_scheduled[id32 as usize];
-        self.q.enqueue(rs, src, key, id32);
+        self.ready.enqueue(rs, src, key, id32);
     }
 
     /// Dispatches resource `rs`'s queue winner, if any is queued.
     #[inline(always)]
     fn dispatch_queued(&mut self, rs: usize) {
-        if let Some(nid32) = self.q.pop_min(rs) {
+        if let Some(nid32) = self.ready.pop_min(rs) {
             self.dispatch(rs, nid32);
         }
     }
 
-    /// Re-issues the closed-loop client of departing request `id`
-    /// through the event core, keeping the stamp and arrival mirrors in
-    /// step.
+    /// One op completion on resource `S` that no prefill interacts
+    /// with, giving each resource its own straight-line path with
+    /// well-predicted branches. Dispatch is event-driven: only the freed
+    /// slot and the enqueued-to slot can act, and [`Simulation::settle`]'s
+    /// flash-before-NPU dispatch order is preserved in each arm (outside
+    /// [`Simulation::prefill_blocks`], an idle slot has an empty queue
+    /// and the flash never pops a prefill). A member whose
+    /// next op stays on the freed resource with nobody else queued
+    /// redispatches directly, skipping the ready set entirely — with
+    /// identical stamps, since the pop it elides could only have
+    /// returned that member.
     #[inline(always)]
-    fn respawn(&mut self, id: usize) {
-        self.run.ev.stamp = self.ev_stamp;
-        self.run.respawn_client(id, self.now);
-        self.ev_stamp = self.run.ev.stamp;
-        self.next_arr = self.run.ev.next_arrival();
-    }
-
-    /// One op completion on resource `S`, giving each resource its own
-    /// straight-line path with well-predicted branches. Dispatch is
-    /// event-driven: only the freed slot and the enqueued-to slot can
-    /// act, and the general loop's flash-before-NPU dispatch order is
-    /// preserved in each arm. A member whose next op stays on the freed
-    /// resource with nobody else queued redispatches directly, skipping
-    /// the ready set entirely — with identical stamps, since the pop it
-    /// elides could only have returned that member. Returns whether the
-    /// loop must stop for the solo-span trigger.
-    #[inline(always)]
-    fn step<const S: usize>(&mut self) -> bool {
+    fn step<const S: usize>(&mut self) {
         let o = 1 - S;
         let id32 = self.s_id[S];
         let id = id32 as usize;
@@ -1946,11 +1933,16 @@ impl<'r, 'a, Q: ReadySet> Replay<'r, 'a, Q> {
         self.run.requests.cursor[id].advance();
         let idx = self.run.requests.cursor[id].index();
         if idx >= self.n_ops {
-            return self.boundary(S, id32);
+            // A token boundary: rare (one op in `n_ops`), so it stays
+            // cold and generic over the completing resource.
+            cold_mark();
+            self.token_done(S, id32);
+            self.settle();
+            return;
         }
         let rs2 = self.run.table.class_slots[idx] as usize;
         if rs2 == S {
-            if self.q.queued(S) == 0 {
+            if self.ready.queued(S) == 0 {
                 self.dispatch(S, id32);
             } else {
                 self.requeue_dispatch(S, S, id32);
@@ -1982,7 +1974,7 @@ impl<'r, 'a, Q: ReadySet> Replay<'r, 'a, Q> {
                 cursor.advance();
                 self.now = SimTime::from_picos(at2);
                 self.s_at[S] = u64::MAX;
-                if Q::RETAINS_MIN || self.q.queued(S) == 0 {
+                if Q::RETAINS_MIN || self.ready.queued(S) == 0 {
                     self.dispatch(S, cid32);
                 } else {
                     self.requeue_dispatch(S, S, cid32);
@@ -1993,7 +1985,7 @@ impl<'r, 'a, Q: ReadySet> Replay<'r, 'a, Q> {
             // dispatches first (directly if it sat idle, which implies
             // its queue is empty), then the freed NPU.
             if self.s_at[0] == u64::MAX {
-                debug_assert_eq!(self.q.queued(0), 0, "idle slot implies empty queue");
+                debug_assert_eq!(self.ready.queued(0), 0, "idle slot implies empty queue");
                 self.dispatch(0, id32);
             } else {
                 self.enqueue(0, S, id32);
@@ -2004,301 +1996,188 @@ impl<'r, 'a, Q: ReadySet> Replay<'r, 'a, Q> {
             // dispatches first, then the NPU side.
             self.dispatch_queued(0);
             if self.s_at[1] == u64::MAX {
-                debug_assert_eq!(self.q.queued(1), 0, "idle slot implies empty queue");
+                debug_assert_eq!(self.ready.queued(1), 0, "idle slot implies empty queue");
                 self.dispatch(1, id32);
             } else {
                 self.enqueue(1, S, id32);
             }
         }
-        false
     }
 
-    /// The token-boundary arm of a completion on `s`: retire, then
-    /// shed, continue or complete, then the solo-span trigger and a full
-    /// dispatch pass. Rare (one op in `n_ops`), so it stays generic over
-    /// the completing resource. Returns whether the loop must stop for
-    /// the solo-span trigger: both resources idle and exactly one member
-    /// queued, which leaves that member the lone request in flight.
-    #[inline(always)]
-    fn boundary(&mut self, s: usize, id32: u32) -> bool {
-        cold_mark();
-        let id = id32 as usize;
+    /// Span fast-forwarding: coalesces a run of whole tokens for the
+    /// **lone** in-flight request `id`, which must be parked at a token
+    /// boundary (cursor at op 0, its current token already priced and
+    /// booked by [`DeviceRun::begin_token`]). With nothing else in
+    /// flight the request's ops run strictly serially, so a token's
+    /// latency is the sum of the plan's slot latencies — the
+    /// seq-invariant positions from the [`PlanTable`], the attention
+    /// positions at the token's own sequence position — and a run of `k`
+    /// tokens is priced in the exact per-token order without stepping
+    /// its ops.
+    ///
+    /// The span ends at the earliest scheduling boundary: the request's
+    /// completion, a forced span cap, the first token boundary at or
+    /// after one of its deadlines ([`deadline_ps`]), or the **last token
+    /// boundary at or before the next arrival** — a token an arrival
+    /// would land inside must run per-op, because the newcomer starts
+    /// interleaving on the free resource mid-token. Returns the number
+    /// of tokens coalesced; 0 means the very next token would cross an
+    /// arrival and the caller must fall back to per-op dispatch for it.
+    ///
+    /// Under fault injection each token carries its fault window's extra
+    /// flash time. The first token's was drawn (and committed) by
+    /// `begin_token`; each later token draws on a copy of the request's
+    /// fault stream and commits the draw — counters, degradation, and
+    /// the advanced stream — only once the token is accepted. A rejected
+    /// token's draw is dropped, so its own `begin_token` later draws the
+    /// identical window from the untouched stream.
+    ///
+    /// The final token's last op becomes the span-end event, so the
+    /// ordinary completion handler retires it (sample, completion
+    /// report, respawn) exactly as in per-op stepping. Elided per-op
+    /// dispatches are accounted into both stamps (the event stamp and
+    /// the dispatch stamp) so round-robin recency keys and FIFO
+    /// tie-breaks stay identical.
+    fn solo_span(&mut self, id: usize) -> usize {
         let now = self.now;
-        let run = &mut *self.run;
-        retire_token(&mut run.requests, id, now, &mut run.token_latencies);
-        let shed = run
-            .faults
-            .as_mut()
-            .is_some_and(|f| deadline_shed(f, &run.requests, id, now));
-        if shed {
-            run.requests.phase[id] = Phase::Done;
-            self.respawn(id);
-        } else if run.requests.remaining[id] > 0 {
-            run.requests.cursor[id].next_token();
-            run.begin_token(id);
-            let rs0 = run.table.class_slots[0] as usize;
-            self.enqueue(rs0, s, id32);
-        } else {
-            run.complete_request(id, now);
-            self.respawn(id);
-        }
-        if self.s_at[0] == u64::MAX
-            && self.s_at[1] == u64::MAX
-            && self.q.queued(0) + self.q.queued(1) == 1
-        {
-            return true;
-        }
-        // Full dispatch pass, flash first like the general loop.
-        for rs in 0..2 {
-            if self.s_at[rs] == u64::MAX {
-                self.dispatch_queued(rs);
-            }
-        }
-        false
-    }
-}
-
-/// The per-op event loop for FCFS and round-robin, generic over the
-/// policy's [`ReadySet`]: each resource serves one op at a time, and a
-/// freed resource dispatches the ready request its policy ranks first.
-/// With spans on it hands a lone request's whole tokens to
-/// [`DeviceRun::run_solo_span`] and overloaded steady stretches to
-/// [`run_interleaved`].
-struct Simulation<'a, Q> {
-    run: DeviceRun<'a>,
-    ready: Q,
-    /// Dispatch stamp, bumped per dispatched op: the round-robin
-    /// recency key.
-    stamp: u64,
-    /// Queued members still owing their prefill: the replay loop may
-    /// start only when none waits ([`replay_eligible`]).
-    awaiting_prefill: usize,
-}
-
-impl<'a, Q: ReadySet> Simulation<'a, Q> {
-    fn new(engine: &'a DeviceEngine, trace: &ArrivalTrace, system: System) -> Self {
-        Simulation {
-            run: DeviceRun::new(engine, trace, system),
-            ready: Q::default(),
-            stamp: 0,
-            awaiting_prefill: 0,
-        }
-    }
-
-    fn run(mut self) -> (ServeReport, System) {
-        self.event_loop();
-        self.finish()
-    }
-
-    fn finish(self) -> (ServeReport, System) {
-        assert!(
-            self.ready.queued(FLASH) + self.ready.queued(NPU) == 0,
-            "event core drained with work outstanding"
+        let next_arrival = self.next_arr.0;
+        let n_ops = self.n_ops;
+        let DeviceRun {
+            system,
+            plan,
+            table,
+            requests,
+            traffic,
+            token_latencies,
+            span_cap,
+            faults,
+            ..
+        } = &mut self.run;
+        debug_assert!(
+            !table.pos_lat.is_empty(),
+            "a begun token implies a priced table"
         );
-        let run = self.run;
-        // Shed requests dispatched every op of the tokens they finished
-        // before the deadline cut them off — sheds happen only at token
-        // boundaries — so their tokens count as dispatched work even
-        // though no completion report carries them. Every weight-GeMV
-        // dispatch beyond the first per distinct shape reused a memoized
-        // flash simulation.
-        let tokens = run.done.iter().map(|r| r.tokens as u64).sum::<u64>()
-            + run.faults.as_ref().map_or(0, |f| f.shed_tokens);
-        let ops_dispatched = tokens * run.plan.len() as u64;
-        let gemv_dispatched = tokens * run.table.gemvs_per_token;
-        run.finish(Q::POLICY, ops_dispatched, gemv_dispatched, 0, 0)
-    }
-
-    /// The general loop, one iteration per event: the hot path only
-    /// under [`SpanMode::PerOp`]. With spans on, solo spans and the
-    /// replay loop take over whole tokens and whole overloaded
-    /// stretches, and this loop handles arrivals, prefill and the
-    /// handoffs between them.
-    fn event_loop(&mut self) {
-        let Simulation {
-            run,
-            ready,
-            stamp,
-            awaiting_prefill,
-        } = self;
-        let n_ops = run.table.class_slots.len();
-        while let Some(fired) = run.ev.pop() {
-            let now = run.ev.now;
-            match fired {
-                Fired::Arrive(id) => {
-                    // KV admission control: a context (prompt +
-                    // generation) that can never fit in the DRAM KV
-                    // allocation is a counted rejection
-                    // (`KvCapacityError` at prefill/append on real
-                    // hardware), not a simulated run — the same
-                    // never-fits criterion `ContinuousBatch` uses.
-                    // Anything that fits alone is admitted immediately;
-                    // these policies interleave per-op and do not
-                    // reserve shared capacity ahead, `ContinuousBatch`
-                    // does.
-                    let shape = run.requests.cold[id].shape;
-                    if shape.prompt_len + shape.new_tokens > run.kv_max_context {
-                        run.kv_rejections += 1;
-                        run.respawn_client(id, now);
-                        continue;
-                    }
-                    // The request prices its first token and enters the
-                    // ready set of its first op's resource — unless it
-                    // owes a prefill, in which case it queues (state
-                    // `Queued`) for the whole device on the flash side
-                    // and prices its first token only once the prompt is
-                    // resident.
-                    let arrived = run.requests.cold[id].arrived;
-                    if run.first_arrival.is_none() {
-                        run.first_arrival = Some(arrived);
-                    }
-                    run.requests.token_started[id] = now;
-                    let rs = if run.prefill.is_some() && shape.prompt_len > 0 {
-                        *awaiting_prefill += 1;
-                        FLASH
-                    } else {
-                        run.requests.phase[id] = Phase::Decoding;
-                        run.begin_token(id);
-                        run.table.class_slots[run.requests.cursor[id].index()] as usize
-                    };
-                    ready.admit(rs, arrived.as_picos(), id as u32);
-                }
-                Fired::Op(_, id) if id == PREFILL_HOLD => {
-                    // The NPU-side hold of a finished prefill: nothing
-                    // to step, the resource is simply free again for the
-                    // dispatch pass below.
-                }
-                Fired::Op(s, id) if run.requests.phase[id] == Phase::Prefilling => {
-                    // Prefill complete (flash-slot event): the prompt is
-                    // resident, decode begins.
-                    run.requests.phase[id] = Phase::Decoding;
-                    run.requests.cold[id].prefill_end = Some(now);
-                    run.begin_token(id);
-                    let rs = run.table.class_slots[run.requests.cursor[id].index()] as usize;
-                    ready.enqueue(rs, s, run.requests.last_scheduled[id], id as u32);
-                }
-                Fired::Op(s, id) => {
-                    // The resource freed (`pop` vacated its slot); step
-                    // the request's cursor.
-                    run.requests.cursor[id].advance();
-                    let idx = run.requests.cursor[id].index();
-                    let key = run.requests.last_scheduled[id];
-                    if idx < n_ops {
-                        ready.enqueue(run.table.class_slots[idx] as usize, s, key, id as u32);
-                    } else {
-                        // Token complete.
-                        retire_token(&mut run.requests, id, now, &mut run.token_latencies);
-                        let shed = run
-                            .faults
-                            .as_mut()
-                            .is_some_and(|f| deadline_shed(f, &run.requests, id, now));
-                        if shed {
-                            // Deadline missed: the request is shed (not
-                            // completed, not reported), its client
-                            // re-issues immediately.
-                            run.requests.phase[id] = Phase::Done;
-                            run.respawn_client(id, now);
-                        } else if run.requests.remaining[id] > 0 {
-                            // Next token: context has grown by the token
-                            // just emitted.
-                            run.requests.cursor[id].next_token();
-                            run.begin_token(id);
-                            ready.enqueue(run.table.class_slots[0] as usize, s, key, id as u32);
-                        } else {
-                            // Request complete; in a closed loop the
-                            // client immediately issues its next request.
-                            run.complete_request(id, now);
-                            run.respawn_client(id, now);
-                        }
-                    }
-                }
+        debug_assert_eq!(
+            requests.cursor[id].index(),
+            0,
+            "span starts at a token boundary"
+        );
+        let remaining = requests.remaining[id];
+        let mut lats: Vec<SimTime> = Vec::with_capacity(remaining.min(*span_cap).min(4096));
+        let mut t = now;
+        let mut k = 0usize;
+        // Attention latencies of the token under consideration. The first
+        // token's were already priced (and its traffic booked) by
+        // `begin_token`; later tokens are priced speculatively below and
+        // booked only on acceptance — a rejected token is re-priced by its
+        // own `begin_token` later, hitting the memo.
+        let mut dep = requests.dep_lat[id];
+        let mut unbooked: Option<TrafficBreakdown> = None;
+        // Fault time of the token under consideration, and the uncommitted
+        // draw (with its advanced stream) behind it for every token but the
+        // first.
+        let mut extra = requests.fault_extra[id];
+        let mut uncommitted: Option<(WindowDraw, SplitMix64)> = None;
+        let mut span_fault_extra = 0u64;
+        let deadline = faults.as_ref().and_then(|f| deadline_ps(f, requests, id));
+        loop {
+            let mut lat = table.solo_flash_lat + table.solo_npu_lat + SimTime::from_picos(extra);
+            for (d, &dep_lat) in dep.iter().enumerate().take(table.n_dep) {
+                lat += dep_lat * table.dep_counts[d];
             }
-
-            // Solo check, dispatch pass, replay — repeated at the same
-            // instant while the replay loop stops at the solo-span
-            // trigger, whose clock is then the one to act at.
-            loop {
-                let now = run.ev.now;
-                // Span fast-forwarding: with exactly one request in
-                // flight, parked at a token boundary, and both resources
-                // idle, whole tokens coalesce into one bulk-priced span
-                // (every other live request would be queued or holding
-                // a pending completion, so this condition is exact). A
-                // request that cannot coalesce a token (an arrival is
-                // imminent, or it owes a prefill or sits mid-token)
-                // stays queued for ordinary per-op dispatch below.
-                if run.span_cap > 0
-                    && !run.ev.busy(FLASH)
-                    && !run.ev.busy(NPU)
-                    && ready.queued(FLASH) + ready.queued(NPU) == 1
-                {
-                    let rs = usize::from(ready.queued(FLASH) == 0);
-                    let id = ready.peek_min(rs).expect("one request is queued") as usize;
-                    if run.requests.phase[id] == Phase::Decoding
-                        && run.requests.cursor[id].index() == 0
-                        && run.run_solo_span(stamp, id, now) > 0
-                    {
-                        ready.pop_min(rs);
-                        break;
-                    }
-                }
-
-                // Dispatch: start an op on every idle resource that has
-                // waiting requests (flash first).
-                for s in [FLASH, NPU] {
-                    if run.ev.busy(s) {
-                        continue;
-                    }
-                    let Some(id) = ready.peek_min(s) else {
-                        continue;
-                    };
-                    let id = id as usize;
-                    let requests = &mut run.requests;
-                    if requests.phase[id] == Phase::Queued {
-                        // A pending prefill: it needs the whole device
-                        // (flash stream + NPU GeMMs together). If the
-                        // NPU is mid-op, the flash idles and the prefill
-                        // keeps its place at the head — no later flash
-                        // work jumps it — retrying at the next
-                        // completion event.
-                        debug_assert_eq!(s, FLASH);
-                        if run.ev.busy(NPU) {
-                            continue;
-                        }
-                        ready.pop_min(s);
-                        *awaiting_prefill -= 1;
-                        *stamp += 1;
-                        requests.note_dispatch(id, *stamp, now);
-                        requests.phase[id] = Phase::Prefilling;
-                        let total = run.charge_prefill(id);
-                        run.busy_track[FLASH].add_interval(now, now + total);
-                        run.busy_track[NPU].add_interval(now, now + total);
-                        run.ev.schedule_op(FLASH, now + total, id);
-                        run.ev.schedule_op(NPU, now + total, PREFILL_HOLD);
-                        continue;
-                    }
-                    ready.pop_min(s);
-                    *stamp += 1;
-                    requests.note_dispatch(id, *stamp, now);
-                    let latency = op_latency(&run.table, requests, id, s, run.faults.is_some());
-                    run.busy_track[s].add_interval(now, now + latency);
-                    run.ev.schedule_op(s, now + latency, id);
-                }
-
-                // Interleaved replay: when every pending event is an op
-                // completion of a decoding request — the steady state
-                // between arrivals — the stretch up to the next arrival
-                // replays in the specialized loop instead of paying the
-                // general machinery per op. Bit-identical by
-                // construction; see [`run_interleaved`].
-                let solo = run.span_cap > 0
-                    && replay_eligible(&run.ev, &run.requests, *awaiting_prefill)
-                    && run_interleaved(ready, run, stamp);
-                if !solo {
-                    break;
-                }
+            let end = t + lat;
+            if end.as_picos() > next_arrival {
+                // The token would overlap the arrival: leave it per-op.
+                break;
+            }
+            if let Some(tr) = unbooked.take() {
+                // Book the accepted token exactly as `begin_token` would
+                // have at its start.
+                traffic.absorb(&table.inv_traffic);
+                traffic.absorb(&tr);
+            }
+            if let Some((draw, rng)) = uncommitted.take() {
+                faults
+                    .as_mut()
+                    .expect("a draw implies faults on")
+                    .commit_window(&draw);
+                requests.fault_rng[id] = rng;
+            }
+            span_fault_extra += extra;
+            k += 1;
+            t = end;
+            lats.push(lat);
+            if k == remaining || k >= *span_cap {
+                break;
+            }
+            if t.as_picos() == next_arrival {
+                // An arrival lands exactly on this boundary; it must see
+                // the engine at the boundary, so the span stops here.
+                break;
+            }
+            if deadline.is_some_and(|dl| t.as_picos() >= dl) {
+                // First boundary at or after a deadline: stop so the
+                // ordinary boundary handler's shed check runs.
+                break;
+            }
+            // Price the next token's attention slots (speculative; the
+            // prefix table keeps the entries either way, and a rejected
+            // token's position is re-read — not re-priced — by its own
+            // `begin_token` later).
+            let seq = requests.cursor[id].seq_len() + k;
+            let (lat, tr) = attn_at(system, plan, table, seq);
+            dep = lat;
+            unbooked = Some(tr);
+            // Its fault window, drawn speculatively on a stream copy.
+            if let Some(f) = faults.as_ref() {
+                let mut rng = requests.fault_rng[id].clone();
+                let draw = f.sample_window(
+                    table.inv_stream_traffic.nand_array_bytes,
+                    table.solo_flash_lat.as_picos(),
+                    &mut rng,
+                );
+                extra = draw.extra();
+                uncommitted = Some((draw, rng));
             }
         }
+        if k == 0 {
+            return 0;
+        }
+        #[cfg(test)]
+        self.solo_spans.push((id, k, remaining));
+        // The first token's fault time is spent inside the span.
+        requests.fault_extra[id] = 0;
+        // Per-op bookkeeping the span elides: one dispatch (and one event
+        // stamp) per op of every coalesced token.
+        let elided = (k * n_ops) as u64;
+        self.d_stamp += elided;
+        requests.note_dispatch(id, self.d_stamp, now);
+        // Interior boundaries: every token but the last retires inline.
+        let mut tb = now;
+        for &lat in &lats[..k - 1] {
+            tb += lat;
+            retire_token(requests, id, tb, token_latencies);
+        }
+        // Advance the cursor past the retired tokens in one shot, then
+        // park it one op short of the final token's end so the ordinary
+        // completion handler's advance lands on the token boundary.
+        requests.cursor[id].advance_by(k - 1);
+        requests.cursor[id].seek(n_ops - 1);
+        // One busy interval per resource for the whole span: the per-class
+        // totals are identical to per-op interval accounting (integer
+        // sums), and each interval ends before the span does. Fault time
+        // is flash time: rereads occupy the flash device.
+        let flash_busy = table.solo_flash_lat * k as u64 + SimTime::from_picos(span_fault_extra);
+        let last = table.class_slots[n_ops - 1] as usize;
+        self.book(FLASH, now.as_picos(), (now + flash_busy).as_picos());
+        self.book(
+            NPU,
+            now.as_picos(),
+            (now + ((t - now) - flash_busy)).as_picos(),
+        );
+        self.schedule(last, t.as_picos(), id as u32);
+        self.run.ev.stamp += elided - 1;
+        k
     }
 }
 
@@ -2860,40 +2739,32 @@ mod tests {
         ArrivalTrace::burst(1, RequestShape::new(300, TOKENS))
     }
 
-    /// Admits the trace's lone request the way the general loop does
-    /// (first token begun, fault window drawn), then runs one solo span
-    /// with no arrival pending. Returns the run, the tokens coalesced,
-    /// and the span-end event's time.
-    fn lone_span(engine: &DeviceEngine) -> (DeviceRun<'_>, usize, SimTime) {
-        let mut run = DeviceRun::new(engine, &lone_trace(), System::new(engine.cfg));
-        let Some(Fired::Arrive(id)) = run.ev.pop() else {
-            panic!("the trace's first event is its arrival");
+    /// Fires the trace's lone arrival, whose settle pass admits it and
+    /// runs one solo span with no arrival pending. Returns the loop,
+    /// the tokens coalesced, and the span-end event's time.
+    fn lone_span(engine: &DeviceEngine) -> (Simulation<'_, FcfsReady>, usize, SimTime) {
+        let mut sim = Simulation::<FcfsReady>::new(engine, &lone_trace(), System::new(engine.cfg));
+        sim.arrive();
+        assert_eq!(sim.next_arr.0, u64::MAX, "no arrival pending");
+        let [(0, k, _)] = sim.solo_spans[..] else {
+            panic!("the arrival runs one solo span: {:?}", sim.solo_spans);
         };
-        assert_eq!(run.ev.next_arrival().0, u64::MAX, "no arrival pending");
-        let now = run.ev.now;
-        run.requests.phase[id] = Phase::Decoding;
-        run.requests.token_started[id] = now;
-        run.begin_token(id);
-        let k = run.run_solo_span(&mut 0, id, now);
-        let (end, _, _) = run
-            .ev
-            .op_done
-            .iter()
-            .flatten()
-            .copied()
-            .next()
+        let end = sim
+            .s_at
+            .into_iter()
+            .find(|&at| at != u64::MAX)
             .expect("a span schedules its end event");
-        (run, k, SimTime::from_picos(end))
+        (sim, k, SimTime::from_picos(end))
     }
 
-    /// What a per-op run did that its report cannot show: the solo
-    /// spans it took and the ops it dispatched inside the replay loop.
+    /// What an FCFS/RR run did that its report cannot show: the solo
+    /// spans it took and the op completions that took the general path.
     struct FastPaths {
         solo_spans: Vec<(usize, usize, usize)>,
-        replay_ops: u64,
+        general_ops: u64,
     }
 
-    /// Runs `trace` through the per-op loop under `policy`; returns the
+    /// Runs `trace` through the FCFS/RR loop under `policy`; returns the
     /// report and the fast paths the run took.
     fn run_counting(
         engine: &DeviceEngine,
@@ -2905,17 +2776,19 @@ mod tests {
             trace: &ArrivalTrace,
         ) -> (ServeReport, FastPaths) {
             let mut sim = Simulation::<Q>::new(engine, trace, System::new(engine.cfg));
-            sim.event_loop();
+            sim.drive();
             let paths = FastPaths {
-                solo_spans: std::mem::take(&mut sim.run.solo_spans),
-                replay_ops: sim.run.replay_ops,
+                solo_spans: std::mem::take(&mut sim.solo_spans),
+                general_ops: sim.general_ops,
             };
             (sim.finish().0, paths)
         }
         match policy {
             SchedulePolicy::Fcfs => go::<FcfsReady>(engine, trace),
             SchedulePolicy::RoundRobin => go::<RrReady>(engine, trace),
-            SchedulePolicy::ContinuousBatch { .. } => unreachable!("batched runs have no replay"),
+            SchedulePolicy::ContinuousBatch { .. } => {
+                unreachable!("batched runs have their own loop")
+            }
         }
     }
 
@@ -2933,10 +2806,10 @@ mod tests {
 
     #[test]
     fn overlap_survivor_finishes_in_one_solo_span() {
-        // Two decodes overlap from time zero, so the replay loop runs
-        // them. Once the short one completes, the replay loop must hand
-        // the survivor back at its next token boundary, and its
-        // remaining tokens must run as one span ending at completion.
+        // Two decodes overlap from time zero, so their ops interleave.
+        // Once the short one completes, the survivor's next token
+        // boundary must trigger the solo-span check, and its remaining
+        // tokens must run as one span ending at completion.
         // Reports cannot show this: they are equal with or without it.
         const SHORT: usize = 3;
         const LONG: usize = 20;
@@ -2972,22 +2845,30 @@ mod tests {
     }
 
     #[test]
-    fn overloaded_closed_loop_runs_in_the_replay_loop() {
-        // Sixteen closed-loop clients keep every decode overlapping, so
-        // almost every op must run inside the replay loop. A handoff bug
-        // that left it idle would keep reports equal (the general loop
-        // computes the same trajectory) and show only as wall time.
-        let engine = DeviceEngine::new(SystemConfig::cambricon_s(), zoo::opt_6_7b());
+    fn only_completions_around_a_prefill_take_the_general_path() {
+        // Sixteen closed-loop clients keep every decode overlapping. With
+        // prefill off every op completion must take `step`; with prefill
+        // modeled only those while a prefill is queued or in flight may
+        // take `general`. A `prefills` count stuck above zero would keep
+        // reports equal (`general` computes the same trajectory) and show
+        // only as wall time.
         let trace = ArrivalTrace::closed_loop(16, 3, RequestShape::new(300, 16));
-        for policy in POLICIES {
-            let (report, paths) = run_counting(&engine, &trace, policy);
-            let ops = report.tokens_served * engine.plan().len() as u64;
-            assert_eq!(report.tokens_served, 16 * 3 * 16, "{policy:?}");
-            assert!(
-                paths.replay_ops * 100 >= ops * 95,
-                "{policy:?}: {} of {ops} ops in the replay loop",
-                paths.replay_ops
-            );
+        for prefill in [PrefillMode::Off, PrefillMode::Modeled] {
+            let engine = DeviceEngine::new(SystemConfig::cambricon_s(), zoo::opt_6_7b())
+                .with_prefill(prefill);
+            for policy in POLICIES {
+                let (report, paths) = run_counting(&engine, &trace, policy);
+                let ops = report.tokens_served * engine.plan().len() as u64;
+                assert_eq!(report.tokens_served, 16 * 3 * 16, "{policy:?}");
+                let general = paths.general_ops;
+                match prefill {
+                    PrefillMode::Off => assert_eq!(general, 0, "{policy:?}"),
+                    PrefillMode::Modeled => assert!(
+                        general > 0 && general * 100 < ops * 5,
+                        "{policy:?}: {general} of {ops} ops took the general path"
+                    ),
+                }
+            }
         }
     }
 
@@ -2999,9 +2880,9 @@ mod tests {
         // stepping finishes.
         let fc = FaultConfig::aged(FlashAge::worn_out());
         let engine = faulted_engine(fc);
-        let (run, k, end) = lone_span(&engine);
+        let (sim, k, end) = lone_span(&engine);
         assert_eq!(k, TOKENS);
-        let f = run.faults.as_ref().expect("faults on");
+        let f = sim.run.faults.as_ref().expect("faults on");
         assert!(f.page_rereads > 0 && f.degraded_chips > 0);
         let per_op = faulted_engine(fc)
             .with_span_mode(SpanMode::PerOp)
@@ -3019,10 +2900,10 @@ mod tests {
         let deadline = probe.requests[0].finished / 2;
         let fc = FaultConfig::aged(FlashAge::worn_out()).with_deadlines(None, Some(deadline));
         let engine = faulted_engine(fc);
-        let (run, k, end) = lone_span(&engine);
+        let (sim, k, end) = lone_span(&engine);
         assert!((2..TOKENS).contains(&k), "span of {k} tokens");
         // The request arrived at zero, so the deadline is absolute.
-        let last_interior = run.requests.token_started[0];
+        let last_interior = sim.run.requests.token_started[0];
         assert!(last_interior < deadline && deadline <= end);
     }
 }

@@ -50,20 +50,19 @@
 //!
 //! # Hot-path structure
 //!
-//! A device run has four execution paths:
+//! A device run takes one of two event loops:
 //!
-//! * the **per-op loop**, one event-core round per simulated op — the
-//!   reference semantics for FCFS and round-robin, and their hot path
-//!   only under [`SpanMode::PerOp`];
-//! * **solo spans**, which price a lone in-flight request's whole
-//!   tokens with a few adds each;
-//! * the **replay loop**, which re-executes the overloaded FCFS and
-//!   round-robin steady state between arrivals without the event core;
-//! * **batch steps** for continuous batching, coalesced into spans of
-//!   whole steps (one-step spans under [`SpanMode::PerOp`]).
+//! * the **FCFS/round-robin loop**, which interleaves the two resources
+//!   op by op. Its hot path handles an op completion with targeted
+//!   dispatch on the resources it frees; arrivals and the completions
+//!   around a prefill take small out-of-line handlers. With spans on it
+//!   also runs **solo spans**, which price a lone in-flight request's
+//!   whole tokens with a few adds each;
+//! * the **batched loop** for continuous batching, which runs batch
+//!   steps coalesced into spans of whole steps (one-step spans under
+//!   [`SpanMode::PerOp`]).
 //!
-//! With spans on (the default), nearly all wall time is in the last
-//! three. All four are built around reuse instead of re-materialization:
+//! Both are built around reuse instead of re-materialization:
 //!
 //! * the per-token op sequence is never materialized — every request
 //!   walks the engine's one [`TokenPlan`] with a cursor, and only the
@@ -81,7 +80,7 @@
 //!   `(time, schedule-order)` FIFO tie-breaking as
 //!   [`sim_core::EventQueue`];
 //! * each per-op policy keeps one ready set for the whole run, shared
-//!   by the per-op loop, solo spans and the replay loop. Neither
+//!   by every handler of its loop and by solo spans. Neither
 //!   policy's key changes while a request waits, so no heap is needed:
 //!   FCFS ranks a request once at admission and keeps rank-indexed
 //!   bitmasks; round-robin keeps an id-ordered lane for never-scheduled
@@ -116,7 +115,8 @@
 //! [`TrafficBreakdown::absorb_batch_span`], and a single span-end
 //! event. The batched loop spans whole batch steps (one event round per
 //! span instead of per step), so the win compounds with batch size; the
-//! per-op loop spans a lone in-flight request between arrivals.
+//! FCFS/round-robin loop spans a lone in-flight request between
+//! arrivals.
 //!
 //! **Bit-exactness invariant:** every quantity the engine accumulates —
 //! timestamps, busy time, occupancy integrals, traffic, dispatch
@@ -126,8 +126,8 @@
 //! the goldens and a span-equivalence proptest across policies, prefill
 //! modes and forced-tiny-span caps). Span equivalence compares the
 //! engine's paths with each other: under batching `PerOp` is itself a
-//! one-step span, and under FCFS and round-robin every path pops the
-//! same ready set. The independent reference for all three policies
+//! one-step span, and under FCFS and round-robin it is the same loop
+//! without solo spans. The independent reference for all three policies
 //! is a deliberately naive oracle, `tests/support/oracle.rs`: it
 //! prices every op of every request through [`System::op_cost`] and
 //! shares none of the engine's structures, and `tests/oracle.rs` pins
@@ -219,12 +219,12 @@ pub enum PrefillMode {
 /// integer picoseconds/bytes/ops, so regrouped sums are exact).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SpanMode {
-    /// One event-core round per op under FCFS and round-robin — the
-    /// original engine, kept as the executable reference semantics the
-    /// span paths are pinned against. It shares the ready set with the
-    /// fast paths, and under continuous batching it runs one-step
-    /// spans, so the independent reference for all three policies is
-    /// the naive oracle in `tests/support/oracle.rs`.
+    /// No coalescing: under FCFS and round-robin the event loop runs
+    /// without solo spans, stepping every op; under continuous batching
+    /// every span is one step. Span equivalence pins the coalesced mode
+    /// against it, but it runs the same loop and ready set, so the
+    /// independent reference for all three policies is the naive
+    /// oracle in `tests/support/oracle.rs`.
     PerOp,
     /// Fast-forward up to `max_span` whole tokens per span between
     /// scheduling boundaries. The default mode is unbounded

@@ -104,11 +104,6 @@ impl Topology {
         self.channels * self.compute_cores_per_channel()
     }
 
-    /// Total dies in the device.
-    pub fn total_dies(&self) -> usize {
-        self.channels * self.dies_per_channel()
-    }
-
     /// Validates the topology.
     ///
     /// # Errors

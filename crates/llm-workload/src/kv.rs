@@ -18,11 +18,6 @@ pub fn kv_cache_bytes(model: &ModelSpec, quant: Quant, seq_len: usize) -> u64 {
     kv_bytes_per_token(model, quant) * seq_len as u64
 }
 
-/// Whether the KV cache at `seq_len` fits within `dram_bytes` of DRAM.
-pub fn fits_in_dram(model: &ModelSpec, quant: Quant, seq_len: usize, dram_bytes: u64) -> bool {
-    kv_cache_bytes(model, quant, seq_len) <= dram_bytes
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -44,14 +39,6 @@ mod tests {
         let one = kv_cache_bytes(&m, Quant::W8A8, 1);
         let thousand = kv_cache_bytes(&m, Quant::W8A8, 1000);
         assert_eq!(thousand, one * 1000);
-    }
-
-    #[test]
-    fn fits_in_dram_boundary() {
-        let m = zoo::llama2_70b();
-        let need = kv_cache_bytes(&m, Quant::W8A8, 1000);
-        assert!(fits_in_dram(&m, Quant::W8A8, 1000, need));
-        assert!(!fits_in_dram(&m, Quant::W8A8, 1000, need - 1));
     }
 
     #[test]

@@ -75,7 +75,6 @@ pub struct EventQueue<E> {
     seq: u64,
     now: SimTime,
     popped: u64,
-    scheduled: u64,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -92,7 +91,6 @@ impl<E> EventQueue<E> {
             seq: 0,
             now: SimTime::ZERO,
             popped: 0,
-            scheduled: 0,
         }
     }
 
@@ -114,12 +112,6 @@ impl<E> EventQueue<E> {
         self.heap.is_empty()
     }
 
-    /// Total number of events ever scheduled (for reporting).
-    #[inline]
-    pub fn total_scheduled(&self) -> u64 {
-        self.scheduled
-    }
-
     /// Total number of events ever popped (for reporting).
     #[inline]
     pub fn total_popped(&self) -> u64 {
@@ -139,17 +131,11 @@ impl<E> EventQueue<E> {
         );
         let seq = self.seq;
         self.seq += 1;
-        self.scheduled += 1;
         self.heap.push(Entry {
             time: at,
             seq,
             payload,
         });
-    }
-
-    /// Schedules `payload` to fire `delay` after the current time.
-    pub fn schedule_after(&mut self, delay: SimTime, payload: E) {
-        self.schedule(self.now + delay, payload);
     }
 
     /// Pops the earliest event, advancing the clock to its timestamp.
@@ -172,7 +158,7 @@ impl<E> std::fmt::Debug for EventQueue<E> {
         f.debug_struct("EventQueue")
             .field("now", &self.now)
             .field("pending", &self.heap.len())
-            .field("scheduled", &self.scheduled)
+            .field("scheduled", &self.seq)
             .field("popped", &self.popped)
             .finish()
     }
@@ -227,22 +213,11 @@ mod tests {
     }
 
     #[test]
-    fn schedule_after_uses_current_time() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_nanos(10), "first");
-        q.pop();
-        q.schedule_after(SimTime::from_nanos(5), "second");
-        let (t, _) = q.pop().unwrap();
-        assert_eq!(t, SimTime::from_nanos(15));
-    }
-
-    #[test]
     fn counters_track_activity() {
         let mut q = EventQueue::new();
         q.schedule(SimTime::ZERO, ());
         q.schedule(SimTime::ZERO, ());
         q.pop();
-        assert_eq!(q.total_scheduled(), 2);
         assert_eq!(q.total_popped(), 1);
         assert_eq!(q.len(), 1);
         assert!(!q.is_empty());

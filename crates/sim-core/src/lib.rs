@@ -8,8 +8,9 @@
 //! * [`SimTime`] — picosecond-resolution virtual time,
 //! * [`EventQueue`] — a deterministic time-ordered event queue, the
 //!   reference kernel of the test oracles,
-//! * [`BusyTracker`] / [`Counter`] / [`Aggregate`] — the statistics the
-//!   paper's figures report (channel utilization, bytes moved),
+//! * [`BusyTracker`] / [`Aggregate`] / [`Samples`] — the statistics the
+//!   paper's figures and the serving reports use (channel utilization,
+//!   latency summaries),
 //! * [`SplitMix64`] — a pinned, reproducible RNG for error injection.
 //!
 //! Higher-level crates (`flash-sim`, `npu-sim`, `cambricon-llm`) build the
@@ -48,5 +49,5 @@ pub mod time;
 pub use event::EventQueue;
 pub use parallel::{parallel_map, parallel_map_workers};
 pub use rng::SplitMix64;
-pub use stats::{sum_ordered, Aggregate, BusyTracker, CacheStats, Counter, Estimate, Samples};
+pub use stats::{sum_ordered, Aggregate, BusyTracker, CacheStats, Estimate, Samples};
 pub use time::{transfer_time, SimTime};

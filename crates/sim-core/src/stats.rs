@@ -1,12 +1,9 @@
 //! Statistics collection for simulators.
 //!
-//! Two building blocks cover everything the paper's evaluation needs:
-//!
-//! * [`BusyTracker`] — measures the fraction of virtual time a resource
-//!   (a flash channel, the NPU, the DRAM bus) spends busy. This is what
-//!   "Channel Usage" in Figures 12, 14 and 15 reports.
-//! * [`Counter`] — monotone byte/op/request counters used for the data
-//!   transfer accounting in Figure 16.
+//! [`BusyTracker`] measures the fraction of virtual time a resource (a
+//! flash channel, the NPU, the DRAM bus) spends busy. This is what
+//! "Channel Usage" in Figures 12, 14 and 15 reports. The rest summarize
+//! samples and memo-cache traffic for the serving reports.
 
 use crate::time::SimTime;
 
@@ -45,7 +42,6 @@ pub fn sum_ordered<I: IntoIterator<Item = f64>>(xs: I) -> f64 {
 pub struct BusyTracker {
     busy: SimTime,
     last_end: SimTime,
-    intervals: u64,
 }
 
 impl BusyTracker {
@@ -70,36 +66,6 @@ impl BusyTracker {
         );
         self.busy += end - start;
         self.last_end = end;
-        self.intervals += 1;
-    }
-
-    /// Records a busy interval of `duration` starting at `start`.
-    pub fn add_busy(&mut self, start: SimTime, duration: SimTime) {
-        self.add_interval(start, start + duration);
-    }
-
-    /// Records `k` back-to-back intervals jointly spanning `[start,
-    /// end)` in one update. State afterwards is identical to `k`
-    /// chained [`BusyTracker::add_interval`] calls covering the span —
-    /// callers batching a gapless run of intervals use this to skip the
-    /// per-interval bookkeeping.
-    ///
-    /// # Panics
-    ///
-    /// Panics like `add_interval` on a backwards or overlapping span,
-    /// or if a non-empty span claims zero intervals.
-    #[inline]
-    pub fn add_contiguous(&mut self, start: SimTime, end: SimTime, k: u64) {
-        assert!(end >= start, "interval ends before it starts");
-        assert!(
-            start >= self.last_end,
-            "overlapping busy interval: starts at {start}, previous ended {}",
-            self.last_end
-        );
-        assert!(k > 0 || end == start, "non-empty span needs intervals");
-        self.busy += end - start;
-        self.last_end = end;
-        self.intervals += k;
     }
 
     /// Total accumulated busy time.
@@ -110,11 +76,6 @@ impl BusyTracker {
     /// End of the most recent busy interval.
     pub fn last_end(&self) -> SimTime {
         self.last_end
-    }
-
-    /// Number of recorded intervals.
-    pub fn interval_count(&self) -> u64 {
-        self.intervals
     }
 
     /// Busy fraction over `[0, horizon)`. Returns 0 for a zero horizon.
@@ -174,14 +135,6 @@ impl CacheStats {
         self.hits + self.misses
     }
 
-    /// Fraction of lookups served from memory (0 when never consulted).
-    pub fn hit_rate(&self) -> f64 {
-        if self.lookups() == 0 {
-            return 0.0;
-        }
-        self.hits as f64 / self.lookups() as f64
-    }
-
     /// Zeroes both counters, keeping the cache contents they described.
     ///
     /// Used when a pre-warmed memo cache is handed to a fresh
@@ -191,40 +144,6 @@ impl CacheStats {
     #[inline]
     pub fn reset(&mut self) {
         *self = Self::default();
-    }
-}
-
-/// A labelled monotone counter (bytes moved, requests served, ops run).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Counter {
-    value: u64,
-}
-
-impl Counter {
-    /// Creates a zeroed counter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds `n` to the counter.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.value = self
-            .value
-            .checked_add(n)
-            .expect("counter overflow — check units");
-    }
-
-    /// Increments by one.
-    #[inline]
-    pub fn incr(&mut self) {
-        self.add(1);
-    }
-
-    /// Current value.
-    #[inline]
-    pub fn get(&self) -> u64 {
-        self.value
     }
 }
 
@@ -468,7 +387,6 @@ mod tests {
         t.add_interval(SimTime::from_nanos(10), SimTime::from_nanos(20));
         t.add_interval(SimTime::from_nanos(20), SimTime::from_nanos(25));
         assert_eq!(t.busy_time(), SimTime::from_nanos(15));
-        assert_eq!(t.interval_count(), 2);
         assert_eq!(t.last_end(), SimTime::from_nanos(25));
     }
 
@@ -491,7 +409,7 @@ mod tests {
     #[test]
     fn cache_stats_track_hits_and_misses() {
         let mut c = CacheStats::new();
-        assert_eq!(c.hit_rate(), 0.0);
+        assert_eq!(c.lookups(), 0);
         c.miss();
         c.hit();
         c.hit();
@@ -499,15 +417,6 @@ mod tests {
         assert_eq!(c.hits(), 3);
         assert_eq!(c.misses(), 1);
         assert_eq!(c.lookups(), 4);
-        assert!((c.hit_rate() - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn counter_adds() {
-        let mut c = Counter::new();
-        c.add(16 * 1024);
-        c.incr();
-        assert_eq!(c.get(), 16 * 1024 + 1);
     }
 
     #[test]

@@ -38,14 +38,6 @@ impl TileShape {
         self.w_req as u64 + topo.channels as u64 * self.h_req as u64
     }
 
-    /// Channel traffic per tile under the reuse-free splitting of
-    /// Figure 7(c): `ccorenum × Wreq + channelnum × Hreq`. Always ≥ the
-    /// broadcast scheme; kept for the §V-A comparison.
-    pub fn transfer_elems_no_reuse(&self, topo: &Topology) -> u64 {
-        topo.compute_cores_per_channel() as u64 * self.w_req as u64
-            + topo.channels as u64 * self.h_req as u64
-    }
-
     /// The atomic tile (per compute core): `Hreq/ccorenum × Wreq/channelnum`.
     ///
     /// # Panics
@@ -199,10 +191,14 @@ mod tests {
 
     #[test]
     fn broadcast_scheme_beats_no_reuse() {
-        // §V-A: the Figure 7(c) splitting is strictly worse.
+        // §V-A: the Figure 7(c) splitting, which sends the input vector
+        // to every compute core (`ccorenum × Wreq + channelnum × Hreq`),
+        // is strictly worse.
         let topo = Topology::cambricon_s();
         let t = optimal_tile(&topo, 8);
-        assert!(t.transfer_elems_no_reuse(&topo) > t.transfer_elems(&topo));
+        let no_reuse = topo.compute_cores_per_channel() as u64 * t.w_req as u64
+            + topo.channels as u64 * t.h_req as u64;
+        assert!(no_reuse > t.transfer_elems(&topo));
     }
 
     #[test]

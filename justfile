@@ -15,11 +15,13 @@ test: build
 perfbench-test:
     cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
-# End-to-end oracle smoke: each workload `BENCHMARK.json` lists, for one
+# End-to-end smoke: each workload `BENCHMARK.json` lists, for one
 # second. The command exits 1 when a warm-up differs from its
-# `SpanMode::PerOp` reference, so a bit-exactness break in a fast path
-# fails here too. The `jq -e` line fails the recipe when jq is missing
-# or the list is empty, instead of letting the loop run zero times.
+# `SpanMode::PerOp` run, so a span that breaks bit-exactness fails here
+# too. Under FCFS and round-robin that run differs only by solo spans;
+# the independent check of the serving engine is `tests/oracle.rs`.
+# The `jq -e` line fails the recipe when jq is missing or the list is
+# empty, instead of letting the loop run zero times.
 perfbench-smoke:
     jq -e '.workloads | length > 0' BENCHMARK.json > /dev/null
     for w in $(jq -r '.workloads[].name' BENCHMARK.json); do \
@@ -35,7 +37,7 @@ examples:
 
 # Regenerate every paper table/figure ("full" for full-resolution sweeps).
 repro target="all":
-    cargo run --release -p bench --bin repro -- {{target}}
+    cargo run --release --locked -p bench --bin repro -- {{target}}
 
 # Format + lint exactly as CI runs them.
 lint:

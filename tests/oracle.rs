@@ -5,9 +5,10 @@
 //! tables, spans, ready sets, request pool or event core. A bug in code
 //! the engine's execution paths share shows up here even though span
 //! equivalence, which compares those paths to each other, cannot see
-//! it. Under FCFS and round-robin the per-op reference, the solo spans
-//! and the replay loop all pop from the same ready set, so this is the
-//! only check of that set's order.
+//! it. Under FCFS and round-robin one event loop runs every path —
+//! `SpanMode::PerOp` only turns its solo spans off — and every path
+//! pops the same ready set, so this is the only check of that set's
+//! order and of how the loop breaks same-instant ties.
 //!
 //! Whole reports must be equal, per-request timelines included. Only
 //! the four cache counters are copied over from the engine, because
@@ -112,11 +113,18 @@ struct Coverage {
     uncorrectable: u64,
     ttft_timeouts: u64,
     deadline_sheds: u64,
+    /// Arrivals landing exactly on another request's op completion.
+    tied_arrivals: usize,
 }
 
 /// Runs one scenario through the oracle and through the engine in both
-/// span modes, and asserts whole-report equality.
-fn check(sc: &Scenario, trace: &ArrivalTrace, system: &mut System, seen: &mut Coverage) {
+/// span modes, asserts whole-report equality, and returns the report.
+fn check(
+    sc: &Scenario,
+    trace: &ArrivalTrace,
+    system: &mut System,
+    seen: &mut Coverage,
+) -> ServeReport {
     let mut expected = oracle::run(sc, trace, system);
     for mode in [SpanMode::default(), SpanMode::PerOp] {
         let actual = DeviceEngine::new(sc.cfg, sc.model.clone())
@@ -152,6 +160,7 @@ fn check(sc: &Scenario, trace: &ArrivalTrace, system: &mut System, seen: &mut Co
     seen.uncorrectable += rel.uncorrectable_events;
     seen.ttft_timeouts += rel.ttft_timeouts;
     seen.deadline_sheds += rel.deadline_sheds;
+    expected
 }
 
 /// The batched policies under test: every batch cap from 1 to 4.
@@ -255,6 +264,69 @@ fn latest_first(n: usize, first_shape: usize) -> ArrivalTrace {
     )
 }
 
+/// Four requests whose arrivals tie with op completions of request 0,
+/// timed by fault-free oracle probes of `sc`: two overlap from time
+/// zero, a third arrives at request 0's first token and a fourth when
+/// it finishes. Arrivals are scheduled before any op, so each tie must
+/// fire the arrival first. No shape is the one that never fits.
+fn tied_trace(sc: &Scenario, first_shape: usize, system: &mut System) -> ArrivalTrace {
+    let fitting = |i: usize| shape((first_shape + i) % (SHAPES.len() - 1));
+    let mut arrivals: Vec<RequestArrival> = (0..2)
+        .map(|i| RequestArrival {
+            at: SimTime::ZERO,
+            shape: fitting(i),
+        })
+        .collect();
+    for i in 2..4 {
+        let probe = oracle::run(sc, &ArrivalTrace::Open(arrivals.clone()), system);
+        let first = probe.requests.iter().find(|r| r.id == 0);
+        let first = first.expect("request 0 completes");
+        arrivals.push(RequestArrival {
+            at: if i == 2 {
+                first.first_token_at
+            } else {
+                first.finished
+            },
+            shape: fitting(i),
+        });
+    }
+    ArrivalTrace::Open(arrivals)
+}
+
+/// Every policy of `policies` under both prefill modes on its own
+/// [`tied_trace`], counting the arrivals that do tie.
+fn check_tied(
+    policies: &[SchedulePolicy],
+    model: &ModelSpec,
+    first_shape: usize,
+    seen: &mut Coverage,
+) {
+    let cfg = config(model);
+    let mut system = System::new(cfg);
+    for &policy in policies {
+        for prefill in [PrefillMode::Off, PrefillMode::Modeled] {
+            let sc = Scenario {
+                cfg,
+                model: model.clone(),
+                prefill,
+                faults: FaultMode::Off,
+                policy,
+            };
+            let trace = tied_trace(&sc, first_shape, &mut system);
+            let report = check(&sc, &trace, &mut system, seen);
+            let first = report.requests.iter().find(|r| r.id == 0);
+            let first = first.expect("request 0 completes");
+            seen.tied_arrivals += report
+                .requests
+                .iter()
+                .filter(|r| {
+                    r.id >= 2 && [first.first_token_at, first.finished].contains(&r.arrived)
+                })
+                .count();
+        }
+    }
+}
+
 /// The fixed draw of the property's inputs that the coverage tests
 /// check: one closed loop, one burst and one Poisson trace.
 fn fixed_traces() -> [ArrivalTrace; 3] {
@@ -265,14 +337,15 @@ fn fixed_traces() -> [ArrivalTrace; 3] {
     ]
 }
 
-/// Runs the fixed draw under `policies` on both models and returns
-/// what it covered.
+/// Runs the fixed draw and the tied traces under `policies` on both
+/// models and returns what it covered.
 fn fixed_draw_coverage(policies: &[SchedulePolicy]) -> Coverage {
     let mut seen = Coverage::default();
     for model in [tiny_opt(), tiny_llama()] {
         for trace in &fixed_traces() {
             check_matrix(policies, &model, trace, 7, &mut seen);
         }
+        check_tied(policies, &model, 0, &mut seen);
     }
     seen
 }
@@ -308,8 +381,8 @@ proptest! {
     }
 
     /// The same property under FCFS and round-robin, plus a trace
-    /// listed latest first: the per-op reference, solo spans and the
-    /// interleaved replay loop must all reproduce the oracle's report.
+    /// listed latest first and the tied traces: with solo spans on and
+    /// off, the event loop must reproduce the oracle's report.
     #[test]
     fn fcfs_and_round_robin_reports_equal_the_oracle(
         llama in 0usize..2,
@@ -331,6 +404,7 @@ proptest! {
         for trace in &traces {
             check_matrix(&per_op(), &model, trace, seed, &mut Coverage::default());
         }
+        check_tied(&per_op(), &model, first_shape, &mut Coverage::default());
     }
 }
 
@@ -353,10 +427,12 @@ fn the_oracle_property_exercises_every_mechanism() {
 #[test]
 fn the_per_op_oracle_property_exercises_every_mechanism() {
     // The same fixed draw under FCFS and round-robin. Requests must
-    // also contend: some wait between arrival and their first dispatch.
+    // also contend: some wait between arrival and their first dispatch,
+    // and some arrive exactly on another request's op completion.
     let seen = fixed_draw_coverage(&per_op());
     assert!(seen.kv_rejections > 0, "{seen:?}");
     assert!(seen.queued > 0, "{seen:?}");
+    assert!(seen.tied_arrivals > 0, "{seen:?}");
     assert!(seen.prefill_runs > 0, "{seen:?}");
     assert!(seen.rereads > 0 && seen.uncorrectable > 0, "{seen:?}");
     assert!(

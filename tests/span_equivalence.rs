@@ -11,14 +11,16 @@
 //! arrivals (the `k = 0` per-op fallback), and closed-loop respawns
 //! that make an arrival and a completion simultaneous.
 //!
-//! The same contract covers the **interleaved replay loop** — active
-//! whenever coalescing is on and several decodes overlap (the
-//! overloaded regime, where solo spans never fire): the overload
-//! matrix below pins FCFS and round-robin at 2–16 clients, both
-//! prefill modes, and fault injection on and off to whole-report
-//! equality (and Llama2-70B on Cambricon-LLM-L at 16 clients), plus an
-//! arrival landing exactly on a mid-run token boundary while decodes
-//! overlap.
+//! Under FCFS and round-robin both modes run the one event loop, and
+//! `PerOp` only turns its solo spans off, so the overloaded regime
+//! (several decodes overlapping, where solo spans never fire) runs the
+//! same code in both. The overload matrix below still pins FCFS and
+//! round-robin at 2–16 clients, both prefill modes, and fault injection
+//! on and off to whole-report equality (and Llama2-70B on
+//! Cambricon-LLM-L at 16 clients), plus an arrival landing exactly on a
+//! mid-run token boundary while decodes overlap: a solo span that
+//! engages or ends at the wrong boundary shows there. The independent
+//! check of the loop itself is `tests/oracle.rs`.
 //!
 //! Under fault injection, solo spans price each later token's fault
 //! window on a copy of the request's fault stream and commit it only
