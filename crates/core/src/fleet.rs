@@ -18,10 +18,11 @@
 //!    nothing, so each replica's [`DeviceEngine`] runs its sub-trace
 //!    to completion on its own scoped thread
 //!    ([`sim_core::parallel_map`] machinery), every replica starting
-//!    from a clone of one pre-warmed pricing [`System`] exactly the
-//!    way the Monte Carlo harness shares one warm system across seeds.
-//!    Results merge deterministically in replica order into a
-//!    [`FleetReport`].
+//!    from a clone of one pre-warmed pricing
+//!    [`System`](crate::system::System) and the plan table priced on
+//!    it, exactly the way the Monte Carlo harness shares one warm state
+//!    across seeds. Results merge deterministically in replica order
+//!    into a [`FleetReport`].
 //!
 //! # Determinism
 //!
@@ -52,8 +53,7 @@
 //! ```
 
 use crate::reliability::FaultMode;
-use crate::serve::{DeviceEngine, SchedulePolicy, ServeReport};
-use crate::system::System;
+use crate::serve::{DeviceEngine, SchedulePolicy, ServeReport, WarmState};
 use llm_workload::{ArrivalTrace, RequestArrival, RequestShape};
 use sim_core::{parallel_map_workers, Samples, SimTime, SplitMix64};
 
@@ -221,7 +221,7 @@ impl FleetEngine {
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(1)
         });
-        let warm = self.warm_system(&arrivals, engine_for(0), policy);
+        let warm = self.warm_state(&arrivals, engine_for(0), policy);
         let per_replica: Vec<ServeReport> = parallel_map_workers(&subtraces, workers, |i, sub| {
             engine_for(i).run_with_system(sub, policy, warm.clone()).0
         });
@@ -265,26 +265,27 @@ impl FleetEngine {
         )
     }
 
-    /// One pre-warmed pricing system for every replica to clone: a
+    /// One pre-warmed pricing state for every replica to clone: a
     /// single-request probe walks one decode token (plus prefill, when
     /// modeled) so the seq-invariant weight GeMVs — the expensive
     /// flash discrete-event simulations, shared by every replica — are
-    /// priced once, then the counters are zeroed so replica reports
-    /// stay comparable. The same warm-clone pattern as `MonteCarlo`.
-    fn warm_system(
+    /// priced once, along with the plan table priced on them, then the
+    /// counters are zeroed so replica reports stay comparable. The same
+    /// warm-clone pattern as `MonteCarlo`.
+    fn warm_state(
         &self,
         arrivals: &[RequestArrival],
         engine: &DeviceEngine,
         policy: SchedulePolicy,
-    ) -> System {
-        let mut system = System::new(self.device.config());
+    ) -> WarmState {
+        let mut warm = WarmState::new(engine);
         if let Some(first) = arrivals.first() {
             let probe =
                 ArrivalTrace::closed_loop(1, 1, RequestShape::new(first.shape.prompt_len, 1));
-            system = engine.run_with_system(&probe, policy, system).1;
+            warm = engine.run_with_system(&probe, policy, warm).1;
         }
-        system.reset_cache_stats();
-        system
+        warm.system.reset_cache_stats();
+        warm
     }
 
     /// Deterministic merge: reads the positional per-replica reports

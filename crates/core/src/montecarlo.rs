@@ -23,23 +23,32 @@
 //! Seeds fan out through [`sim_core::parallel_map`] (the same
 //! atomic-claim, pre-assigned-slot pool the design-space sweeps use),
 //! so per-seed reports land in seed order regardless of scheduling.
-//! The only cross-seed state is the pre-warmed pricing [`System`], and
-//! it is **frozen before the fan-out**: one warm-up run on the first
-//! seed's trace populates the GeMV and op-cost memos, its counters are
-//! zeroed, and every seed then runs on a private clone. No thread ever
-//! observes another's cache fills, so each per-seed [`ServeReport`] —
-//! cache counters included — is bit-identical whether the batch runs on
-//! 1 thread or 64.
+//! The only cross-seed state is the warm pricing state — the pricing
+//! [`System`](crate::system::System) plus the per-plan table of slot
+//! and attention prices priced on it — and it is **frozen before the
+//! fan-out**: one warm-up run on the first seed's trace populates the
+//! GeMV and op-cost memos and the table, the system's counters are
+//! zeroed, and every seed then runs on a private clone of the pair.
+//! No thread ever observes another's cache fills, so each per-seed
+//! [`ServeReport`] — cache counters included — is bit-identical
+//! whether the batch runs on 1 thread or 64. It is also bit-identical to the same seed run on a
+//! clone of the warm system with an empty table: every table entry was
+//! priced on that system, so reading an entry skips only lookups the
+//! system would have answered from memory, and the op-cost miss count
+//! is the one report field that sees pricing calls.
 //!
 //! The warm-up also carries the harness's throughput: pricing a
 //! scenario (flash discrete-event runs per GeMV shape, op-cost
 //! derivations per attention position) costs ~ms while replaying a
 //! priced trace costs ~0.1 µs/token, so paying the fixed cost once —
 //! instead of once per seed — is what lets an `n`-seed batch simulate
-//! tens of millions of tokens per wall-second.
+//! tens of millions of tokens per wall-second. Cloning the table with
+//! the system means a seed prices only the attention positions the
+//! warm-up never visited, not all of them again (a 70B mixed-shape
+//! warm-up with prompts up to 2,000 tokens prices about 1,600); the
+//! table's share of each seed's clone is about 150 KB.
 
-use crate::serve::{PrefillMode, SchedulePolicy, ServeEngine, ServeReport};
-use crate::system::System;
+use crate::serve::{PrefillMode, SchedulePolicy, ServeEngine, ServeReport, WarmState};
 use llm_workload::ArrivalTrace;
 use sim_core::{parallel_map_workers, Estimate, SplitMix64};
 
@@ -115,17 +124,7 @@ impl MonteCarlo {
         F: Fn(u64) -> ArrivalTrace + Sync,
     {
         let seeds = self.seed_vec();
-        // Warm the pricing memos once, before any thread exists: run
-        // the first seed's trace on a fresh system, discard the report,
-        // zero the counters. Every seed below starts from a clone of
-        // this exact state, so per-seed reports cannot depend on
-        // thread count (and the warm-up's fixed pricing cost is paid
-        // once, not once per seed).
-        let (_, mut warm) = engine.run_with_system(&trace_fn(seeds[0]), policy, {
-            System::new(engine.config())
-        });
-        warm.reset_cache_stats();
-        let warm = &warm;
+        let warm = &warm_up(engine, policy, &trace_fn(seeds[0]));
         let workers = self.threads.unwrap_or_else(|| {
             std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
@@ -145,6 +144,17 @@ impl MonteCarlo {
             per_seed,
         )
     }
+}
+
+/// Warms the pricing state once, before any thread exists: runs
+/// `trace` on a fresh state, discards the report and zeroes the
+/// system's counters. Every seed starts from a clone of this exact
+/// state, so per-seed reports cannot depend on thread count, and the
+/// warm-up's fixed pricing cost is paid once, not once per seed.
+fn warm_up(engine: &ServeEngine, policy: SchedulePolicy, trace: &ArrivalTrace) -> WarmState {
+    let (_, mut warm) = engine.run_with_system(trace, policy, WarmState::new(engine));
+    warm.system.reset_cache_stats();
+    warm
 }
 
 /// Distribution estimates across a Monte Carlo batch.
@@ -366,6 +376,71 @@ mod tests {
             // ...but priced no more of them from scratch than cold.
             assert!(warm_rep.op_cost_cache_misses <= cold.op_cost_cache_misses);
         }
+    }
+
+    /// A Poisson trace whose requests draw mixed prompt and decode
+    /// lengths from `seed`, so seeds visit different attention
+    /// positions.
+    fn mixed_trace(seed: u64) -> ArrivalTrace {
+        let streams = SplitMix64::split_seeds(seed, 2);
+        let ArrivalTrace::Open(mut arrivals) = ArrivalTrace::poisson(150.0, 6, shape(), streams[0])
+        else {
+            unreachable!("a Poisson trace is open")
+        };
+        let mut rng = SplitMix64::new(streams[1]);
+        for a in &mut arrivals {
+            let prompt = [16, 48, 96][rng.next_below(3) as usize];
+            let decode = [4, 9, 17][rng.next_below(3) as usize];
+            a.shape = RequestShape::new(prompt, decode);
+        }
+        ArrivalTrace::Open(arrivals)
+    }
+
+    #[test]
+    fn warm_table_changes_pricing_work_not_reports() {
+        // Seeds start from the warm-up's priced plan table. Each seed's
+        // whole report, cache counters included, must equal the same
+        // seed run on a clone of the warm system with an empty table,
+        // and a seed that visits only positions the warm-up priced
+        // must price none.
+        let eng = engine().with_prefill(PrefillMode::Modeled);
+        let mc = MonteCarlo::new(4, 0xA77E);
+        let seeds = mc.seed_vec();
+        for policy in [
+            SchedulePolicy::Fcfs,
+            SchedulePolicy::RoundRobin,
+            SchedulePolicy::ContinuousBatch { max_batch: 3 },
+        ] {
+            let warm = warm_up(&eng, policy, &mixed_trace(seeds[0]));
+            let warm_positions = warm.attn_positions();
+            let mut repriced = 0;
+            for &seed in &seeds {
+                let trace = mixed_trace(seed);
+                let (rep, after) = eng.run_with_system(&trace, policy, warm.clone());
+                let mut fresh = WarmState::new(&eng);
+                fresh.system = warm.system.clone();
+                let (want, cold) = eng.run_with_system(&trace, policy, fresh);
+                assert_eq!(rep, want, "{policy:?} seed {seed:#x}");
+                let priced = after.attn_positions() - warm_positions;
+                assert!(priced <= cold.attn_positions());
+                repriced += priced;
+            }
+            assert!(repriced > 0, "{policy:?}: seeds visit no new positions");
+            let (_, again) = eng.run_with_system(&mixed_trace(seeds[0]), policy, warm.clone());
+            assert_eq!(again.attn_positions(), warm_positions, "{policy:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "the plan that priced it")]
+    fn warm_state_rejects_another_plan() {
+        let warm = WarmState::new(&engine());
+        let other = ServeEngine::new(SystemConfig::cambricon_s(), zoo::llama2_7b());
+        other.run_with_system(
+            &ArrivalTrace::poisson(100.0, 2, shape(), 3),
+            SchedulePolicy::Fcfs,
+            warm,
+        );
     }
 
     #[test]

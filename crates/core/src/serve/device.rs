@@ -36,7 +36,7 @@ use crate::reliability::{FaultMode, FaultRun, WindowDraw};
 use crate::system::{OpClass, PrefillCost, System, TrafficBreakdown};
 use llm_workload::kv::kv_bytes_per_token;
 use llm_workload::{
-    ArrivalTrace, AttnPrefix, ModelSpec, OpCursor, PrefillPlan, RequestShape, TokenPlan,
+    ArrivalTrace, AttnPrefix, ModelSpec, OpCursor, PrefillPlan, Quant, RequestShape, TokenPlan,
 };
 use npu_sim::KvCache;
 use sim_core::{Aggregate, BusyTracker, Samples, SimTime, SplitMix64};
@@ -151,32 +151,66 @@ impl DeviceEngine {
     /// Panics if `policy` is [`SchedulePolicy::ContinuousBatch`] with
     /// `max_batch == 0` (a batch must hold at least one request).
     pub fn run(&self, trace: &ArrivalTrace, policy: SchedulePolicy) -> ServeReport {
-        self.run_with_system(trace, policy, System::new(self.cfg)).0
+        self.run_with_system(trace, policy, WarmState::new(self)).0
     }
 
-    /// Runs `trace` on a caller-provided [`System`], using and
-    /// extending the memoization state (GeMV cache, op-cost cache) it
-    /// carries, and returns the system alongside the report.
+    /// Runs `trace` on caller-provided warm pricing state, using and
+    /// extending the memoization it carries (GeMV cache, op-cost cache,
+    /// plan table), and returns that state alongside the report.
     ///
     /// The Monte Carlo harness hands every seeded run a clone of one
-    /// pre-warmed system, so the fixed pricing cost of a scenario is
+    /// pre-warmed state, so the fixed pricing cost of a scenario is
     /// paid once instead of once per seed; [`DeviceEngine::run`] passes
-    /// a fresh system, preserving the cold-cache reports the goldens
+    /// a fresh state, preserving the cold-cache reports the goldens
     /// pin (cache hit/miss counters included).
     pub(crate) fn run_with_system(
         &self,
         trace: &ArrivalTrace,
         policy: SchedulePolicy,
-        system: System,
-    ) -> (ServeReport, System) {
+        warm: WarmState,
+    ) -> (ServeReport, WarmState) {
         match policy {
             SchedulePolicy::ContinuousBatch { max_batch } => {
                 assert!(max_batch >= 1, "a batch must hold at least one request");
-                BatchedSimulation::new(self, trace, max_batch, system).run()
+                BatchedSimulation::new(self, trace, max_batch, warm).run()
             }
-            SchedulePolicy::Fcfs => Simulation::<FcfsReady>::new(self, trace, system).run(),
-            SchedulePolicy::RoundRobin => Simulation::<RrReady>::new(self, trace, system).run(),
+            SchedulePolicy::Fcfs => Simulation::<FcfsReady>::new(self, trace, warm).run(),
+            SchedulePolicy::RoundRobin => Simulation::<RrReady>::new(self, trace, warm).run(),
         }
+    }
+}
+
+/// The pricing state one run hands the next: the [`System`] (GeMV and
+/// op-cost memos) and the [`PlanTable`] priced on it. They travel as a
+/// pair because every table entry was priced through that system: a
+/// run on a clone of the pair makes exactly the op-cost misses a run on
+/// a clone of the system alone would make (the table only skips
+/// lookups the system would have answered from memory), so reports,
+/// cache counters included, cannot tell the two apart.
+#[derive(Debug, Clone)]
+pub(crate) struct WarmState {
+    pub(crate) system: System,
+    table: PlanTable,
+}
+
+impl WarmState {
+    /// A cold system and an unpriced table for `engine`'s plan.
+    pub(crate) fn new(engine: &DeviceEngine) -> Self {
+        WarmState {
+            system: System::new(engine.cfg),
+            table: PlanTable::new(engine),
+        }
+    }
+
+    /// Attention positions priced into the table so far; a run priced
+    /// the difference of this count across it through the system.
+    #[cfg(test)]
+    pub(crate) fn attn_positions(&self) -> usize {
+        self.table
+            .attn_lat
+            .iter()
+            .filter(|&&l| l != UNPRICED)
+            .count()
     }
 }
 
@@ -188,8 +222,12 @@ const MAX_DEP_SLOTS: usize = 4;
 /// Per-plan pricing table: latencies and traffic by cost slot, so the
 /// per-op dispatch path is an array index instead of an op
 /// materialization plus cost derivation.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct PlanTable {
+    /// The model and quantization the plan was built from (a
+    /// [`TokenPlan`] is a function of the two): a table reused by a
+    /// later run must belong to that run's plan.
+    priced_for: (ModelSpec, Quant),
     /// Resource index ([`FLASH`] or [`NPU`]) of each plan position.
     class_slots: Vec<u8>,
     /// Dispatch latency of each plan position in picoseconds, filled by
@@ -240,10 +278,22 @@ struct PlanTable {
     /// cohort, another span probe) is two table reads instead of three
     /// op-cost lookups, and a contiguous range prices as one
     /// prefix-sum difference. Segmented, so only positions requests
-    /// actually visit are ever priced — the op-cost cache's miss count
-    /// (a report field) sees exactly per-op stepping's derivations.
+    /// actually visit are ever priced. A position priced once stays
+    /// priced for every later run on a clone of the [`WarmState`], and
+    /// since its op costs sit in that state's system too, the op-cost
+    /// cache's miss count (a report field) is the same whether a run
+    /// reads the position here or prices it again.
     attn: AttnPrefix<AttnPoint>,
+    /// Each priced sequence position's summed attention latency,
+    /// `Σ lat[d] × dep_counts[d]` in picoseconds, indexed by position
+    /// ([`UNPRICED`] where [`attn_at`] has not priced it yet): the one
+    /// number a batched step needs per member, read without a segment
+    /// search.
+    attn_lat: Vec<u64>,
 }
+
+/// [`PlanTable::attn_lat`] marker of a position not priced yet.
+const UNPRICED: u64 = u64::MAX;
 
 /// One sequence position's attention prices, folded cumulatively in
 /// [`PlanTable::attn`]: the per-dependent-slot op latency plus the
@@ -255,7 +305,8 @@ struct AttnPoint {
 }
 
 impl PlanTable {
-    fn new(plan: &TokenPlan) -> Self {
+    fn new(engine: &DeviceEngine) -> Self {
+        let plan = &engine.plan;
         let class_slots: Vec<u8> = (0..plan.len())
             .map(|idx| match OpClass::of(&plan.op_at(idx, 0)) {
                 OpClass::Flash => FLASH as u8,
@@ -279,6 +330,7 @@ impl PlanTable {
             *count = plan.slot_count(n_inv + d) as u64;
         }
         PlanTable {
+            priced_for: (engine.model.clone(), engine.cfg.quant),
             class_slots,
             pos_lat: Vec::new(),
             inv_lat: vec![SimTime::ZERO; n_inv],
@@ -296,6 +348,7 @@ impl PlanTable {
             inv_flash_ops: vec![0; n_inv],
             gemvs_per_token,
             attn: AttnPrefix::new(),
+            attn_lat: Vec::new(),
         }
     }
 }
@@ -350,7 +403,8 @@ fn cold_mark() {}
 /// plus its combined count-scaled traffic. First visit of a position
 /// prices it through [`System::op_cost`] in ascending slot order —
 /// exactly the calls (and therefore the cache misses) per-op stepping
-/// makes — and every later visit is two adjacent prefix reads.
+/// makes — and records its summed latency in [`PlanTable::attn_lat`];
+/// every later visit is two adjacent prefix reads.
 fn attn_at(
     system: &mut System,
     plan: &TokenPlan,
@@ -360,17 +414,24 @@ fn attn_at(
     let n_inv = table.n_inv;
     let n_dep = table.n_dep;
     let dep_counts = table.dep_counts;
+    let attn_lat = &mut table.attn_lat;
     table.attn.ensure(
         seq,
         seq + 1,
         AttnPoint::default(),
         &mut |pos| {
             let mut p = AttnPoint::default();
+            let mut sum = SimTime::ZERO;
             for (d, &count) in dep_counts.iter().enumerate().take(n_dep) {
                 let cost = system.op_cost(&plan.slot_op(n_inv + d, pos));
                 p.lat[d] = cost.latency;
                 p.traffic.absorb_scaled(&cost.traffic, count);
+                sum += cost.latency * count;
             }
+            if attn_lat.len() <= pos {
+                attn_lat.resize(pos + 1, UNPRICED);
+            }
+            attn_lat[pos] = sum.as_picos();
             p
         },
         &mut |a, b| {
@@ -386,6 +447,20 @@ fn attn_at(
         *l = hi.lat[d] - lo.lat[d];
     }
     (lat, hi.traffic.difference(&lo.traffic))
+}
+
+/// The summed attention latency of sequence position `seq` (one
+/// member's attention time in a batched step): an array read once the
+/// position is priced, [`attn_at`] on its first visit.
+#[inline]
+fn attn_lat_at(system: &mut System, plan: &TokenPlan, table: &mut PlanTable, seq: usize) -> u64 {
+    match table.attn_lat.get(seq) {
+        Some(&lat) if lat != UNPRICED => lat,
+        _ => {
+            attn_at(system, plan, table, seq);
+            table.attn_lat[seq]
+        }
+    }
 }
 
 /// Prices the seq-invariant slots once, filling the latency tables and
@@ -751,7 +826,12 @@ impl<'a> DeviceRun<'a> {
     /// requests and arrival events. Shared by both loops, so arrival
     /// order — and therefore event stamps — is identical regardless of
     /// policy.
-    fn new(engine: &'a DeviceEngine, trace: &ArrivalTrace, mut system: System) -> Self {
+    fn new(engine: &'a DeviceEngine, trace: &ArrivalTrace, warm: WarmState) -> Self {
+        let WarmState { mut system, table } = warm;
+        assert!(
+            table.priced_for.0 == engine.model && table.priced_for.1 == engine.cfg.quant,
+            "a plan table is reused only with the plan that priced it"
+        );
         let faults = FaultRun::for_engine(&engine.faults, &engine.cfg, &mut system);
         let (total_requests, peak_arrivals) = trace_sizes(trace);
         let mut requests = RequestPool::with_capacity(total_requests);
@@ -789,7 +869,7 @@ impl<'a> DeviceRun<'a> {
         DeviceRun {
             system,
             plan: &engine.plan,
-            table: PlanTable::new(&engine.plan),
+            table,
             prefill: PrefillState::new(engine),
             ev,
             requests,
@@ -935,9 +1015,10 @@ impl<'a> DeviceRun<'a> {
         gemv_dispatched: u64,
         occ_weighted_ps: u128,
         peak_batch_occupancy: usize,
-    ) -> (ServeReport, System) {
+    ) -> (ServeReport, WarmState) {
         let DeviceRun {
             system,
+            table,
             prefill,
             busy_track,
             traffic,
@@ -1032,7 +1113,7 @@ impl<'a> DeviceRun<'a> {
             reliability,
             requests: done,
         };
-        (report, system)
+        (report, WarmState { system, table })
     }
 }
 
@@ -1558,8 +1639,8 @@ struct Simulation<'a, Q> {
 }
 
 impl<'a, Q: ReadySet> Simulation<'a, Q> {
-    fn new(engine: &'a DeviceEngine, trace: &ArrivalTrace, system: System) -> Self {
-        let run = DeviceRun::new(engine, trace, system);
+    fn new(engine: &'a DeviceEngine, trace: &ArrivalTrace, warm: WarmState) -> Self {
+        let run = DeviceRun::new(engine, trace, warm);
         Simulation {
             ready: Q::default(),
             n_ops: run.plan.len(),
@@ -1581,12 +1662,12 @@ impl<'a, Q: ReadySet> Simulation<'a, Q> {
         }
     }
 
-    fn run(mut self) -> (ServeReport, System) {
+    fn run(mut self) -> (ServeReport, WarmState) {
         self.drive();
         self.finish()
     }
 
-    fn finish(self) -> (ServeReport, System) {
+    fn finish(self) -> (ServeReport, WarmState) {
         assert!(
             self.ready.queued(FLASH) + self.ready.queued(NPU) == 0,
             "event loop drained with work outstanding"
@@ -2270,10 +2351,10 @@ impl<'a> BatchedSimulation<'a> {
         engine: &'a DeviceEngine,
         trace: &ArrivalTrace,
         max_batch: usize,
-        system: System,
+        warm: WarmState,
     ) -> Self {
         BatchedSimulation {
-            run: DeviceRun::new(engine, trace, system),
+            run: DeviceRun::new(engine, trace, warm),
             batch: BatchState::new(max_batch),
             pending: VecDeque::new(),
             kv: kv_cache(engine),
@@ -2287,7 +2368,7 @@ impl<'a> BatchedSimulation<'a> {
         self.run.ev.busy(0) || self.run.ev.busy(1)
     }
 
-    fn run(mut self) -> (ServeReport, System) {
+    fn run(mut self) -> (ServeReport, WarmState) {
         while let Some(fired) = self.run.ev.pop() {
             let now = self.run.ev.now;
             self.batch.note_occupancy(now);
@@ -2580,20 +2661,16 @@ impl<'a> BatchedSimulation<'a> {
         let mut npu_busy = SimTime::ZERO;
         let mut span_fault_extra: u64 = 0;
         let mut k = 0usize;
-        // Attention traffic accumulates span-locally and lands in the
-        // shared ledger once at span end: the integer per-step sums
-        // regroup exactly, and the hot loop stops round-tripping
-        // through the full-width ledger every step.
-        let mut dep_traffic = TrafficBreakdown::default();
         loop {
             // This step's attention slots, at each member's position
             // `k` tokens ahead of its cursor (cursors advance at the
             // boundary pass below). Consecutive members at the same
             // sequence position — the common case, lockstep admission
-            // parks whole cohorts together — share one pricing and
-            // scale by the run length; the scaled integer sums equal
-            // per-member accumulation exactly.
-            let mut dep_step = SimTime::ZERO;
+            // parks whole cohorts together — share one read and scale
+            // by the run length; the scaled integer sums equal
+            // per-member accumulation exactly. A position's first visit
+            // prices it, in the same member order as one-step spans.
+            let mut dep_step = 0u64;
             let mut i = 0;
             while i < self.batch.active.len() {
                 let seq = self.run.requests.cursor[self.batch.active[i]].seq_len() + k;
@@ -2603,20 +2680,16 @@ impl<'a> BatchedSimulation<'a> {
                 {
                     run += 1;
                 }
-                let (lat, tr) = attn_at(
+                let pos_dep = attn_lat_at(
                     &mut self.run.system,
                     self.run.plan,
                     &mut self.run.table,
                     seq,
                 );
-                let mut pos_dep = SimTime::ZERO;
-                for (d, &l) in lat.iter().enumerate().take(self.run.table.n_dep) {
-                    pos_dep += l * self.run.table.dep_counts[d];
-                }
                 dep_step += pos_dep * run as u64;
-                dep_traffic.absorb_scaled(&tr, run as u64);
                 i += run;
             }
+            let dep_step = SimTime::from_picos(dep_step);
             let mut lat = flash_step + npu_inv_step + dep_step;
             // One fault window per step: the shared weight stream is
             // read once for the whole batch, so its page faults are
@@ -2656,7 +2729,15 @@ impl<'a> BatchedSimulation<'a> {
                 break;
             }
         }
-        self.run.traffic.absorb(&dep_traffic);
+        // Each member's attention traffic over the span's `k` positions
+        // is one prefix difference: the loop priced every one of them,
+        // and contiguous priced positions share one segment. The
+        // integer sums regroup the per-step booking exactly.
+        for &id in &self.batch.active {
+            let seq = self.run.requests.cursor[id].seq_len();
+            let (lo, hi) = self.run.table.attn.range(seq, seq + k);
+            self.run.traffic.absorb(&hi.traffic.difference(&lo.traffic));
+        }
         // The span's invariant traffic in one bulk booking: `k ×` the
         // shared stream plus `k × batch ×` the per-request share.
         self.run.traffic.absorb_batch_span(
@@ -2702,7 +2783,7 @@ impl<'a> BatchedSimulation<'a> {
         self.run.ev.schedule_op(FLASH, t, SPAN_BOUNDARY);
     }
 
-    fn finish(mut self) -> (ServeReport, System) {
+    fn finish(mut self) -> (ServeReport, WarmState) {
         assert!(
             self.pending.is_empty() && self.batch.active.is_empty(),
             "event core drained with work outstanding"
@@ -2743,7 +2824,7 @@ mod tests {
     /// runs one solo span with no arrival pending. Returns the loop,
     /// the tokens coalesced, and the span-end event's time.
     fn lone_span(engine: &DeviceEngine) -> (Simulation<'_, FcfsReady>, usize, SimTime) {
-        let mut sim = Simulation::<FcfsReady>::new(engine, &lone_trace(), System::new(engine.cfg));
+        let mut sim = Simulation::<FcfsReady>::new(engine, &lone_trace(), WarmState::new(engine));
         sim.arrive();
         assert_eq!(sim.next_arr.0, u64::MAX, "no arrival pending");
         let [(0, k, _)] = sim.solo_spans[..] else {
@@ -2775,7 +2856,7 @@ mod tests {
             engine: &DeviceEngine,
             trace: &ArrivalTrace,
         ) -> (ServeReport, FastPaths) {
-            let mut sim = Simulation::<Q>::new(engine, trace, System::new(engine.cfg));
+            let mut sim = Simulation::<Q>::new(engine, trace, WarmState::new(engine));
             sim.drive();
             let paths = FastPaths {
                 solo_spans: std::mem::take(&mut sim.solo_spans),

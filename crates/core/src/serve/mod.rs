@@ -511,6 +511,7 @@ impl ServeReport {
 mod device;
 
 pub use device::DeviceEngine;
+pub(crate) use device::WarmState;
 
 /// The single-device serving engine: the name the goldens, examples
 /// and benchmarks use for [`DeviceEngine`].

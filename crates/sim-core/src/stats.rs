@@ -203,7 +203,14 @@ impl Aggregate {
 ///
 /// Unlike [`Aggregate`], which keeps O(1) state, `Samples` retains every
 /// pushed value so exact percentiles can be computed. Sorting happens
-/// lazily on the first percentile query after a push.
+/// lazily on the first percentile or mean query after a push, in IEEE
+/// 754 total order ([`f64::total_cmp`]). Each value is kept as a `u64`
+/// key whose integer order is `total_cmp`'s, so the sort is a plain
+/// unstable integer sort; since `total_cmp` calls two values equal
+/// only when their bits are equal, the sorted values are the same bits
+/// a stable `total_cmp` sort would give. The mean folds left to right
+/// over the sorted values, so it does not depend on push order or on
+/// which query came first.
 ///
 /// # Examples
 ///
@@ -220,7 +227,8 @@ impl Aggregate {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Samples {
-    values: Vec<f64>,
+    /// Each value's [`total_order_key`].
+    keys: Vec<u64>,
     sorted: bool,
 }
 
@@ -228,7 +236,7 @@ impl Samples {
     /// Creates an empty sample set.
     pub fn new() -> Self {
         Samples {
-            values: Vec::new(),
+            keys: Vec::new(),
             sorted: true,
         }
     }
@@ -236,19 +244,37 @@ impl Samples {
     /// Adds one sample.
     #[inline]
     pub fn push(&mut self, x: f64) {
-        self.values.push(x);
+        self.keys.push(total_order_key(x));
         self.sorted = false;
     }
 
     /// Number of samples.
     pub fn count(&self) -> u64 {
-        self.values.len() as u64
+        self.keys.len() as u64
     }
 
-    /// Mean of samples, or `None` if empty.
-    pub fn mean(&self) -> Option<f64> {
-        (!self.values.is_empty())
-            .then(|| sum_ordered(self.values.iter().copied()) / self.values.len() as f64)
+    /// Mean of samples, or `None` if empty: a left-to-right fold over
+    /// the values in total order, so every push order of one sample set
+    /// gives the same bits.
+    pub fn mean(&mut self) -> Option<f64> {
+        if self.keys.is_empty() {
+            return None;
+        }
+        self.sort();
+        Some(sum_ordered(self.values()) / self.keys.len() as f64)
+    }
+
+    /// Sorts the values into total order, once per batch of pushes.
+    fn sort(&mut self) {
+        if !self.sorted {
+            self.keys.sort_unstable();
+            self.sorted = true;
+        }
+    }
+
+    /// The values, in push order or (once sorted) total order.
+    fn values(&self) -> impl Iterator<Item = f64> + '_ {
+        self.keys.iter().map(|&k| from_total_order_key(k))
     }
 
     /// The `p`-th percentile (`0.0..=100.0`) by nearest-rank, or `None`
@@ -264,23 +290,42 @@ impl Samples {
     /// Panics if `p` is outside `[0, 100]`.
     pub fn percentile(&mut self, p: f64) -> Option<f64> {
         assert!((0.0..=100.0).contains(&p), "percentile {p} out of range");
-        if self.values.is_empty() {
+        if self.keys.is_empty() {
             return None;
         }
-        if !self.sorted {
-            self.values.sort_by(f64::total_cmp);
-            self.sorted = true;
-        }
+        self.sort();
         // Nearest-rank: ceil(p/100 * n), clamped to [1, n].
-        let n = self.values.len();
+        let n = self.keys.len();
         let rank = ((p / 100.0 * n as f64).ceil() as usize).clamp(1, n);
-        Some(self.values[rank - 1])
+        Some(from_total_order_key(self.keys[rank - 1]))
     }
 
     /// Collapses to the O(1) summary form.
     pub fn aggregate(&self) -> Aggregate {
-        self.values.iter().copied().collect()
+        self.values().collect()
     }
+}
+
+/// A `u64` whose unsigned order is [`f64::total_cmp`]'s order on `x`:
+/// a negative value's bits are inverted (larger magnitudes sort lower,
+/// negative NaNs lowest), a non-negative value's sign bit is set (above
+/// every negative, positive NaNs highest). It is a bijection on bit
+/// patterns, undone by [`from_total_order_key`], so equal keys mean
+/// equal bits.
+#[inline]
+fn total_order_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
+/// The value behind a [`total_order_key`].
+#[inline]
+fn from_total_order_key(key: u64) -> f64 {
+    f64::from_bits(if key >> 63 == 1 { key ^ 1 << 63 } else { !key })
 }
 
 impl Extend<f64> for Samples {
@@ -380,6 +425,7 @@ impl FromIterator<f64> for Aggregate {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn busy_tracker_accumulates() {
@@ -455,6 +501,65 @@ mod tests {
         let mut neg: Samples = [1.0, -f64::NAN, 2.0].into_iter().collect();
         assert!(neg.percentile(0.0).unwrap().is_nan());
         assert_eq!(neg.percentile(100.0), Some(2.0));
+    }
+
+    #[test]
+    fn samples_mean_does_not_depend_on_query_order() {
+        // Values whose left-to-right sum rounds differently in push
+        // order and in sorted order: the mean must be one number.
+        let pushed = [1e16, 1.0, -1e16, 1.0, 3.0, 0.1];
+        let mut a: Samples = pushed.into_iter().collect();
+        let mean = a.mean().expect("non-empty");
+        assert_eq!(a.percentile(50.0), Some(1.0));
+        assert_eq!(a.mean().map(f64::to_bits), Some(mean.to_bits()));
+        let mut b: Samples = pushed.into_iter().rev().collect();
+        b.percentile(99.0);
+        assert_eq!(b.mean().map(f64::to_bits), Some(mean.to_bits()));
+        let in_push_order = sum_ordered(pushed) / pushed.len() as f64;
+        assert_ne!(
+            in_push_order.to_bits(),
+            mean.to_bits(),
+            "the set must tell the orders apart"
+        );
+    }
+
+    /// An `f64` from the corners of the total order, picked by `w`:
+    /// signed zeros, infinities, NaNs of both signs with payloads,
+    /// subnormals of both signs, a three-value palette (long runs of
+    /// duplicates once sorted) and raw bit patterns.
+    fn edge_value(w: u64) -> f64 {
+        let mantissa = (w >> 8) & ((1 << 52) - 1) | 1;
+        match w & 15 {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f64::INFINITY,
+            3 => f64::NEG_INFINITY,
+            4 => f64::from_bits(0x7FF0 << 48 | mantissa),
+            5 => f64::from_bits(0xFFF0 << 48 | mantissa),
+            6 => f64::from_bits(mantissa),
+            7 => f64::from_bits(1 << 63 | mantissa),
+            8..=11 => [1.0, -1.0, 0.5][(w >> 8) as usize % 3],
+            _ => f64::from_bits(w),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The key sort leaves exactly the bits a stable
+        /// `sort_by(f64::total_cmp)` leaves.
+        #[test]
+        fn key_sort_matches_total_cmp_bit_for_bit(
+            words in proptest::collection::vec(any::<u64>(), 0..400)
+        ) {
+            let values: Vec<f64> = words.into_iter().map(edge_value).collect();
+            let mut want = values.clone();
+            want.sort_by(f64::total_cmp);
+            let mut s: Samples = values.into_iter().collect();
+            s.sort();
+            let got: Vec<u64> = s.values().map(f64::to_bits).collect();
+            prop_assert_eq!(got, want.iter().map(|x| x.to_bits()).collect::<Vec<_>>());
+        }
     }
 
     #[test]

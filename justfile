@@ -29,6 +29,54 @@ perfbench-smoke:
             --workload $w --seconds 1 --trace 0 || exit 1; \
     done
 
+# A/B one benchmark workload against another revision: builds
+# perfbench at `rev` in a git worktree under target/, then alternates
+# its runs with the working tree's on the held-out seed 8675309 (each
+# pair flips which side runs first, so a drift in the host's speed
+# lands on both). Prints each pair's `sim_tokens_per_wall_s`, then
+# both medians with their interquartile ranges. The working tree's
+# perfbench/Cargo.lock is restored if the build rewrites it.
+bench-ab rev workload pairs="5" seconds="25":
+    #!/usr/bin/env bash
+    set -euo pipefail
+    dir=target/bench-ab
+    wt="$dir/worktree"
+    mkdir -p "$dir"
+    git worktree remove --force "$wt" 2>/dev/null || true
+    git worktree add --detach --quiet "$wt" "{{rev}}"
+    cp perfbench/Cargo.lock "$dir/Cargo.lock.keep"
+    trap 'git worktree remove --force "$wt"; cp "$dir/Cargo.lock.keep" perfbench/Cargo.lock' EXIT
+    CARGO_TARGET_DIR="$dir/base" cargo build --release --quiet --offline \
+        --manifest-path "$wt/perfbench/Cargo.toml"
+    CARGO_TARGET_DIR="$dir/head" cargo build --release --quiet --offline \
+        --manifest-path perfbench/Cargo.toml
+    run() {
+        "$dir/$1/release/perfbench" --workload "{{workload}}" --seed 8675309 \
+            --seconds "{{seconds}}" --trace 0 2>/dev/null \
+            | tail -n 1 | jq -e '.metrics.sim_tokens_per_wall_s.value'
+    }
+    : > "$dir/base.txt"
+    : > "$dir/head.txt"
+    for i in $(seq 1 "{{pairs}}"); do
+        if [ $((i % 2)) -eq 1 ]; then
+            b=$(run base); h=$(run head)
+        else
+            h=$(run head); b=$(run base)
+        fi
+        echo "$b" >> "$dir/base.txt"
+        echo "$h" >> "$dir/head.txt"
+        printf 'pair %d: {{rev}} %.0f  working tree %.0f  (x%.3f)\n' "$i" "$b" "$h" \
+            "$(jq -n "$h / $b")"
+    done
+    for side in base head; do
+        label=$([ "$side" = base ] && echo "{{rev}}" || echo "working tree")
+        jq -s -r --arg side "$label" 'sort as $v | length as $n
+            | def q(p): (($n - 1) * p) as $h | ($h | floor) as $lo
+                | $v[$lo] + ($h - $lo) * ($v[[$lo + 1, $n - 1] | min] - $v[$lo]);
+            "\($side): median \(q(0.5) | round) tok/s, IQR \(q(0.25) | round)..\(q(0.75) | round)"' \
+            "$dir/$side.txt"
+    done
+
 # Run the user-facing 70B examples once in release: a panic on the
 # FCFS, round-robin, batched or fleet paths they drive fails here.
 examples:
