@@ -26,27 +26,51 @@
 //! The only cross-seed state is the warm pricing state — the pricing
 //! [`System`](crate::system::System) plus the per-plan table of slot
 //! and attention prices priced on it — and it is **frozen before the
-//! fan-out**: one warm-up run on the first seed's trace populates the
-//! GeMV and op-cost memos and the table, the system's counters are
-//! zeroed, and every seed then runs on a private clone of the pair.
-//! No thread ever observes another's cache fills, so each per-seed
-//! [`ServeReport`] — cache counters included — is bit-identical
-//! whether the batch runs on 1 thread or 64. It is also bit-identical to the same seed run on a
-//! clone of the warm system with an empty table: every table entry was
-//! priced on that system, so reading an entry skips only lookups the
-//! system would have answered from memory, and the op-cost miss count
-//! is the one report field that sees pricing calls.
+//! fan-out**. [`MonteCarlo::run`] generates every seed's trace first,
+//! then builds the batch's warm state in two steps: one warm-up run on
+//! the first seed's trace populates the GeMV and op-cost memos and the
+//! table, and a batch pricing step prices the union of every request's
+//! attention positions (its prompt length up to prompt plus decode
+//! length, each position once) and every prompt length's prefill cost
+//! into it. The system's counters are then zeroed, and every seed runs
+//! on a clone of that state. No thread ever observes another's cache
+//! fills, so each per-seed [`ServeReport`] is bit-identical whether the
+//! batch runs on 1 thread or 64. It is also bit-identical to the same
+//! seed run on a clone of the warm system with an empty table: every
+//! table entry was priced on that system, so reading an entry skips
+//! only lookups the system would have answered from memory.
 //!
-//! The warm-up also carries the harness's throughput: pricing a
+//! ## What the per-seed cache counters count
+//!
+//! A seed's op-cost and GeMV hit/miss counters count against the
+//! batch's shared warm state, not against a cold system: a miss is a
+//! cost the warm state did not hold. Since the batch step priced every
+//! position and prompt a seed can reach, a seed normally misses
+//! nothing, and `op_cost_cache_hits + op_cost_cache_misses` still
+//! equals the ops it dispatched. A cold [`ServeEngine::run`] of the
+//! same trace reports the same dispatches with its own misses; every
+//! other report field is equal.
+//!
+//! ## Copy-on-write sharing
+//!
+//! The warm state's op-cost memo and attention tables sit behind
+//! `Arc`s and are copied only when a run prices something new
+//! (`Arc::make_mut`), so a seed's clone costs a few small vectors
+//! rather than a copy of every memo. Seeds that price nothing new never
+//! copy, and a run that does price something copies its own and leaves
+//! the shared state unchanged.
+//!
+//! The warm state also carries the harness's throughput: pricing a
 //! scenario (flash discrete-event runs per GeMV shape, op-cost
 //! derivations per attention position) costs ~ms while replaying a
 //! priced trace costs ~0.1 µs/token, so paying the fixed cost once —
 //! instead of once per seed — is what lets an `n`-seed batch simulate
-//! tens of millions of tokens per wall-second. Cloning the table with
-//! the system means a seed prices only the attention positions the
-//! warm-up never visited, not all of them again (a 70B mixed-shape
-//! warm-up with prompts up to 2,000 tokens prices about 1,600); the
-//! table's share of each seed's clone is about 150 KB.
+//! tens of millions of tokens per wall-second. Pricing the batch's
+//! positions up front also prices each once: seeds visiting the same
+//! positions the warm-up never reached no longer each price them again
+//! (a 70B mixed-shape batch of 64 seeds with prompts up to 2,000 tokens
+//! and decodes up to 512 shares about 1,900 positions, which its seeds
+//! used to re-price about 13,000 times per batch).
 
 use crate::serve::{PrefillMode, SchedulePolicy, ServeEngine, ServeReport, WarmState};
 use llm_workload::ArrivalTrace;
@@ -113,7 +137,7 @@ impl MonteCarlo {
     /// `trace_fn` maps a stream seed to that replica's arrival trace
     /// (typically [`ArrivalTrace::poisson`] with the seed passed
     /// through). It must be deterministic in the seed; it is called
-    /// once per seed plus once for the warm-up.
+    /// once per seed, before any run.
     pub fn run<F>(
         &self,
         engine: &ServeEngine,
@@ -121,20 +145,18 @@ impl MonteCarlo {
         trace_fn: F,
     ) -> MonteCarloReport
     where
-        F: Fn(u64) -> ArrivalTrace + Sync,
+        F: Fn(u64) -> ArrivalTrace,
     {
         let seeds = self.seed_vec();
-        let warm = &warm_up(engine, policy, &trace_fn(seeds[0]));
+        let traces: Vec<ArrivalTrace> = seeds.iter().map(|&seed| trace_fn(seed)).collect();
+        let warm = &warm_batch(engine, policy, &traces);
         let workers = self.threads.unwrap_or_else(|| {
             std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(1)
         });
-        let trace_fn = &trace_fn;
-        let per_seed: Vec<ServeReport> = parallel_map_workers(&seeds, workers, |_, &seed| {
-            engine
-                .run_with_system(&trace_fn(seed), policy, warm.clone())
-                .0
+        let per_seed: Vec<ServeReport> = parallel_map_workers(&traces, workers, |_, trace| {
+            engine.run_with_system(trace, policy, warm.clone()).0
         });
         MonteCarloReport::aggregate(
             policy,
@@ -148,11 +170,24 @@ impl MonteCarlo {
 
 /// Warms the pricing state once, before any thread exists: runs
 /// `trace` on a fresh state, discards the report and zeroes the
-/// system's counters. Every seed starts from a clone of this exact
-/// state, so per-seed reports cannot depend on thread count, and the
-/// warm-up's fixed pricing cost is paid once, not once per seed.
+/// system's counters. This pays the scenario's fixed pricing cost (the
+/// flash discrete-event runs, the plan's invariant slots) once, not
+/// once per seed.
 fn warm_up(engine: &ServeEngine, policy: SchedulePolicy, trace: &ArrivalTrace) -> WarmState {
     let (_, mut warm) = engine.run_with_system(trace, policy, WarmState::new(engine));
+    warm.system.reset_cache_stats();
+    warm
+}
+
+/// The batch's shared warm state: [`warm_up`] on the first trace, then
+/// every attention position and prefill bucket any trace's requests
+/// reach priced once ([`WarmState::price_requests`]), then the system's
+/// counters zeroed again. Every seed starts from a clone of this exact
+/// state and prices nothing new, so the clones share its memos and
+/// per-seed reports cannot depend on thread count.
+fn warm_batch(engine: &ServeEngine, policy: SchedulePolicy, traces: &[ArrivalTrace]) -> WarmState {
+    let mut warm = warm_up(engine, policy, &traces[0]);
+    warm.price_requests(engine, traces);
     warm.system.reset_cache_stats();
     warm
 }
@@ -204,7 +239,12 @@ pub struct MonteCarloReport {
     /// Per-seed deadline-goodput (tokens/s from requests that met
     /// their deadlines; zero with faults off).
     pub goodput_tps: Estimate,
-    /// The full per-seed reports, in seed order.
+    /// The full per-seed reports, in seed order. Their cache hit/miss
+    /// counters count against the batch's shared warm state (see the
+    /// module docs): a seed that prices nothing the batch step did not
+    /// reports zero misses, with hits + misses still equal to the ops
+    /// it dispatched. Every other field equals a cold run of the seed's
+    /// trace.
     pub per_seed: Vec<ServeReport>,
 }
 
@@ -428,6 +468,59 @@ mod tests {
             assert!(repriced > 0, "{policy:?}: seeds visit no new positions");
             let (_, again) = eng.run_with_system(&mixed_trace(seeds[0]), policy, warm.clone());
             assert_eq!(again.attn_positions(), warm_positions, "{policy:?}");
+        }
+    }
+
+    #[test]
+    fn batch_prices_request_ranges_once_and_seeds_share_them() {
+        // The batch step prices exactly the union of the requests'
+        // decode positions; every seed then runs on a clone that prices
+        // nothing and copies nothing, and its report equals a run on a
+        // clone of the warm system with an empty table. A run reaching
+        // past the priced range copies on write and leaves the batch's
+        // state as it was.
+        let eng = engine().with_prefill(PrefillMode::Modeled);
+        let mut traces: Vec<ArrivalTrace> = MonteCarlo::new(4, 0xA77E)
+            .seed_vec()
+            .into_iter()
+            .map(mixed_trace)
+            .collect();
+        // A prompt length no mixed trace draws, so the warm-up on the
+        // first trace cannot have priced its prefill.
+        traces.push(ArrivalTrace::burst(2, RequestShape::new(64, 3)));
+        let mut union = std::collections::BTreeSet::new();
+        for trace in &traces {
+            let ArrivalTrace::Open(arrivals) = trace else {
+                unreachable!("every trace here is open")
+            };
+            for a in arrivals {
+                union.extend(a.shape.prompt_len..a.shape.prompt_len + a.shape.new_tokens);
+            }
+        }
+        let union: Vec<usize> = union.into_iter().collect();
+        for policy in [
+            SchedulePolicy::Fcfs,
+            SchedulePolicy::RoundRobin,
+            SchedulePolicy::ContinuousBatch { max_batch: 3 },
+        ] {
+            let warm = warm_batch(&eng, policy, &traces);
+            assert_eq!(warm.priced_positions(), union, "{policy:?}");
+            let shapes = warm.system.op_cost_cache().len();
+            for trace in &traces {
+                let (rep, after) = eng.run_with_system(trace, policy, warm.clone());
+                assert_eq!(rep.op_cost_cache_misses, 0, "{policy:?}");
+                assert!(after.shares_memo_with(&warm), "{policy:?}");
+                let mut fresh = WarmState::new(&eng);
+                fresh.system = warm.system.clone();
+                assert_eq!(rep, eng.run_with_system(trace, policy, fresh).0);
+            }
+            let beyond = ArrivalTrace::burst(1, RequestShape::new(200, 5));
+            let (rep, after) = eng.run_with_system(&beyond, policy, warm.clone());
+            assert!(rep.op_cost_cache_misses > 0, "{policy:?}");
+            assert!(!after.shares_memo_with(&warm), "{policy:?}");
+            assert_eq!(after.attn_positions(), union.len() + 5, "{policy:?}");
+            assert_eq!(warm.priced_positions(), union, "{policy:?}");
+            assert_eq!(warm.system.op_cost_cache().len(), shapes, "{policy:?}");
         }
     }
 

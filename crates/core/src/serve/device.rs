@@ -42,6 +42,7 @@ use npu_sim::KvCache;
 use sim_core::{Aggregate, BusyTracker, Samples, SimTime, SplitMix64};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::sync::Arc;
 
 use super::{PrefillMode, RequestReport, SchedulePolicy, ServeReport, SpanMode};
 
@@ -187,6 +188,10 @@ impl DeviceEngine {
 /// a clone of the system alone would make (the table only skips
 /// lookups the system would have answered from memory), so reports,
 /// cache counters included, cannot tell the two apart.
+///
+/// Cloning is cheap: the op-cost memo and the attention tables are
+/// shared copy-on-write, so a clone copies them only if its run prices
+/// a shape or position of its own.
 #[derive(Debug, Clone)]
 pub(crate) struct WarmState {
     pub(crate) system: System,
@@ -202,15 +207,71 @@ impl WarmState {
         }
     }
 
-    /// Attention positions priced into the table so far; a run priced
-    /// the difference of this count across it through the system.
+    /// Prices, once each, the per-request costs the requests of
+    /// `traces` can ask of the system: every attention position a
+    /// request decodes at (its prompt length up to prompt plus decode
+    /// length) and, with prefill modelled, each distinct prompt
+    /// length's prefill cost. Requests whose context the KV cache
+    /// rejects never run and are skipped. Once the seq-invariant slots
+    /// are priced too (any run that decodes a token prices them), a run
+    /// of any of these traces on a clone of the state prices nothing
+    /// new.
+    pub(crate) fn price_requests(&mut self, engine: &DeviceEngine, traces: &[ArrivalTrace]) {
+        let max_context = kv_cache(engine).max_tokens();
+        let mut ranges: Vec<(usize, usize)> = Vec::new();
+        for trace in traces {
+            let mut note = |shape: &RequestShape| {
+                let end = shape.prompt_len + shape.new_tokens;
+                if shape.new_tokens > 0 && end <= max_context {
+                    ranges.push((shape.prompt_len, end));
+                }
+            };
+            match trace {
+                ArrivalTrace::Open(arrivals) => arrivals.iter().for_each(|a| note(&a.shape)),
+                ArrivalTrace::ClosedLoop { shape, .. } => note(shape),
+            }
+        }
+        // The prefix table prices only positions no earlier range
+        // covered, so overlapping ranges price each position once.
+        ranges.sort_unstable();
+        ranges.dedup();
+        for &(lo, hi) in &ranges {
+            ensure_attn(&mut self.system, &engine.plan, &mut self.table, lo, hi);
+        }
+        if engine.prefill == PrefillMode::Modeled {
+            let mut prompts: Vec<usize> = ranges.iter().map(|&(lo, _)| lo).collect();
+            prompts.dedup();
+            for m in prompts {
+                self.system.prefill_cost(&engine.prefill_plan, m);
+            }
+        }
+    }
+
+    /// The attention positions priced into the table so far, ascending;
+    /// a run priced the difference of their count across it through the
+    /// system.
+    #[cfg(test)]
+    pub(crate) fn priced_positions(&self) -> Vec<usize> {
+        (0..self.table.attn_lat.len())
+            .filter(|&pos| self.table.attn_lat[pos] != UNPRICED)
+            .collect()
+    }
+
+    /// How many attention positions the table holds.
     #[cfg(test)]
     pub(crate) fn attn_positions(&self) -> usize {
-        self.table
-            .attn_lat
-            .iter()
-            .filter(|&&l| l != UNPRICED)
-            .count()
+        self.priced_positions().len()
+    }
+
+    /// Whether this state still shares its op-cost memo and attention
+    /// tables with `other`, i.e. neither has copied them on write.
+    #[cfg(test)]
+    pub(crate) fn shares_memo_with(&self, other: &WarmState) -> bool {
+        self.system
+            .op_cost_cache()
+            .shares_entries_with(other.system.op_cost_cache())
+            && Arc::ptr_eq(&self.table.attn, &other.table.attn)
+            && Arc::ptr_eq(&self.table.attn_lat, &other.table.attn_lat)
     }
 }
 
@@ -278,18 +339,19 @@ struct PlanTable {
     /// cohort, another span probe) is two table reads instead of three
     /// op-cost lookups, and a contiguous range prices as one
     /// prefix-sum difference. Segmented, so only positions requests
-    /// actually visit are ever priced. A position priced once stays
-    /// priced for every later run on a clone of the [`WarmState`], and
-    /// since its op costs sit in that state's system too, the op-cost
-    /// cache's miss count (a report field) is the same whether a run
-    /// reads the position here or prices it again.
-    attn: AttnPrefix<AttnPoint>,
+    /// own are ever priced. A position priced once stays priced for
+    /// every later run on a clone of the [`WarmState`], and since its
+    /// op costs sit in that state's system too, the op-cost cache's
+    /// miss count (a report field) is the same whether a run reads the
+    /// position here or prices it again. Shared copy-on-write between
+    /// clones: [`ensure_attn`] copies it only to price a new position.
+    attn: Arc<AttnPrefix<AttnPoint>>,
     /// Each priced sequence position's summed attention latency,
     /// `Σ lat[d] × dep_counts[d]` in picoseconds, indexed by position
-    /// ([`UNPRICED`] where [`attn_at`] has not priced it yet): the one
-    /// number a batched step needs per member, read without a segment
-    /// search.
-    attn_lat: Vec<u64>,
+    /// ([`UNPRICED`] where [`ensure_attn`] has not priced it yet): the
+    /// one number a batched step needs per member, read without a
+    /// segment search. Shared copy-on-write like `attn`.
+    attn_lat: Arc<Vec<u64>>,
 }
 
 /// [`PlanTable::attn_lat`] marker of a position not priced yet.
@@ -347,8 +409,8 @@ impl PlanTable {
             inv_npu_ops: vec![0; n_inv],
             inv_flash_ops: vec![0; n_inv],
             gemvs_per_token,
-            attn: AttnPrefix::new(),
-            attn_lat: Vec::new(),
+            attn: Arc::new(AttnPrefix::new()),
+            attn_lat: Arc::new(Vec::new()),
         }
     }
 }
@@ -398,26 +460,23 @@ fn op_latency(
 #[inline(never)]
 fn cold_mark() {}
 
-/// Prices the attention slots at sequence position `seq` through the
-/// table's prefix table and returns the position's per-slot latencies
-/// plus its combined count-scaled traffic. First visit of a position
-/// prices it through [`System::op_cost`] in ascending slot order —
-/// exactly the calls (and therefore the cache misses) per-op stepping
-/// makes — and records its summed latency in [`PlanTable::attn_lat`];
-/// every later visit is two adjacent prefix reads.
-fn attn_at(
-    system: &mut System,
-    plan: &TokenPlan,
-    table: &mut PlanTable,
-    seq: usize,
-) -> ([SimTime; MAX_DEP_SLOTS], TrafficBreakdown) {
+/// Prices every attention position in `lo..hi` the table does not hold
+/// yet, in ascending order, each through [`System::op_cost`] in
+/// ascending slot order — exactly the calls (and therefore the cache
+/// misses) per-op stepping makes — recording its summed latency in
+/// [`PlanTable::attn_lat`]. Copies the shared tables on write, so a
+/// range already priced leaves them shared.
+fn ensure_attn(system: &mut System, plan: &TokenPlan, table: &mut PlanTable, lo: usize, hi: usize) {
+    if table.attn.covers(lo, hi) {
+        return;
+    }
     let n_inv = table.n_inv;
     let n_dep = table.n_dep;
     let dep_counts = table.dep_counts;
-    let attn_lat = &mut table.attn_lat;
-    table.attn.ensure(
-        seq,
-        seq + 1,
+    let attn_lat = Arc::make_mut(&mut table.attn_lat);
+    Arc::make_mut(&mut table.attn).ensure(
+        lo,
+        hi,
         AttnPoint::default(),
         &mut |pos| {
             let mut p = AttnPoint::default();
@@ -441,6 +500,20 @@ fn attn_at(
             a.traffic.absorb(&b.traffic);
         },
     );
+}
+
+/// Prices the attention slots at sequence position `seq` through the
+/// table's prefix table and returns the position's per-slot latencies
+/// plus its combined count-scaled traffic: [`ensure_attn`] prices it on
+/// its first visit; every visit reads two adjacent prefix entries.
+fn attn_at(
+    system: &mut System,
+    plan: &TokenPlan,
+    table: &mut PlanTable,
+    seq: usize,
+) -> ([SimTime; MAX_DEP_SLOTS], TrafficBreakdown) {
+    ensure_attn(system, plan, table, seq, seq + 1);
+    let n_dep = table.n_dep;
     let (lo, hi) = table.attn.range(seq, seq + 1);
     let mut lat = [SimTime::ZERO; MAX_DEP_SLOTS];
     for (d, l) in lat.iter_mut().enumerate().take(n_dep) {
@@ -451,13 +524,13 @@ fn attn_at(
 
 /// The summed attention latency of sequence position `seq` (one
 /// member's attention time in a batched step): an array read once the
-/// position is priced, [`attn_at`] on its first visit.
+/// position is priced, [`ensure_attn`] on its first visit.
 #[inline]
 fn attn_lat_at(system: &mut System, plan: &TokenPlan, table: &mut PlanTable, seq: usize) -> u64 {
     match table.attn_lat.get(seq) {
         Some(&lat) if lat != UNPRICED => lat,
         _ => {
-            attn_at(system, plan, table, seq);
+            ensure_attn(system, plan, table, seq, seq + 1);
             table.attn_lat[seq]
         }
     }

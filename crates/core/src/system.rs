@@ -26,6 +26,7 @@ use llm_workload::{
 use npu_sim::NpuModel;
 use sim_core::{CacheStats, SimTime};
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::Arc;
 use tiling::{plan_gemv, GemvPlan};
 
 /// Timing and traffic of one **prefill** phase, as priced by
@@ -373,13 +374,20 @@ impl Hasher for ShapeHasher {
 /// dozen distinct shapes hundreds of times per token, and concurrent
 /// same-model requests repeat each other's shapes across the fleet —
 /// serving reports surface the hit/miss split to show that sharing.
+///
+/// The map is shared copy-on-write: a clone shares its parent's
+/// entries, and copies them only when it prices a shape of its own
+/// (`Arc::make_mut` on a miss). The hit/miss counters are per clone.
 #[derive(Debug, Clone, Default)]
 pub struct OpCostCache {
-    #[allow(clippy::disallowed_types)]
-    // simlint: allow(D2) — lookup-only hot-path memo (get/insert/len); never iterated, so hash order cannot reach a report
-    map: std::collections::HashMap<OpShape, OpCost, BuildHasherDefault<ShapeHasher>>,
+    map: Arc<OpCostMap>,
     stats: CacheStats,
 }
+
+/// The op-cost memo's entries.
+#[allow(clippy::disallowed_types)]
+// simlint: allow(D2) — lookup-only hot-path memo (get/insert/len); never iterated, so hash order cannot reach a report
+type OpCostMap = std::collections::HashMap<OpShape, OpCost, BuildHasherDefault<ShapeHasher>>;
 
 impl OpCostCache {
     /// An empty cache.
@@ -427,15 +435,24 @@ impl OpCostCache {
     }
 
     fn insert(&mut self, shape: OpShape, cost: OpCost) {
-        self.map.insert(shape, cost);
+        Arc::make_mut(&mut self.map).insert(shape, cost);
+    }
+
+    /// Whether this cache still shares its entries with `other`: one is
+    /// a clone of the other and neither has priced a shape since.
+    #[cfg(test)]
+    pub(crate) fn shares_entries_with(&self, other: &OpCostCache) -> bool {
+        Arc::ptr_eq(&self.map, &other.map)
     }
 }
 
 /// The system: configuration plus lazily simulated GeMV latencies.
 ///
-/// `Clone` duplicates the whole memoization state — the Monte Carlo
+/// `Clone` gives the copy its own memoization state — the Monte Carlo
 /// harness warms one system and hands each seeded run its own copy, so
-/// per-seed cache counters stay independent and deterministic.
+/// per-seed cache counters stay independent and deterministic. The
+/// op-cost memo's entries are shared copy-on-write ([`OpCostCache`]):
+/// a copy that prices nothing new never duplicates them.
 #[derive(Debug, Clone)]
 pub struct System {
     cfg: SystemConfig,

@@ -660,7 +660,10 @@ impl ExactSizeIterator for OpStream<'_> {}
 ///   so a request decoding at positions 1000+ never forces positions a
 ///   10-token prompt would own to be priced. A pricing side effect
 ///   (e.g. a memoizing cost cache counting derivations) therefore fires
-///   for exactly the positions some request actually visits.
+///   only for positions some request of the batch owns: a table shared
+///   by a Monte Carlo batch is filled with the union of its requests'
+///   decode ranges (prompt length up to prompt plus decode length), and
+///   the gaps between those ranges are never priced.
 ///
 /// The table is generic over the entry type `E` (a latency, a traffic
 /// ledger, a tuple of both) because pricing lives above this crate.

@@ -138,17 +138,6 @@ impl ModelSpec {
         self.param_count() * bits as u64 / 8
     }
 
-    /// The smallest weight matrix in a layer, in parameters. The paper
-    /// notes the smallest Llama2-7B matrix is 16 MB under INT8, so page
-    /// granularity (16 KB) fragmentation is negligible.
-    pub fn smallest_matrix_params(&self) -> u64 {
-        self.layer_matrices()
-            .iter()
-            .map(|&(_, r, c)| r as u64 * c as u64)
-            .min()
-            .expect("layer has matrices")
-    }
-
     /// Validates internal consistency.
     ///
     /// # Errors
@@ -244,10 +233,17 @@ mod tests {
     #[test]
     fn smallest_llama7b_matrix_is_16mb_claim() {
         // Paper §III-B: "even the smallest weight matrix of the llama2-7B
-        // model is 16MB" under INT8.
+        // model is 16MB" under INT8, so page granularity (16 KB)
+        // fragmentation is negligible.
         let m = zoo::llama2_7b();
-        assert_eq!(m.smallest_matrix_params(), 4096 * 4096);
-        assert!(m.smallest_matrix_params() >= 16 * 1024 * 1024);
+        let smallest = m
+            .layer_matrices()
+            .iter()
+            .map(|&(_, r, c)| r as u64 * c as u64)
+            .min()
+            .expect("layer has matrices");
+        assert_eq!(smallest, 4096 * 4096);
+        assert!(crate::Quant::W8A8.weight_bytes(smallest) >= 16 * 1024 * 1024);
     }
 
     #[test]

@@ -202,15 +202,21 @@ impl Aggregate {
 /// (p50/p99 token latency in serving reports).
 ///
 /// Unlike [`Aggregate`], which keeps O(1) state, `Samples` retains every
-/// pushed value so exact percentiles can be computed. Sorting happens
-/// lazily on the first percentile or mean query after a push, in IEEE
-/// 754 total order ([`f64::total_cmp`]). Each value is kept as a `u64`
-/// key whose integer order is `total_cmp`'s, so the sort is a plain
-/// unstable integer sort; since `total_cmp` calls two values equal
-/// only when their bits are equal, the sorted values are the same bits
-/// a stable `total_cmp` sort would give. The mean folds left to right
-/// over the sorted values, so it does not depend on push order or on
-/// which query came first.
+/// pushed value so exact percentiles can be computed. Values are kept
+/// run-length encoded: a push equal to the previous one bumps a count.
+/// Serving runs push long runs of equal token latencies (every member
+/// of a batch step, every token of an unchanged batch), so the pairs
+/// are far fewer than the values. Sorting happens lazily on the first
+/// percentile or mean query after an out-of-order push, in IEEE 754
+/// total order ([`f64::total_cmp`]); pushes that keep ascending order
+/// leave nothing to sort. Each value is kept as a `u64` key whose
+/// integer order is `total_cmp`'s; the pairs are sorted by key and
+/// pairs with equal keys are then folded into one. Since `total_cmp`
+/// calls two values equal only when their bits are equal, the sorted
+/// values are the same bits a stable `total_cmp` sort of every value
+/// would give.
+/// The mean folds left to right over the sorted values, so it does not
+/// depend on push order or on which query came first.
 ///
 /// # Examples
 ///
@@ -227,54 +233,74 @@ impl Aggregate {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Samples {
-    /// Each value's [`total_order_key`].
-    keys: Vec<u64>,
-    sorted: bool,
+    /// `(key, count)` pairs: a value's [`total_order_key`] and how many
+    /// equal values it stands for, in push order or (once sorted) in
+    /// ascending key order with distinct keys.
+    runs: Vec<(u64, u64)>,
+    /// Values pushed, the counts summed.
+    count: u64,
+    /// Whether a push broke the ascending key order of `runs`.
+    unsorted: bool,
 }
 
 impl Samples {
     /// Creates an empty sample set.
     pub fn new() -> Self {
-        Samples {
-            keys: Vec::new(),
-            sorted: true,
-        }
+        Self::default()
     }
 
     /// Adds one sample.
     #[inline]
     pub fn push(&mut self, x: f64) {
-        self.keys.push(total_order_key(x));
-        self.sorted = false;
+        let key = total_order_key(x);
+        self.count += 1;
+        if let Some(last) = self.runs.last_mut() {
+            if last.0 == key {
+                last.1 += 1;
+                return;
+            }
+            self.unsorted |= key < last.0;
+        }
+        self.runs.push((key, 1));
     }
 
     /// Number of samples.
     pub fn count(&self) -> u64 {
-        self.keys.len() as u64
+        self.count
     }
 
     /// Mean of samples, or `None` if empty: a left-to-right fold over
     /// the values in total order, so every push order of one sample set
     /// gives the same bits.
     pub fn mean(&mut self) -> Option<f64> {
-        if self.keys.is_empty() {
+        if self.count == 0 {
             return None;
         }
         self.sort();
-        Some(sum_ordered(self.values()) / self.keys.len() as f64)
+        Some(sum_ordered(self.values()) / self.count as f64)
     }
 
-    /// Sorts the values into total order, once per batch of pushes.
+    /// Sorts the pairs into ascending key order and folds pairs of
+    /// equal keys together, once per batch of out-of-order pushes.
     fn sort(&mut self) {
-        if !self.sorted {
-            self.keys.sort_unstable();
-            self.sorted = true;
+        if self.unsorted {
+            self.runs.sort_unstable_by_key(|&(key, _)| key);
+            self.runs.dedup_by(|next, kept| {
+                let same = next.0 == kept.0;
+                if same {
+                    kept.1 += next.1;
+                }
+                same
+            });
+            self.unsorted = false;
         }
     }
 
     /// The values, in push order or (once sorted) total order.
     fn values(&self) -> impl Iterator<Item = f64> + '_ {
-        self.keys.iter().map(|&k| from_total_order_key(k))
+        self.runs
+            .iter()
+            .flat_map(|&(key, n)| std::iter::repeat(from_total_order_key(key)).take(n as usize))
     }
 
     /// The `p`-th percentile (`0.0..=100.0`) by nearest-rank, or `None`
@@ -290,14 +316,20 @@ impl Samples {
     /// Panics if `p` is outside `[0, 100]`.
     pub fn percentile(&mut self, p: f64) -> Option<f64> {
         assert!((0.0..=100.0).contains(&p), "percentile {p} out of range");
-        if self.keys.is_empty() {
+        if self.count == 0 {
             return None;
         }
         self.sort();
         // Nearest-rank: ceil(p/100 * n), clamped to [1, n].
-        let n = self.keys.len();
-        let rank = ((p / 100.0 * n as f64).ceil() as usize).clamp(1, n);
-        Some(from_total_order_key(self.keys[rank - 1]))
+        let n = self.count;
+        let mut rank = ((p / 100.0 * n as f64).ceil() as u64).clamp(1, n);
+        for &(key, k) in &self.runs {
+            if rank <= k {
+                return Some(from_total_order_key(key));
+            }
+            rank -= k;
+        }
+        unreachable!("the counts sum to the sample count")
     }
 
     /// Collapses to the O(1) summary form.
@@ -543,6 +575,41 @@ mod tests {
         }
     }
 
+    /// A push order shaped like a serving run's token latencies, built
+    /// from `words`: each word opens either a run of one repeated
+    /// [`edge_value`] (up to 64 copies) or an ascending run of up to 16
+    /// values drawn from the words after it, each value repeated up to
+    /// 4 times. Successive ascending runs overlap in range, so sorting
+    /// must interleave them.
+    fn run_shaped(words: &[u64]) -> Vec<f64> {
+        let mut out = Vec::new();
+        let mut i = 0;
+        while i < words.len() {
+            let w = words[i];
+            i += 1;
+            if w & 1 == 0 {
+                let len = (w >> 1) % 64 + 1;
+                out.extend(std::iter::repeat(edge_value(w >> 7)).take(len as usize));
+            } else {
+                let n = ((w >> 1) % 16 + 1) as usize;
+                let mut run: Vec<f64> = words[i..].iter().take(n).map(|&v| edge_value(v)).collect();
+                i += run.len();
+                run.sort_by(f64::total_cmp);
+                let reps = ((w >> 5) % 4 + 1) as usize;
+                for x in run {
+                    out.extend(std::iter::repeat(x).take(reps));
+                }
+            }
+        }
+        out
+    }
+
+    /// An [`Aggregate`] as bits, so NaN summaries compare equal.
+    fn aggregate_bits(a: &Aggregate) -> (u64, [Option<u64>; 3]) {
+        let bits = |x: Option<f64>| x.map(f64::to_bits);
+        (a.count(), [bits(a.mean()), bits(a.min()), bits(a.max())])
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -559,6 +626,45 @@ mod tests {
             s.sort();
             let got: Vec<u64> = s.values().map(f64::to_bits).collect();
             prop_assert_eq!(got, want.iter().map(|x| x.to_bits()).collect::<Vec<_>>());
+        }
+
+        /// Run-length storage answers every query with the bits of a
+        /// stable `total_cmp` sort of all values: count, aggregate (in
+        /// push order before a query, in sorted order after), nearest
+        /// rank percentiles and the `sum_ordered` mean. A second set
+        /// queried halfway through its pushes must agree too.
+        #[test]
+        fn run_length_samples_match_a_full_sort(
+            words in proptest::collection::vec(any::<u64>(), 0..60)
+        ) {
+            let pushed = run_shaped(&words);
+            let mut want = pushed.clone();
+            want.sort_by(f64::total_cmp);
+            let n = want.len();
+            let mut s: Samples = pushed.iter().copied().collect();
+            prop_assert_eq!(s.count(), n as u64);
+            prop_assert_eq!(
+                aggregate_bits(&s.aggregate()),
+                aggregate_bits(&pushed.iter().copied().collect())
+            );
+            let (head, tail) = pushed.split_at(n / 2);
+            let mut t: Samples = head.iter().copied().collect();
+            t.percentile(50.0);
+            t.extend(tail.iter().copied());
+            prop_assert_eq!(t.count(), n as u64);
+            for p in [0.0, 50.0, 99.0, 100.0] {
+                let rank = ((p / 100.0 * n as f64).ceil() as usize).clamp(1, n.max(1));
+                let expect = want.get(rank - 1).map(|x| x.to_bits());
+                prop_assert_eq!(s.percentile(p).map(f64::to_bits), expect);
+                prop_assert_eq!(t.percentile(p).map(f64::to_bits), expect);
+            }
+            let mean = (n > 0).then(|| (sum_ordered(want.iter().copied()) / n as f64).to_bits());
+            prop_assert_eq!(s.mean().map(f64::to_bits), mean);
+            prop_assert_eq!(t.mean().map(f64::to_bits), mean);
+            prop_assert_eq!(
+                aggregate_bits(&s.aggregate()),
+                aggregate_bits(&want.iter().copied().collect())
+            );
         }
     }
 

@@ -20,13 +20,17 @@ perfbench-test:
 # `SpanMode::PerOp` run, so a span that breaks bit-exactness fails here
 # too. Under FCFS and round-robin that run differs only by solo spans;
 # the independent check of the serving engine is `tests/oracle.rs`.
-# The `jq -e` line fails the recipe when jq is missing or the list is
-# empty, instead of letting the loop run zero times.
+# A second one-second pass per workload with `--trace 1` runs the
+# traced variant, the workload's work-count checks and every per-layer
+# probe. The `jq -e` line fails the recipe when jq is missing or the
+# list is empty, instead of letting the loop run zero times.
 perfbench-smoke:
     jq -e '.workloads | length > 0' BENCHMARK.json > /dev/null
     for w in $(jq -r '.workloads[].name' BENCHMARK.json); do \
-        cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
-            --workload $w --seconds 1 --trace 0 || exit 1; \
+        for t in 0 1; do \
+            cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+                --workload $w --seconds 1 --trace $t || exit 1; \
+        done; \
     done
 
 # A/B one benchmark workload against another revision: builds
