@@ -18,11 +18,17 @@
 //!    nothing, so each replica's [`DeviceEngine`] runs its sub-trace
 //!    to completion on its own scoped thread
 //!    ([`sim_core::parallel_map`] machinery), every replica starting
-//!    from a clone of one pre-warmed pricing
-//!    [`System`](crate::system::System) and the plan table priced on
-//!    it, exactly the way the Monte Carlo harness shares one warm state
+//!    from a clone of one pricing [`System`](crate::system::System)
+//!    and plan table priced for all the routed sub-traces at once,
+//!    exactly the way the Monte Carlo harness shares one warm state
 //!    across seeds. Results merge deterministically in replica order
 //!    into a [`FleetReport`].
+//!
+//! Replica cache counters count against that shared priced state, as
+//! Monte Carlo's per-seed counters do: a replica's op-cost and GeMV
+//! misses are zero, and its hits still equal the ops it dispatched.
+//! Every other field of a replica's report equals a cold
+//! [`DeviceEngine::run`] of its sub-trace.
 //!
 //! # Determinism
 //!
@@ -221,7 +227,7 @@ impl FleetEngine {
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(1)
         });
-        let warm = self.warm_state(&arrivals, engine_for(0), policy);
+        let warm = &WarmState::for_traces(engine_for(0), &subtraces);
         let per_replica: Vec<ServeReport> = parallel_map_workers(&subtraces, workers, |i, sub| {
             engine_for(i).run_with_system(sub, policy, warm.clone()).0
         });
@@ -263,29 +269,6 @@ impl FleetEngine {
                 })
                 .collect(),
         )
-    }
-
-    /// One pre-warmed pricing state for every replica to clone: a
-    /// single-request probe walks one decode token (plus prefill, when
-    /// modeled) so the seq-invariant weight GeMVs — the expensive
-    /// flash discrete-event simulations, shared by every replica — are
-    /// priced once, along with the plan table priced on them, then the
-    /// counters are zeroed so replica reports stay comparable. The same
-    /// warm-clone pattern as `MonteCarlo`.
-    fn warm_state(
-        &self,
-        arrivals: &[RequestArrival],
-        engine: &DeviceEngine,
-        policy: SchedulePolicy,
-    ) -> WarmState {
-        let mut warm = WarmState::new(engine);
-        if let Some(first) = arrivals.first() {
-            let probe =
-                ArrivalTrace::closed_loop(1, 1, RequestShape::new(first.shape.prompt_len, 1));
-            warm = engine.run_with_system(&probe, policy, warm).1;
-        }
-        warm.system.reset_cache_stats();
-        warm
     }
 
     /// Deterministic merge: reads the positional per-replica reports
@@ -424,7 +407,10 @@ pub struct FleetReport {
     /// perfectly balanced fleet, `replicas` is one replica serving
     /// everything. 1.0 when the fleet served nothing.
     pub load_imbalance: f64,
-    /// Every replica's full report, in replica order.
+    /// Every replica's full report, in replica order. Their cache
+    /// hit/miss counters count against the fleet's shared priced state
+    /// (see the [module docs](self)), so a replica reports zero misses;
+    /// every other field equals a cold run of its routed sub-trace.
     pub per_replica: Vec<ServeReport>,
 }
 

@@ -27,29 +27,31 @@
 //! [`System`](crate::system::System) plus the per-plan table of slot
 //! and attention prices priced on it — and it is **frozen before the
 //! fan-out**. [`MonteCarlo::run`] generates every seed's trace first,
-//! then builds the batch's warm state in two steps: one warm-up run on
-//! the first seed's trace populates the GeMV and op-cost memos and the
-//! table, and a batch pricing step prices the union of every request's
-//! attention positions (its prompt length up to prompt plus decode
-//! length, each position once) and every prompt length's prefill cost
-//! into it. The system's counters are then zeroed, and every seed runs
-//! on a clone of that state. No thread ever observes another's cache
-//! fills, so each per-seed [`ServeReport`] is bit-identical whether the
-//! batch runs on 1 thread or 64. It is also bit-identical to the same
-//! seed run on a clone of the warm system with an empty table: every
+//! then builds the batch's warm state in one pricing step, the same
+//! step every serving run takes on its own trace before its event loop
+//! starts: it prices the plan's seq-invariant slots (the weight GeMVs'
+//! flash discrete-event runs), the union of every request's attention
+//! positions (its prompt length up to prompt plus decode length, each
+//! position once) and every prompt length's prefill cost. The system's
+//! counters are then zeroed, and every seed runs on a clone of that
+//! state. No thread ever observes another's cache fills, so each
+//! per-seed [`ServeReport`] is bit-identical whether the batch runs on
+//! 1 thread or 64. It is also bit-identical to the same seed run on a
+//! clone of the warm system with an empty table: every
 //! table entry was priced on that system, so reading an entry skips
-//! only lookups the system would have answered from memory.
+//! only lookups the system would have answered from memory. The warm
+//! state does not depend on the schedule policy.
 //!
 //! ## What the per-seed cache counters count
 //!
 //! A seed's op-cost and GeMV hit/miss counters count against the
 //! batch's shared warm state, not against a cold system: a miss is a
 //! cost the warm state did not hold. Since the batch step priced every
-//! position and prompt a seed can reach, a seed normally misses
-//! nothing, and `op_cost_cache_hits + op_cost_cache_misses` still
-//! equals the ops it dispatched. A cold [`ServeEngine::run`] of the
-//! same trace reports the same dispatches with its own misses; every
-//! other report field is equal.
+//! position and prompt a seed can reach, a seed misses nothing, and
+//! `op_cost_cache_hits + op_cost_cache_misses` still equals the ops it
+//! dispatched. A cold [`ServeEngine::run`] of the same trace reports
+//! the same dispatches with its own misses; every other report field
+//! is equal.
 //!
 //! ## Copy-on-write sharing
 //!
@@ -66,11 +68,10 @@
 //! priced trace costs ~0.1 µs/token, so paying the fixed cost once —
 //! instead of once per seed — is what lets an `n`-seed batch simulate
 //! tens of millions of tokens per wall-second. Pricing the batch's
-//! positions up front also prices each once: seeds visiting the same
-//! positions the warm-up never reached no longer each price them again
-//! (a 70B mixed-shape batch of 64 seeds with prompts up to 2,000 tokens
-//! and decodes up to 512 shares about 1,900 positions, which its seeds
-//! used to re-price about 13,000 times per batch).
+//! positions up front also prices each once, however many seeds visit
+//! it (a 70B mixed-shape batch of 64 seeds with prompts up to 2,000
+//! tokens and decodes up to 512 shares about 1,900 positions, which
+//! its seeds used to re-price about 13,000 times per batch).
 
 use crate::serve::{PrefillMode, SchedulePolicy, ServeEngine, ServeReport, WarmState};
 use llm_workload::ArrivalTrace;
@@ -149,7 +150,7 @@ impl MonteCarlo {
     {
         let seeds = self.seed_vec();
         let traces: Vec<ArrivalTrace> = seeds.iter().map(|&seed| trace_fn(seed)).collect();
-        let warm = &warm_batch(engine, policy, &traces);
+        let warm = &WarmState::for_traces(engine, &traces);
         let workers = self.threads.unwrap_or_else(|| {
             std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
@@ -166,30 +167,6 @@ impl MonteCarlo {
             per_seed,
         )
     }
-}
-
-/// Warms the pricing state once, before any thread exists: runs
-/// `trace` on a fresh state, discards the report and zeroes the
-/// system's counters. This pays the scenario's fixed pricing cost (the
-/// flash discrete-event runs, the plan's invariant slots) once, not
-/// once per seed.
-fn warm_up(engine: &ServeEngine, policy: SchedulePolicy, trace: &ArrivalTrace) -> WarmState {
-    let (_, mut warm) = engine.run_with_system(trace, policy, WarmState::new(engine));
-    warm.system.reset_cache_stats();
-    warm
-}
-
-/// The batch's shared warm state: [`warm_up`] on the first trace, then
-/// every attention position and prefill bucket any trace's requests
-/// reach priced once ([`WarmState::price_requests`]), then the system's
-/// counters zeroed again. Every seed starts from a clone of this exact
-/// state and prices nothing new, so the clones share its memos and
-/// per-seed reports cannot depend on thread count.
-fn warm_batch(engine: &ServeEngine, policy: SchedulePolicy, traces: &[ArrivalTrace]) -> WarmState {
-    let mut warm = warm_up(engine, policy, &traces[0]);
-    warm.price_requests(engine, traces);
-    warm.system.reset_cache_stats();
-    warm
 }
 
 /// Distribution estimates across a Monte Carlo batch.
@@ -436,13 +413,23 @@ mod tests {
         ArrivalTrace::Open(arrivals)
     }
 
+    /// The batch's shared warm state, as [`MonteCarlo::run`] builds it.
+    /// Pricing does not depend on the policy.
+    fn warm_batch(
+        eng: &ServeEngine,
+        _policy: SchedulePolicy,
+        traces: &[ArrivalTrace],
+    ) -> WarmState {
+        WarmState::for_traces(eng, traces)
+    }
+
     #[test]
     fn warm_table_changes_pricing_work_not_reports() {
-        // Seeds start from the warm-up's priced plan table. Each seed's
-        // whole report, cache counters included, must equal the same
-        // seed run on a clone of the warm system with an empty table,
-        // and a seed that visits only positions the warm-up priced
-        // must price none.
+        // Seeds start from a plan table priced for the first seed's
+        // trace only. Each seed's whole report, cache counters
+        // included, must equal the same seed run on a clone of the warm
+        // system with an empty table, and a seed that visits only
+        // positions the first trace owns must price none.
         let eng = engine().with_prefill(PrefillMode::Modeled);
         let mc = MonteCarlo::new(4, 0xA77E);
         let seeds = mc.seed_vec();
@@ -451,7 +438,7 @@ mod tests {
             SchedulePolicy::RoundRobin,
             SchedulePolicy::ContinuousBatch { max_batch: 3 },
         ] {
-            let warm = warm_up(&eng, policy, &mixed_trace(seeds[0]));
+            let warm = WarmState::for_traces(&eng, &[mixed_trace(seeds[0])]);
             let warm_positions = warm.attn_positions();
             let mut repriced = 0;
             for &seed in &seeds {

@@ -155,15 +155,19 @@ impl DeviceEngine {
         self.run_with_system(trace, policy, WarmState::new(self)).0
     }
 
-    /// Runs `trace` on caller-provided warm pricing state, using and
-    /// extending the memoization it carries (GeMV cache, op-cost cache,
-    /// plan table), and returns that state alongside the report.
+    /// Runs `trace` on caller-provided pricing state and returns that
+    /// state alongside the report. Before the event loop starts, the
+    /// run prices its own trace into the state
+    /// ([`WarmState::price_requests`]), reusing whatever the state's
+    /// memos (GeMV cache, op-cost cache, plan table) already hold; the
+    /// loop then only reads prices.
     ///
-    /// The Monte Carlo harness hands every seeded run a clone of one
-    /// pre-warmed state, so the fixed pricing cost of a scenario is
-    /// paid once instead of once per seed; [`DeviceEngine::run`] passes
-    /// a fresh state, preserving the cold-cache reports the goldens
-    /// pin (cache hit/miss counters included).
+    /// The Monte Carlo harness and the fleet hand every run a clone of
+    /// one state priced for all their traces, so the fixed pricing cost
+    /// of a scenario is paid once instead of once per run;
+    /// [`DeviceEngine::run`] passes a fresh state, preserving the
+    /// cold-cache reports the goldens pin (cache hit/miss counters
+    /// included).
     pub(crate) fn run_with_system(
         &self,
         trace: &ArrivalTrace,
@@ -181,13 +185,19 @@ impl DeviceEngine {
     }
 }
 
-/// The pricing state one run hands the next: the [`System`] (GeMV and
-/// op-cost memos) and the [`PlanTable`] priced on it. They travel as a
-/// pair because every table entry was priced through that system: a
-/// run on a clone of the pair makes exactly the op-cost misses a run on
-/// a clone of the system alone would make (the table only skips
-/// lookups the system would have answered from memory), so reports,
-/// cache counters included, cannot tell the two apart.
+/// A run's pricing state: the [`System`] (GeMV and op-cost memos) and
+/// the [`PlanTable`] priced on it. They travel as a pair because every
+/// table entry was priced through that system: a run on a clone of the
+/// pair makes exactly the op-cost misses a run on a clone of the system
+/// alone would make (the table only skips lookups the system would
+/// have answered from memory), so reports, cache counters included,
+/// cannot tell the two apart.
+///
+/// [`WarmState::price_requests`] is the one step that derives a
+/// serving cost: every run calls it on its own trace before its event
+/// loop starts, and the Monte Carlo harness and the fleet call it once
+/// on all their traces ([`WarmState::for_traces`]) before fanning out
+/// clones. It does not depend on the schedule policy.
 ///
 /// Cloning is cheap: the op-cost memo and the attention tables are
 /// shared copy-on-write, so a clone copies them only if its run prices
@@ -207,16 +217,30 @@ impl WarmState {
         }
     }
 
-    /// Prices, once each, the per-request costs the requests of
-    /// `traces` can ask of the system: every attention position a
-    /// request decodes at (its prompt length up to prompt plus decode
-    /// length) and, with prefill modelled, each distinct prompt
-    /// length's prefill cost. Requests whose context the KV cache
-    /// rejects never run and are skipped. Once the seq-invariant slots
-    /// are priced too (any run that decodes a token prices them), a run
-    /// of any of these traces on a clone of the state prices nothing
-    /// new.
-    pub(crate) fn price_requests(&mut self, engine: &DeviceEngine, traces: &[ArrivalTrace]) {
+    /// A state priced for every run of `traces` on `engine`, with the
+    /// system's counters zeroed: a run of any of these traces on a
+    /// clone prices nothing new, and its cache counters count against
+    /// this shared state.
+    pub(crate) fn for_traces(engine: &DeviceEngine, traces: &[ArrivalTrace]) -> Self {
+        let mut warm = WarmState::new(engine);
+        warm.price_requests(engine, traces);
+        warm.system.reset_cache_stats();
+        warm
+    }
+
+    /// Prices, once each, every cost the requests of `traces` can ask
+    /// of the system: every attention position a request decodes at
+    /// (its prompt length up to prompt plus decode length), the
+    /// seq-invariant slots when any request decodes, and, with prefill
+    /// modelled, each distinct non-empty prompt length's prefill cost,
+    /// which it returns by prompt length. Requests whose context the KV
+    /// cache rejects never run and are skipped. Every admitted request
+    /// is priced whole, even if a fault deadline sheds it mid-decode.
+    pub(crate) fn price_requests(
+        &mut self,
+        engine: &DeviceEngine,
+        traces: &[ArrivalTrace],
+    ) -> BTreeMap<usize, PrefillCost> {
         let max_context = kv_cache(engine).max_tokens();
         let mut ranges: Vec<(usize, usize)> = Vec::new();
         for trace in traces {
@@ -235,16 +259,21 @@ impl WarmState {
         // covered, so overlapping ranges price each position once.
         ranges.sort_unstable();
         ranges.dedup();
+        if !ranges.is_empty() {
+            price_invariant(&mut self.system, &engine.plan, &mut self.table);
+        }
         for &(lo, hi) in &ranges {
             ensure_attn(&mut self.system, &engine.plan, &mut self.table, lo, hi);
         }
+        let mut prefill = BTreeMap::new();
         if engine.prefill == PrefillMode::Modeled {
-            let mut prompts: Vec<usize> = ranges.iter().map(|&(lo, _)| lo).collect();
-            prompts.dedup();
-            for m in prompts {
-                self.system.prefill_cost(&engine.prefill_plan, m);
+            for &(m, _) in ranges.iter().filter(|&&(m, _)| m > 0) {
+                prefill
+                    .entry(m)
+                    .or_insert_with(|| self.system.prefill_cost(&engine.prefill_plan, m));
             }
         }
+        prefill
     }
 
     /// The attention positions priced into the table so far, ascending;
@@ -292,8 +321,8 @@ struct PlanTable {
     /// Resource index ([`FLASH`] or [`NPU`]) of each plan position.
     class_slots: Vec<u8>,
     /// Dispatch latency of each plan position in picoseconds, filled by
-    /// [`price_invariant`] (empty until then: pricing is lazy so an
-    /// empty trace prices nothing): an invariant position carries its
+    /// [`price_invariant`] (empty until then: a trace with nothing to
+    /// decode prices no slot): an invariant position carries its
     /// slot's latency; a seq-dependent position carries
     /// `u64::MAX - dep_index` (never a real latency), telling
     /// [`op_latency`] to read the request's own attention pricing
@@ -334,12 +363,13 @@ struct PlanTable {
     inv_flash_ops: Vec<u64>,
     /// Weight GeMVs per token (for GeMV-cache recall accounting).
     gemvs_per_token: u64,
-    /// Memoized cumulative attention prices by sequence position, grown
-    /// on demand: pricing a position a second time (another member of a
-    /// cohort, another span probe) is two table reads instead of three
-    /// op-cost lookups, and a contiguous range prices as one
-    /// prefix-sum difference. Segmented, so only positions requests
-    /// own are ever priced. A position priced once stays priced for
+    /// Cumulative attention prices by sequence position, filled before
+    /// the event loop starts with every admitted request's decode
+    /// range: reading a position (another member of a cohort, another
+    /// span probe) is two table reads instead of three op-cost
+    /// lookups, and a contiguous range reads as one prefix-sum
+    /// difference. Segmented, so only positions requests own are ever
+    /// priced. A position priced once stays priced for
     /// every later run on a clone of the [`WarmState`], and since its
     /// op costs sit in that state's system too, the op-cost cache's
     /// miss count (a report field) is the same whether a run reads the
@@ -502,17 +532,13 @@ fn ensure_attn(system: &mut System, plan: &TokenPlan, table: &mut PlanTable, lo:
     );
 }
 
-/// Prices the attention slots at sequence position `seq` through the
-/// table's prefix table and returns the position's per-slot latencies
-/// plus its combined count-scaled traffic: [`ensure_attn`] prices it on
-/// its first visit; every visit reads two adjacent prefix entries.
-fn attn_at(
-    system: &mut System,
-    plan: &TokenPlan,
-    table: &mut PlanTable,
-    seq: usize,
-) -> ([SimTime; MAX_DEP_SLOTS], TrafficBreakdown) {
-    ensure_attn(system, plan, table, seq, seq + 1);
+/// The attention slots' prices at sequence position `seq`: the
+/// position's per-slot latencies plus its combined count-scaled
+/// traffic, read as two adjacent prefix entries. The run's pricing step
+/// ([`WarmState::price_requests`]) priced every position a request can
+/// reach.
+fn attn_at(table: &PlanTable, seq: usize) -> ([SimTime; MAX_DEP_SLOTS], TrafficBreakdown) {
+    debug_assert!(table.attn.covers(seq, seq + 1), "position {seq} unpriced");
     let n_dep = table.n_dep;
     let (lo, hi) = table.attn.range(seq, seq + 1);
     let mut lat = [SimTime::ZERO; MAX_DEP_SLOTS];
@@ -523,23 +549,20 @@ fn attn_at(
 }
 
 /// The summed attention latency of sequence position `seq` (one
-/// member's attention time in a batched step): an array read once the
-/// position is priced, [`ensure_attn`] on its first visit.
+/// member's attention time in a batched step): an array read of a
+/// position the pricing step priced.
 #[inline]
-fn attn_lat_at(system: &mut System, plan: &TokenPlan, table: &mut PlanTable, seq: usize) -> u64 {
-    match table.attn_lat.get(seq) {
-        Some(&lat) if lat != UNPRICED => lat,
-        _ => {
-            ensure_attn(system, plan, table, seq, seq + 1);
-            table.attn_lat[seq]
-        }
-    }
+fn attn_lat_at(table: &PlanTable, seq: usize) -> u64 {
+    let lat = table.attn_lat[seq];
+    debug_assert_ne!(lat, UNPRICED, "position {seq} unpriced");
+    lat
 }
 
-/// Prices the seq-invariant slots once, filling the latency tables and
-/// both traffic views (serial total for the unbatched engines, the
-/// stream/per-request split for batched steps). Lazy so an empty trace
-/// prices nothing, like the engine it replaced.
+/// Prices the seq-invariant slots once per table, filling the latency
+/// tables and both traffic views (serial total for the unbatched
+/// engines, the stream/per-request split for batched steps). Called by
+/// the pricing step only when some request will decode, so a trace
+/// with nothing to decode prices no slot.
 fn price_invariant(system: &mut System, plan: &TokenPlan, table: &mut PlanTable) {
     if !table.pos_lat.is_empty() {
         return;
@@ -867,7 +890,7 @@ struct DeviceRun<'a> {
     /// Prefill simulation state: `Some` iff [`PrefillMode::Modeled`],
     /// holding the shared aggregates and the per-prompt-length cost
     /// buckets.
-    prefill: Option<PrefillState<'a>>,
+    prefill: Option<PrefillState>,
     ev: EventCore,
     requests: RequestPool,
     busy_track: [BusyTracker; 2],
@@ -894,17 +917,20 @@ struct DeviceRun<'a> {
 }
 
 impl<'a> DeviceRun<'a> {
-    /// Sets up a run of `trace` on `system`: the fault run, pool and
-    /// event-core capacity, the per-request fault root, and the trace's
-    /// requests and arrival events. Shared by both loops, so arrival
-    /// order — and therefore event stamps — is identical regardless of
-    /// policy.
-    fn new(engine: &'a DeviceEngine, trace: &ArrivalTrace, warm: WarmState) -> Self {
-        let WarmState { mut system, table } = warm;
+    /// Sets up a run of `trace` on `warm`: prices the trace into it
+    /// ([`WarmState::price_requests`], the run's only cost derivation),
+    /// then builds the fault run, pool and event-core capacity, the
+    /// per-request fault root, and the trace's requests and arrival
+    /// events. Shared by both loops, so arrival order — and therefore
+    /// event stamps — is identical regardless of policy.
+    fn new(engine: &'a DeviceEngine, trace: &ArrivalTrace, mut warm: WarmState) -> Self {
+        let priced_for = &warm.table.priced_for;
         assert!(
-            table.priced_for.0 == engine.model && table.priced_for.1 == engine.cfg.quant,
+            priced_for.0 == engine.model && priced_for.1 == engine.cfg.quant,
             "a plan table is reused only with the plan that priced it"
         );
+        let prefill_buckets = warm.price_requests(engine, std::slice::from_ref(trace));
+        let WarmState { mut system, table } = warm;
         let faults = FaultRun::for_engine(&engine.faults, &engine.cfg, &mut system);
         let (total_requests, peak_arrivals) = trace_sizes(trace);
         let mut requests = RequestPool::with_capacity(total_requests);
@@ -943,7 +969,7 @@ impl<'a> DeviceRun<'a> {
             system,
             plan: &engine.plan,
             table,
-            prefill: PrefillState::new(engine),
+            prefill: PrefillState::new(engine, prefill_buckets),
             ev,
             requests,
             busy_track: [BusyTracker::new(), BusyTracker::new()],
@@ -961,26 +987,23 @@ impl<'a> DeviceRun<'a> {
         }
     }
 
-    /// Starts a token for request `id`: prices this token's
-    /// seq-dependent slots (through the memoizing [`System::op_cost`])
-    /// and books the whole token's traffic up front — totals at
-    /// completion are identical to per-dispatch accounting because every
-    /// admitted token runs all its ops. The cursor must already sit at
-    /// the token's first op.
+    /// Starts a token for request `id`: reads this token's
+    /// seq-dependent slot prices from the table and books the whole
+    /// token's traffic up front — totals at completion are identical to
+    /// per-dispatch accounting because every admitted token runs all its
+    /// ops. The cursor must already sit at the token's first op.
     fn begin_token(&mut self, id: usize) {
         let DeviceRun {
-            system,
-            plan,
             table,
             traffic,
             requests,
             faults,
             ..
         } = self;
-        price_invariant(system, plan, table);
+        debug_assert!(!table.pos_lat.is_empty(), "plan unpriced");
         traffic.absorb(&table.inv_traffic);
         let seq = requests.cursor[id].seq_len();
-        let (dep_lat, dep_traffic) = attn_at(system, plan, table, seq);
+        let (dep_lat, dep_traffic) = attn_at(table, seq);
         requests.dep_lat[id] = dep_lat;
         traffic.absorb(&dep_traffic);
         // Fault sampling at token granularity: the token's NAND weight
@@ -1037,14 +1060,13 @@ impl<'a> DeviceRun<'a> {
     }
 
     /// Charges `id`'s prefill stage and returns its latency: the
-    /// prompt's cost (derived once per `(model, quant, prompt_len)`
-    /// bucket — the engine fixes `(model, quant)`, so the key is the
-    /// prompt length), stretched by the prompt's NAND read volume taken
-    /// as one fault window, then booked as prefill busy time and
-    /// traffic.
+    /// prompt's cost (priced once per `(model, quant, prompt_len)`
+    /// bucket before the loop starts — the engine fixes `(model,
+    /// quant)`, so the key is the prompt length), stretched by the
+    /// prompt's NAND read volume taken as one fault window, then booked
+    /// as prefill busy time and traffic.
     fn charge_prefill(&mut self, id: usize) -> SimTime {
         let DeviceRun {
-            system,
             prefill,
             requests,
             traffic,
@@ -1052,12 +1074,7 @@ impl<'a> DeviceRun<'a> {
             ..
         } = self;
         let ps = prefill.as_mut().expect("prefill charged with prefill off");
-        let m = requests.cold[id].shape.prompt_len;
-        let plan = ps.plan;
-        let cost = *ps
-            .buckets
-            .entry(m)
-            .or_insert_with(|| system.prefill_cost(plan, m));
+        let cost = ps.buckets[&requests.cold[id].shape.prompt_len];
         let mut total = cost.total;
         if let Some(f) = faults {
             let extra = f.window_extra(
@@ -1104,8 +1121,8 @@ impl<'a> DeviceRun<'a> {
             ..
         } = self;
         // Op-pricing accounting, in dispatched-op terms: each distinct
-        // canonical shape was derived once (a cache miss), and every
-        // other dispatch replayed a memoized cost through the slot
+        // canonical shape the pricing step derived is a cache miss, and
+        // every other dispatch replayed a memoized cost through the slot
         // table, so hits + misses partition the dispatched ops exactly.
         // Prefill pricing contributes its component lookups once per
         // prompt-length bucket.
@@ -1192,28 +1209,28 @@ impl<'a> DeviceRun<'a> {
 
 /// Shared prefill-pricing state of one simulation run.
 #[derive(Debug)]
-struct PrefillState<'a> {
-    plan: &'a PrefillPlan,
-    /// Cost per prompt length, derived once per bucket. The bucket
-    /// count is also the derivation count for op-pricing accounting.
+struct PrefillState {
+    /// Cost per prompt length of the run's admitted requests, priced
+    /// once per bucket by [`WarmState::price_requests`]. Every admitted
+    /// request with a prompt runs its prefill, so the bucket count is
+    /// also the derivation count for op-pricing accounting.
     buckets: BTreeMap<usize, PrefillCost>,
     /// Total device time spent prefilling.
     busy: SimTime,
 }
 
-impl<'a> PrefillState<'a> {
-    fn new(engine: &'a DeviceEngine) -> Option<Self> {
+impl PrefillState {
+    fn new(engine: &DeviceEngine, buckets: BTreeMap<usize, PrefillCost>) -> Option<Self> {
         match engine.prefill {
             PrefillMode::Off => None,
             PrefillMode::Modeled => Some(PrefillState {
-                plan: &engine.prefill_plan,
-                buckets: BTreeMap::new(),
+                buckets,
                 busy: SimTime::ZERO,
             }),
         }
     }
 
-    /// Prompt-length buckets actually derived (each one made
+    /// Prompt-length buckets priced for the run (each one made
     /// [`PrefillCost::COMPONENT_OPS`] op-cost lookups).
     fn priced(&self) -> u64 {
         self.buckets.len() as u64
@@ -1657,7 +1674,7 @@ impl ReadySet for RrReady {
 ///   interacts with, dispatching only on the resources the completion
 ///   can affect;
 /// * [`Simulation::arrive`]: KV admission control, the first token's
-///   pricing, and entry into the ready set;
+///   start, and entry into the ready set;
 /// * [`Simulation::general`]: the op completions a prefill interacts
 ///   with ([`Simulation::prefill_blocks`]) — the prefill's finish, the
 ///   release of its NPU hold, and decodes that must not take `step`'s
@@ -1831,10 +1848,10 @@ impl<'a, Q: ReadySet> Simulation<'a, Q> {
             return;
         }
         self.next_arr = run.ev.next_arrival();
-        // The request prices its first token and enters the ready set of
+        // The request begins its first token and enters the ready set of
         // its first op's resource — unless it owes a prefill, in which
         // case it queues (state `Queued`) for the whole device on the
-        // flash side and prices its first token only once the prompt is
+        // flash side and begins its first token only once the prompt is
         // resident.
         let arrived = run.requests.cold[id].arrived;
         run.first_arrival.get_or_insert(arrived);
@@ -2197,8 +2214,6 @@ impl<'a, Q: ReadySet> Simulation<'a, Q> {
         let next_arrival = self.next_arr.0;
         let n_ops = self.n_ops;
         let DeviceRun {
-            system,
-            plan,
             table,
             requests,
             traffic,
@@ -2274,12 +2289,11 @@ impl<'a, Q: ReadySet> Simulation<'a, Q> {
                 // ordinary boundary handler's shed check runs.
                 break;
             }
-            // Price the next token's attention slots (speculative; the
-            // prefix table keeps the entries either way, and a rejected
-            // token's position is re-read — not re-priced — by its own
+            // Read the next token's attention slots (speculative; a
+            // rejected token's position is read again by its own
             // `begin_token` later).
             let seq = requests.cursor[id].seq_len() + k;
-            let (lat, tr) = attn_at(system, plan, table, seq);
+            let (lat, tr) = attn_at(table, seq);
             dep = lat;
             unbooked = Some(tr);
             // Its fault window, drawn speculatively on a stream copy.
@@ -2645,7 +2659,7 @@ impl<'a> BatchedSimulation<'a> {
             return;
         }
         debug_assert!(!self.stepping(), "span overlaps a step");
-        price_invariant(&mut self.run.system, self.run.plan, &mut self.run.table);
+        debug_assert!(!self.run.table.pos_lat.is_empty(), "plan unpriced");
         let batch = self.batch.active.len() as u64;
         let n_ops = self.run.table.class_slots.len();
         // Per-step invariant latencies at this batch size.
@@ -2741,8 +2755,7 @@ impl<'a> BatchedSimulation<'a> {
             // sequence position — the common case, lockstep admission
             // parks whole cohorts together — share one read and scale
             // by the run length; the scaled integer sums equal
-            // per-member accumulation exactly. A position's first visit
-            // prices it, in the same member order as one-step spans.
+            // per-member accumulation exactly.
             let mut dep_step = 0u64;
             let mut i = 0;
             while i < self.batch.active.len() {
@@ -2753,13 +2766,7 @@ impl<'a> BatchedSimulation<'a> {
                 {
                     run += 1;
                 }
-                let pos_dep = attn_lat_at(
-                    &mut self.run.system,
-                    self.run.plan,
-                    &mut self.run.table,
-                    seq,
-                );
-                dep_step += pos_dep * run as u64;
+                dep_step += attn_lat_at(&self.run.table, seq) * run as u64;
                 i += run;
             }
             let dep_step = SimTime::from_picos(dep_step);
@@ -3059,5 +3066,92 @@ mod tests {
         // The request arrived at zero, so the deadline is absolute.
         let last_interior = sim.run.requests.token_started[0];
         assert!(last_interior < deadline && deadline <= end);
+    }
+
+    /// The op-cost memo's size and the GeMV misses of `system`.
+    fn memo(system: &System) -> (usize, u64) {
+        (system.op_cost_cache().len(), system.gemv_cache().misses())
+    }
+
+    /// Runs `trace` cold under `policy`; returns the report, the memo
+    /// as the run's pricing step left it, and the memo of the state the
+    /// run returned.
+    fn run_priced(
+        engine: &DeviceEngine,
+        trace: &ArrivalTrace,
+        policy: SchedulePolicy,
+    ) -> (ServeReport, (usize, u64), (usize, u64)) {
+        let warm = WarmState::new(engine);
+        let (priced, (report, after)) = match policy {
+            SchedulePolicy::ContinuousBatch { max_batch } => {
+                let sim = BatchedSimulation::new(engine, trace, max_batch, warm);
+                (memo(&sim.run.system), sim.run())
+            }
+            SchedulePolicy::Fcfs => {
+                let sim = Simulation::<FcfsReady>::new(engine, trace, warm);
+                (memo(&sim.run.system), sim.run())
+            }
+            SchedulePolicy::RoundRobin => {
+                let sim = Simulation::<RrReady>::new(engine, trace, warm);
+                (memo(&sim.run.system), sim.run())
+            }
+        };
+        (report, priced, memo(&after.system))
+    }
+
+    #[test]
+    fn event_loops_price_nothing_after_the_pricing_step() {
+        // Every cost a run reads is priced before its event loop
+        // starts: neither the op-cost memo nor the GeMV cache grows
+        // while the loop runs, under every policy, prefill mode and
+        // fault mode, deadline sheds included.
+        let trace = ArrivalTrace::Open(
+            [(0, 300, 12), (0, 40, 20), (20, 100, 6), (50, 40, 9)]
+                .map(|(ms, prompt, tokens)| RequestArrival {
+                    at: SimTime::from_millis(ms),
+                    shape: RequestShape::new(prompt, tokens),
+                })
+                .to_vec(),
+        );
+        for policy in [
+            SchedulePolicy::Fcfs,
+            SchedulePolicy::RoundRobin,
+            SchedulePolicy::ContinuousBatch { max_batch: 3 },
+        ] {
+            for prefill in [PrefillMode::Off, PrefillMode::Modeled] {
+                let engine = DeviceEngine::new(SystemConfig::cambricon_s(), zoo::opt_6_7b())
+                    .with_prefill(prefill);
+                let (probe, priced, after) = run_priced(&engine, &trace, policy);
+                assert_eq!(priced, after, "{policy:?} {prefill:?}");
+                let deadline = probe.makespan / 2;
+                let fc =
+                    FaultConfig::aged(FlashAge::worn_out()).with_deadlines(None, Some(deadline));
+                let engine = engine.with_faults(FaultMode::Injected(fc));
+                let (report, priced, after) = run_priced(&engine, &trace, policy);
+                assert!(
+                    report.reliability.deadline_sheds > 0,
+                    "{policy:?} {prefill:?}"
+                );
+                assert_eq!(priced, after, "{policy:?} {prefill:?} faulted");
+            }
+        }
+    }
+
+    #[test]
+    fn a_shed_request_counts_its_whole_decode_range() {
+        // A cold run prices every admitted request's decode range
+        // before its loop starts, so a request shed mid-decode reports
+        // the op-cost misses of its whole range, as a run that decodes
+        // all of it does; only the dispatched ops, and so the hits,
+        // drop.
+        let worn = FaultConfig::aged(FlashAge::worn_out());
+        let full = faulted_engine(worn).run(&lone_trace(), SchedulePolicy::Fcfs);
+        let deadline = full.requests[0].finished / 2;
+        let shed = faulted_engine(worn.with_deadlines(None, Some(deadline)))
+            .run(&lone_trace(), SchedulePolicy::Fcfs);
+        assert_eq!(shed.reliability.deadline_sheds, 1);
+        assert!(shed.requests.is_empty());
+        assert_eq!(shed.op_cost_cache_misses, full.op_cost_cache_misses);
+        assert!(shed.op_cost_cache_hits < full.op_cost_cache_hits);
     }
 }

@@ -72,7 +72,15 @@
 //!   memoizes by canonical shape in the system-wide
 //!   [`crate::system::OpCostCache`]) and replayed by array index, and
 //!   attention prices sit in a prefix table over sequence positions,
-//!   so a position priced once is two reads thereafter;
+//!   so reading a position is two array reads;
+//! * all of that pricing happens in **one step before the event loop
+//!   starts**: the run prices the plan's seq-invariant slots, every
+//!   admitted request's decode range of attention positions (prompt
+//!   length up to prompt plus decode length) and each prompt length's
+//!   prefill cost, so the loops only read tables. The step does not
+//!   depend on the policy; the Monte Carlo harness and the fleet take
+//!   it once for all their traces and run every trace on a clone of
+//!   the result;
 //! * the event core is specialized to this scheduler's shape: at most
 //!   one completion can be pending per resource, so "next event" is a
 //!   three-way minimum over two completion slots and an arrival queue
@@ -410,14 +418,19 @@ pub struct ServeReport {
     /// GeMV-cache misses (distinct shapes actually simulated).
     pub gemv_cache_misses: u64,
     /// Dispatched ops priced from the memo ([`crate::system::OpCostCache`]
-    /// plus the per-plan slot table derived from it): every dispatch
-    /// after the first of its canonical shape. Together with the misses
-    /// this partitions the dispatched ops exactly:
-    /// `hits + misses == tokens_served × ops_per_token`.
+    /// plus the per-plan slot table derived from it): the dispatched
+    /// ops less the misses, so the two partition the dispatched ops:
+    /// `hits + misses == tokens_served × ops_per_token` (plus the
+    /// prefill component lookups).
     pub op_cost_cache_hits: u64,
-    /// Dispatched ops whose cost had to be derived from the hardware
-    /// models — the distinct canonical shapes, including one per
-    /// sequence position reached for the attention ops.
+    /// Op costs the run had to derive from the hardware models — the
+    /// distinct canonical shapes its pricing step priced before the
+    /// event loop started, including the attention ops' shapes at every
+    /// position of every admitted request's decode range. A request a
+    /// fault deadline sheds mid-decode still counts the positions it
+    /// never reached. Counted against the pricing state the run
+    /// started from, so a run on a Monte Carlo or fleet clone that
+    /// needed nothing new reports zero.
     pub op_cost_cache_misses: u64,
     /// Time-weighted mean number of requests in the running batch over
     /// the makespan. Zero for [`SchedulePolicy::Fcfs`] and

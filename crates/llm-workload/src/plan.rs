@@ -642,8 +642,8 @@ impl ExactSizeIterator for OpStream<'_> {}
 /// [`OpCursor`] re-pricing at a time. This table stores the *cumulative*
 /// fold of per-position prices instead, so the total over `[s, s + k)`
 /// is one difference of two entries, and a single position's price is
-/// the difference of two adjacent entries — O(1) lookups after the
-/// first visit.
+/// the difference of two adjacent entries — O(1) lookups once the
+/// position is priced.
 ///
 /// Two properties make the table bit-exact by construction:
 ///
@@ -660,10 +660,14 @@ impl ExactSizeIterator for OpStream<'_> {}
 ///   so a request decoding at positions 1000+ never forces positions a
 ///   10-token prompt would own to be priced. A pricing side effect
 ///   (e.g. a memoizing cost cache counting derivations) therefore fires
-///   only for positions some request of the batch owns: a table shared
-///   by a Monte Carlo batch is filled with the union of its requests'
-///   decode ranges (prompt length up to prompt plus decode length), and
-///   the gaps between those ranges are never priced.
+///   only for positions some request owns: a serving run fills the
+///   table before its event loop starts with the union of its
+///   requests' decode ranges (prompt length up to prompt plus decode
+///   length), a Monte Carlo batch or a fleet with the union over all
+///   its traces, and the gaps between those ranges are never priced.
+///   A position inside a range is priced whether or not the run
+///   reaches it (a request shed mid-decode still owns its whole
+///   range).
 ///
 /// The table is generic over the entry type `E` (a latency, a traffic
 /// ledger, a tuple of both) because pricing lives above this crate.
