@@ -10,8 +10,9 @@ use crate::table::{num, TextTable};
 use accuracy_lab::surrogate;
 use baselines::{FlexGen, MlcLlm};
 use cambricon_llm::{
-    cambricon_bom, cambricon_point, prefill, smartphone_npu_point, table_i, traditional_bom,
-    AreaModel, EnergyModel, PrefillMode, Prices, SchedulePolicy, ServeEngine, System, SystemConfig,
+    cambricon_bom, cambricon_point, prefill, smartphone_npu_point, sweep_channels, sweep_chips,
+    table_i, traditional_bom, AreaModel, EnergyModel, PrefillMode, Prices, SchedulePolicy,
+    ServeEngine, System, SystemConfig,
 };
 use flash_sim::CoreParams;
 use llm_workload::{intensity, kv, zoo, ArrivalTrace, ModelSpec, Quant, RequestShape};
@@ -348,43 +349,41 @@ pub fn fig15() -> TextTable {
         "channel usage",
     ]);
     let models = [zoo::opt_6_7b(), zoo::opt_13b(), zoo::opt_30b()];
-    // (a)/(c): 8 channels, 1..128 chips per channel.
-    for chips in [1usize, 2, 4, 8, 16, 32, 64, 128] {
-        let mut speeds = Vec::new();
-        let mut usage = 0.0;
-        for model in &models {
-            let mut sys = System::new(SystemConfig::custom(8, chips));
-            let rep = sys.decode_token(model, SEQ);
-            usage = rep.channel_utilization;
-            speeds.push(num(rep.tokens_per_sec));
+    // (a)/(c): 8 channels, 1..128 chips per channel; (b)/(d): 4 chips
+    // per channel, 1..64 channels. One sweep per model and axis, one
+    // row per grid value; the usage column is OPT-30B's.
+    let chips = [1usize, 2, 4, 8, 16, 32, 64, 128];
+    let channels = [1usize, 2, 4, 8, 16, 32, 64];
+    let sweeps = [
+        (
+            "chips/channel (8 ch)",
+            &chips[..],
+            models
+                .iter()
+                .map(|m| sweep_chips(m, 8, &chips, SEQ))
+                .collect::<Vec<_>>(),
+        ),
+        (
+            "channels (4 chips)",
+            &channels[..],
+            models
+                .iter()
+                .map(|m| sweep_channels(m, &channels, 4, SEQ))
+                .collect(),
+        ),
+    ];
+    for (label, values, by_model) in &sweeps {
+        for (i, value) in values.iter().enumerate() {
+            let usage = by_model[2][i].channel_utilization;
+            t.row([
+                label.to_string(),
+                value.to_string(),
+                num(by_model[0][i].tokens_per_sec),
+                num(by_model[1][i].tokens_per_sec),
+                num(by_model[2][i].tokens_per_sec),
+                format!("{:.0}%", usage * 100.0),
+            ]);
         }
-        t.row([
-            "chips/channel (8 ch)".to_string(),
-            chips.to_string(),
-            speeds[0].clone(),
-            speeds[1].clone(),
-            speeds[2].clone(),
-            format!("{:.0}%", usage * 100.0),
-        ]);
-    }
-    // (b)/(d): 4 chips per channel, 1..64 channels.
-    for channels in [1usize, 2, 4, 8, 16, 32, 64] {
-        let mut speeds = Vec::new();
-        let mut usage = 0.0;
-        for model in &models {
-            let mut sys = System::new(SystemConfig::custom(channels, 4));
-            let rep = sys.decode_token(model, SEQ);
-            usage = rep.channel_utilization;
-            speeds.push(num(rep.tokens_per_sec));
-        }
-        t.row([
-            "channels (4 chips)".to_string(),
-            channels.to_string(),
-            speeds[0].clone(),
-            speeds[1].clone(),
-            speeds[2].clone(),
-            format!("{:.0}%", usage * 100.0),
-        ]);
     }
     t
 }

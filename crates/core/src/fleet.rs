@@ -15,18 +15,17 @@
 //!    the device: a replica only ever sees its own routed sub-trace,
 //!    with arrival timestamps already shifted by the dispatch hop.
 //! 2. **Execution** — between router boundaries the replicas share
-//!    nothing, so each replica's [`DeviceEngine`] runs its sub-trace
-//!    to completion on its own scoped thread
-//!    ([`sim_core::parallel_map`] machinery), every replica starting
-//!    from a clone of one pricing [`System`](crate::system::System)
-//!    and plan table priced for all the routed sub-traces at once,
-//!    exactly the way the Monte Carlo harness shares one warm state
-//!    across seeds. Results merge deterministically in replica order
-//!    into a [`FleetReport`].
+//!    nothing but one immutable priced table: all the routed
+//!    sub-traces are priced at once, before any replica runs, exactly
+//!    the way the Monte Carlo harness prices its seeds. Each replica's
+//!    [`DeviceEngine`] then runs its sub-trace to completion on its own
+//!    scoped thread ([`sim_core::parallel_map`] machinery), reading
+//!    that table through a shared reference. Results merge
+//!    deterministically in replica order into a [`FleetReport`].
 //!
-//! Replica cache counters count against that shared priced state, as
-//! Monte Carlo's per-seed counters do: a replica's op-cost and GeMV
-//! misses are zero, and its hits still equal the ops it dispatched.
+//! Replica cache counters count against that shared table, as Monte
+//! Carlo's per-seed counters do: a replica's op-cost and GeMV misses
+//! are zero, and its hits still equal the ops it dispatched.
 //! Every other field of a replica's report equals a cold
 //! [`DeviceEngine::run`] of its sub-trace.
 //!
@@ -59,7 +58,7 @@
 //! ```
 
 use crate::reliability::FaultMode;
-use crate::serve::{DeviceEngine, SchedulePolicy, ServeReport, WarmState};
+use crate::serve::{DeviceEngine, PricedRun, SchedulePolicy, ServeReport};
 use llm_workload::{ArrivalTrace, RequestArrival, RequestShape};
 use sim_core::{parallel_map_workers, Samples, SimTime, SplitMix64};
 
@@ -227,9 +226,11 @@ impl FleetEngine {
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(1)
         });
-        let warm = &WarmState::for_traces(engine_for(0), &subtraces);
+        // Replicas differ only in their fault seeds, which pricing does
+        // not read.
+        let priced = &PricedRun::shared(engine_for(0), &subtraces);
         let per_replica: Vec<ServeReport> = parallel_map_workers(&subtraces, workers, |i, sub| {
-            engine_for(i).run_with_system(sub, policy, warm.clone()).0
+            engine_for(i).run_priced(sub, policy, priced)
         });
 
         self.merge(policy, per_replica)

@@ -57,9 +57,7 @@ pub use energy::EnergyModel;
 pub use fleet::{FleetEngine, FleetReport, Interconnect, RouterPolicy};
 pub use functional::{gemv_through_flash, reference_gemv, FunctionalResult};
 pub use montecarlo::{MonteCarlo, MonteCarloReport};
-pub use prefill::{
-    expected_read_inflation, prefill, prefill_with_faults, PrefillError, PrefillReport,
-};
+pub use prefill::{prefill, PrefillError, PrefillReport};
 pub use reliability::{
     page_fail_prob, FaultConfig, FaultMode, ReliabilitySummary, WearPoint, WearReport,
     WearTrajectory,

@@ -23,46 +23,30 @@
 //! Seeds fan out through [`sim_core::parallel_map`] (the same
 //! atomic-claim, pre-assigned-slot pool the design-space sweeps use),
 //! so per-seed reports land in seed order regardless of scheduling.
-//! The only cross-seed state is the warm pricing state — the pricing
-//! [`System`](crate::system::System) plus the per-plan table of slot
-//! and attention prices priced on it — and it is **frozen before the
-//! fan-out**. [`MonteCarlo::run`] generates every seed's trace first,
-//! then builds the batch's warm state in one pricing step, the same
-//! step every serving run takes on its own trace before its event loop
-//! starts: it prices the plan's seq-invariant slots (the weight GeMVs'
-//! flash discrete-event runs), the union of every request's attention
+//! The only cross-seed state is the batch's priced table, and it is
+//! **immutable**. [`MonteCarlo::run`] generates every seed's trace
+//! first, then prices all of them in one step, the same step a single
+//! serving run takes on its own trace before its event loop starts: it
+//! prices the plan's seq-invariant slots (the weight GeMVs' flash
+//! discrete-event runs), the union of every request's attention
 //! positions (its prompt length up to prompt plus decode length, each
-//! position once) and every prompt length's prefill cost. The system's
-//! counters are then zeroed, and every seed runs on a clone of that
-//! state. No thread ever observes another's cache fills, so each
+//! position once) and every prompt length's prefill cost. The pricing
+//! `System` is dropped, and every seed reads the resulting table
+//! through one shared reference. No run can write to it, so each
 //! per-seed [`ServeReport`] is bit-identical whether the batch runs on
-//! 1 thread or 64. It is also bit-identical to the same seed run on a
-//! clone of the warm system with an empty table: every
-//! table entry was priced on that system, so reading an entry skips
-//! only lookups the system would have answered from memory. The warm
-//! state does not depend on the schedule policy.
+//! 1 thread or 64. The table does not depend on the schedule policy.
 //!
 //! ## What the per-seed cache counters count
 //!
 //! A seed's op-cost and GeMV hit/miss counters count against the
-//! batch's shared warm state, not against a cold system: a miss is a
-//! cost the warm state did not hold. Since the batch step priced every
-//! position and prompt a seed can reach, a seed misses nothing, and
+//! batch's shared table, not against a cold system: the table's miss
+//! counts are zeroed, so a seed reports zero misses, and
 //! `op_cost_cache_hits + op_cost_cache_misses` still equals the ops it
 //! dispatched. A cold [`ServeEngine::run`] of the same trace reports
 //! the same dispatches with its own misses; every other report field
 //! is equal.
 //!
-//! ## Copy-on-write sharing
-//!
-//! The warm state's op-cost memo and attention tables sit behind
-//! `Arc`s and are copied only when a run prices something new
-//! (`Arc::make_mut`), so a seed's clone costs a few small vectors
-//! rather than a copy of every memo. Seeds that price nothing new never
-//! copy, and a run that does price something copies its own and leaves
-//! the shared state unchanged.
-//!
-//! The warm state also carries the harness's throughput: pricing a
+//! The shared table also carries the harness's throughput: pricing a
 //! scenario (flash discrete-event runs per GeMV shape, op-cost
 //! derivations per attention position) costs ~ms while replaying a
 //! priced trace costs ~0.1 µs/token, so paying the fixed cost once —
@@ -73,7 +57,7 @@
 //! tokens and decodes up to 512 shares about 1,900 positions, which
 //! its seeds used to re-price about 13,000 times per batch).
 
-use crate::serve::{PrefillMode, SchedulePolicy, ServeEngine, ServeReport, WarmState};
+use crate::serve::{PrefillMode, PricedRun, SchedulePolicy, ServeEngine, ServeReport};
 use llm_workload::ArrivalTrace;
 use sim_core::{parallel_map_workers, Estimate, SplitMix64};
 
@@ -150,14 +134,14 @@ impl MonteCarlo {
     {
         let seeds = self.seed_vec();
         let traces: Vec<ArrivalTrace> = seeds.iter().map(|&seed| trace_fn(seed)).collect();
-        let warm = &WarmState::for_traces(engine, &traces);
+        let priced = &PricedRun::shared(engine, &traces);
         let workers = self.threads.unwrap_or_else(|| {
             std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(1)
         });
         let per_seed: Vec<ServeReport> = parallel_map_workers(&traces, workers, |_, trace| {
-            engine.run_with_system(trace, policy, warm.clone()).0
+            engine.run_priced(trace, policy, priced)
         });
         MonteCarloReport::aggregate(
             policy,
@@ -217,11 +201,10 @@ pub struct MonteCarloReport {
     /// their deadlines; zero with faults off).
     pub goodput_tps: Estimate,
     /// The full per-seed reports, in seed order. Their cache hit/miss
-    /// counters count against the batch's shared warm state (see the
-    /// module docs): a seed that prices nothing the batch step did not
-    /// reports zero misses, with hits + misses still equal to the ops
-    /// it dispatched. Every other field equals a cold run of the seed's
-    /// trace.
+    /// counters count against the batch's shared priced table (see the
+    /// module docs): a seed reports zero misses, with hits + misses
+    /// still equal to the ops it dispatched. Every other field equals a
+    /// cold run of the seed's trace.
     pub per_seed: Vec<ServeReport>,
 }
 
@@ -366,7 +349,7 @@ mod tests {
     fn warm_cache_matches_cold_run_modulo_counters() {
         // A seeded run inside the batch must report identical serving
         // metrics to the same trace run cold through `ServeEngine::run`
-        // — the warm system changes pricing *work*, never results.
+        // — the shared table changes pricing *work*, never results.
         // Only the cache hit/miss split may differ.
         let eng = engine();
         let mc = MonteCarlo::new(2, 5);
@@ -413,67 +396,18 @@ mod tests {
         ArrivalTrace::Open(arrivals)
     }
 
-    /// The batch's shared warm state, as [`MonteCarlo::run`] builds it.
-    /// Pricing does not depend on the policy.
-    fn warm_batch(
-        eng: &ServeEngine,
-        _policy: SchedulePolicy,
-        traces: &[ArrivalTrace],
-    ) -> WarmState {
-        WarmState::for_traces(eng, traces)
-    }
-
-    #[test]
-    fn warm_table_changes_pricing_work_not_reports() {
-        // Seeds start from a plan table priced for the first seed's
-        // trace only. Each seed's whole report, cache counters
-        // included, must equal the same seed run on a clone of the warm
-        // system with an empty table, and a seed that visits only
-        // positions the first trace owns must price none.
-        let eng = engine().with_prefill(PrefillMode::Modeled);
-        let mc = MonteCarlo::new(4, 0xA77E);
-        let seeds = mc.seed_vec();
-        for policy in [
-            SchedulePolicy::Fcfs,
-            SchedulePolicy::RoundRobin,
-            SchedulePolicy::ContinuousBatch { max_batch: 3 },
-        ] {
-            let warm = WarmState::for_traces(&eng, &[mixed_trace(seeds[0])]);
-            let warm_positions = warm.attn_positions();
-            let mut repriced = 0;
-            for &seed in &seeds {
-                let trace = mixed_trace(seed);
-                let (rep, after) = eng.run_with_system(&trace, policy, warm.clone());
-                let mut fresh = WarmState::new(&eng);
-                fresh.system = warm.system.clone();
-                let (want, cold) = eng.run_with_system(&trace, policy, fresh);
-                assert_eq!(rep, want, "{policy:?} seed {seed:#x}");
-                let priced = after.attn_positions() - warm_positions;
-                assert!(priced <= cold.attn_positions());
-                repriced += priced;
-            }
-            assert!(repriced > 0, "{policy:?}: seeds visit no new positions");
-            let (_, again) = eng.run_with_system(&mixed_trace(seeds[0]), policy, warm.clone());
-            assert_eq!(again.attn_positions(), warm_positions, "{policy:?}");
-        }
-    }
-
     #[test]
     fn batch_prices_request_ranges_once_and_seeds_share_them() {
         // The batch step prices exactly the union of the requests'
-        // decode positions; every seed then runs on a clone that prices
-        // nothing and copies nothing, and its report equals a run on a
-        // clone of the warm system with an empty table. A run reaching
-        // past the priced range copies on write and leaves the batch's
-        // state as it was.
+        // decode positions, and every seed reads it with zero misses.
         let eng = engine().with_prefill(PrefillMode::Modeled);
         let mut traces: Vec<ArrivalTrace> = MonteCarlo::new(4, 0xA77E)
             .seed_vec()
             .into_iter()
             .map(mixed_trace)
             .collect();
-        // A prompt length no mixed trace draws, so the warm-up on the
-        // first trace cannot have priced its prefill.
+        // A prompt length no mixed trace draws, whose prefill the shared
+        // table must hold too.
         traces.push(ArrivalTrace::burst(2, RequestShape::new(64, 3)));
         let mut union = std::collections::BTreeSet::new();
         for trace in &traces {
@@ -485,42 +419,29 @@ mod tests {
             }
         }
         let union: Vec<usize> = union.into_iter().collect();
+        let priced = PricedRun::shared(&eng, &traces);
+        assert_eq!(priced.priced_positions(), union);
         for policy in [
             SchedulePolicy::Fcfs,
             SchedulePolicy::RoundRobin,
             SchedulePolicy::ContinuousBatch { max_batch: 3 },
         ] {
-            let warm = warm_batch(&eng, policy, &traces);
-            assert_eq!(warm.priced_positions(), union, "{policy:?}");
-            let shapes = warm.system.op_cost_cache().len();
             for trace in &traces {
-                let (rep, after) = eng.run_with_system(trace, policy, warm.clone());
+                let rep = eng.run_priced(trace, policy, &priced);
                 assert_eq!(rep.op_cost_cache_misses, 0, "{policy:?}");
-                assert!(after.shares_memo_with(&warm), "{policy:?}");
-                let mut fresh = WarmState::new(&eng);
-                fresh.system = warm.system.clone();
-                assert_eq!(rep, eng.run_with_system(trace, policy, fresh).0);
+                assert_eq!(rep.gemv_cache_misses, 0, "{policy:?}");
             }
-            let beyond = ArrivalTrace::burst(1, RequestShape::new(200, 5));
-            let (rep, after) = eng.run_with_system(&beyond, policy, warm.clone());
-            assert!(rep.op_cost_cache_misses > 0, "{policy:?}");
-            assert!(!after.shares_memo_with(&warm), "{policy:?}");
-            assert_eq!(after.attn_positions(), union.len() + 5, "{policy:?}");
-            assert_eq!(warm.priced_positions(), union, "{policy:?}");
-            assert_eq!(warm.system.op_cost_cache().len(), shapes, "{policy:?}");
         }
     }
 
     #[test]
     #[should_panic(expected = "the plan that priced it")]
     fn warm_state_rejects_another_plan() {
-        let warm = WarmState::new(&engine());
+        // A priced table serves only runs of the plan it was priced for.
+        let trace = ArrivalTrace::poisson(100.0, 2, shape(), 3);
+        let priced = PricedRun::new(&engine(), std::slice::from_ref(&trace));
         let other = ServeEngine::new(SystemConfig::cambricon_s(), zoo::llama2_7b());
-        other.run_with_system(
-            &ArrivalTrace::poisson(100.0, 2, shape(), 3),
-            SchedulePolicy::Fcfs,
-            warm,
-        );
+        other.run_priced(&trace, SchedulePolicy::Fcfs, &priced);
     }
 
     #[test]

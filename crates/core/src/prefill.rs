@@ -20,7 +20,6 @@
 //! report always agree.
 
 use crate::config::SystemConfig;
-use crate::reliability::{page_fail_prob, FaultConfig};
 use crate::system::{PrefillCost, System};
 use llm_workload::{ModelSpec, PrefillPlan};
 use sim_core::SimTime;
@@ -102,57 +101,6 @@ pub fn prefill(
     Ok(PrefillReport::from_cost(prompt_tokens, cost))
 }
 
-/// Expected multiplicative stretch of flash read time under `faults`:
-/// `1 + Σ_j mult^(j-1) · Π_{i<j} p_fail(rber / 2^i)` over the
-/// escalation ladder — each reread attempt's cost weighted by the
-/// probability of reaching it. This is the closed-form counterpart of
-/// the serving engine's sampled injection
-/// ([`ServeEngine::with_faults`](crate::serve::ServeEngine::with_faults));
-/// for large read volumes the sampled stretch converges to this value.
-pub fn expected_read_inflation(cfg: &SystemConfig, faults: &FaultConfig) -> f64 {
-    let page_bits = (cfg.engine.topology.page_bytes as u64) * 8;
-    let rber = faults.ber.rber(&faults.age);
-    let mut inflation = 1.0;
-    let mut reach = 1.0; // probability a page reaches attempt j
-    for j in 1..=faults.max_rereads {
-        let prior = rber / (1u64 << (j - 1)) as f64;
-        reach *= page_fail_prob(prior, page_bits, faults.correctable_rber);
-        if reach <= 0.0 {
-            break;
-        }
-        inflation += reach * faults.escalate_latency_mult.powi(j as i32 - 1);
-    }
-    inflation
-}
-
-/// Analytic fault-aware prefill: the same pricing as [`prefill`], with
-/// the weight stream stretched by [`expected_read_inflation`] (NPU
-/// compute is unaffected — faults cost flash time only). No sampling:
-/// use this for closed-form TTFT-vs-wear curves; use the serving
-/// engine's [`FaultMode`](crate::reliability::FaultMode) when the
-/// variance matters.
-///
-/// # Errors
-///
-/// [`PrefillError::EmptyPrompt`] if `prompt_tokens == 0`.
-pub fn prefill_with_faults(
-    cfg: &SystemConfig,
-    model: &ModelSpec,
-    prompt_tokens: usize,
-    faults: &FaultConfig,
-) -> Result<PrefillReport, PrefillError> {
-    let base = prefill(cfg, model, prompt_tokens)?;
-    let stream_s = base.stream_s * expected_read_inflation(cfg, faults);
-    let total_s = stream_s.max(base.compute_s);
-    Ok(PrefillReport {
-        stream_s,
-        ttft_s: total_s,
-        total: SimTime::from_secs_f64(total_s),
-        compute_bound: base.compute_s > stream_s,
-        ..base
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,41 +153,6 @@ mod tests {
         let r = prefill(&SystemConfig::cambricon_s(), &zoo::opt_6_7b(), 1).unwrap();
         assert!(r.kv_compute_s > 0.0, "m=1 attention cost truncated away");
         assert!(r.compute_s > r.kv_compute_s);
-    }
-
-    #[test]
-    fn fresh_chip_prefill_is_fault_free() {
-        // At fresh wear the page-fail probability is ~1e-44: the
-        // expected inflation is 1.0 to machine precision, and the
-        // fault-aware report matches the plain one bit for bit.
-        let cfg = SystemConfig::cambricon_s();
-        let fc = FaultConfig::default();
-        assert_eq!(expected_read_inflation(&cfg, &fc), 1.0);
-        assert_eq!(
-            prefill_with_faults(&cfg, &zoo::opt_6_7b(), 64, &fc).unwrap(),
-            prefill(&cfg, &zoo::opt_6_7b(), 64).unwrap()
-        );
-    }
-
-    #[test]
-    fn worn_chip_stretches_the_stream_not_the_compute() {
-        use flash_sim::FlashAge;
-        let cfg = SystemConfig::cambricon_s();
-        let model = zoo::opt_6_7b();
-        let fc = FaultConfig::aged(FlashAge::worn_out());
-        let infl = expected_read_inflation(&cfg, &fc);
-        assert!(infl > 1.0, "worn chip must inflate reads, got {infl}");
-        // Bounded: the ladder sums at most Σ mult^(j-1) extra reads.
-        let cap = 1.0
-            + (0..fc.max_rereads)
-                .map(|j| fc.escalate_latency_mult.powi(j as i32))
-                .sum::<f64>();
-        assert!(infl <= cap, "{infl} > {cap}");
-        let plain = prefill(&cfg, &model, 8).unwrap();
-        let worn = prefill_with_faults(&cfg, &model, 8, &fc).unwrap();
-        assert!(worn.stream_s > plain.stream_s);
-        assert_eq!(worn.compute_s, plain.compute_s);
-        assert!(worn.ttft_s >= plain.ttft_s);
     }
 
     #[test]

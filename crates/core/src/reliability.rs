@@ -38,13 +38,12 @@
 //! Fault sampling draws from per-request [`SplitMix64`] streams forked
 //! from one root seed at admission order (the same seed-hygiene rule as
 //! [`SplitMix64::split_seeds`]). All fault state lives in the per-run
-//! `FaultRun`, never in the shared pricing [`System`], so a faulted
+//! `FaultRun`, never in the priced table the runs share, so a faulted
 //! report is bit-identical at any Monte Carlo worker count for free —
 //! the same argument that makes the fault-free harness deterministic.
 
 use crate::config::SystemConfig;
 use crate::serve::{PrefillMode, SchedulePolicy, ServeEngine};
-use crate::system::System;
 use flash_sim::{BerModel, FlashAge};
 use llm_workload::{ArrivalTrace, ModelSpec};
 use sim_core::{SimTime, SplitMix64};
@@ -235,7 +234,8 @@ impl WindowDraw {
 
 /// Per-run fault state: the sampling ladder, degradation level, and
 /// every reliability counter. Lives beside the event loop — never in
-/// the shared [`System`] — so Monte Carlo clones stay thread-safe.
+/// the priced table the runs share — so Monte Carlo runs stay
+/// thread-safe.
 #[derive(Debug, Clone)]
 pub(crate) struct FaultRun {
     cfg: FaultConfig,
@@ -266,12 +266,12 @@ pub(crate) struct FaultRun {
 
 impl FaultRun {
     /// Builds the per-run state for an engine's fault mode; `None` when
-    /// faults are off. Touches the system only to price one page read
-    /// at effective (striped) bandwidth.
+    /// faults are off. `read_bw` is the effective (striped) read
+    /// bandwidth in bytes/s that one page read is priced at.
     pub(crate) fn for_engine(
         mode: &FaultMode,
         cfg: &SystemConfig,
-        system: &mut System,
+        read_bw: Option<f64>,
     ) -> Option<FaultRun> {
         let fc = match mode {
             FaultMode::Off => return None,
@@ -280,7 +280,7 @@ impl FaultRun {
         let topo = &cfg.engine.topology;
         let page_bytes = topo.page_bytes as u64;
         let chips_total = (topo.channels * topo.chips_per_channel).max(1) as u32;
-        let eff_bw = system.effective_read_bandwidth();
+        let eff_bw = read_bw.expect("a faulted run is priced with the effective read bandwidth");
         let page_read_ps = if eff_bw > 0.0 {
             (page_bytes as f64 / eff_bw * 1e12) as u64
         } else {
@@ -628,6 +628,7 @@ impl WearReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::system::System;
 
     const PAGE_BITS: u64 = 16384 * 8;
 
@@ -703,7 +704,7 @@ mod tests {
         // ECC knee (partial rereads) and worn out (uncorrectables, so
         // later windows see the degraded-bandwidth term).
         let cfg = SystemConfig::cambricon_s();
-        let mut system = System::new(cfg);
+        let read_bw = Some(System::new(cfg).effective_read_bandwidth());
         let knee = FlashAge {
             pe_cycles: 340,
             retention_days: 30.5,
@@ -714,7 +715,7 @@ mod tests {
             (FlashAge::worn_out(), true, true),
         ] {
             let mode = FaultMode::Injected(FaultConfig::aged(age));
-            let mut whole = FaultRun::for_engine(&mode, &cfg, &mut system).expect("faults on");
+            let mut whole = FaultRun::for_engine(&mode, &cfg, read_bw).expect("faults on");
             let mut split = whole.clone();
             let mut whole_rng = SplitMix64::new(0x5EED);
             let mut split_rng = whole_rng.clone();

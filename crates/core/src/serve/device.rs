@@ -7,9 +7,10 @@
 //! [`crate::fleet`]), and the device runs its own specialized event
 //! core.
 //!
-//! One run's shared state — pool, event core, pricing table, fault
-//! run, report accumulators — lives in a [`DeviceRun`], built once and
-//! turned into the report once. Two event loops drive it:
+//! One run's shared state — pool, event core, fault run, report
+//! accumulators, and a borrow of the [`PricedRun`] every cost comes
+//! from — lives in a [`DeviceRun`], built once and turned into the
+//! report once. Two event loops drive it:
 //!
 //! * [`Simulation`], the one loop for FCFS and round-robin, generic over
 //!   the policy's [`ReadySet`], the one queue of the run. It interleaves
@@ -33,33 +34,31 @@
 
 use crate::config::SystemConfig;
 use crate::reliability::{FaultMode, FaultRun, WindowDraw};
-use crate::system::{OpClass, PrefillCost, System, TrafficBreakdown};
+use crate::system::{PrefillCost, TrafficBreakdown};
 use llm_workload::kv::kv_bytes_per_token;
-use llm_workload::{
-    ArrivalTrace, AttnPrefix, ModelSpec, OpCursor, PrefillPlan, Quant, RequestShape, TokenPlan,
-};
+use llm_workload::{ArrivalTrace, ModelSpec, OpCursor, PrefillPlan, RequestShape, TokenPlan};
 use npu_sim::KvCache;
 use sim_core::{Aggregate, BusyTracker, Samples, SimTime, SplitMix64};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
-use std::sync::Arc;
+use std::collections::{BinaryHeap, VecDeque};
 
+use super::pricing::{decode_ranges, prompt_lens, PricedRun, DEP_LAT_MARK, MAX_DEP_SLOTS};
 use super::{PrefillMode, RequestReport, SchedulePolicy, ServeReport, SpanMode};
 
 /// A multi-request serving engine over one simulated device.
 #[derive(Debug, Clone)]
 pub struct DeviceEngine {
-    cfg: SystemConfig,
-    model: ModelSpec,
+    pub(super) cfg: SystemConfig,
+    pub(super) model: ModelSpec,
     /// Shared decode plan: one per engine, reused by every request of
     /// every run.
-    plan: TokenPlan,
+    pub(super) plan: TokenPlan,
     /// Shared prefill aggregates, evaluated per `(prompt_len)` bucket
     /// when [`PrefillMode::Modeled`].
-    prefill_plan: PrefillPlan,
-    prefill: PrefillMode,
+    pub(super) prefill_plan: PrefillPlan,
+    pub(super) prefill: PrefillMode,
     span: SpanMode,
-    faults: FaultMode,
+    pub(super) faults: FaultMode,
 }
 
 impl DeviceEngine {
@@ -152,323 +151,54 @@ impl DeviceEngine {
     /// Panics if `policy` is [`SchedulePolicy::ContinuousBatch`] with
     /// `max_batch == 0` (a batch must hold at least one request).
     pub fn run(&self, trace: &ArrivalTrace, policy: SchedulePolicy) -> ServeReport {
-        self.run_with_system(trace, policy, WarmState::new(self)).0
+        let priced = PricedRun::new(self, std::slice::from_ref(trace));
+        self.run_priced(trace, policy, &priced)
     }
 
-    /// Runs `trace` on caller-provided pricing state and returns that
-    /// state alongside the report. Before the event loop starts, the
-    /// run prices its own trace into the state
-    /// ([`WarmState::price_requests`]), reusing whatever the state's
-    /// memos (GeMV cache, op-cost cache, plan table) already hold; the
-    /// loop then only reads prices.
+    /// Runs `trace` on a table priced before the call. The run reads
+    /// every cost from `priced` and derives none, so `priced` must
+    /// cover the trace: [`DeviceEngine::run`] prices the trace itself,
+    /// and the Monte Carlo harness and the fleet price all their traces
+    /// into one table ([`PricedRun::shared`]) that every run borrows.
+    /// The report's cache counters count against `priced`.
     ///
-    /// The Monte Carlo harness and the fleet hand every run a clone of
-    /// one state priced for all their traces, so the fixed pricing cost
-    /// of a scenario is paid once instead of once per run;
-    /// [`DeviceEngine::run`] passes a fresh state, preserving the
-    /// cold-cache reports the goldens pin (cache hit/miss counters
-    /// included).
-    pub(crate) fn run_with_system(
+    /// # Panics
+    ///
+    /// Panics if `priced` was built for another model or quantization,
+    /// or the run reaches an attention position or prompt length it
+    /// does not hold.
+    pub(crate) fn run_priced(
         &self,
         trace: &ArrivalTrace,
         policy: SchedulePolicy,
-        warm: WarmState,
-    ) -> (ServeReport, WarmState) {
+        priced: &PricedRun,
+    ) -> ServeReport {
         match policy {
             SchedulePolicy::ContinuousBatch { max_batch } => {
                 assert!(max_batch >= 1, "a batch must hold at least one request");
-                BatchedSimulation::new(self, trace, max_batch, warm).run()
+                BatchedSimulation::new(self, trace, max_batch, priced).run()
             }
-            SchedulePolicy::Fcfs => Simulation::<FcfsReady>::new(self, trace, warm).run(),
-            SchedulePolicy::RoundRobin => Simulation::<RrReady>::new(self, trace, warm).run(),
+            SchedulePolicy::Fcfs => Simulation::<FcfsReady>::new(self, trace, priced).run(),
+            SchedulePolicy::RoundRobin => Simulation::<RrReady>::new(self, trace, priced).run(),
         }
     }
 }
-
-/// A run's pricing state: the [`System`] (GeMV and op-cost memos) and
-/// the [`PlanTable`] priced on it. They travel as a pair because every
-/// table entry was priced through that system: a run on a clone of the
-/// pair makes exactly the op-cost misses a run on a clone of the system
-/// alone would make (the table only skips lookups the system would
-/// have answered from memory), so reports, cache counters included,
-/// cannot tell the two apart.
-///
-/// [`WarmState::price_requests`] is the one step that derives a
-/// serving cost: every run calls it on its own trace before its event
-/// loop starts, and the Monte Carlo harness and the fleet call it once
-/// on all their traces ([`WarmState::for_traces`]) before fanning out
-/// clones. It does not depend on the schedule policy.
-///
-/// Cloning is cheap: the op-cost memo and the attention tables are
-/// shared copy-on-write, so a clone copies them only if its run prices
-/// a shape or position of its own.
-#[derive(Debug, Clone)]
-pub(crate) struct WarmState {
-    pub(crate) system: System,
-    table: PlanTable,
-}
-
-impl WarmState {
-    /// A cold system and an unpriced table for `engine`'s plan.
-    pub(crate) fn new(engine: &DeviceEngine) -> Self {
-        WarmState {
-            system: System::new(engine.cfg),
-            table: PlanTable::new(engine),
-        }
-    }
-
-    /// A state priced for every run of `traces` on `engine`, with the
-    /// system's counters zeroed: a run of any of these traces on a
-    /// clone prices nothing new, and its cache counters count against
-    /// this shared state.
-    pub(crate) fn for_traces(engine: &DeviceEngine, traces: &[ArrivalTrace]) -> Self {
-        let mut warm = WarmState::new(engine);
-        warm.price_requests(engine, traces);
-        warm.system.reset_cache_stats();
-        warm
-    }
-
-    /// Prices, once each, every cost the requests of `traces` can ask
-    /// of the system: every attention position a request decodes at
-    /// (its prompt length up to prompt plus decode length), the
-    /// seq-invariant slots when any request decodes, and, with prefill
-    /// modelled, each distinct non-empty prompt length's prefill cost,
-    /// which it returns by prompt length. Requests whose context the KV
-    /// cache rejects never run and are skipped. Every admitted request
-    /// is priced whole, even if a fault deadline sheds it mid-decode.
-    pub(crate) fn price_requests(
-        &mut self,
-        engine: &DeviceEngine,
-        traces: &[ArrivalTrace],
-    ) -> BTreeMap<usize, PrefillCost> {
-        let max_context = kv_cache(engine).max_tokens();
-        let mut ranges: Vec<(usize, usize)> = Vec::new();
-        for trace in traces {
-            let mut note = |shape: &RequestShape| {
-                let end = shape.prompt_len + shape.new_tokens;
-                if shape.new_tokens > 0 && end <= max_context {
-                    ranges.push((shape.prompt_len, end));
-                }
-            };
-            match trace {
-                ArrivalTrace::Open(arrivals) => arrivals.iter().for_each(|a| note(&a.shape)),
-                ArrivalTrace::ClosedLoop { shape, .. } => note(shape),
-            }
-        }
-        // The prefix table prices only positions no earlier range
-        // covered, so overlapping ranges price each position once.
-        ranges.sort_unstable();
-        ranges.dedup();
-        if !ranges.is_empty() {
-            price_invariant(&mut self.system, &engine.plan, &mut self.table);
-        }
-        for &(lo, hi) in &ranges {
-            ensure_attn(&mut self.system, &engine.plan, &mut self.table, lo, hi);
-        }
-        let mut prefill = BTreeMap::new();
-        if engine.prefill == PrefillMode::Modeled {
-            for &(m, _) in ranges.iter().filter(|&&(m, _)| m > 0) {
-                prefill
-                    .entry(m)
-                    .or_insert_with(|| self.system.prefill_cost(&engine.prefill_plan, m));
-            }
-        }
-        prefill
-    }
-
-    /// The attention positions priced into the table so far, ascending;
-    /// a run priced the difference of their count across it through the
-    /// system.
-    #[cfg(test)]
-    pub(crate) fn priced_positions(&self) -> Vec<usize> {
-        (0..self.table.attn_lat.len())
-            .filter(|&pos| self.table.attn_lat[pos] != UNPRICED)
-            .collect()
-    }
-
-    /// How many attention positions the table holds.
-    #[cfg(test)]
-    pub(crate) fn attn_positions(&self) -> usize {
-        self.priced_positions().len()
-    }
-
-    /// Whether this state still shares its op-cost memo and attention
-    /// tables with `other`, i.e. neither has copied them on write.
-    #[cfg(test)]
-    pub(crate) fn shares_memo_with(&self, other: &WarmState) -> bool {
-        self.system
-            .op_cost_cache()
-            .shares_entries_with(other.system.op_cost_cache())
-            && Arc::ptr_eq(&self.table.attn, &other.table.attn)
-            && Arc::ptr_eq(&self.table.attn_lat, &other.table.attn_lat)
-    }
-}
-
-/// Upper bound on seq-dependent cost slots per plan (both model
-/// families have exactly three: scores, softmax, context). Sized with
-/// one spare so a new attention template doesn't immediately overflow.
-const MAX_DEP_SLOTS: usize = 4;
-
-/// Per-plan pricing table: latencies and traffic by cost slot, so the
-/// per-op dispatch path is an array index instead of an op
-/// materialization plus cost derivation.
-#[derive(Debug, Clone)]
-struct PlanTable {
-    /// The model and quantization the plan was built from (a
-    /// [`TokenPlan`] is a function of the two): a table reused by a
-    /// later run must belong to that run's plan.
-    priced_for: (ModelSpec, Quant),
-    /// Resource index ([`FLASH`] or [`NPU`]) of each plan position.
-    class_slots: Vec<u8>,
-    /// Dispatch latency of each plan position in picoseconds, filled by
-    /// [`price_invariant`] (empty until then: a trace with nothing to
-    /// decode prices no slot): an invariant position carries its
-    /// slot's latency; a seq-dependent position carries
-    /// `u64::MAX - dep_index` (never a real latency), telling
-    /// [`op_latency`] to read the request's own attention pricing
-    /// instead.
-    pos_lat: Vec<u64>,
-    /// Latency per seq-invariant slot (indices `0..n_inv`).
-    inv_lat: Vec<SimTime>,
-    n_inv: usize,
-    n_dep: usize,
-    /// Ops per token mapping to each invariant slot.
-    inv_counts: Vec<u64>,
-    /// Whether each invariant slot is a weight GeMV (flash class).
-    inv_is_weight: Vec<bool>,
-    /// Ops per token mapping to each seq-dependent slot.
-    dep_counts: [u64; MAX_DEP_SLOTS],
-    /// Serial per-token latency of the weight (flash) positions —
-    /// `Σ inv_lat × count` over weight slots. One term of a solo span's
-    /// token latency; filled by [`price_invariant`].
-    solo_flash_lat: SimTime,
-    /// Serial per-token latency of the invariant NPU positions (the
-    /// attention slots are priced per sequence position on top).
-    solo_npu_lat: SimTime,
-    /// Traffic of one token's seq-invariant ops.
-    inv_traffic: TrafficBreakdown,
-    /// The shared-stream share of `inv_traffic`: NAND reads, in-flash
-    /// consumption and the D2D weight share, which a batched step pays
-    /// **once** for the whole batch.
-    inv_stream_traffic: TrafficBreakdown,
-    /// The per-request share of `inv_traffic` — each member's share of
-    /// the GeMV arithmetic on both sides, plus KV appends, norms and
-    /// activations: repeated per batch member.
-    inv_request_traffic: TrafficBreakdown,
-    /// Per-request NPU ops of each invariant slot's op (zero for
-    /// non-weight slots): the operand of the batched NPU compute floor.
-    inv_npu_ops: Vec<u64>,
-    /// Per-request in-flash ops of each invariant slot's op (zero for
-    /// non-weight slots): the operand of the batched flash-core floor.
-    inv_flash_ops: Vec<u64>,
-    /// Weight GeMVs per token (for GeMV-cache recall accounting).
-    gemvs_per_token: u64,
-    /// Cumulative attention prices by sequence position, filled before
-    /// the event loop starts with every admitted request's decode
-    /// range: reading a position (another member of a cohort, another
-    /// span probe) is two table reads instead of three op-cost
-    /// lookups, and a contiguous range reads as one prefix-sum
-    /// difference. Segmented, so only positions requests own are ever
-    /// priced. A position priced once stays priced for
-    /// every later run on a clone of the [`WarmState`], and since its
-    /// op costs sit in that state's system too, the op-cost cache's
-    /// miss count (a report field) is the same whether a run reads the
-    /// position here or prices it again. Shared copy-on-write between
-    /// clones: [`ensure_attn`] copies it only to price a new position.
-    attn: Arc<AttnPrefix<AttnPoint>>,
-    /// Each priced sequence position's summed attention latency,
-    /// `Σ lat[d] × dep_counts[d]` in picoseconds, indexed by position
-    /// ([`UNPRICED`] where [`ensure_attn`] has not priced it yet): the
-    /// one number a batched step needs per member, read without a
-    /// segment search. Shared copy-on-write like `attn`.
-    attn_lat: Arc<Vec<u64>>,
-}
-
-/// [`PlanTable::attn_lat`] marker of a position not priced yet.
-const UNPRICED: u64 = u64::MAX;
-
-/// One sequence position's attention prices, folded cumulatively in
-/// [`PlanTable::attn`]: the per-dependent-slot op latency plus the
-/// position's combined slot-count-scaled traffic.
-#[derive(Debug, Clone, Default)]
-struct AttnPoint {
-    lat: [SimTime; MAX_DEP_SLOTS],
-    traffic: TrafficBreakdown,
-}
-
-impl PlanTable {
-    fn new(engine: &DeviceEngine) -> Self {
-        let plan = &engine.plan;
-        let class_slots: Vec<u8> = (0..plan.len())
-            .map(|idx| match OpClass::of(&plan.op_at(idx, 0)) {
-                OpClass::Flash => FLASH as u8,
-                OpClass::Npu => NPU as u8,
-            })
-            .collect();
-        let gemvs_per_token = plan.weight_ops_per_token() as u64;
-        debug_assert_eq!(
-            gemvs_per_token,
-            class_slots.iter().filter(|&&c| c == FLASH as u8).count() as u64,
-            "plan's weight positions disagree with the op classification"
-        );
-        let n_inv = plan.invariant_slots();
-        let n_dep = plan.dependent_slots();
-        assert!(
-            n_dep <= MAX_DEP_SLOTS,
-            "plan has {n_dep} seq-dependent slots; raise MAX_DEP_SLOTS"
-        );
-        let mut dep_counts = [0u64; MAX_DEP_SLOTS];
-        for (d, count) in dep_counts.iter_mut().enumerate().take(n_dep) {
-            *count = plan.slot_count(n_inv + d) as u64;
-        }
-        PlanTable {
-            priced_for: (engine.model.clone(), engine.cfg.quant),
-            class_slots,
-            pos_lat: Vec::new(),
-            inv_lat: vec![SimTime::ZERO; n_inv],
-            n_inv,
-            n_dep,
-            inv_counts: (0..n_inv).map(|s| plan.slot_count(s) as u64).collect(),
-            inv_is_weight: (0..n_inv).map(|s| plan.slot_is_weight(s)).collect(),
-            dep_counts,
-            solo_flash_lat: SimTime::ZERO,
-            solo_npu_lat: SimTime::ZERO,
-            inv_traffic: TrafficBreakdown::default(),
-            inv_stream_traffic: TrafficBreakdown::default(),
-            inv_request_traffic: TrafficBreakdown::default(),
-            inv_npu_ops: vec![0; n_inv],
-            inv_flash_ops: vec![0; n_inv],
-            gemvs_per_token,
-            attn: Arc::new(AttnPrefix::new()),
-            attn_lat: Arc::new(Vec::new()),
-        }
-    }
-}
-
-/// [`PlanTable::pos_lat`] values at or above this are seq-dependent-slot
-/// markers (`u64::MAX - dep_index`), not latencies.
-const DEP_LAT_MARK: u64 = u64::MAX - MAX_DEP_SLOTS as u64;
 
 /// Latency of request `id`'s current op, which runs on resource `rs`:
 /// the plan position's price (the request's own attention price at an
 /// attention position) plus, on flash with faults on, the fault time
 /// its token has not spent yet — the token's sampled fault time rides
 /// on its first flash dispatch. The one pricing rule of every per-op
-/// dispatch.
+/// dispatch; `pos_lat` is the priced table's `PlanTable::pos_lat`.
 #[inline(always)]
 fn op_latency(
-    table: &PlanTable,
+    pos_lat: &[u64],
     requests: &mut RequestPool,
     id: usize,
     rs: usize,
     faults_on: bool,
 ) -> SimTime {
-    let idx = requests.cursor[id].index();
-    debug_assert_eq!(
-        table.class_slots[idx] as usize, rs,
-        "ready list / op class mismatch"
-    );
-    let lat = table.pos_lat[idx];
+    let lat = pos_lat[requests.cursor[id].index()];
     let mut latency = if lat >= DEP_LAT_MARK {
         requests.dep_lat[id][(u64::MAX - lat) as usize]
     } else {
@@ -489,129 +219,6 @@ fn op_latency(
 #[cold]
 #[inline(never)]
 fn cold_mark() {}
-
-/// Prices every attention position in `lo..hi` the table does not hold
-/// yet, in ascending order, each through [`System::op_cost`] in
-/// ascending slot order — exactly the calls (and therefore the cache
-/// misses) per-op stepping makes — recording its summed latency in
-/// [`PlanTable::attn_lat`]. Copies the shared tables on write, so a
-/// range already priced leaves them shared.
-fn ensure_attn(system: &mut System, plan: &TokenPlan, table: &mut PlanTable, lo: usize, hi: usize) {
-    if table.attn.covers(lo, hi) {
-        return;
-    }
-    let n_inv = table.n_inv;
-    let n_dep = table.n_dep;
-    let dep_counts = table.dep_counts;
-    let attn_lat = Arc::make_mut(&mut table.attn_lat);
-    Arc::make_mut(&mut table.attn).ensure(
-        lo,
-        hi,
-        AttnPoint::default(),
-        &mut |pos| {
-            let mut p = AttnPoint::default();
-            let mut sum = SimTime::ZERO;
-            for (d, &count) in dep_counts.iter().enumerate().take(n_dep) {
-                let cost = system.op_cost(&plan.slot_op(n_inv + d, pos));
-                p.lat[d] = cost.latency;
-                p.traffic.absorb_scaled(&cost.traffic, count);
-                sum += cost.latency * count;
-            }
-            if attn_lat.len() <= pos {
-                attn_lat.resize(pos + 1, UNPRICED);
-            }
-            attn_lat[pos] = sum.as_picos();
-            p
-        },
-        &mut |a, b| {
-            for d in 0..MAX_DEP_SLOTS {
-                a.lat[d] += b.lat[d];
-            }
-            a.traffic.absorb(&b.traffic);
-        },
-    );
-}
-
-/// The attention slots' prices at sequence position `seq`: the
-/// position's per-slot latencies plus its combined count-scaled
-/// traffic, read as two adjacent prefix entries. The run's pricing step
-/// ([`WarmState::price_requests`]) priced every position a request can
-/// reach.
-fn attn_at(table: &PlanTable, seq: usize) -> ([SimTime; MAX_DEP_SLOTS], TrafficBreakdown) {
-    debug_assert!(table.attn.covers(seq, seq + 1), "position {seq} unpriced");
-    let n_dep = table.n_dep;
-    let (lo, hi) = table.attn.range(seq, seq + 1);
-    let mut lat = [SimTime::ZERO; MAX_DEP_SLOTS];
-    for (d, l) in lat.iter_mut().enumerate().take(n_dep) {
-        *l = hi.lat[d] - lo.lat[d];
-    }
-    (lat, hi.traffic.difference(&lo.traffic))
-}
-
-/// The summed attention latency of sequence position `seq` (one
-/// member's attention time in a batched step): an array read of a
-/// position the pricing step priced.
-#[inline]
-fn attn_lat_at(table: &PlanTable, seq: usize) -> u64 {
-    let lat = table.attn_lat[seq];
-    debug_assert_ne!(lat, UNPRICED, "position {seq} unpriced");
-    lat
-}
-
-/// Prices the seq-invariant slots once per table, filling the latency
-/// tables and both traffic views (serial total for the unbatched
-/// engines, the stream/per-request split for batched steps). Called by
-/// the pricing step only when some request will decode, so a trace
-/// with nothing to decode prices no slot.
-fn price_invariant(system: &mut System, plan: &TokenPlan, table: &mut PlanTable) {
-    if !table.pos_lat.is_empty() {
-        return;
-    }
-    for s in 0..table.n_inv {
-        let cost = system.op_cost(&plan.slot_op(s, 0));
-        table.inv_lat[s] = cost.latency;
-        let count = plan.slot_count(s) as u64;
-        table.inv_traffic.absorb_scaled(&cost.traffic, count);
-        if plan.slot_is_weight(s) {
-            table.solo_flash_lat += cost.latency * count;
-            // A weight slot's *weight bytes* (NAND stream, in-flash and
-            // D2D consumption) are shared by a batch; everything else —
-            // each member multiplying the streamed weights by its own
-            // activations on both the flash cores and the NPU, and any
-            // DRAM traffic a weight op might ever book — repeats per
-            // member, same as the non-weight slots.
-            table.inv_npu_ops[s] = cost.traffic.npu_ops;
-            table.inv_flash_ops[s] = cost.traffic.flash_ops;
-            let stream = TrafficBreakdown {
-                nand_array_bytes: cost.traffic.nand_array_bytes,
-                in_flash_bytes: cost.traffic.in_flash_bytes,
-                d2d_bytes: cost.traffic.d2d_bytes,
-                ..TrafficBreakdown::default()
-            };
-            let mut per_member = cost.traffic;
-            per_member.nand_array_bytes = 0;
-            per_member.in_flash_bytes = 0;
-            per_member.d2d_bytes = 0;
-            table.inv_stream_traffic.absorb_scaled(&stream, count);
-            table.inv_request_traffic.absorb_scaled(&per_member, count);
-        } else {
-            table.solo_npu_lat += cost.latency * count;
-            table
-                .inv_request_traffic
-                .absorb_scaled(&cost.traffic, count);
-        }
-    }
-    table.pos_lat = (0..plan.len())
-        .map(|idx| match plan.cost_slot(idx) {
-            s if s < table.n_inv => {
-                let lat = table.inv_lat[s].as_picos();
-                debug_assert!(lat < DEP_LAT_MARK, "latency collides with dep marker");
-                lat
-            }
-            s => u64::MAX - (s - table.n_inv) as u64,
-        })
-        .collect();
-}
 
 /// Where a request sits in its lifecycle: the serving state machine
 /// `Queued → Prefilling → Decoding → Done`. With [`PrefillMode::Off`]
@@ -878,18 +485,15 @@ impl EventCore {
     }
 }
 
-/// One run's state shared by both event loops: the priced system and
-/// plan table, the request pool and event core, the closed-loop
-/// clients, the fault run, and every report accumulator. Built once by
+/// One run's state shared by both event loops: the borrowed priced
+/// table, the request pool and event core, the closed-loop clients, the
+/// fault run, and every report accumulator. Built once by
 /// [`DeviceRun::new`] and turned into the report once by
 /// [`DeviceRun::finish`]; each loop adds only its own scheduling state.
 struct DeviceRun<'a> {
-    system: System,
+    priced: &'a PricedRun,
     plan: &'a TokenPlan,
-    table: PlanTable,
-    /// Prefill simulation state: `Some` iff [`PrefillMode::Modeled`],
-    /// holding the shared aggregates and the per-prompt-length cost
-    /// buckets.
+    /// Prefill simulation state: `Some` iff [`PrefillMode::Modeled`].
     prefill: Option<PrefillState>,
     ev: EventCore,
     requests: RequestPool,
@@ -917,21 +521,14 @@ struct DeviceRun<'a> {
 }
 
 impl<'a> DeviceRun<'a> {
-    /// Sets up a run of `trace` on `warm`: prices the trace into it
-    /// ([`WarmState::price_requests`], the run's only cost derivation),
-    /// then builds the fault run, pool and event-core capacity, the
-    /// per-request fault root, and the trace's requests and arrival
-    /// events. Shared by both loops, so arrival order — and therefore
-    /// event stamps — is identical regardless of policy.
-    fn new(engine: &'a DeviceEngine, trace: &ArrivalTrace, mut warm: WarmState) -> Self {
-        let priced_for = &warm.table.priced_for;
-        assert!(
-            priced_for.0 == engine.model && priced_for.1 == engine.cfg.quant,
-            "a plan table is reused only with the plan that priced it"
-        );
-        let prefill_buckets = warm.price_requests(engine, std::slice::from_ref(trace));
-        let WarmState { mut system, table } = warm;
-        let faults = FaultRun::for_engine(&engine.faults, &engine.cfg, &mut system);
+    /// Sets up a run of `trace` on `priced`: builds the fault run, pool
+    /// and event-core capacity, the per-request fault root, and the
+    /// trace's requests and arrival events. Shared by both loops, so
+    /// arrival order — and therefore event stamps — is identical
+    /// regardless of policy.
+    fn new(engine: &'a DeviceEngine, trace: &ArrivalTrace, priced: &'a PricedRun) -> Self {
+        priced.check_plan(engine);
+        let faults = FaultRun::for_engine(&engine.faults, &engine.cfg, priced.read_bw());
         let (total_requests, peak_arrivals) = trace_sizes(trace);
         let mut requests = RequestPool::with_capacity(total_requests);
         let mut ev = EventCore::with_capacity(peak_arrivals);
@@ -966,10 +563,9 @@ impl<'a> DeviceRun<'a> {
             }
         };
         DeviceRun {
-            system,
+            priced,
             plan: &engine.plan,
-            table,
-            prefill: PrefillState::new(engine, prefill_buckets),
+            prefill: PrefillState::new(engine, trace),
             ev,
             requests,
             busy_track: [BusyTracker::new(), BusyTracker::new()],
@@ -994,16 +590,17 @@ impl<'a> DeviceRun<'a> {
     /// ops. The cursor must already sit at the token's first op.
     fn begin_token(&mut self, id: usize) {
         let DeviceRun {
-            table,
+            priced,
             traffic,
             requests,
             faults,
             ..
         } = self;
+        let table = &priced.table;
         debug_assert!(!table.pos_lat.is_empty(), "plan unpriced");
         traffic.absorb(&table.inv_traffic);
         let seq = requests.cursor[id].seq_len();
-        let (dep_lat, dep_traffic) = attn_at(table, seq);
+        let (dep_lat, dep_traffic) = priced.attn_at(seq);
         requests.dep_lat[id] = dep_lat;
         traffic.absorb(&dep_traffic);
         // Fault sampling at token granularity: the token's NAND weight
@@ -1067,6 +664,7 @@ impl<'a> DeviceRun<'a> {
     /// as prefill busy time and traffic.
     fn charge_prefill(&mut self, id: usize) -> SimTime {
         let DeviceRun {
+            priced,
             prefill,
             requests,
             traffic,
@@ -1074,7 +672,7 @@ impl<'a> DeviceRun<'a> {
             ..
         } = self;
         let ps = prefill.as_mut().expect("prefill charged with prefill off");
-        let cost = ps.buckets[&requests.cold[id].shape.prompt_len];
+        let cost = priced.prefill_cost(requests.cold[id].shape.prompt_len);
         let mut total = cost.total;
         if let Some(f) = faults {
             let extra = f.window_extra(
@@ -1105,10 +703,9 @@ impl<'a> DeviceRun<'a> {
         gemv_dispatched: u64,
         occ_weighted_ps: u128,
         peak_batch_occupancy: usize,
-    ) -> (ServeReport, WarmState) {
+    ) -> ServeReport {
         let DeviceRun {
-            system,
-            table,
+            priced,
             prefill,
             busy_track,
             traffic,
@@ -1125,10 +722,10 @@ impl<'a> DeviceRun<'a> {
         // every other dispatch replayed a memoized cost through the slot
         // table, so hits + misses partition the dispatched ops exactly.
         // Prefill pricing contributes its component lookups once per
-        // prompt-length bucket.
+        // prompt length of the run's own admitted requests.
         let (prefill_priced, prefill_busy) = prefill
             .as_ref()
-            .map_or((0, SimTime::ZERO), |p| (p.priced(), p.busy));
+            .map_or((0, SimTime::ZERO), |p| (p.buckets, p.busy));
         let ops_dispatched = ops_dispatched + prefill_priced * PrefillCost::COMPONENT_OPS;
         // Fault counters (all-zero default when faults were off); the
         // goodput rate is derived below, where the horizon is known.
@@ -1164,9 +761,8 @@ impl<'a> DeviceRun<'a> {
         if horizon > 0.0 {
             reliability.deadline_goodput_tps = reliability.goodput_tokens as f64 / horizon;
         }
-        let op_misses = system.op_cost_cache().misses();
-        let gemv_misses = system.gemv_cache().misses();
-        let report = ServeReport {
+        let (op_misses, gemv_misses) = priced.misses();
+        ServeReport {
             policy,
             prefill: if prefill.is_some() {
                 PrefillMode::Modeled
@@ -1202,45 +798,40 @@ impl<'a> DeviceRun<'a> {
             traffic,
             reliability,
             requests: done,
-        };
-        (report, WarmState { system, table })
+        }
     }
 }
 
-/// Shared prefill-pricing state of one simulation run.
+/// Prefill state of one simulation run.
 #[derive(Debug)]
 struct PrefillState {
-    /// Cost per prompt length of the run's admitted requests, priced
-    /// once per bucket by [`WarmState::price_requests`]. Every admitted
-    /// request with a prompt runs its prefill, so the bucket count is
-    /// also the derivation count for op-pricing accounting.
-    buckets: BTreeMap<usize, PrefillCost>,
+    /// Distinct non-empty prompt lengths of the run's own admitted
+    /// requests. Every admitted request with a prompt runs its prefill,
+    /// so each is one priced bucket of [`PrefillCost::COMPONENT_OPS`]
+    /// op-cost lookups for op-pricing accounting, whatever other traces
+    /// the shared table was priced for.
+    buckets: u64,
     /// Total device time spent prefilling.
     busy: SimTime,
 }
 
 impl PrefillState {
-    fn new(engine: &DeviceEngine, buckets: BTreeMap<usize, PrefillCost>) -> Option<Self> {
+    fn new(engine: &DeviceEngine, trace: &ArrivalTrace) -> Option<Self> {
         match engine.prefill {
             PrefillMode::Off => None,
             PrefillMode::Modeled => Some(PrefillState {
-                buckets,
+                buckets: prompt_lens(&decode_ranges(engine, std::slice::from_ref(trace))).count()
+                    as u64,
                 busy: SimTime::ZERO,
             }),
         }
     }
-
-    /// Prompt-length buckets priced for the run (each one made
-    /// [`PrefillCost::COMPONENT_OPS`] op-cost lookups).
-    fn priced(&self) -> u64 {
-        self.buckets.len() as u64
-    }
 }
 
 /// Resource index of the flash device.
-const FLASH: usize = 0;
+pub(super) const FLASH: usize = 0;
 /// Resource index of the NPU.
-const NPU: usize = 1;
+pub(super) const NPU: usize = 1;
 
 /// Event-core sentinel: the NPU-side hold of an in-flight prefill. A
 /// prefill occupies both resources; its completion event lives on the
@@ -1279,7 +870,7 @@ fn trace_sizes(trace: &ArrivalTrace) -> (usize, usize) {
 /// single source of capacity truth: its `max_tokens()` is the
 /// never-fits rejection criterion every policy shares, and the batched
 /// loop additionally reserves and releases context through it.
-fn kv_cache(engine: &DeviceEngine) -> KvCache {
+pub(super) fn kv_cache(engine: &DeviceEngine) -> KvCache {
     KvCache::new(
         kv_bytes_per_token(&engine.model, engine.cfg.quant),
         &engine.cfg.npu,
@@ -1697,6 +1288,11 @@ struct Simulation<'a, Q> {
     run: DeviceRun<'a>,
     ready: Q,
     n_ops: usize,
+    /// The priced table's `PlanTable::class_slots` and
+    /// `PlanTable::pos_lat`, held here so the per-op path reads them
+    /// without going through the table.
+    class_slots: &'a [u8],
+    pos_lat: &'a [u64],
     faults_on: bool,
     /// Per resource: end time in picoseconds of the op in flight
     /// (`u64::MAX` when idle), its event stamp and its request.
@@ -1729,11 +1325,13 @@ struct Simulation<'a, Q> {
 }
 
 impl<'a, Q: ReadySet> Simulation<'a, Q> {
-    fn new(engine: &'a DeviceEngine, trace: &ArrivalTrace, warm: WarmState) -> Self {
-        let run = DeviceRun::new(engine, trace, warm);
+    fn new(engine: &'a DeviceEngine, trace: &ArrivalTrace, priced: &'a PricedRun) -> Self {
+        let run = DeviceRun::new(engine, trace, priced);
         Simulation {
             ready: Q::default(),
             n_ops: run.plan.len(),
+            class_slots: &priced.table.class_slots,
+            pos_lat: &priced.table.pos_lat,
             faults_on: run.faults.is_some(),
             s_at: [u64::MAX; 2],
             s_st: [u64::MAX; 2],
@@ -1752,12 +1350,12 @@ impl<'a, Q: ReadySet> Simulation<'a, Q> {
         }
     }
 
-    fn run(mut self) -> (ServeReport, WarmState) {
+    fn run(mut self) -> ServeReport {
         self.drive();
         self.finish()
     }
 
-    fn finish(self) -> (ServeReport, WarmState) {
+    fn finish(self) -> ServeReport {
         assert!(
             self.ready.queued(FLASH) + self.ready.queued(NPU) == 0,
             "event loop drained with work outstanding"
@@ -1772,7 +1370,7 @@ impl<'a, Q: ReadySet> Simulation<'a, Q> {
         let tokens = run.done.iter().map(|r| r.tokens as u64).sum::<u64>()
             + run.faults.as_ref().map_or(0, |f| f.shed_tokens);
         let ops_dispatched = tokens * run.plan.len() as u64;
-        let gemv_dispatched = tokens * run.table.gemvs_per_token;
+        let gemv_dispatched = tokens * run.priced.table.gemvs_per_token;
         run.finish(Q::POLICY, ops_dispatched, gemv_dispatched, 0, 0)
     }
 
@@ -1862,7 +1460,7 @@ impl<'a, Q: ReadySet> Simulation<'a, Q> {
         } else {
             run.requests.phase[id] = Phase::Decoding;
             run.begin_token(id);
-            run.table.class_slots[run.requests.cursor[id].index()] as usize
+            self.class_slots[run.requests.cursor[id].index()] as usize
         };
         self.ready.admit(rs, arrived.as_picos(), id as u32);
         self.settle();
@@ -1891,13 +1489,13 @@ impl<'a, Q: ReadySet> Simulation<'a, Q> {
             run.requests.phase[id] = Phase::Decoding;
             run.requests.cold[id].prefill_end = Some(self.now);
             run.begin_token(id);
-            let rs = run.table.class_slots[run.requests.cursor[id].index()] as usize;
+            let rs = self.class_slots[run.requests.cursor[id].index()] as usize;
             self.enqueue(rs, s, id32);
         } else {
             run.requests.cursor[id].advance();
             let idx = run.requests.cursor[id].index();
             if idx < self.n_ops {
-                let rs = run.table.class_slots[idx] as usize;
+                let rs = self.class_slots[idx] as usize;
                 self.enqueue(rs, s, id32);
             } else {
                 self.token_done(s, id32);
@@ -1990,7 +1588,7 @@ impl<'a, Q: ReadySet> Simulation<'a, Q> {
             // Next token: context has grown by the token just emitted.
             run.requests.cursor[id].next_token();
             run.begin_token(id);
-            let rs0 = run.table.class_slots[0] as usize;
+            let rs0 = self.class_slots[0] as usize;
             self.enqueue(rs0, s, id32);
         } else {
             // Request complete; in a closed loop the client immediately
@@ -2053,7 +1651,12 @@ impl<'a, Q: ReadySet> Simulation<'a, Q> {
         debug_assert_eq!(requests.phase[nid], Phase::Decoding);
         self.d_stamp += 1;
         requests.note_dispatch(nid, self.d_stamp, now);
-        let latency = op_latency(&self.run.table, requests, nid, rs, self.faults_on);
+        debug_assert_eq!(
+            self.class_slots[requests.cursor[nid].index()] as usize,
+            rs,
+            "ready list / op class mismatch"
+        );
+        let latency = op_latency(self.pos_lat, requests, nid, rs, self.faults_on);
         let end_ps = (now + latency).as_picos();
         self.book(rs, now.as_picos(), end_ps);
         self.schedule(rs, end_ps, nid32);
@@ -2111,7 +1714,7 @@ impl<'a, Q: ReadySet> Simulation<'a, Q> {
             self.settle();
             return;
         }
-        let rs2 = self.run.table.class_slots[idx] as usize;
+        let rs2 = self.class_slots[idx] as usize;
         if rs2 == S {
             if self.ready.queued(S) == 0 {
                 self.dispatch(S, id32);
@@ -2139,7 +1742,7 @@ impl<'a, Q: ReadySet> Simulation<'a, Q> {
                 let cid32 = self.s_id[S];
                 let cursor = &mut self.run.requests.cursor[cid32 as usize];
                 let nidx = cursor.index() + 1;
-                if nidx >= self.n_ops || self.run.table.class_slots[nidx] as usize != S {
+                if nidx >= self.n_ops || self.class_slots[nidx] as usize != S {
                     break;
                 }
                 cursor.advance();
@@ -2181,7 +1784,7 @@ impl<'a, Q: ReadySet> Simulation<'a, Q> {
     /// booked by [`DeviceRun::begin_token`]). With nothing else in
     /// flight the request's ops run strictly serially, so a token's
     /// latency is the sum of the plan's slot latencies — the
-    /// seq-invariant positions from the [`PlanTable`], the attention
+    /// seq-invariant positions from the priced `PlanTable`, the attention
     /// positions at the token's own sequence position — and a run of `k`
     /// tokens is priced in the exact per-token order without stepping
     /// its ops.
@@ -2214,7 +1817,7 @@ impl<'a, Q: ReadySet> Simulation<'a, Q> {
         let next_arrival = self.next_arr.0;
         let n_ops = self.n_ops;
         let DeviceRun {
-            table,
+            priced,
             requests,
             traffic,
             token_latencies,
@@ -2222,6 +1825,7 @@ impl<'a, Q: ReadySet> Simulation<'a, Q> {
             faults,
             ..
         } = &mut self.run;
+        let table = &priced.table;
         debug_assert!(
             !table.pos_lat.is_empty(),
             "a begun token implies a priced table"
@@ -2236,10 +1840,10 @@ impl<'a, Q: ReadySet> Simulation<'a, Q> {
         let mut t = now;
         let mut k = 0usize;
         // Attention latencies of the token under consideration. The first
-        // token's were already priced (and its traffic booked) by
-        // `begin_token`; later tokens are priced speculatively below and
-        // booked only on acceptance — a rejected token is re-priced by its
-        // own `begin_token` later, hitting the memo.
+        // token's were already read (and its traffic booked) by
+        // `begin_token`; later tokens are read speculatively below and
+        // booked only on acceptance — a rejected token is read again by
+        // its own `begin_token` later.
         let mut dep = requests.dep_lat[id];
         let mut unbooked: Option<TrafficBreakdown> = None;
         // Fault time of the token under consideration, and the uncommitted
@@ -2293,7 +1897,7 @@ impl<'a, Q: ReadySet> Simulation<'a, Q> {
             // rejected token's position is read again by its own
             // `begin_token` later).
             let seq = requests.cursor[id].seq_len() + k;
-            let (lat, tr) = attn_at(table, seq);
+            let (lat, tr) = priced.attn_at(seq);
             dep = lat;
             unbooked = Some(tr);
             // Its fault window, drawn speculatively on a stream copy.
@@ -2438,10 +2042,10 @@ impl<'a> BatchedSimulation<'a> {
         engine: &'a DeviceEngine,
         trace: &ArrivalTrace,
         max_batch: usize,
-        warm: WarmState,
+        priced: &'a PricedRun,
     ) -> Self {
         BatchedSimulation {
-            run: DeviceRun::new(engine, trace, warm),
+            run: DeviceRun::new(engine, trace, priced),
             batch: BatchState::new(max_batch),
             pending: VecDeque::new(),
             kv: kv_cache(engine),
@@ -2455,7 +2059,7 @@ impl<'a> BatchedSimulation<'a> {
         self.run.ev.busy(0) || self.run.ev.busy(1)
     }
 
-    fn run(mut self) -> (ServeReport, WarmState) {
+    fn run(mut self) -> ServeReport {
         while let Some(fired) = self.run.ev.pop() {
             let now = self.run.ev.now;
             self.batch.note_occupancy(now);
@@ -2637,8 +2241,8 @@ impl<'a> BatchedSimulation<'a> {
     ///   floors are already inside the table price;
     /// * an NPU term — invariant slots at `table price × batch` plus
     ///   the attention slots summed over each member's own growing
-    ///   sequence position, priced step by step in the exact per-token
-    ///   order so the op-cost cache sees the same lookup sequence;
+    ///   sequence position, read step by step in the exact per-token
+    ///   order;
     /// * the step's fault time, flash time like the first term.
     ///
     /// The span ends at the earliest scheduling boundary: the next
@@ -2659,29 +2263,23 @@ impl<'a> BatchedSimulation<'a> {
             return;
         }
         debug_assert!(!self.stepping(), "span overlaps a step");
-        debug_assert!(!self.run.table.pos_lat.is_empty(), "plan unpriced");
+        debug_assert!(!self.run.priced.table.pos_lat.is_empty(), "plan unpriced");
         let batch = self.batch.active.len() as u64;
-        let n_ops = self.run.table.class_slots.len();
+        let priced = self.run.priced;
+        let table = &priced.table;
+        let n_ops = table.class_slots.len();
         // Per-step invariant latencies at this batch size.
         let mut flash_step = SimTime::ZERO;
         let mut npu_inv_step = SimTime::ZERO;
-        for s in 0..self.run.table.n_inv {
-            let count = self.run.table.inv_counts[s];
-            if self.run.table.inv_is_weight[s] {
-                let lat = self.run.table.inv_lat[s]
-                    .max(
-                        self.run
-                            .system
-                            .npu_compute_time(self.run.table.inv_npu_ops[s] * batch),
-                    )
-                    .max(
-                        self.run
-                            .system
-                            .flash_compute_time(self.run.table.inv_flash_ops[s] * batch),
-                    );
+        for s in 0..table.n_inv {
+            let count = table.inv_counts[s];
+            if table.inv_is_weight[s] {
+                let lat = table.inv_lat[s]
+                    .max(priced.npu_compute_time(table.inv_npu_ops[s] * batch))
+                    .max(priced.flash_compute_time(table.inv_flash_ops[s] * batch));
                 flash_step += lat * count;
             } else {
-                npu_inv_step += (self.run.table.inv_lat[s] * batch) * count;
+                npu_inv_step += (table.inv_lat[s] * batch) * count;
             }
         }
         let k_max = self
@@ -2766,7 +2364,7 @@ impl<'a> BatchedSimulation<'a> {
                 {
                     run += 1;
                 }
-                dep_step += attn_lat_at(&self.run.table, seq) * run as u64;
+                dep_step += priced.attn_lat_at(seq) * run as u64;
                 i += run;
             }
             let dep_step = SimTime::from_picos(dep_step);
@@ -2779,8 +2377,8 @@ impl<'a> BatchedSimulation<'a> {
             if let Some(f) = &mut self.run.faults {
                 let owner = self.batch.active[0];
                 let extra = f.window_extra(
-                    self.run.table.inv_stream_traffic.nand_array_bytes,
-                    self.run.table.solo_flash_lat.as_picos(),
+                    table.inv_stream_traffic.nand_array_bytes,
+                    table.solo_flash_lat.as_picos(),
                     &mut self.run.requests.fault_rng[owner],
                 );
                 if extra > 0 {
@@ -2810,23 +2408,21 @@ impl<'a> BatchedSimulation<'a> {
             }
         }
         // Each member's attention traffic over the span's `k` positions
-        // is one prefix difference: the loop priced every one of them,
-        // and contiguous priced positions share one segment. The
-        // integer sums regroup the per-step booking exactly.
+        // is one difference of cumulative entries. The integer sums
+        // regroup the per-step booking exactly.
         for &id in &self.batch.active {
             let seq = self.run.requests.cursor[id].seq_len();
-            let (lo, hi) = self.run.table.attn.range(seq, seq + k);
-            self.run.traffic.absorb(&hi.traffic.difference(&lo.traffic));
+            self.run.traffic.absorb(&priced.attn_traffic(seq, seq + k));
         }
         // The span's invariant traffic in one bulk booking: `k ×` the
         // shared stream plus `k × batch ×` the per-request share.
         self.run.traffic.absorb_batch_span(
-            &self.run.table.inv_stream_traffic,
-            &self.run.table.inv_request_traffic,
+            &table.inv_stream_traffic,
+            &table.inv_request_traffic,
             batch,
             k as u64,
         );
-        let weights = self.run.table.gemvs_per_token;
+        let weights = table.gemvs_per_token;
         self.gemv_dispatched += k as u64 * weights;
         self.ops_dispatched += k as u64 * (weights + (n_ops as u64 - weights) * batch);
         // One busy interval per resource for the whole span; per-class
@@ -2863,7 +2459,7 @@ impl<'a> BatchedSimulation<'a> {
         self.run.ev.schedule_op(FLASH, t, SPAN_BOUNDARY);
     }
 
-    fn finish(mut self) -> (ServeReport, WarmState) {
+    fn finish(mut self) -> ServeReport {
         assert!(
             self.pending.is_empty() && self.batch.active.is_empty(),
             "event core drained with work outstanding"
@@ -2903,8 +2499,11 @@ mod tests {
     /// Fires the trace's lone arrival, whose settle pass admits it and
     /// runs one solo span with no arrival pending. Returns the loop,
     /// the tokens coalesced, and the span-end event's time.
-    fn lone_span(engine: &DeviceEngine) -> (Simulation<'_, FcfsReady>, usize, SimTime) {
-        let mut sim = Simulation::<FcfsReady>::new(engine, &lone_trace(), WarmState::new(engine));
+    fn lone_span<'a>(
+        engine: &'a DeviceEngine,
+        priced: &'a PricedRun,
+    ) -> (Simulation<'a, FcfsReady>, usize, SimTime) {
+        let mut sim = Simulation::<FcfsReady>::new(engine, &lone_trace(), priced);
         sim.arrive();
         assert_eq!(sim.next_arr.0, u64::MAX, "no arrival pending");
         let [(0, k, _)] = sim.solo_spans[..] else {
@@ -2936,13 +2535,14 @@ mod tests {
             engine: &DeviceEngine,
             trace: &ArrivalTrace,
         ) -> (ServeReport, FastPaths) {
-            let mut sim = Simulation::<Q>::new(engine, trace, WarmState::new(engine));
+            let priced = PricedRun::new(engine, std::slice::from_ref(trace));
+            let mut sim = Simulation::<Q>::new(engine, trace, &priced);
             sim.drive();
             let paths = FastPaths {
                 solo_spans: std::mem::take(&mut sim.solo_spans),
                 general_ops: sim.general_ops,
             };
-            (sim.finish().0, paths)
+            (sim.finish(), paths)
         }
         match policy {
             SchedulePolicy::Fcfs => go::<FcfsReady>(engine, trace),
@@ -3041,7 +2641,8 @@ mod tests {
         // stepping finishes.
         let fc = FaultConfig::aged(FlashAge::worn_out());
         let engine = faulted_engine(fc);
-        let (sim, k, end) = lone_span(&engine);
+        let priced = PricedRun::new(&engine, &[lone_trace()]);
+        let (sim, k, end) = lone_span(&engine, &priced);
         assert_eq!(k, TOKENS);
         let f = sim.run.faults.as_ref().expect("faults on");
         assert!(f.page_rereads > 0 && f.degraded_chips > 0);
@@ -3061,50 +2662,22 @@ mod tests {
         let deadline = probe.requests[0].finished / 2;
         let fc = FaultConfig::aged(FlashAge::worn_out()).with_deadlines(None, Some(deadline));
         let engine = faulted_engine(fc);
-        let (sim, k, end) = lone_span(&engine);
+        let priced = PricedRun::new(&engine, &[lone_trace()]);
+        let (sim, k, end) = lone_span(&engine, &priced);
         assert!((2..TOKENS).contains(&k), "span of {k} tokens");
         // The request arrived at zero, so the deadline is absolute.
         let last_interior = sim.run.requests.token_started[0];
         assert!(last_interior < deadline && deadline <= end);
     }
 
-    /// The op-cost memo's size and the GeMV misses of `system`.
-    fn memo(system: &System) -> (usize, u64) {
-        (system.op_cost_cache().len(), system.gemv_cache().misses())
-    }
-
-    /// Runs `trace` cold under `policy`; returns the report, the memo
-    /// as the run's pricing step left it, and the memo of the state the
-    /// run returned.
-    fn run_priced(
-        engine: &DeviceEngine,
-        trace: &ArrivalTrace,
-        policy: SchedulePolicy,
-    ) -> (ServeReport, (usize, u64), (usize, u64)) {
-        let warm = WarmState::new(engine);
-        let (priced, (report, after)) = match policy {
-            SchedulePolicy::ContinuousBatch { max_batch } => {
-                let sim = BatchedSimulation::new(engine, trace, max_batch, warm);
-                (memo(&sim.run.system), sim.run())
-            }
-            SchedulePolicy::Fcfs => {
-                let sim = Simulation::<FcfsReady>::new(engine, trace, warm);
-                (memo(&sim.run.system), sim.run())
-            }
-            SchedulePolicy::RoundRobin => {
-                let sim = Simulation::<RrReady>::new(engine, trace, warm);
-                (memo(&sim.run.system), sim.run())
-            }
-        };
-        (report, priced, memo(&after.system))
-    }
-
     #[test]
     fn event_loops_price_nothing_after_the_pricing_step() {
-        // Every cost a run reads is priced before its event loop
-        // starts: neither the op-cost memo nor the GeMV cache grows
-        // while the loop runs, under every policy, prefill mode and
-        // fault mode, deadline sheds included.
+        // The loops hold no `System`, so they cannot price. What the
+        // pricing step must get right is coverage: every position and
+        // prompt a run reaches is priced before its loop starts (a run
+        // reaching anything else panics), under every policy, prefill
+        // mode and fault mode, deadline sheds included, and the report
+        // counts exactly the step's misses.
         let trace = ArrivalTrace::Open(
             [(0, 300, 12), (0, 40, 20), (20, 100, 6), (50, 40, 9)]
                 .map(|(ms, prompt, tokens)| RequestArrival {
@@ -3113,6 +2686,7 @@ mod tests {
                 })
                 .to_vec(),
         );
+        let traces = std::slice::from_ref(&trace);
         for policy in [
             SchedulePolicy::Fcfs,
             SchedulePolicy::RoundRobin,
@@ -3121,18 +2695,22 @@ mod tests {
             for prefill in [PrefillMode::Off, PrefillMode::Modeled] {
                 let engine = DeviceEngine::new(SystemConfig::cambricon_s(), zoo::opt_6_7b())
                     .with_prefill(prefill);
-                let (probe, priced, after) = run_priced(&engine, &trace, policy);
-                assert_eq!(priced, after, "{policy:?} {prefill:?}");
+                let priced = PricedRun::new(&engine, traces);
+                let probe = engine.run_priced(&trace, policy, &priced);
+                let misses = (probe.op_cost_cache_misses, probe.gemv_cache_misses);
+                assert_eq!(misses, priced.misses(), "{policy:?} {prefill:?}");
                 let deadline = probe.makespan / 2;
                 let fc =
                     FaultConfig::aged(FlashAge::worn_out()).with_deadlines(None, Some(deadline));
                 let engine = engine.with_faults(FaultMode::Injected(fc));
-                let (report, priced, after) = run_priced(&engine, &trace, policy);
+                let priced = PricedRun::new(&engine, traces);
+                let report = engine.run_priced(&trace, policy, &priced);
                 assert!(
                     report.reliability.deadline_sheds > 0,
                     "{policy:?} {prefill:?}"
                 );
-                assert_eq!(priced, after, "{policy:?} {prefill:?} faulted");
+                let misses = (report.op_cost_cache_misses, report.gemv_cache_misses);
+                assert_eq!(misses, priced.misses(), "{policy:?} {prefill:?} faulted");
             }
         }
     }

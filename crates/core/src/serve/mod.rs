@@ -69,18 +69,19 @@
 //!   few seq-dependent attention ops are re-priced, once per token;
 //! * op latencies come from a per-plan **slot table**: each distinct
 //!   cost slot is priced once through [`System::op_cost`] (which itself
-//!   memoizes by canonical shape in the system-wide
+//!   memoizes by canonical shape in the
 //!   [`crate::system::OpCostCache`]) and replayed by array index, and
-//!   attention prices sit in a prefix table over sequence positions,
-//!   so reading a position is two array reads;
+//!   attention prices sit in a dense cumulative array over sequence
+//!   positions, so reading a position or a range is two array reads;
 //! * all of that pricing happens in **one step before the event loop
-//!   starts**: the run prices the plan's seq-invariant slots, every
-//!   admitted request's decode range of attention positions (prompt
-//!   length up to prompt plus decode length) and each prompt length's
-//!   prefill cost, so the loops only read tables. The step does not
-//!   depend on the policy; the Monte Carlo harness and the fleet take
-//!   it once for all their traces and run every trace on a clone of
-//!   the result;
+//!   starts**, into one immutable priced table: the step prices the
+//!   plan's seq-invariant slots, every admitted request's decode range
+//!   of attention positions (prompt length up to prompt plus decode
+//!   length) and each prompt length's prefill cost, then drops its
+//!   `System`. The loops borrow the table and hold no `System`, so they
+//!   only read prices. The step does not depend on the policy; the
+//!   Monte Carlo harness and the fleet take it once for all their
+//!   traces, and every run borrows that one table;
 //! * the event core is specialized to this scheduler's shape: at most
 //!   one completion can be pending per resource, so "next event" is a
 //!   three-way minimum over two completion slots and an arrival queue
@@ -428,9 +429,8 @@ pub struct ServeReport {
     /// event loop started, including the attention ops' shapes at every
     /// position of every admitted request's decode range. A request a
     /// fault deadline sheds mid-decode still counts the positions it
-    /// never reached. Counted against the pricing state the run
-    /// started from, so a run on a Monte Carlo or fleet clone that
-    /// needed nothing new reports zero.
+    /// never reached. A Monte Carlo seed or a fleet replica reads a
+    /// table priced for the whole scenario and reports zero.
     pub op_cost_cache_misses: u64,
     /// Time-weighted mean number of requests in the running batch over
     /// the makespan. Zero for [`SchedulePolicy::Fcfs`] and
@@ -522,9 +522,10 @@ impl ServeReport {
 }
 
 mod device;
+mod pricing;
 
 pub use device::DeviceEngine;
-pub(crate) use device::WarmState;
+pub(crate) use pricing::PricedRun;
 
 /// The single-device serving engine: the name the goldens, examples
 /// and benchmarks use for [`DeviceEngine`].

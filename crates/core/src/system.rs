@@ -26,7 +26,6 @@ use llm_workload::{
 use npu_sim::NpuModel;
 use sim_core::{CacheStats, SimTime};
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::Arc;
 use tiling::{plan_gemv, GemvPlan};
 
 /// Timing and traffic of one **prefill** phase, as priced by
@@ -236,9 +235,8 @@ impl GemvCache {
     }
 
     /// Flash channel simulations run so far: one per distinct (engine
-    /// configuration, channel workload) pair. Unlike the hit/miss
-    /// counters, [`System::reset_cache_stats`] keeps it, since it counts
-    /// memo entries rather than lookups.
+    /// configuration, channel workload) pair. It counts memo entries
+    /// rather than lookups.
     pub fn channel_runs(&self) -> u64 {
         self.runs.runs()
     }
@@ -375,12 +373,12 @@ impl Hasher for ShapeHasher {
 /// same-model requests repeat each other's shapes across the fleet —
 /// serving reports surface the hit/miss split to show that sharing.
 ///
-/// The map is shared copy-on-write: a clone shares its parent's
-/// entries, and copies them only when it prices a shape of its own
-/// (`Arc::make_mut` on a miss). The hit/miss counters are per clone.
+/// A serving scenario fills one cache in its pricing step and then
+/// drops it with its [`System`]: the event loops read the priced
+/// tables, never the cache.
 #[derive(Debug, Clone, Default)]
 pub struct OpCostCache {
-    map: Arc<OpCostMap>,
+    map: OpCostMap,
     stats: CacheStats,
 }
 
@@ -435,24 +433,16 @@ impl OpCostCache {
     }
 
     fn insert(&mut self, shape: OpShape, cost: OpCost) {
-        Arc::make_mut(&mut self.map).insert(shape, cost);
-    }
-
-    /// Whether this cache still shares its entries with `other`: one is
-    /// a clone of the other and neither has priced a shape since.
-    #[cfg(test)]
-    pub(crate) fn shares_entries_with(&self, other: &OpCostCache) -> bool {
-        Arc::ptr_eq(&self.map, &other.map)
+        self.map.insert(shape, cost);
     }
 }
 
 /// The system: configuration plus lazily simulated GeMV latencies.
 ///
-/// `Clone` gives the copy its own memoization state — the Monte Carlo
-/// harness warms one system and hands each seeded run its own copy, so
-/// per-seed cache counters stay independent and deterministic. The
-/// op-cost memo's entries are shared copy-on-write ([`OpCostCache`]):
-/// a copy that prices nothing new never duplicates them.
+/// `Clone` gives the copy its own memoization state, entries and
+/// counters both. A serving scenario prices everything its runs can
+/// read on one system before any run starts and shares the resulting
+/// tables, not the system ([`crate::serve`]).
 #[derive(Debug, Clone)]
 pub struct System {
     cfg: SystemConfig,
@@ -488,15 +478,6 @@ impl System {
     /// The memoized op costs accumulated so far.
     pub fn op_cost_cache(&self) -> &OpCostCache {
         &self.op_cache
-    }
-
-    /// Zeroes both caches' hit/miss counters while keeping their
-    /// memoized entries. A warmed system handed to a measurement run
-    /// starts counting from zero, so the run's reported hit/miss split
-    /// reflects its own lookups only.
-    pub fn reset_cache_stats(&mut self) {
-        self.gemv_cache.stats.reset();
-        self.op_cache.stats.reset();
     }
 
     /// Plans (or recalls) one weight GeMV of shape `rows × cols`,
@@ -686,7 +667,13 @@ impl System {
     /// scheduler prices that ceiling, ending batching's free lunch at
     /// large batch exactly as §III-A's intensity cliff predicts.
     pub fn npu_compute_time(&self, ops: u64) -> SimTime {
-        self.npu.compute_time(ops)
+        sim_core::transfer_time(ops, self.npu_ops_per_sec())
+    }
+
+    /// The NPU's peak ops per second, the rate
+    /// [`System::npu_compute_time`] divides by.
+    pub(crate) fn npu_ops_per_sec(&self) -> u64 {
+        self.npu.config().peak_ops_per_sec()
     }
 
     /// Aggregate in-flash compute time for `ops` arithmetic operations
@@ -697,8 +684,14 @@ impl System {
     /// the stream once `batch ×` its MACs outrun the cores, well before
     /// the NPU does.
     pub fn flash_compute_time(&self, ops: u64) -> SimTime {
+        sim_core::transfer_time(ops, self.flash_ops_per_sec())
+    }
+
+    /// The in-flash cores' aggregate ops per second, the rate
+    /// [`System::flash_compute_time`] divides by.
+    pub(crate) fn flash_ops_per_sec(&self) -> u64 {
         let cores = self.cfg.engine.topology.total_compute_cores() as u64;
-        sim_core::transfer_time(ops, cores.max(1) * self.cfg.engine.core.ops_per_sec())
+        cores.max(1) * self.cfg.engine.core.ops_per_sec()
     }
 
     /// Effective plain-read bandwidth of the whole flash device in

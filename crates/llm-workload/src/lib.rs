@@ -41,7 +41,7 @@ pub use batch::{
     batch_to_saturate, batched_decode_intensity, ArrivalTrace, RequestArrival, RequestShape,
 };
 pub use ops::{decode_step, DecodeOp, DecodeStep, OpShape, SpecialKind};
-pub use plan::{AttnPrefix, OpCursor, OpStream, PrefillPlan, TokenPlan};
+pub use plan::{OpCursor, OpStream, PrefillPlan, TokenPlan};
 pub use quant::Quant;
 pub use spec::{Family, ModelSpec};
 pub use trace::{GenerationTrace, TraceTotals};

@@ -632,280 +632,11 @@ impl Iterator for OpStream<'_> {
 
 impl ExactSizeIterator for OpStream<'_> {}
 
-/// Memoized prefix-sum table of per-sequence-position attention prices.
-///
-/// The seq-dependent cost slots of a [`TokenPlan`] (scores, softmax,
-/// context) must be re-priced at every sequence position a request
-/// visits. Schedulers that coalesce runs of tokens end up pricing
-/// contiguous position ranges over and over — every span, every batch
-/// step, every speculative boundary probe walks `[s, s + k)` one
-/// [`OpCursor`] re-pricing at a time. This table stores the *cumulative*
-/// fold of per-position prices instead, so the total over `[s, s + k)`
-/// is one difference of two entries, and a single position's price is
-/// the difference of two adjacent entries — O(1) lookups once the
-/// position is priced.
-///
-/// Two properties make the table bit-exact by construction:
-///
-/// * **Same prices, same order.** A position is priced exactly once, by
-///   the caller's `price` callback, the first time an
-///   [`AttnPrefix::ensure`] range reaches it — positions within a newly
-///   covered chunk are priced in ascending order, which is the same
-///   left-to-right order the per-op loop visits them in. Entry folds
-///   use the caller's `add`, which must be associative with `zero` as
-///   identity (integer sums in practice), so a range difference equals
-///   the per-position sum term for term.
-/// * **No phantom positions.** Coverage is *segmented*: disjoint
-///   position ranges grow independently and merge only when they touch,
-///   so a request decoding at positions 1000+ never forces positions a
-///   10-token prompt would own to be priced. A pricing side effect
-///   (e.g. a memoizing cost cache counting derivations) therefore fires
-///   only for positions some request owns: a serving run fills the
-///   table before its event loop starts with the union of its
-///   requests' decode ranges (prompt length up to prompt plus decode
-///   length), a Monte Carlo batch or a fleet with the union over all
-///   its traces, and the gaps between those ranges are never priced.
-///   A position inside a range is priced whether or not the run
-///   reaches it (a request shed mid-decode still owns its whole
-///   range).
-///
-/// The table is generic over the entry type `E` (a latency, a traffic
-/// ledger, a tuple of both) because pricing lives above this crate.
-#[derive(Debug, Clone, Default)]
-pub struct AttnPrefix<E> {
-    /// Disjoint, non-touching segments, ascending by base.
-    segments: Vec<PrefixSegment<E>>,
-}
-
-#[derive(Debug, Clone)]
-struct PrefixSegment<E> {
-    /// First sequence position this segment covers.
-    base: usize,
-    /// `cum[i]` folds positions `base..base + i`; `cum[0]` is the zero
-    /// entry, so the segment covers `cum.len() - 1` positions.
-    cum: Vec<E>,
-}
-
-impl<E> PrefixSegment<E> {
-    /// One past the last covered position.
-    fn end(&self) -> usize {
-        self.base + self.cum.len() - 1
-    }
-}
-
-impl<E: Clone> AttnPrefix<E> {
-    /// An empty table: nothing priced, nothing covered.
-    pub fn new() -> Self {
-        AttnPrefix {
-            segments: Vec::new(),
-        }
-    }
-
-    /// Number of disjoint coverage segments (diagnostic; tests pin that
-    /// gapped visit patterns do not bridge their gaps).
-    pub fn segments(&self) -> usize {
-        self.segments.len()
-    }
-
-    /// Whether `lo..hi` lies inside one covered segment — i.e. whether
-    /// [`AttnPrefix::range`] may be asked for it.
-    pub fn covers(&self, lo: usize, hi: usize) -> bool {
-        self.segment_of(lo)
-            .is_some_and(|i| hi <= self.segments[i].end())
-    }
-
-    /// Index of the segment whose coverage (including its one-past-end
-    /// boundary) contains `pos`.
-    fn segment_of(&self, pos: usize) -> Option<usize> {
-        let idx = self.segments.partition_point(|s| s.base <= pos);
-        let i = idx.checked_sub(1)?;
-        (pos <= self.segments[i].end()).then_some(i)
-    }
-
-    /// Guarantees positions `lo..hi` are covered by a single segment,
-    /// pricing exactly the not-yet-covered positions (each once, in
-    /// ascending order) and merging segments that come to touch.
-    ///
-    /// `add` must be associative with `zero` as its identity — the
-    /// merge of two adjacent segments rebases the right one by folding
-    /// the left segment's total into each entry.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo >= hi` (an empty range has no covering segment).
-    pub fn ensure(
-        &mut self,
-        lo: usize,
-        hi: usize,
-        zero: E,
-        price: &mut impl FnMut(usize) -> E,
-        add: &mut impl FnMut(&mut E, &E),
-    ) {
-        assert!(lo < hi, "ensure needs a non-empty position range");
-        let i = match self.segment_of(lo) {
-            Some(i) => i,
-            None => {
-                // `lo` sits in a gap (or past every segment): open a
-                // fresh zero-length segment there and grow it below.
-                let idx = self.segments.partition_point(|s| s.base <= lo);
-                self.segments.insert(
-                    idx,
-                    PrefixSegment {
-                        base: lo,
-                        cum: vec![zero],
-                    },
-                );
-                idx
-            }
-        };
-        loop {
-            let end = self.segments[i].end();
-            if end >= hi {
-                return;
-            }
-            // Price up to the target, stopping at the next segment's
-            // base — its entries already exist and must not re-price.
-            let next_base = self.segments.get(i + 1).map(|s| s.base);
-            let target = next_base.map_or(hi, |nb| hi.min(nb));
-            let seg = &mut self.segments[i];
-            seg.cum.reserve(target - end);
-            for pos in end..target {
-                let mut c = seg.cum.last().expect("segment holds its zero").clone();
-                let p = price(pos);
-                add(&mut c, &p);
-                seg.cum.push(c);
-            }
-            // Touched the neighbor: merge it in, rebasing its entries
-            // onto this segment's running total.
-            if next_base == Some(self.segments[i].end()) {
-                let nxt = self.segments.remove(i + 1);
-                let seg = &mut self.segments[i];
-                let total = seg.cum.last().expect("segment holds its zero").clone();
-                seg.cum.reserve(nxt.cum.len() - 1);
-                for c in nxt.cum.iter().skip(1) {
-                    let mut t = total.clone();
-                    add(&mut t, c);
-                    seg.cum.push(t);
-                }
-            }
-        }
-    }
-
-    /// The cumulative entries bracketing `lo..hi`: the fold through
-    /// positions below `lo` and the fold through positions below `hi`,
-    /// both relative to the covering segment's base. Their difference
-    /// (in the caller's arithmetic) is the fold over `lo..hi`; with
-    /// `hi == lo + 1` it is position `lo`'s own price.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo..hi` is not covered by a single segment — call
-    /// [`AttnPrefix::ensure`] first.
-    pub fn range(&self, lo: usize, hi: usize) -> (&E, &E) {
-        let i = self
-            .segment_of(lo)
-            .expect("range queried before ensure covered it");
-        let seg = &self.segments[i];
-        assert!(
-            hi <= seg.end() && lo <= hi,
-            "range queried before ensure covered it"
-        );
-        (&seg.cum[lo - seg.base], &seg.cum[hi - seg.base])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ops::decode_step;
     use crate::zoo;
-
-    #[test]
-    fn attn_prefix_prices_each_position_once_in_order() {
-        let mut calls: Vec<usize> = Vec::new();
-        let mut table: AttnPrefix<u64> = AttnPrefix::new();
-        let mut add = |a: &mut u64, b: &u64| *a += *b;
-        table.ensure(
-            10,
-            15,
-            0,
-            &mut |p| {
-                calls.push(p);
-                p as u64
-            },
-            &mut add,
-        );
-        table.ensure(
-            100,
-            103,
-            0,
-            &mut |p| {
-                calls.push(p);
-                p as u64
-            },
-            &mut add,
-        );
-        // Two disjoint visit ranges stay two segments: the gap between
-        // them is never priced.
-        assert_eq!(table.segments(), 2);
-        assert!(table.covers(10, 15));
-        assert!(!table.covers(10, 103));
-        assert_eq!(calls, vec![10, 11, 12, 13, 14, 100, 101, 102]);
-        // Re-ensuring covered ground prices nothing.
-        table.ensure(
-            11,
-            14,
-            0,
-            &mut |_| panic!("re-priced a covered position"),
-            &mut add,
-        );
-        // Range differencing equals the per-position sum.
-        let (a, b) = table.range(11, 14);
-        assert_eq!(b - a, 11 + 12 + 13);
-        let (a, b) = table.range(12, 13);
-        assert_eq!(b - a, 12);
-        // Extending into the gap merges the segments and rebases the
-        // right one's entries; only the gap itself is priced.
-        calls.clear();
-        table.ensure(
-            13,
-            101,
-            0,
-            &mut |p| {
-                calls.push(p);
-                p as u64
-            },
-            &mut add,
-        );
-        assert_eq!(table.segments(), 1);
-        assert_eq!(calls, (15..100).collect::<Vec<_>>());
-        let (a, b) = table.range(99, 103);
-        assert_eq!(b - a, 99 + 100 + 101 + 102);
-        let (a, b) = table.range(10, 103);
-        assert_eq!(b - a, (10..103).sum::<usize>() as u64);
-    }
-
-    #[test]
-    fn attn_prefix_opens_leading_segment_before_existing_coverage() {
-        let mut table: AttnPrefix<u64> = AttnPrefix::new();
-        let mut add = |a: &mut u64, b: &u64| *a += *b;
-        table.ensure(50, 55, 0, &mut |p| p as u64, &mut add);
-        // A smaller prompt's positions land strictly before existing
-        // coverage and must bridge into it when the ranges touch.
-        table.ensure(
-            45,
-            52,
-            0,
-            &mut |p| {
-                assert!((45..50).contains(&p), "re-priced {p}");
-                p as u64
-            },
-            &mut add,
-        );
-        assert_eq!(table.segments(), 1);
-        let (a, b) = table.range(45, 55);
-        assert_eq!(b - a, (45..55).sum::<usize>() as u64);
-    }
 
     #[test]
     fn stream_matches_eager_enumeration() {

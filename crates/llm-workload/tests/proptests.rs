@@ -8,7 +8,7 @@
 //! `(model, quant, seq_len)` — the optimization must never change what
 //! is simulated, only how fast.
 
-use llm_workload::{decode_step, kv, zoo, AttnPrefix, DecodeOp, OpCursor, Quant, TokenPlan};
+use llm_workload::{decode_step, kv, zoo, DecodeOp, OpCursor, Quant, TokenPlan};
 use proptest::prelude::*;
 
 fn arb_model() -> impl Strategy<Value = llm_workload::ModelSpec> {
@@ -195,12 +195,14 @@ proptest! {
         prop_assert_eq!(from_slots, step.total_ops());
     }
 
-    /// [`AttnPrefix`] differencing reproduces per-position `OpCursor`
-    /// attention pricing op-for-op: each adjacent-entry difference
-    /// equals the position's own price as computed by walking the
-    /// actual op sequence, and the whole-range difference equals their
-    /// left-to-right sum. Covers the 1-token-prompt edge (positions 0
-    /// and 1) alongside arbitrary ranges.
+    /// Pricing attention through slot representatives, the way the
+    /// serving engine's per-position tables do (representative × slot
+    /// count), reproduces per-position `OpCursor` pricing op-for-op:
+    /// each position's entry equals its price as computed by walking
+    /// the actual op sequence, and prefix-sum differencing over the
+    /// range equals their left-to-right sum. Covers the
+    /// 1-token-prompt edge (positions 0 and 1) alongside arbitrary
+    /// ranges.
     #[test]
     fn attn_prefix_differencing_equals_cursor_pricing(
         model in arb_model(),
@@ -228,9 +230,9 @@ proptest! {
             }
             e
         };
-        // Table entries price through the slot representatives, the way
-        // the serving engine does.
-        let mut price = |pos: usize| -> Vec<u64> {
+        // Entries price through the slot representatives, the way the
+        // serving engine does.
+        let price = |pos: usize| -> Vec<u64> {
             let mut e = vec![0u64; n_dep * 3];
             for d in 0..n_dep {
                 let rep = plan.slot_op(n_inv + d, pos);
@@ -241,25 +243,24 @@ proptest! {
             }
             e
         };
-        let mut add = |a: &mut Vec<u64>, b: &Vec<u64>| {
-            for (x, y) in a.iter_mut().zip(b) {
-                *x += y;
-            }
-        };
-        let mut table: AttnPrefix<Vec<u64>> = AttnPrefix::new();
-        table.ensure(lo, lo + k, vec![0; n_dep * 3], &mut price, &mut add);
-        let diff = |lo: usize, hi: usize| -> Vec<u64> {
-            let (a, b) = table.range(lo, hi);
-            a.iter().zip(b).map(|(x, y)| y - x).collect::<Vec<u64>>()
+        // `cum[j]` folds the priced positions `lo..lo + j`.
+        let mut cum = vec![vec![0u64; n_dep * 3]];
+        for j in 0..k {
+            let next: Vec<u64> = cum[j].iter().zip(price(lo + j)).map(|(a, b)| a + b).collect();
+            cum.push(next);
+        }
+        let diff = |a: usize, b: usize| -> Vec<u64> {
+            cum[a].iter().zip(&cum[b]).map(|(x, y)| y - x).collect::<Vec<u64>>()
         };
         let mut total = vec![0u64; n_dep * 3];
         for j in 0..k {
             let w = walk(lo + j);
-            prop_assert_eq!(&diff(lo + j, lo + j + 1), &w, "position {}", lo + j);
+            prop_assert_eq!(&price(lo + j), &w, "position {}", lo + j);
+            prop_assert_eq!(&diff(j, j + 1), &w, "position {}", lo + j);
             for (t, x) in total.iter_mut().zip(&w) {
                 *t += x;
             }
         }
-        prop_assert_eq!(diff(lo, lo + k), total);
+        prop_assert_eq!(diff(0, k), total);
     }
 }

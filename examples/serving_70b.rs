@@ -152,8 +152,8 @@ fn main() {
 
     // The same Poisson scenario as a distribution, not a draw: 8
     // arrival traces derived from one root seed, every seed replayed
-    // on a clone of one pricing system priced for all eight traces up
-    // front. The CI half-widths
+    // on one table priced for all eight traces up front. The CI
+    // half-widths
     // are what the single-trace reports above cannot give.
     println!("\nMonte Carlo across 8 seeded arrival traces (batched policy):");
     let mc = MonteCarlo::new(8, 2024);

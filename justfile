@@ -81,6 +81,26 @@ bench-ab rev workload pairs="5" seconds="25":
             "$dir/$side.txt"
     done
 
+# Non-test line count of each library crate (every crate but simlint)
+# and their total: the lines of `crates/*/src/**/*.rs` that come before
+# a file's first top-level `#[cfg(test)]`.
+loc:
+    #!/usr/bin/env bash
+    set -euo pipefail
+    total=0
+    for dir in crates/*/; do
+        crate=$(basename "$dir")
+        [ "$crate" = simlint ] && continue
+        n=$(find "$dir/src" -name '*.rs' -exec awk '
+                FNR == 1 { counting = 1 }
+                /^#\[cfg\(test\)\]/ { counting = 0 }
+                counting { n++ }
+                END { print n + 0 }' {} + | awk '{ s += $1 } END { print s + 0 }')
+        printf '%-14s %6d\n' "$crate" "$n"
+        total=$((total + n))
+    done
+    printf '%-14s %6d\n' total "$total"
+
 # Run the user-facing 70B examples once in release: a panic on the
 # FCFS, round-robin, batched or fleet paths they drive fails here.
 examples:
