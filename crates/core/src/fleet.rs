@@ -296,8 +296,8 @@ impl FleetEngine {
                 last_exit = last_exit.max(shed + self.interconnect.response_hop);
             }
             for r in &rep.requests {
-                ttft.push((r.ttft() + round_trip).as_secs_f64());
-                token_latency.push(r.mean_token_latency().as_secs_f64());
+                ttft.push(r.ttft() + round_trip);
+                token_latency.push(r.mean_token_latency());
                 last_exit = last_exit.max(r.finished + self.interconnect.response_hop);
             }
         }

@@ -736,7 +736,7 @@ impl<'a> DeviceRun<'a> {
         let mut ttft = Samples::new();
         let mut decode_ttft = Aggregate::new();
         for r in &done {
-            ttft.push(r.ttft().as_secs_f64());
+            ttft.push(r.ttft());
             decode_ttft.push(r.decode_ttft().as_secs_f64());
         }
         // Span of actual service: first admitted arrival to the later of
@@ -888,7 +888,7 @@ pub(super) fn kv_cache(engine: &DeviceEngine) -> KvCache {
 #[inline]
 fn retire_token(requests: &mut RequestPool, id: usize, tb: SimTime, token_latencies: &mut Samples) {
     requests.remaining[id] -= 1;
-    token_latencies.push(tb.saturating_sub(requests.token_started[id]).as_secs_f64());
+    token_latencies.push(tb.saturating_sub(requests.token_started[id]));
     requests.token_started[id] = tb;
     let first = &mut requests.cold[id].first_token;
     if first.is_none() {

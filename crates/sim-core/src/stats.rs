@@ -2,8 +2,13 @@
 //!
 //! [`BusyTracker`] measures the fraction of virtual time a resource (a
 //! flash channel, the NPU, the DRAM bus) spends busy. This is what
-//! "Channel Usage" in Figures 12, 14 and 15 reports. The rest summarize
-//! samples and memo-cache traffic for the serving reports.
+//! "Channel Usage" in Figures 12, 14 and 15 reports. [`Samples`] keeps
+//! the durations a serving report summarizes (token latency, TTFT) as
+//! integer picoseconds and answers exact percentiles and an exact mean.
+//! [`Aggregate`] and [`Estimate`] summarize `f64` values: a running
+//! mean/min/max, and a Monte Carlo metric's spread. [`CacheStats`]
+//! counts memo-cache traffic. [`sum_ordered`] is the one approved `f64`
+//! reduction.
 
 use crate::time::SimTime;
 
@@ -134,17 +139,6 @@ impl CacheStats {
     pub fn lookups(&self) -> u64 {
         self.hits + self.misses
     }
-
-    /// Zeroes both counters, keeping the cache contents they described.
-    ///
-    /// Used when a pre-warmed memo cache is handed to a fresh
-    /// measurement run: the entries stay (that is the point of
-    /// warming), but the lookups that created them should not leak into
-    /// the new run's report.
-    #[inline]
-    pub fn reset(&mut self) {
-        *self = Self::default();
-    }
 }
 
 /// Running mean/min/max aggregate over `f64` samples, used for
@@ -198,49 +192,47 @@ impl Aggregate {
     }
 }
 
-/// A full sample set with order statistics, for latency distributions
-/// (p50/p99 token latency in serving reports).
+/// Every duration pushed, with order statistics and an exact mean: the
+/// latency distributions of serving reports (token latency and TTFT
+/// p50/p99 and means).
 ///
 /// Unlike [`Aggregate`], which keeps O(1) state, `Samples` retains every
-/// pushed value so exact percentiles can be computed. Values are kept
-/// run-length encoded: a push equal to the previous one bumps a count.
-/// Serving runs push long runs of equal token latencies (every member
-/// of a batch step, every token of an unchanged batch), so the pairs
-/// are far fewer than the values. Sorting happens lazily on the first
-/// percentile or mean query after an out-of-order push, in IEEE 754
-/// total order ([`f64::total_cmp`]); pushes that keep ascending order
-/// leave nothing to sort. Each value is kept as a `u64` key whose
-/// integer order is `total_cmp`'s; the pairs are sorted by key and
-/// pairs with equal keys are then folded into one. Since `total_cmp`
-/// calls two values equal only when their bits are equal, the sorted
-/// values are the same bits a stable `total_cmp` sort of every value
-/// would give.
-/// The mean folds left to right over the sorted values, so it does not
-/// depend on push order or on which query came first.
+/// pushed value so exact percentiles can be computed. Values are
+/// integer picoseconds, run-length encoded: a push equal to the
+/// previous one bumps a count. Serving runs push long runs of equal
+/// token latencies (every member of a batch step, every token of an
+/// unchanged batch), so the pairs are far fewer than the values.
+///
+/// Nothing is sorted. A percentile is a weighted selection over the
+/// pairs, O(n) per query; it reorders the pairs in place, which is why
+/// it takes `&mut self`. The mean is the exact `u128` sum of the
+/// picoseconds over the count, rounded once. Both read the multiset
+/// alone, so every push order and every query order of one sample set
+/// gives the same bits. Results are in seconds.
 ///
 /// # Examples
 ///
 /// ```
-/// use sim_core::Samples;
+/// use sim_core::{Samples, SimTime};
 ///
 /// let mut s = Samples::new();
-/// for x in [5.0, 1.0, 4.0, 2.0, 3.0] {
-///     s.push(x);
+/// for ms in [5, 1, 4, 2, 3] {
+///     s.push(SimTime::from_millis(ms));
 /// }
-/// assert_eq!(s.percentile(50.0), Some(3.0));
-/// assert_eq!(s.percentile(0.0), Some(1.0));
-/// assert_eq!(s.percentile(100.0), Some(5.0));
+/// assert_eq!(s.percentile(50.0), Some(0.003));
+/// assert_eq!(s.percentile(0.0), Some(0.001));
+/// assert_eq!(s.percentile(100.0), Some(0.005));
+/// assert_eq!(s.mean(), Some(0.003));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Samples {
-    /// `(key, count)` pairs: a value's [`total_order_key`] and how many
-    /// equal values it stands for, in push order or (once sorted) in
-    /// ascending key order with distinct keys.
+    /// `(ps, count)` pairs: a value in picoseconds and how many equal
+    /// pushes in a row it stands for. Selection permutes them.
     runs: Vec<(u64, u64)>,
     /// Values pushed, the counts summed.
     count: u64,
-    /// Whether a push broke the ascending key order of `runs`.
-    unsorted: bool,
+    /// Picoseconds pushed, summed exactly.
+    sum_ps: u128,
 }
 
 impl Samples {
@@ -251,17 +243,14 @@ impl Samples {
 
     /// Adds one sample.
     #[inline]
-    pub fn push(&mut self, x: f64) {
-        let key = total_order_key(x);
+    pub fn push(&mut self, t: SimTime) {
+        let ps = t.as_picos();
         self.count += 1;
-        if let Some(last) = self.runs.last_mut() {
-            if last.0 == key {
-                last.1 += 1;
-                return;
-            }
-            self.unsorted |= key < last.0;
+        self.sum_ps += u128::from(ps);
+        match self.runs.last_mut() {
+            Some((last, n)) if *last == ps => *n += 1,
+            _ => self.runs.push((ps, 1)),
         }
-        self.runs.push((key, 1));
     }
 
     /// Number of samples.
@@ -269,47 +258,18 @@ impl Samples {
         self.count
     }
 
-    /// Mean of samples, or `None` if empty: a left-to-right fold over
-    /// the values in total order, so every push order of one sample set
-    /// gives the same bits.
-    pub fn mean(&mut self) -> Option<f64> {
-        if self.count == 0 {
-            return None;
-        }
-        self.sort();
-        Some(sum_ordered(self.values()) / self.count as f64)
+    /// Mean in seconds, or `None` if empty: `sum_ps / (count · 10¹²)`
+    /// correctly rounded to the nearest `f64`.
+    pub fn mean(&self) -> Option<f64> {
+        (self.count > 0).then(|| ratio_f64(self.sum_ps, u128::from(self.count) * PICOS_PER_SEC))
     }
 
-    /// Sorts the pairs into ascending key order and folds pairs of
-    /// equal keys together, once per batch of out-of-order pushes.
-    fn sort(&mut self) {
-        if self.unsorted {
-            self.runs.sort_unstable_by_key(|&(key, _)| key);
-            self.runs.dedup_by(|next, kept| {
-                let same = next.0 == kept.0;
-                if same {
-                    kept.1 += next.1;
-                }
-                same
-            });
-            self.unsorted = false;
-        }
-    }
-
-    /// The values, in push order or (once sorted) total order.
-    fn values(&self) -> impl Iterator<Item = f64> + '_ {
-        self.runs
-            .iter()
-            .flat_map(|&(key, n)| std::iter::repeat(from_total_order_key(key)).take(n as usize))
-    }
-
-    /// The `p`-th percentile (`0.0..=100.0`) by nearest-rank, or `None`
-    /// if empty.
+    /// The `p`-th percentile (`0.0..=100.0`) by nearest rank, in
+    /// seconds, or `None` if empty.
     ///
-    /// Samples are ordered by [`f64::total_cmp`] (IEEE 754 total
-    /// order), so a stray NaN sample cannot panic a report: positive
-    /// NaNs sort above `+inf`, negative NaNs below `-inf`, and every
-    /// ordinary value keeps its usual rank.
+    /// Each step partitions the remaining pairs around their median
+    /// value with `select_nth_unstable`, then keeps the side whose
+    /// counts hold the rank, so a query costs O(pairs).
     ///
     /// # Panics
     ///
@@ -319,61 +279,58 @@ impl Samples {
         if self.count == 0 {
             return None;
         }
-        self.sort();
         // Nearest-rank: ceil(p/100 * n), clamped to [1, n].
         let n = self.count;
         let mut rank = ((p / 100.0 * n as f64).ceil() as u64).clamp(1, n);
-        for &(key, k) in &self.runs {
-            if rank <= k {
-                return Some(from_total_order_key(key));
+        // Invariant: `rank` lies within the counts of `runs`, so it is
+        // never empty.
+        let mut runs = &mut self.runs[..];
+        loop {
+            let mid = runs.len() / 2;
+            let (below, &mut (ps, k), above) =
+                std::mem::take(&mut runs).select_nth_unstable_by_key(mid, |&(ps, _)| ps);
+            let below_n: u64 = below.iter().map(|&(_, k)| k).sum();
+            if rank <= below_n {
+                runs = below;
+            } else if rank <= below_n + k {
+                return Some(SimTime::from_picos(ps).as_secs_f64());
+            } else {
+                rank -= below_n + k;
+                runs = above;
             }
-            rank -= k;
-        }
-        unreachable!("the counts sum to the sample count")
-    }
-
-    /// Collapses to the O(1) summary form.
-    pub fn aggregate(&self) -> Aggregate {
-        self.values().collect()
-    }
-}
-
-/// A `u64` whose unsigned order is [`f64::total_cmp`]'s order on `x`:
-/// a negative value's bits are inverted (larger magnitudes sort lower,
-/// negative NaNs lowest), a non-negative value's sign bit is set (above
-/// every negative, positive NaNs highest). It is a bijection on bit
-/// patterns, undone by [`from_total_order_key`], so equal keys mean
-/// equal bits.
-#[inline]
-fn total_order_key(x: f64) -> u64 {
-    let bits = x.to_bits();
-    if bits >> 63 == 1 {
-        !bits
-    } else {
-        bits | 1 << 63
-    }
-}
-
-/// The value behind a [`total_order_key`].
-#[inline]
-fn from_total_order_key(key: u64) -> f64 {
-    f64::from_bits(if key >> 63 == 1 { key ^ 1 << 63 } else { !key })
-}
-
-impl Extend<f64> for Samples {
-    fn extend<T: IntoIterator<Item = f64>>(&mut self, iter: T) {
-        for x in iter {
-            self.push(x);
         }
     }
 }
 
-impl FromIterator<f64> for Samples {
-    fn from_iter<T: IntoIterator<Item = f64>>(iter: T) -> Self {
-        let mut s = Samples::new();
-        s.extend(iter);
-        s
+/// Picoseconds per second, the unit step from a [`Samples`] sum to a
+/// mean in seconds.
+const PICOS_PER_SEC: u128 = 1_000_000_000_000;
+
+/// `num / den` correctly rounded to the nearest `f64` (ties to even),
+/// for `0 < den < 2¹⁰⁴`.
+///
+/// Long division runs until the quotient holds at least 55 significant
+/// bits (53 for the significand, a round bit and one more) or the
+/// remainder is zero. A non-zero remainder is then ORed into the low
+/// bit as a sticky bit, so the one rounding `as f64` does is the
+/// rounding of the exact ratio, and the power-of-two scale is exact.
+fn ratio_f64(num: u128, den: u128) -> f64 {
+    debug_assert!(den > 0 && den >> 104 == 0, "denominator {den} out of range");
+    let (mut q, mut r, mut exp) = (num / den, num % den, 0i32);
+    while q >> 54 == 0 && r != 0 {
+        // `r < den < 2¹⁰⁴` and `q < 2⁵⁴`, so neither shift overflows
+        // and each step adds at least 24 quotient bits.
+        let shift = r.leading_zeros().min(64);
+        let wide = r << shift;
+        q = (q << shift) | (wide / den);
+        r = wide % den;
+        exp -= shift as i32;
     }
+    // Before the last step `q < 2⁵⁴`, so `num · 2^-exp / den < 2⁵⁵`
+    // there; the last shift is at most 64, so `-exp < 55 + 104 + 64`
+    // and the scale is a normal power of two.
+    let scale = f64::from_bits(((1023 + exp) as u64) << 52);
+    (q | u128::from(r != 0)) as f64 * scale
 }
 
 /// A mean with dispersion: sample count, mean, sample standard
@@ -508,80 +465,67 @@ mod tests {
 
     #[test]
     fn samples_percentiles_nearest_rank() {
-        let mut s: Samples = (1..=100).map(|i| i as f64).collect();
-        assert_eq!(s.percentile(50.0), Some(50.0));
-        assert_eq!(s.percentile(99.0), Some(99.0));
-        assert_eq!(s.percentile(100.0), Some(100.0));
-        assert_eq!(s.percentile(1.0), Some(1.0));
-        assert_eq!(s.mean(), Some(50.5));
+        let mut s = Samples::new();
+        for ms in 1..=100 {
+            s.push(SimTime::from_millis(ms));
+        }
+        assert_eq!(s.percentile(50.0), Some(0.05));
+        assert_eq!(s.percentile(99.0), Some(0.099));
+        assert_eq!(s.percentile(100.0), Some(0.1));
+        assert_eq!(s.percentile(1.0), Some(0.001));
+        assert_eq!(s.mean(), Some(0.0505));
         assert_eq!(s.count(), 100);
-        let agg = s.aggregate();
-        assert_eq!(agg.min(), Some(1.0));
-        assert_eq!(agg.max(), Some(100.0));
     }
 
     #[test]
-    fn nan_samples_sort_by_total_order_instead_of_panicking() {
-        // Regression pin: the old `partial_cmp().expect("NaN sample")`
-        // comparator panicked the whole report on one bad sample.
-        // total_cmp places positive NaN above +inf and negative NaN
-        // below -inf, leaving ordinary ranks untouched.
-        let mut s: Samples = [2.0, f64::NAN, 1.0, 3.0].into_iter().collect();
-        assert_eq!(s.percentile(0.0), Some(1.0));
-        assert_eq!(s.percentile(50.0), Some(2.0));
-        assert!(s.percentile(100.0).unwrap().is_nan());
-        let mut neg: Samples = [1.0, -f64::NAN, 2.0].into_iter().collect();
-        assert!(neg.percentile(0.0).unwrap().is_nan());
-        assert_eq!(neg.percentile(100.0), Some(2.0));
+    fn samples_mean_is_exact_past_u64_sums() {
+        // 4,096 × (2⁵³ − 1) ps overflows a u64 sum; the exact mean is
+        // one value's seconds, a single correctly rounded division.
+        let x = SimTime::from_picos((1 << 53) - 1);
+        let mut s = Samples::new();
+        for _ in 0..4096 {
+            s.push(x);
+        }
+        assert!(4096 * u128::from(x.as_picos()) > u128::from(u64::MAX));
+        assert_eq!(s.mean().map(f64::to_bits), Some(x.as_secs_f64().to_bits()));
     }
 
     #[test]
-    fn samples_mean_does_not_depend_on_query_order() {
-        // Values whose left-to-right sum rounds differently in push
-        // order and in sorted order: the mean must be one number.
-        let pushed = [1e16, 1.0, -1e16, 1.0, 3.0, 0.1];
-        let mut a: Samples = pushed.into_iter().collect();
-        let mean = a.mean().expect("non-empty");
-        assert_eq!(a.percentile(50.0), Some(1.0));
-        assert_eq!(a.mean().map(f64::to_bits), Some(mean.to_bits()));
-        let mut b: Samples = pushed.into_iter().rev().collect();
-        b.percentile(99.0);
-        assert_eq!(b.mean().map(f64::to_bits), Some(mean.to_bits()));
-        let in_push_order = sum_ordered(pushed) / pushed.len() as f64;
-        assert_ne!(
-            in_push_order.to_bits(),
-            mean.to_bits(),
-            "the set must tell the orders apart"
+    fn ratio_rounds_once_at_and_past_ties() {
+        // 1 + 2⁻⁵³ is the tie between 1 and the next f64 up.
+        let den = 3u128 << 100;
+        let tie = den + (3 << 47);
+        assert_eq!(ratio_f64(tie, den), 1.0, "a tie rounds to even");
+        assert_eq!(
+            ratio_f64(tie + 1, den),
+            1.0 + f64::EPSILON,
+            "past a tie, the sticky bit"
         );
+        assert_eq!(ratio_f64(tie - 1, den), 1.0);
+        // 2⁵³ + 1.5: a first quotient of 54 bits needs more of them.
+        assert_eq!(ratio_f64((1 << 54) + 3, 2), 9_007_199_254_740_994.0);
+        // Many quotient steps, then a scale of 2⁻¹⁰⁰.
+        assert_eq!(ratio_f64(1, den), 1.0 / 3.0 / 2f64.powi(100));
     }
 
-    /// An `f64` from the corners of the total order, picked by `w`:
-    /// signed zeros, infinities, NaNs of both signs with payloads,
-    /// subnormals of both signs, a three-value palette (long runs of
-    /// duplicates once sorted) and raw bit patterns.
-    fn edge_value(w: u64) -> f64 {
-        let mantissa = (w >> 8) & ((1 << 52) - 1) | 1;
-        match w & 15 {
-            0 => 0.0,
-            1 => -0.0,
-            2 => f64::INFINITY,
-            3 => f64::NEG_INFINITY,
-            4 => f64::from_bits(0x7FF0 << 48 | mantissa),
-            5 => f64::from_bits(0xFFF0 << 48 | mantissa),
-            6 => f64::from_bits(mantissa),
-            7 => f64::from_bits(1 << 63 | mantissa),
-            8..=11 => [1.0, -1.0, 0.5][(w >> 8) as usize % 3],
-            _ => f64::from_bits(w),
+    /// A picosecond value picked by `w`: one of a three-value palette
+    /// (long runs of duplicates), a latency-sized value below 2⁴⁰ ps,
+    /// or the raw word (the whole `u64` range).
+    fn ps_value(w: u64) -> u64 {
+        match w & 3 {
+            0 => [0, 1_000_000_000, u64::MAX][(w >> 2) as usize % 3],
+            1 | 2 => w >> 24,
+            _ => w,
         }
     }
 
     /// A push order shaped like a serving run's token latencies, built
     /// from `words`: each word opens either a run of one repeated
-    /// [`edge_value`] (up to 64 copies) or an ascending run of up to 16
+    /// [`ps_value`] (up to 64 copies) or an ascending run of up to 16
     /// values drawn from the words after it, each value repeated up to
-    /// 4 times. Successive ascending runs overlap in range, so sorting
-    /// must interleave them.
-    fn run_shaped(words: &[u64]) -> Vec<f64> {
+    /// 4 times. Successive ascending runs overlap in range, so the
+    /// pairs are not in order.
+    fn run_shaped(words: &[u64]) -> Vec<u64> {
         let mut out = Vec::new();
         let mut i = 0;
         while i < words.len() {
@@ -589,12 +533,12 @@ mod tests {
             i += 1;
             if w & 1 == 0 {
                 let len = (w >> 1) % 64 + 1;
-                out.extend(std::iter::repeat(edge_value(w >> 7)).take(len as usize));
+                out.extend(std::iter::repeat(ps_value(w >> 7)).take(len as usize));
             } else {
                 let n = ((w >> 1) % 16 + 1) as usize;
-                let mut run: Vec<f64> = words[i..].iter().take(n).map(|&v| edge_value(v)).collect();
+                let mut run: Vec<u64> = words[i..].iter().take(n).map(|&v| ps_value(v)).collect();
                 i += run.len();
-                run.sort_by(f64::total_cmp);
+                run.sort_unstable();
                 let reps = ((w >> 5) % 4 + 1) as usize;
                 for x in run {
                     out.extend(std::iter::repeat(x).take(reps));
@@ -604,67 +548,90 @@ mod tests {
         out
     }
 
-    /// An [`Aggregate`] as bits, so NaN summaries compare equal.
-    fn aggregate_bits(a: &Aggregate) -> (u64, [Option<u64>; 3]) {
-        let bits = |x: Option<f64>| x.map(f64::to_bits);
-        (a.count(), [bits(a.mean()), bits(a.min()), bits(a.max())])
+    fn samples_of(ps: impl IntoIterator<Item = u64>) -> Samples {
+        let mut s = Samples::new();
+        for x in ps {
+            s.push(SimTime::from_picos(x));
+        }
+        s
+    }
+
+    const PERCENTILES: [f64; 5] = [0.0, 1.0, 50.0, 99.0, 100.0];
+
+    /// Every query's bits, percentiles first and the mean last.
+    fn query_bits(s: &mut Samples) -> Vec<Option<u64>> {
+        let mut bits: Vec<_> = PERCENTILES
+            .iter()
+            .map(|&p| s.percentile(p).map(f64::to_bits))
+            .collect();
+        bits.push(s.mean().map(f64::to_bits));
+        bits
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// The key sort leaves exactly the bits a stable
-        /// `sort_by(f64::total_cmp)` leaves.
+        /// Selection answers each percentile with the nearest-rank
+        /// value of a full sort, also for a set queried halfway through
+        /// its pushes (which permutes its pairs) and then extended.
         #[test]
-        fn key_sort_matches_total_cmp_bit_for_bit(
-            words in proptest::collection::vec(any::<u64>(), 0..400)
-        ) {
-            let values: Vec<f64> = words.into_iter().map(edge_value).collect();
-            let mut want = values.clone();
-            want.sort_by(f64::total_cmp);
-            let mut s: Samples = values.into_iter().collect();
-            s.sort();
-            let got: Vec<u64> = s.values().map(f64::to_bits).collect();
-            prop_assert_eq!(got, want.iter().map(|x| x.to_bits()).collect::<Vec<_>>());
-        }
-
-        /// Run-length storage answers every query with the bits of a
-        /// stable `total_cmp` sort of all values: count, aggregate (in
-        /// push order before a query, in sorted order after), nearest
-        /// rank percentiles and the `sum_ordered` mean. A second set
-        /// queried halfway through its pushes must agree too.
-        #[test]
-        fn run_length_samples_match_a_full_sort(
+        fn selection_percentiles_match_a_full_sort(
             words in proptest::collection::vec(any::<u64>(), 0..60)
         ) {
             let pushed = run_shaped(&words);
-            let mut want = pushed.clone();
-            want.sort_by(f64::total_cmp);
-            let n = want.len();
-            let mut s: Samples = pushed.iter().copied().collect();
-            prop_assert_eq!(s.count(), n as u64);
-            prop_assert_eq!(
-                aggregate_bits(&s.aggregate()),
-                aggregate_bits(&pushed.iter().copied().collect())
-            );
+            let mut sorted = pushed.clone();
+            sorted.sort_unstable();
+            let n = sorted.len();
             let (head, tail) = pushed.split_at(n / 2);
-            let mut t: Samples = head.iter().copied().collect();
+            let mut s = samples_of(pushed.iter().copied());
+            let mut t = samples_of(head.iter().copied());
             t.percentile(50.0);
-            t.extend(tail.iter().copied());
-            prop_assert_eq!(t.count(), n as u64);
-            for p in [0.0, 50.0, 99.0, 100.0] {
-                let rank = ((p / 100.0 * n as f64).ceil() as usize).clamp(1, n.max(1));
-                let expect = want.get(rank - 1).map(|x| x.to_bits());
-                prop_assert_eq!(s.percentile(p).map(f64::to_bits), expect);
-                prop_assert_eq!(t.percentile(p).map(f64::to_bits), expect);
+            for &x in tail {
+                t.push(SimTime::from_picos(x));
             }
-            let mean = (n > 0).then(|| (sum_ordered(want.iter().copied()) / n as f64).to_bits());
-            prop_assert_eq!(s.mean().map(f64::to_bits), mean);
-            prop_assert_eq!(t.mean().map(f64::to_bits), mean);
-            prop_assert_eq!(
-                aggregate_bits(&s.aggregate()),
-                aggregate_bits(&want.iter().copied().collect())
-            );
+            prop_assert_eq!(s.count(), n as u64);
+            prop_assert_eq!(t.count(), n as u64);
+            for p in PERCENTILES {
+                let rank = ((p / 100.0 * n as f64).ceil() as usize).clamp(1, n.max(1));
+                let want = sorted
+                    .get(rank - 1)
+                    .map(|&x| SimTime::from_picos(x).as_secs_f64().to_bits());
+                prop_assert_eq!(s.percentile(p).map(f64::to_bits), want);
+                prop_assert_eq!(t.percentile(p).map(f64::to_bits), want);
+            }
+        }
+
+        /// The reversed and a shuffled push order answer every query
+        /// with the same bits.
+        #[test]
+        fn samples_do_not_depend_on_push_order(
+            words in proptest::collection::vec(any::<u64>(), 0..60),
+            seed in any::<u64>()
+        ) {
+            let pushed = run_shaped(&words);
+            let mut shuffled = pushed.clone();
+            let mut rng = crate::SplitMix64::new(seed);
+            for i in (1..shuffled.len()).rev() {
+                shuffled.swap(i, rng.next_below(i as u64 + 1) as usize);
+            }
+            let want = query_bits(&mut samples_of(pushed.iter().copied()));
+            prop_assert_eq!(&query_bits(&mut samples_of(pushed.iter().rev().copied())), &want);
+            prop_assert_eq!(&query_bits(&mut samples_of(shuffled)), &want);
+        }
+
+        /// Where the picosecond sum and `count · 10¹²` are both below
+        /// 2⁵³, each converts to f64 exactly and one IEEE division is
+        /// the correctly rounded mean: an independent oracle.
+        #[test]
+        fn samples_mean_is_the_correctly_rounded_ratio(
+            words in proptest::collection::vec(any::<u64>(), 0..60)
+        ) {
+            let pushed: Vec<u64> = run_shaped(&words).into_iter().map(|x| x >> 24).collect();
+            let sum: u64 = pushed.iter().sum();
+            let den = pushed.len() as u64 * 1_000_000_000_000;
+            prop_assert!(sum < 1 << 53 && den < 1 << 53);
+            let want = (den > 0).then(|| (sum as f64 / den as f64).to_bits());
+            prop_assert_eq!(samples_of(pushed).mean().map(f64::to_bits), want);
         }
     }
 
@@ -703,17 +670,6 @@ mod tests {
         assert_eq!(e.mean, 7.0);
         assert_eq!(e.stddev, 0.0);
         assert_eq!(e.ci95, 0.0);
-    }
-
-    #[test]
-    fn cache_stats_reset_zeroes_counters() {
-        let mut c = CacheStats::new();
-        c.hit();
-        c.miss();
-        c.reset();
-        assert_eq!(c.hits(), 0);
-        assert_eq!(c.misses(), 0);
-        assert_eq!(c.lookups(), 0);
     }
 
     #[test]

@@ -124,8 +124,9 @@ pub const SEED_STREAM_MODULES: &[&str] = &[
     "crates/llm-workload/src/batch.rs",
 ];
 
-/// The approved home of f64 reductions (`sum_ordered`, `Samples`,
-/// `Estimate`): summation order is documented and pinned there.
+/// The approved home of f64 reductions (`sum_ordered`, `Estimate`,
+/// `Aggregate`'s running sum): summation order is documented and
+/// pinned there. `Samples` there sums integer picoseconds, not floats.
 const FLOAT_SUM_HOME: &str = "crates/sim-core/src/stats.rs";
 
 /// The serve/system hot path watched by D5.

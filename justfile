@@ -34,51 +34,68 @@ perfbench-smoke:
     done
 
 # A/B one benchmark workload against another revision: builds
-# perfbench at `rev` in a git worktree under target/, then alternates
+# perfbench from a `git archive` of `rev` under target/, then alternates
 # its runs with the working tree's on the held-out seed 8675309 (each
 # pair flips which side runs first, so a drift in the host's speed
-# lands on both). Prints each pair's `sim_tokens_per_wall_s`, then
-# both medians with their interquartile ranges. The working tree's
-# perfbench/Cargo.lock is restored if the build rewrites it.
+# lands on both). Prints each pair's `sim_tokens_per_wall_s`, then, for
+# every `end_to_end` metric `BENCHMARK.json` lists, both medians with
+# their interquartile ranges and the pairs the working tree won and
+# lost. A metric whose median moved the wrong way by more than its
+# `bound` (a share of `rev`'s median) is flagged `WORSE`. The working
+# tree's perfbench/Cargo.lock is restored if the build rewrites it.
 bench-ab rev workload pairs="5" seconds="25":
     #!/usr/bin/env bash
     set -euo pipefail
     dir=target/bench-ab
-    wt="$dir/worktree"
-    mkdir -p "$dir"
-    git worktree remove --force "$wt" 2>/dev/null || true
-    git worktree add --detach --quiet "$wt" "{{rev}}"
+    src="$dir/src"
+    rm -rf "$src"
+    mkdir -p "$src"
+    git archive "{{rev}}" | tar -x -C "$src"
     cp perfbench/Cargo.lock "$dir/Cargo.lock.keep"
-    trap 'git worktree remove --force "$wt"; cp "$dir/Cargo.lock.keep" perfbench/Cargo.lock' EXIT
+    trap 'cp "$dir/Cargo.lock.keep" perfbench/Cargo.lock' EXIT
     CARGO_TARGET_DIR="$dir/base" cargo build --release --quiet --offline \
-        --manifest-path "$wt/perfbench/Cargo.toml"
+        --manifest-path "$src/perfbench/Cargo.toml"
     CARGO_TARGET_DIR="$dir/head" cargo build --release --quiet --offline \
         --manifest-path perfbench/Cargo.toml
+    # One run's end-to-end metrics as a flat `{name: value}` object.
     run() {
         "$dir/$1/release/perfbench" --workload "{{workload}}" --seed 8675309 \
             --seconds "{{seconds}}" --trace 0 2>/dev/null \
-            | tail -n 1 | jq -e '.metrics.sim_tokens_per_wall_s.value'
+            | tail -n 1 | jq -e -c '.metrics | map_values(.value)' | tee -a "$dir/$1.jsonl"
     }
-    : > "$dir/base.txt"
-    : > "$dir/head.txt"
+    : > "$dir/base.jsonl"
+    : > "$dir/head.jsonl"
     for i in $(seq 1 "{{pairs}}"); do
         if [ $((i % 2)) -eq 1 ]; then
             b=$(run base); h=$(run head)
         else
             h=$(run head); b=$(run base)
         fi
-        echo "$b" >> "$dir/base.txt"
-        echo "$h" >> "$dir/head.txt"
+        b=$(jq '.sim_tokens_per_wall_s' <<< "$b")
+        h=$(jq '.sim_tokens_per_wall_s' <<< "$h")
         printf 'pair %d: {{rev}} %.0f  working tree %.0f  (x%.3f)\n' "$i" "$b" "$h" \
             "$(jq -n "$h / $b")"
     done
-    for side in base head; do
-        label=$([ "$side" = base ] && echo "{{rev}}" || echo "working tree")
-        jq -s -r --arg side "$label" 'sort as $v | length as $n
-            | def q(p): (($n - 1) * p) as $h | ($h | floor) as $lo
-                | $v[$lo] + ($h - $lo) * ($v[[$lo + 1, $n - 1] | min] - $v[$lo]);
-            "\($side): median \(q(0.5) | round) tok/s, IQR \(q(0.25) | round)..\(q(0.75) | round)"' \
-            "$dir/$side.txt"
+    echo "medians (IQR) of {{pairs}} pairs, {{rev}} -> working tree:"
+    jq -n -r --slurpfile spec BENCHMARK.json \
+        --slurpfile base "$dir/base.jsonl" --slurpfile head "$dir/head.jsonl" '
+        def q(p): sort as $v | length as $n | (($n - 1) * p) as $h | ($h | floor) as $lo
+            | $v[$lo] + ($h - $lo) * ($v[[$lo + 1, $n - 1] | min] - $v[$lo]);
+        def won($m): if $m.better == "higher" then .[1] > .[0] else .[1] < .[0] end;
+        $spec[0].end_to_end[] as $m
+        | ($base | map(.[$m.name])) as $b | ($head | map(.[$m.name])) as $h
+        | ($b | q(0.5)) as $bm | ($h | q(0.5)) as $hm
+        | [$m.name, $m.unit, $bm, ($b | q(0.25)), ($b | q(0.75)),
+           $hm, ($h | q(0.25)), ($h | q(0.75)),
+           ([$b, $h] | transpose | map(select(won($m))) | length),
+           ([$h, $b] | transpose | map(select(won($m))) | length),
+           (if $m.better == "higher" then $hm < $bm * (1 - $m.bound)
+            else $hm > $bm * (1 + $m.bound) end
+            | if . then "WORSE by more than \($m.bound * 100)%" else "" end)]
+        | @tsv' \
+    | while IFS=$'\t' read -r name unit bm b25 b75 hm h25 h75 won lost flag; do
+        printf '%-22s %.6g (%.6g..%.6g) -> %.6g (%.6g..%.6g) %s, won %d lost %d %s\n' \
+            "$name" "$bm" "$b25" "$b75" "$hm" "$h25" "$h75" "$unit" "$won" "$lost" "$flag"
     done
 
 # Non-test line count of each library crate (every crate but simlint)

@@ -253,8 +253,8 @@ fn remerge(report: &FleetReport) -> (usize, u64, u64, SimTime, f64, [f64; 5], f6
             last_exit = last_exit.max(shed + report.interconnect.response_hop);
         }
         for r in &rep.requests {
-            ttft.push((r.ttft() + round_trip).as_secs_f64());
-            token_latency.push(r.mean_token_latency().as_secs_f64());
+            ttft.push(r.ttft() + round_trip);
+            token_latency.push(r.mean_token_latency());
             last_exit = last_exit.max(r.finished + report.interconnect.response_hop);
         }
     }

@@ -91,7 +91,7 @@ mod golden {
         tokens_per_sec: 4.171790561231658,
         p50_s: 0.958820736,
         p99_s: 0.9591197,
-        mean_s: 0.9584665193333333,
+        mean_s: 0.9584665193333334,
         queue_mean_s: 7.590000000000001e-7,
         queue_max_s: 3.036e-6,
         flash_util: 0.999999824089498,
@@ -142,7 +142,7 @@ mod golden {
         tokens_per_sec: 4.165468808586755,
         p50_s: 0.376861296,
         p99_s: 4.411633940382,
-        mean_s: 0.8825800922482082,
+        mean_s: 0.8825800922482083,
         queue_mean_s: 0.0,
         queue_max_s: 0.0,
         flash_util: 0.9984844672085488,
@@ -294,7 +294,7 @@ mod golden_batched {
         tokens_per_sec: 11.89386202977319,
         p50_s: 0.33630792,
         p99_s: 0.336325584,
-        mean_s: 0.33630792000000004,
+        mean_s: 0.33630792,
         queue_mean_s: 0.0,
         queue_max_s: 0.0,
         flash_util: 0.9399995099728844,
@@ -348,7 +348,7 @@ mod golden_batched {
         tokens_per_sec: 9.426500981122791,
         p50_s: 0.329953296,
         p99_s: 1.414633692382,
-        mean_s: 0.41412235478154164,
+        mean_s: 0.4141223547815417,
         queue_mean_s: 0.44892868979283335,
         queue_max_s: 1.168023124382,
         flash_util: 0.9674115680461526,

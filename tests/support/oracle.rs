@@ -6,7 +6,8 @@
 //! attention prefix table, span, ready set, request pool or event
 //! core. Each token re-enumerates its op stream with [`decode_step`]
 //! and prices each op through [`System::op_cost`]. Requests live in a
-//! plain `Vec`, events in a [`sim_core::EventQueue`], and the NAND
+//! plain `Vec`, events in a [`sim_core::EventQueue`], latencies in a
+//! `Vec<SimTime>` summarized by a full sort (no `Samples`), and the NAND
 //! fault ladder is re-derived here from [`FaultConfig`]'s public
 //! fields.
 //!
@@ -73,7 +74,7 @@ use cambricon_llm_repro::cambricon_llm::{
 use llm_workload::kv::kv_bytes_per_token;
 use llm_workload::{decode_step, ArrivalTrace, DecodeOp, ModelSpec, PrefillPlan, RequestShape};
 use npu_sim::KvCache;
-use sim_core::{Aggregate, BusyTracker, EventQueue, Samples, SimTime, SplitMix64};
+use sim_core::{Aggregate, BusyTracker, EventQueue, SimTime, SplitMix64};
 use std::collections::VecDeque;
 
 /// What the engine under test was configured with.
@@ -336,7 +337,7 @@ struct Run<'s> {
     first_admitted_arrival: Option<SimTime>,
     rejections: u64,
     done: Vec<RequestReport>,
-    token_latencies: Samples,
+    token_latencies: Vec<SimTime>,
     queueing: Aggregate,
     traffic: TrafficBreakdown,
     flash_busy: BusyTracker,
@@ -514,8 +515,7 @@ impl Run<'_> {
         for id in members {
             let r = &mut self.requests[id];
             r.tokens += 1;
-            self.token_latencies
-                .push((now - r.token_started).as_secs_f64());
+            self.token_latencies.push(now - r.token_started);
             r.token_started = now;
             r.first_token.get_or_insert(now);
             let finished = r.tokens == r.shape.new_tokens;
@@ -671,8 +671,7 @@ impl Run<'_> {
             return;
         }
         r.tokens += 1;
-        self.token_latencies
-            .push((now - r.token_started).as_secs_f64());
+        self.token_latencies.push(now - r.token_started);
         r.token_started = now;
         r.first_token.get_or_insert(now);
         let finished = r.tokens == r.shape.new_tokens;
@@ -687,7 +686,7 @@ impl Run<'_> {
         }
     }
 
-    fn report(mut self) -> ServeReport {
+    fn report(self) -> ServeReport {
         // Service runs from the first admitted arrival to the last
         // completion or shed, whichever is later.
         let last_shed = self.ladder.as_ref().and_then(|l| l.last_shed);
@@ -699,10 +698,10 @@ impl Run<'_> {
         let secs = makespan.as_secs_f64();
         let per_sec = |x: f64| if secs > 0.0 { x / secs } else { 0.0 };
         let tokens_served: u64 = self.done.iter().map(|r| r.tokens as u64).sum();
-        let mut ttft = Samples::new();
+        let ttft: Vec<SimTime> = self.done.iter().map(RequestReport::ttft).collect();
+        let (ttft_p50_s, ttft_p99_s, ttft_mean_s) = latency_summary(ttft);
         let mut decode_ttft = Aggregate::new();
         for r in &self.done {
-            ttft.push(r.ttft().as_secs_f64());
             decode_ttft.push(r.decode_ttft().as_secs_f64());
         }
         let mut reliability = self
@@ -710,7 +709,8 @@ impl Run<'_> {
             .as_ref()
             .map_or_else(Default::default, Ladder::summary);
         reliability.deadline_goodput_tps = per_sec(reliability.goodput_tokens as f64);
-        let lat = &mut self.token_latencies;
+        let (p50_token_latency_s, p99_token_latency_s, mean_token_latency_s) =
+            latency_summary(self.token_latencies);
         ServeReport {
             policy: self.sc.policy,
             prefill: self.sc.prefill,
@@ -718,12 +718,12 @@ impl Run<'_> {
             tokens_served,
             makespan,
             tokens_per_sec: per_sec(tokens_served as f64),
-            p50_token_latency_s: lat.percentile(50.0).unwrap_or(0.0),
-            p99_token_latency_s: lat.percentile(99.0).unwrap_or(0.0),
-            mean_token_latency_s: lat.mean().unwrap_or(0.0),
-            ttft_p50_s: ttft.percentile(50.0).unwrap_or(0.0),
-            ttft_p99_s: ttft.percentile(99.0).unwrap_or(0.0),
-            ttft_mean_s: ttft.mean().unwrap_or(0.0),
+            p50_token_latency_s,
+            p99_token_latency_s,
+            mean_token_latency_s,
+            ttft_p50_s,
+            ttft_p99_s,
+            ttft_mean_s,
             decode_ttft_s: decode_ttft,
             prefill_busy_s: self.prefill_busy.as_secs_f64(),
             queueing_delay_s: self.queueing,
@@ -745,6 +745,31 @@ impl Run<'_> {
             requests: self.done,
         }
     }
+}
+
+/// The p50, p99 and mean of `xs` in seconds (all 0 when empty), in the
+/// plainest terms: nearest rank over a full sort, and the mean as one
+/// IEEE division. That division is the correctly rounded mean while the
+/// picosecond sum and `count · 10¹²` are both below 2⁵³, where each
+/// converts to `f64` exactly; every oracle scenario stays there.
+fn latency_summary(mut xs: Vec<SimTime>) -> (f64, f64, f64) {
+    if xs.is_empty() {
+        return (0.0, 0.0, 0.0);
+    }
+    xs.sort_unstable();
+    let n = xs.len();
+    let nearest_rank = |p: f64| xs[((p / 100.0 * n as f64).ceil() as usize).clamp(1, n) - 1];
+    let sum: u64 = xs.iter().map(|x| x.as_picos()).sum();
+    let den = n as u64 * 1_000_000_000_000;
+    assert!(
+        sum < 1 << 53 && den < 1 << 53,
+        "mean of {n} latencies summing to {sum} ps is outside the oracle's exact range"
+    );
+    (
+        nearest_rank(50.0).as_secs_f64(),
+        nearest_rank(99.0).as_secs_f64(),
+        sum as f64 / den as f64,
+    )
 }
 
 /// Serves `trace` under `sc.policy` as described in the module docs.
@@ -784,7 +809,7 @@ pub fn run(sc: &Scenario, trace: &ArrivalTrace, system: &mut System) -> ServeRep
         first_admitted_arrival: None,
         rejections: 0,
         done: Vec::new(),
-        token_latencies: Samples::new(),
+        token_latencies: Vec::new(),
         queueing: Aggregate::new(),
         traffic: TrafficBreakdown::default(),
         flash_busy: BusyTracker::new(),
