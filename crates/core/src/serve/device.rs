@@ -20,6 +20,16 @@
 //!   that pass also starts **solo spans** ([`Simulation::solo_span`]),
 //!   which price a lone request's whole tokens with a few adds;
 //!   [`SpanMode::PerOp`] turns them off.
+//! * **Layer-period jumps**, inside [`Simulation`] with spans on: a
+//!   checkpoint between events each time the reference request enters
+//!   a layer; when one repeats a checkpoint one or two layers earlier
+//!   (relative to `now`, both stamps and the plan index), the loop
+//!   applies the following periods as shifts instead of stepping them.
+//!   This is exact because every position of the plan's layer loop
+//!   prices like the one a layer later and the loop reads only the
+//!   relative state. A jump ends before the next arrival and before any
+//!   in-flight request leaves the layer loop, so no token boundary is
+//!   skipped. [`SpanMode::PerOp`] turns jumps off too.
 //! * [`BatchedSimulation`], the continuous-batching loop. It runs the
 //!   batch in bulk-priced spans of whole batch steps; under
 //!   [`SpanMode::PerOp`] each span is one step.
@@ -93,8 +103,9 @@ impl DeviceEngine {
     /// Sets the span-coalescing mode for every subsequent run.
     /// [`SpanMode::Coalesced`] (the default) is bit-identical to
     /// [`SpanMode::PerOp`] and only changes wall-clock speed; the
-    /// per-op mode (no solo spans, one-step batch spans) exists for the
-    /// span-equivalence tests.
+    /// per-op mode (no solo spans and no layer-period jumps, one-step
+    /// batch spans) exists for the span-equivalence tests and the
+    /// benchmark's warm-up check.
     ///
     /// # Panics
     ///
@@ -978,6 +989,15 @@ trait ReadySet: Default {
     fn pop_min(&mut self, rs: usize) -> Option<u32>;
     /// Members queued for `rs`.
     fn queued(&self, rs: usize) -> usize;
+    /// Calls `f` on every member queued for `rs`, in pop order. Returns
+    /// false when that order does not follow from the members' keys
+    /// alone: round-robin members never scheduled yet pop first, by id.
+    /// A layer-period checkpoint records the order.
+    fn pop_order(&self, rs: usize, f: impl FnMut(u32)) -> bool;
+    /// Adds `by` to every key that is a dispatch stamp: a layer-period
+    /// jump moves every dispatch stamp, and so every round-robin key,
+    /// forward by `by`.
+    fn shift_keys(&mut self, by: u64);
 }
 
 /// FCFS ready set. Arrival keys are static and admissions come in key
@@ -1078,6 +1098,24 @@ impl ReadySet for FcfsReady {
     fn queued(&self, rs: usize) -> usize {
         self.queued[rs]
     }
+
+    fn pop_order(&self, rs: usize, mut f: impl FnMut(u32)) -> bool {
+        let mut left = self.queued[rs];
+        let mut w = self.lo[rs];
+        while left > 0 {
+            let mut bits = self.mask[rs][w];
+            while bits != 0 {
+                f(self.order[w * 64 + bits.trailing_zeros() as usize]);
+                bits &= bits - 1;
+                left -= 1;
+            }
+            w += 1;
+        }
+        true
+    }
+
+    /// Arrival keys are not stamps: nothing moves.
+    fn shift_keys(&mut self, _by: u64) {}
 }
 
 /// One ascending FIFO lane of the round-robin ready set: a power-of-two
@@ -1168,6 +1206,16 @@ impl RrLane {
         };
         v
     }
+
+    /// Adds `by` to every queued key; the lane stays ascending.
+    fn shift(&mut self, by: u64) {
+        for i in self.head..self.tail {
+            self.key[i & self.mask] += by;
+        }
+        if self.head != self.tail {
+            self.front += by;
+        }
+    }
 }
 
 /// Round-robin ready set. A scheduled member's key is the stamp of its
@@ -1246,6 +1294,111 @@ impl ReadySet for RrReady {
     fn queued(&self, rs: usize) -> usize {
         self.queued[rs]
     }
+
+    fn pop_order(&self, rs: usize, mut f: impl FnMut(u32)) -> bool {
+        self.fresh[rs].iter().for_each(|&id| f(id));
+        // Merge the two ascending lanes by key, as `pop_min` would.
+        let [a, b] = &self.lanes[rs];
+        let (mut i, mut j) = (a.head, b.head);
+        while i < a.tail || j < b.tail {
+            let ka = if i < a.tail {
+                a.key[i & a.mask]
+            } else {
+                u64::MAX
+            };
+            let kb = if j < b.tail {
+                b.key[j & b.mask]
+            } else {
+                u64::MAX
+            };
+            if ka < kb {
+                f(a.id[i & a.mask]);
+                i += 1;
+            } else {
+                f(b.id[j & b.mask]);
+                j += 1;
+            }
+        }
+        self.fresh[rs].is_empty()
+    }
+
+    fn shift_keys(&mut self, by: u64) {
+        debug_assert!(
+            self.fresh.iter().all(VecDeque::is_empty),
+            "a jump with never-scheduled members"
+        );
+        for lane in self.lanes.iter_mut().flatten() {
+            lane.shift(by);
+        }
+    }
+}
+
+/// Most layers one period of a [`Simulation`] layer-period jump may
+/// span. Lockstep round-robin on Llama2-70B repeats with a period of
+/// one layer for most of a token, and of two late in a long decode.
+const MAX_PERIOD_LAYERS: usize = 2;
+
+/// Entries of the [`Simulation`] checkpoint ring: the latest
+/// [`MAX_PERIOD_LAYERS`] and the one being taken.
+const CK_RING: usize = MAX_PERIOD_LAYERS + 1;
+
+/// What a layer-period jump shifts: `now`, the event and dispatch
+/// stamps, and the busy time booked per resource (its open run
+/// included), all in picoseconds or stamps.
+#[derive(Debug, Default, Clone, Copy)]
+struct Clock {
+    now: u64,
+    stamp: u64,
+    d_stamp: u64,
+    booked: [u64; 2],
+}
+
+/// One layer-period checkpoint of [`Simulation`], taken between events.
+///
+/// Every checkpoint records the pace: the reference's plan index, the
+/// dispatch stamp and how many requests are in flight. A full one also
+/// records the loop's state relative to its clock and the reference's
+/// plan index. Two full checkpoints with equal states, whose reference
+/// indices differ by whole layers, have the same future up to that
+/// shift, for as long as every position they reach is periodic and no
+/// arrival intervenes.
+#[derive(Debug, Default)]
+struct Checkpoint {
+    /// The reference request's plan index.
+    ref_idx: usize,
+    /// The dispatch stamp.
+    d_stamp: u64,
+    /// Requests in flight.
+    in_flight: usize,
+    /// Whether the rest was recorded: every field below is meaningful
+    /// only then.
+    full: bool,
+    clock: Clock,
+    /// Per resource: its slot's end and stamp (`u64::MAX` twice when
+    /// idle), the end of the busy run a dispatch could still chain onto
+    /// (`u64::MAX` when none), and its ready-set size.
+    head: [u64; 8],
+    /// The in-flight requests: the occupants of the flash and NPU
+    /// slots, then each resource's ready set in pop order.
+    members: Vec<u32>,
+    /// Per member: its id, sequence position, plan index and
+    /// round-robin key.
+    rel: Vec<u64>,
+    /// The highest plan index of any member.
+    max_idx: usize,
+}
+
+impl Checkpoint {
+    /// Whether the loop kept a lockstep pace from `a`, taken `layers`
+    /// layers of `len` ops earlier: the same requests in flight, and
+    /// exactly one dispatch per op each of them moved if they all moved
+    /// `layers` layers, as a repeat of `a` requires.
+    fn keeps_pace(&self, a: &Checkpoint, layers: usize, len: usize) -> bool {
+        let ops = layers * len;
+        a.ref_idx + ops == self.ref_idx
+            && a.in_flight == self.in_flight
+            && self.d_stamp - a.d_stamp == (self.in_flight * ops) as u64
+    }
 }
 
 /// The event loop for FCFS and round-robin, generic over the policy's
@@ -1284,6 +1437,25 @@ impl ReadySet for RrReady {
 /// single interval when a gap opens and at the end of the run. Busy
 /// sums are integer picoseconds and the two trackers are independent,
 /// so the deferral is unobservable.
+///
+/// **Layer-period jumps.** With spans on, the loop also skips the
+/// layers a lockstep schedule repeats exactly. Each time the reference
+/// request (the lowest in-flight id) enters a new layer of the plan's
+/// periodic range ([`TokenPlan::periodic_range`]), the loop takes a
+/// [`Checkpoint`] between events; where it kept a lockstep pace, the
+/// checkpoint records its whole state relative to `now`, both stamps and
+/// the reference's plan index. When that state equals the one recorded
+/// `p ≤` [`MAX_PERIOD_LAYERS`] layers earlier, the next `k` periods are
+/// that period shifted, and [`Simulation::jump`] applies them in
+/// O(in-flight) arithmetic. The argument is exact:
+/// inside the periodic range a position and the one a layer later have
+/// the same resource and price, no in-flight request owes fault time,
+/// and every decision the loop takes reads only the recorded relative
+/// state. `k` is bounded so that no arrival lands at or before the
+/// jump's end and every plan position the skipped periods touch stays
+/// inside the periodic range, so no token boundary — no latency sample,
+/// shed, fault draw, respawn or traffic booking — is skipped.
+/// [`SpanMode::PerOp`] turns jumps off with the solo spans.
 struct Simulation<'a, Q> {
     run: DeviceRun<'a>,
     ready: Q,
@@ -1313,6 +1485,32 @@ struct Simulation<'a, Q> {
     busy_start: [u64; 2],
     /// End of each resource's open busy run; `u64::MAX` when none.
     busy_end: [u64; 2],
+    /// The plan's layer length and the end of its periodic range (which
+    /// starts at position 0), for layer-period jumps.
+    layer_len: usize,
+    periodic_end: usize,
+    /// The reference request: the lowest in-flight id, whose layer
+    /// entries take the checkpoints.
+    ck_ref: usize,
+    /// The reference's plan index at which the next checkpoint fires;
+    /// `usize::MAX` when none will (spans off, or nothing in flight).
+    ck_idx: usize,
+    /// A ring of checkpoints: the latest `ck_len` (at most
+    /// [`MAX_PERIOD_LAYERS`]) since the last jump, reference token
+    /// boundary or arrival end at `ck_at`, and the next one goes into
+    /// the entry after it.
+    cks: [Checkpoint; CK_RING],
+    ck_at: usize,
+    ck_len: usize,
+    /// Layer-period jumps taken, the periods they skipped, and the
+    /// per-op dispatches actually executed. Filled only in unit tests,
+    /// which pin them: reports are the same with or without jumps.
+    #[cfg(test)]
+    jumps: u64,
+    #[cfg(test)]
+    periods_skipped: u64,
+    #[cfg(test)]
+    dispatches: u64,
     /// Every solo span run, as `(request, tokens coalesced, tokens the
     /// request owed at its start)`. Filled only in unit tests, which
     /// use it to see that a span engaged: reports cannot show that.
@@ -1327,6 +1525,7 @@ struct Simulation<'a, Q> {
 impl<'a, Q: ReadySet> Simulation<'a, Q> {
     fn new(engine: &'a DeviceEngine, trace: &ArrivalTrace, priced: &'a PricedRun) -> Self {
         let run = DeviceRun::new(engine, trace, priced);
+        debug_assert_eq!(run.plan.periodic_range().start, 0);
         Simulation {
             ready: Q::default(),
             n_ops: run.plan.len(),
@@ -1342,7 +1541,20 @@ impl<'a, Q: ReadySet> Simulation<'a, Q> {
             prefills: 0,
             busy_start: [0; 2],
             busy_end: [u64::MAX; 2],
+            layer_len: run.plan.layer_len(),
+            periodic_end: run.plan.periodic_range().end,
+            ck_ref: 0,
+            ck_idx: usize::MAX,
+            cks: Default::default(),
+            ck_at: 0,
+            ck_len: 0,
             run,
+            #[cfg(test)]
+            jumps: 0,
+            #[cfg(test)]
+            periods_skipped: 0,
+            #[cfg(test)]
+            dispatches: 0,
             #[cfg(test)]
             solo_spans: Vec::new(),
             #[cfg(test)]
@@ -1396,6 +1608,9 @@ impl<'a, Q: ReadySet> Simulation<'a, Q> {
             } else {
                 self.step::<1>();
             }
+            if self.run.requests.cursor[self.ck_ref].index() >= self.ck_idx {
+                self.checkpoint();
+            }
         }
         self.flush_busy(FLASH);
         self.flush_busy(NPU);
@@ -1429,6 +1644,9 @@ impl<'a, Q: ReadySet> Simulation<'a, Q> {
         debug_assert!(at >= self.now.as_picos(), "event loop went back in time");
         let now = SimTime::from_picos(at);
         self.now = now;
+        // An arrival is not part of any layer period: no earlier
+        // checkpoint may measure one across it.
+        self.ck_len = 0;
         let id = id as usize;
         let run = &mut self.run;
         // KV admission control: a context (prompt + generation) that can
@@ -1463,6 +1681,10 @@ impl<'a, Q: ReadySet> Simulation<'a, Q> {
             self.class_slots[run.requests.cursor[id].index()] as usize
         };
         self.ready.admit(rs, arrived.as_picos(), id as u32);
+        if self.run.span_cap > 0 && (self.ck_idx == usize::MAX || id < self.ck_ref) {
+            self.ck_ref = id;
+            self.ck_idx = 0;
+        }
         self.settle();
     }
 
@@ -1596,6 +1818,9 @@ impl<'a, Q: ReadySet> Simulation<'a, Q> {
             run.complete_request(id, now);
             self.respawn(id);
         }
+        if id == self.ck_ref && self.ck_idx != usize::MAX {
+            self.rebase_checkpoints();
+        }
     }
 
     /// Re-issues the closed-loop client of departing request `id`, if
@@ -1647,6 +1872,10 @@ impl<'a, Q: ReadySet> Simulation<'a, Q> {
     fn dispatch(&mut self, rs: usize, nid32: u32) {
         let nid = nid32 as usize;
         let now = self.now;
+        #[cfg(test)]
+        {
+            self.dispatches += 1;
+        }
         let requests = &mut self.run.requests;
         debug_assert_eq!(requests.phase[nid], Phase::Decoding);
         self.d_stamp += 1;
@@ -1950,6 +2179,227 @@ impl<'a, Q: ReadySet> Simulation<'a, Q> {
         self.schedule(last, t.as_picos(), id as u32);
         self.run.ev.stamp += elided - 1;
         k
+    }
+
+    /// Picks the reference again after the current one crossed a token
+    /// boundary or left: itself while it is still in flight, otherwise
+    /// the lowest id in flight. Earlier checkpoints cannot repeat.
+    #[cold]
+    #[inline(never)]
+    fn rebase_checkpoints(&mut self) {
+        self.ck_len = 0;
+        if self.run.requests.phase[self.ck_ref] != Phase::Done {
+            self.ck_idx = 0;
+            return;
+        }
+        let mut lowest = u32::MAX;
+        for rs in [FLASH, NPU] {
+            if self.s_at[rs] != u64::MAX && (self.s_id[rs] as usize) < PREFILL_HOLD {
+                lowest = lowest.min(self.s_id[rs]);
+            }
+            self.ready.pop_order(rs, |id| lowest = lowest.min(id));
+        }
+        (self.ck_ref, self.ck_idx) = if lowest == u32::MAX {
+            (0, usize::MAX)
+        } else {
+            (lowest as usize, 0)
+        };
+    }
+
+    /// Busy time booked on `rs` so far, its open run included.
+    fn booked(&self, rs: usize) -> u64 {
+        let open = if self.busy_end[rs] == u64::MAX {
+            0
+        } else {
+            self.busy_end[rs] - self.busy_start[rs]
+        };
+        self.run.busy_track[rs].busy_time().as_picos() + open
+    }
+
+    /// The reference entered a new layer: takes a checkpoint, and jumps
+    /// when it repeats one taken a whole number of layers earlier. The
+    /// state is recorded only where a period can start or end: after a
+    /// reset, and where the loop kept a lockstep pace since an earlier
+    /// checkpoint, so a schedule that does not lock step (FCFS) pays a
+    /// few words per checkpoint, inline in the loop.
+    #[inline(always)]
+    fn checkpoint(&mut self) {
+        let len = self.layer_len;
+        let idx = self.run.requests.cursor[self.ck_ref].index();
+        // The next layer entry: one layer on, unless the reference moved
+        // further (a reset, or a solo span's end).
+        self.ck_idx = if idx < self.ck_idx + len {
+            self.ck_idx + len
+        } else {
+            (idx / len + 1) * len
+        };
+        if idx + len >= self.periodic_end || self.prefills > 0 {
+            // No period can end a layer or more past this point, or a
+            // prefill holds the device.
+            return;
+        }
+        let n = self.ck_len;
+        let at = (self.ck_at + 1) % CK_RING;
+        let earlier = |p: usize| (at + CK_RING - p) % CK_RING;
+        self.ck_at = at;
+        self.ck_len = (n + 1).min(MAX_PERIOD_LAYERS);
+        let busy =
+            usize::from(self.s_at[FLASH] != u64::MAX) + usize::from(self.s_at[NPU] != u64::MAX);
+        let b = &mut self.cks[at];
+        b.ref_idx = idx;
+        b.d_stamp = self.d_stamp;
+        b.in_flight = busy + self.ready.queued(FLASH) + self.ready.queued(NPU);
+        b.full = false;
+        let b = &self.cks[at];
+        if n == 0 || (1..=n).any(|p| b.keeps_pace(&self.cks[earlier(p)], p, len)) {
+            self.checkpoint_state(at, n);
+        }
+    }
+
+    /// The rest of a checkpoint in entry `at` of the ring, which follows
+    /// `n` earlier ones: records the state, and jumps when it repeats
+    /// one of them.
+    #[cold]
+    #[inline(never)]
+    fn checkpoint_state(&mut self, at: usize, n: usize) {
+        let len = self.layer_len;
+        let earlier = |p: usize| (at + CK_RING - p) % CK_RING;
+        let mut b = std::mem::take(&mut self.cks[at]);
+        b.full = self.take_state(&mut b);
+        let period = (1..=n).find(|&p| {
+            let a = &self.cks[earlier(p)];
+            b.full && a.full && b.keeps_pace(a, p, len) && a.head == b.head && a.rel == b.rel
+        });
+        if let Some(p) = period {
+            let from = self.cks[earlier(p)].clock;
+            let k = self.periods_to_jump(from, &b, p);
+            if k > 0 {
+                self.jump(from, &b, p, k);
+                self.ck_len = 0;
+            }
+        }
+        self.cks[at] = b;
+    }
+
+    /// Records the clock and the loop's state into `ck`; false when the
+    /// state has no layer period: a member owes fault time, or a ready
+    /// set's order is not fixed by its keys.
+    fn take_state(&self, ck: &mut Checkpoint) -> bool {
+        let now = self.now.as_picos();
+        for rs in [FLASH, NPU] {
+            let (end, stamp) = if self.s_at[rs] == u64::MAX {
+                (u64::MAX, u64::MAX)
+            } else {
+                (self.s_at[rs] - now, self.run.ev.stamp - self.s_st[rs])
+            };
+            let busy_end = self.busy_end[rs];
+            let chain = if busy_end != u64::MAX && busy_end >= now {
+                busy_end - now
+            } else {
+                u64::MAX
+            };
+            let queued = self.ready.queued(rs) as u64;
+            ck.head[4 * rs..4 * rs + 4].copy_from_slice(&[end, stamp, chain, queued]);
+        }
+        ck.clock = Clock {
+            now,
+            stamp: self.run.ev.stamp,
+            d_stamp: self.d_stamp,
+            booked: [self.booked(FLASH), self.booked(NPU)],
+        };
+        ck.members.clear();
+        ck.rel.clear();
+        for rs in [FLASH, NPU] {
+            if self.s_at[rs] != u64::MAX {
+                ck.members.push(self.s_id[rs]);
+            }
+        }
+        for rs in [FLASH, NPU] {
+            if !self.ready.pop_order(rs, |id| ck.members.push(id)) {
+                return false;
+            }
+        }
+        let requests = &self.run.requests;
+        let ref_idx = requests.cursor[self.ck_ref].index();
+        ck.max_idx = 0;
+        for &id in &ck.members {
+            let id = id as usize;
+            if requests.phase[id] != Phase::Decoding || requests.fault_extra[id] != 0 {
+                return false;
+            }
+            let cursor = requests.cursor[id];
+            ck.max_idx = ck.max_idx.max(cursor.index());
+            ck.rel.extend([
+                id as u64,
+                cursor.seq_len() as u64,
+                cursor.index().wrapping_sub(ref_idx) as u64,
+                self.d_stamp - requests.last_scheduled[id],
+            ]);
+        }
+        true
+    }
+
+    /// How many more periods of `layers` layers, each the period from
+    /// the checkpoint at `from` to `b`, the loop can jump from `b`: every
+    /// position they touch stays inside the periodic range, and the jump
+    /// lands before the next arrival.
+    fn periods_to_jump(&self, from: Clock, b: &Checkpoint, layers: usize) -> usize {
+        let dt = b.clock.now - from.now;
+        let span = layers * self.layer_len;
+        if dt == 0 || b.max_idx + span >= self.periodic_end {
+            return 0;
+        }
+        let k = (self.periodic_end - 1 - b.max_idx) / span;
+        match self.next_arr.0 {
+            u64::MAX => k,
+            arrival => k.min((arrival.saturating_sub(b.clock.now + 1) / dt) as usize),
+        }
+    }
+
+    /// Applies `k` periods of `layers` layers, each the period from the
+    /// checkpoint at `from` to `b` (the current state): every in-flight
+    /// cursor moves `k·layers` layers; `now`, the slot ends and the open
+    /// busy runs move by `k` times the period's time; the event stamp,
+    /// the dispatch stamp and every round-robin key by `k` times its
+    /// stamps; and each resource books `k` times its busy time.
+    fn jump(&mut self, from: Clock, b: &Checkpoint, layers: usize, k: usize) {
+        let k64 = k as u64;
+        let to = b.clock;
+        let dt = (to.now - from.now) * k64;
+        let ds = (to.stamp - from.stamp) * k64;
+        let dd = (to.d_stamp - from.d_stamp) * k64;
+        self.now += SimTime::from_picos(dt);
+        let now = self.now.as_picos();
+        for rs in [FLASH, NPU] {
+            if self.s_at[rs] != u64::MAX {
+                self.s_at[rs] += dt;
+                self.s_st[rs] += ds;
+            }
+            // The skipped busy time lies before the open run, if any.
+            let until = if self.busy_end[rs] == u64::MAX {
+                now
+            } else {
+                self.busy_start[rs] += dt;
+                self.busy_end[rs] += dt;
+                self.busy_start[rs]
+            };
+            let busy = (to.booked[rs] - from.booked[rs]) * k64;
+            self.run.busy_track[rs].add_bulk(SimTime::from_picos(busy), SimTime::from_picos(until));
+        }
+        self.run.ev.stamp += ds;
+        self.d_stamp += dd;
+        self.ready.shift_keys(dd);
+        let requests = &mut self.run.requests;
+        for &id in &b.members {
+            let cursor = &mut requests.cursor[id as usize];
+            cursor.seek(cursor.index() + k * layers * self.layer_len);
+            requests.last_scheduled[id as usize] += dd;
+        }
+        #[cfg(test)]
+        {
+            self.jumps += 1;
+            self.periods_skipped += k64;
+        }
     }
 }
 
@@ -2518,10 +2968,15 @@ mod tests {
     }
 
     /// What an FCFS/RR run did that its report cannot show: the solo
-    /// spans it took and the op completions that took the general path.
+    /// spans it took, the op completions that took the general path,
+    /// the layer-period jumps and the periods they skipped, and the
+    /// per-op dispatches it executed.
     struct FastPaths {
         solo_spans: Vec<(usize, usize, usize)>,
         general_ops: u64,
+        jumps: u64,
+        periods_skipped: u64,
+        dispatches: u64,
     }
 
     /// Runs `trace` through the FCFS/RR loop under `policy`; returns the
@@ -2541,6 +2996,9 @@ mod tests {
             let paths = FastPaths {
                 solo_spans: std::mem::take(&mut sim.solo_spans),
                 general_ops: sim.general_ops,
+                jumps: sim.jumps,
+                periods_skipped: sim.periods_skipped,
+                dispatches: sim.dispatches,
             };
             (sim.finish(), paths)
         }
@@ -2631,6 +3089,70 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn layer_period_jumps_skip_the_repeated_layers() {
+        // The paper's workload at overload: 70B on Cam-L, 16 closed-loop
+        // long-prompt decodes. Round-robin runs them in lockstep, so most
+        // layers repeat one or two layers earlier bit for bit and are
+        // jumped; FCFS does not lock step. The counts are deterministic:
+        // a change to the checkpoint, the recorded state or the jump bound
+        // shows here, and the report must not change with them.
+        let engine = DeviceEngine::new(SystemConfig::cambricon_l(), zoo::llama2_70b());
+        let trace = ArrivalTrace::closed_loop(16, 1, RequestShape::new(1000, 64));
+        let per_op = engine.clone().with_span_mode(SpanMode::PerOp);
+        // (jumps, periods skipped, per-op dispatches executed) of the
+        // 1,230,848 the 1,024 tokens owe: round-robin executes 5.3% of
+        // them, FCFS 96.1%.
+        let expected = [(1, 74, 1_182_860), (64, 4_858, 64_928)];
+        for (policy, counts) in POLICIES.into_iter().zip(expected) {
+            let (report, paths) = run_counting(&engine, &trace, policy);
+            let (reference, plain) = run_counting(&per_op, &trace, policy);
+            assert_eq!(report, reference, "{policy:?}");
+            let ops = report.tokens_served * engine.plan().len() as u64;
+            assert_eq!(ops, 1_230_848);
+            assert_eq!((plain.jumps, plain.dispatches), (0, ops), "{policy:?}");
+            let jumped = (paths.jumps, paths.periods_skipped, paths.dispatches);
+            assert_eq!(jumped, counts, "{policy:?}");
+        }
+    }
+
+    #[test]
+    fn a_checkpoint_records_round_robin_keys() {
+        // Under round-robin a member's key decides where it re-enters a
+        // queue, so two states that differ only in one key have
+        // different futures and their checkpoints must differ. Step a
+        // three-request burst until every member has been scheduled
+        // (before that, the never-scheduled lane refuses a checkpoint),
+        // then age the key of the member in a slot.
+        let engine = DeviceEngine::new(SystemConfig::cambricon_s(), zoo::opt_6_7b());
+        let trace = ArrivalTrace::burst(3, RequestShape::new(300, TOKENS));
+        let priced = PricedRun::new(&engine, std::slice::from_ref(&trace));
+        let mut sim = Simulation::<RrReady>::new(&engine, &trace, &priced);
+        for _ in 0..3 {
+            sim.arrive();
+        }
+        let mut ck = Checkpoint::default();
+        let mut refused = 0;
+        while !sim.take_state(&mut ck) {
+            refused += 1;
+            let s = usize::from((sim.s_at[1], sim.s_st[1]) < (sim.s_at[0], sim.s_st[0]));
+            sim.now = SimTime::from_picos(sim.s_at[s]);
+            if s == FLASH {
+                sim.step::<FLASH>();
+            } else {
+                sim.step::<NPU>();
+            }
+        }
+        assert!(refused > 0, "the burst starts in the never-scheduled lane");
+        let s = usize::from(sim.s_at[FLASH] == u64::MAX);
+        let id = sim.s_id[s] as usize;
+        sim.run.requests.last_scheduled[id] -= 1;
+        let mut aged = Checkpoint::default();
+        assert!(sim.take_state(&mut aged));
+        assert_eq!(aged.members, ck.members);
+        assert_ne!(aged.rel, ck.rel, "the key of request {id} is not recorded");
     }
 
     #[test]

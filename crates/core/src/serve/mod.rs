@@ -57,7 +57,8 @@
 //!   dispatch on the resources it frees; arrivals and the completions
 //!   around a prefill take small out-of-line handlers. With spans on it
 //!   also runs **solo spans**, which price a lone in-flight request's
-//!   whole tokens with a few adds each;
+//!   whole tokens with a few adds each, and **layer-period jumps**,
+//!   which skip the layers a lockstep schedule repeats exactly;
 //! * the **batched loop** for continuous batching, which runs batch
 //!   steps coalesced into spans of whole steps (one-step spans under
 //!   [`SpanMode::PerOp`]).
@@ -136,11 +137,11 @@
 //! modes and forced-tiny-span caps). Span equivalence compares the
 //! engine's paths with each other: under batching `PerOp` is itself a
 //! one-step span, and under FCFS and round-robin it is the same loop
-//! without solo spans. The independent reference for all three policies
-//! is a deliberately naive oracle, `tests/support/oracle.rs`: it
-//! prices every op of every request through [`System::op_cost`] and
-//! shares none of the engine's structures, and `tests/oracle.rs` pins
-//! whole reports to it.
+//! without solo spans or layer-period jumps. The independent
+//! reference for all three policies is a deliberately naive oracle,
+//! `tests/support/oracle.rs`: it prices every op of every request
+//! through [`System::op_cost`] and shares none of the engine's
+//! structures, and `tests/oracle.rs` pins whole reports to it.
 //!
 //! # Prefill
 //!
@@ -229,9 +230,11 @@ pub enum PrefillMode {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SpanMode {
     /// No coalescing: under FCFS and round-robin the event loop runs
-    /// without solo spans, stepping every op; under continuous batching
-    /// every span is one step. Span equivalence pins the coalesced mode
-    /// against it, but it runs the same loop and ready set, so the
+    /// without solo spans or layer-period jumps, stepping every op;
+    /// under continuous batching every span is one step. Span
+    /// equivalence pins the coalesced mode against it (on an
+    /// overloaded round-robin device that checks the layer-period
+    /// jumps), but it runs the same loop and ready set, so the
     /// independent reference for all three policies is the naive
     /// oracle in `tests/support/oracle.rs`.
     PerOp,

@@ -74,6 +74,10 @@ pub struct TokenPlan {
     slot_counts: Vec<u32>,
     /// Slots below this index are seq-invariant.
     invariant_slots: usize,
+    /// Ops per layer of the layer loop; see [`TokenPlan::layer_len`].
+    layer_len: usize,
+    /// Positions the layer loop emits, `layers × layer_len`.
+    layer_ops: usize,
     // Scalars for materializing the attention templates.
     kv_dim: u64,
     heads: u64,
@@ -174,6 +178,7 @@ impl TokenPlan {
                 }
             }
         }
+        let layer_ops = ops.len();
         ops.push(PlanOp::Fixed(DecodeOp::Special {
             kind: SpecialKind::Norm,
             elems: h,
@@ -245,6 +250,8 @@ impl TokenPlan {
             slot_reps,
             slot_counts,
             invariant_slots,
+            layer_len: layer_ops / model.layers,
+            layer_ops,
             kv_dim,
             heads: model.heads as u64,
             head_dim: model.head_dim() as u64,
@@ -266,6 +273,22 @@ impl TokenPlan {
     /// Whether the plan is empty (never true for a valid model).
     pub fn is_empty(&self) -> bool {
         self.ops.is_empty()
+    }
+
+    /// Ops per transformer layer: the length of the template the
+    /// plan's layer loop emits once per layer (15 for Llama2, 13 for
+    /// OPT).
+    pub fn layer_len(&self) -> usize {
+        self.layer_len
+    }
+
+    /// The positions the layer loop emits, `0..layers × layer_len`.
+    /// Inside it the plan is periodic: positions `i` and
+    /// `i + layer_len` hold the same op template, and so the same cost
+    /// slot, at every sequence position. The final norm and `lm_head`
+    /// follow it.
+    pub fn periodic_range(&self) -> std::ops::Range<usize> {
+        0..self.layer_ops
     }
 
     /// Materializes one template at a sequence position.
@@ -688,6 +711,26 @@ mod tests {
                                       // norms collapse, plus scores/softmax/context.
         assert!(plan.cost_slots() <= 14, "{}", plan.cost_slots());
         assert_eq!(plan.cost_slots() - plan.invariant_slots(), 3);
+    }
+
+    #[test]
+    fn the_layer_loop_repeats_one_template() {
+        for (model, layer_len) in [(zoo::llama2_70b(), 15), (zoo::opt_6_7b(), 13)] {
+            let plan = TokenPlan::new(&model, Quant::W8A8);
+            assert_eq!(plan.layer_len(), layer_len, "{}", model.name);
+            let range = plan.periodic_range();
+            assert_eq!(range, 0..model.layers * layer_len, "{}", model.name);
+            assert_eq!(plan.len() - range.end, 2, "final norm and lm_head");
+            for i in range.start..range.end - layer_len {
+                assert_eq!(
+                    plan.ops[i],
+                    plan.ops[i + layer_len],
+                    "{} op {i}",
+                    model.name
+                );
+                assert_eq!(plan.cost_slot(i), plan.cost_slot(i + layer_len));
+            }
+        }
     }
 
     #[test]

@@ -73,6 +73,27 @@ impl BusyTracker {
         self.last_end = end;
     }
 
+    /// Records `busy` more time in intervals that all lie inside
+    /// `[last_end, until)`, without listing them, and moves the last end
+    /// to `until`: the bulk form of [`BusyTracker::add_interval`] for a
+    /// caller that skips a run of intervals whose total it knows
+    /// exactly. The total is an integer sum either way, so it is the
+    /// same as adding the intervals one by one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `until` precedes the last end, or `busy` is longer
+    /// than `[last_end, until)`.
+    pub fn add_bulk(&mut self, busy: SimTime, until: SimTime) {
+        assert!(
+            until >= self.last_end && busy <= until - self.last_end,
+            "bulk busy time {busy} does not fit between {} and {until}",
+            self.last_end
+        );
+        self.busy += busy;
+        self.last_end = until;
+    }
+
     /// Total accumulated busy time.
     pub fn busy_time(&self) -> SimTime {
         self.busy
@@ -423,6 +444,31 @@ mod tests {
         t.add_interval(SimTime::from_nanos(20), SimTime::from_nanos(25));
         assert_eq!(t.busy_time(), SimTime::from_nanos(15));
         assert_eq!(t.last_end(), SimTime::from_nanos(25));
+    }
+
+    #[test]
+    fn bulk_busy_time_equals_its_intervals() {
+        let ns = SimTime::from_nanos;
+        let mut listed = BusyTracker::new();
+        let mut bulk = BusyTracker::new();
+        listed.add_interval(ns(5), ns(10));
+        bulk.add_interval(ns(5), ns(10));
+        listed.add_interval(ns(12), ns(20));
+        listed.add_interval(ns(20), ns(21));
+        bulk.add_bulk(ns(9), ns(22));
+        assert_eq!(bulk.busy_time(), listed.busy_time());
+        assert_eq!(bulk.last_end(), ns(22));
+        // The next interval may start where the bulk span ends.
+        bulk.add_interval(ns(22), ns(30));
+        assert_eq!(bulk.busy_time(), ns(22));
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit")]
+    fn bulk_busy_time_must_fit_its_span() {
+        let mut t = BusyTracker::new();
+        t.add_interval(SimTime::from_nanos(10), SimTime::from_nanos(20));
+        t.add_bulk(SimTime::from_nanos(6), SimTime::from_nanos(25));
     }
 
     #[test]

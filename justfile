@@ -18,8 +18,9 @@ perfbench-test:
 # End-to-end smoke: each workload `BENCHMARK.json` lists, for one
 # second. The command exits 1 when a warm-up differs from its
 # `SpanMode::PerOp` run, so a span that breaks bit-exactness fails here
-# too. Under FCFS and round-robin that run differs only by solo spans;
-# the independent check of the serving engine is `tests/oracle.rs`.
+# too. Under FCFS and round-robin that run differs only by solo spans
+# and layer-period jumps, so on `overload_rr` it checks the jumps; the
+# independent check of the serving engine is `tests/oracle.rs`.
 # A second one-second pass per workload with `--trace 1` runs the
 # traced variant, the workload's work-count checks and every per-layer
 # probe. The `jq -e` line fails the recipe when jq is missing or the

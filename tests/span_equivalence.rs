@@ -528,6 +528,74 @@ fn faulted_batched_spans_are_bit_exact_across_the_matrix() {
 }
 
 #[test]
+fn layer_period_jumps_are_bit_exact_at_their_edges() {
+    // With spans on, the FCFS/RR loop jumps over the layers a lockstep
+    // schedule repeats exactly; the per-op reference never jumps. Pin
+    // whole reports where a jump must stop short or resume, on an OPT
+    // and a Llama2 model (their layer templates differ):
+    // * closed loops with two requests per client, so every departure
+    //   and respawn arrival breaks the period and jumps must resume;
+    // * a burst plus one arrival landing mid-layer inside the span a
+    //   jump would otherwise skip;
+    // * round-robin at the ECC knee with a total deadline that sheds,
+    //   where each token's fault time rides on its first flash op;
+    // * prefill modelled, where a respawn's prefill holds the device.
+    let cfg = SystemConfig::cambricon_s();
+    let shape = RequestShape::new(300, 12);
+    let closed = ArrivalTrace::closed_loop(8, 2, shape);
+    let rr = SchedulePolicy::RoundRobin;
+    let check =
+        |case: &str, engine: &dyn Fn(SpanMode) -> ServeEngine, trace: &ArrivalTrace, policy| {
+            let reference = engine(SpanMode::PerOp).run(trace, policy);
+            for mode in SPAN_MODES {
+                assert_eq!(
+                    reference,
+                    engine(mode).run(trace, policy),
+                    "{case} {policy:?} {mode:?}"
+                );
+            }
+            reference
+        };
+    for model in [zoo::opt_6_7b(), zoo::llama2_7b()] {
+        let plain = |mode| ServeEngine::new(cfg, model.clone()).with_span_mode(mode);
+        let burst = ArrivalTrace::burst(6, shape);
+        let first_token = plain(SpanMode::PerOp).run(&burst, rr).requests[0].first_token_at;
+        let ArrivalTrace::Open(mut arrivals) = burst else {
+            unreachable!("bursts are open");
+        };
+        arrivals.push(RequestArrival {
+            at: first_token / 2 + SimTime::from_picos(1),
+            shape: RequestShape::new(100, 4),
+        });
+        let mid_jump = ArrivalTrace::Open(arrivals);
+        for policy in [SchedulePolicy::Fcfs, rr] {
+            check("respawns", &plain, &closed, policy);
+            check("mid-jump arrival", &plain, &mid_jump, policy);
+        }
+        let knee = |total| {
+            move |mode| {
+                plain(mode).with_faults(FaultMode::Injected(
+                    FaultConfig::aged(KNEE).with_deadlines(None, total),
+                ))
+            }
+        };
+        // Lockstep requests finish close together, so cut them all
+        // three quarters of the way through the fastest one's decode.
+        let probe = knee(None)(SpanMode::PerOp).run(&closed, rr);
+        let fastest = probe.requests.iter().map(|r| r.finished - r.arrived).min();
+        let deadline = fastest.expect("the probe served requests") * 3 / 4;
+        let shed = check("knee deadline", &knee(Some(deadline)), &closed, rr);
+        assert!(
+            shed.reliability.deadline_sheds > 0,
+            "{}: nothing shed",
+            model.name
+        );
+        let prefill = |mode| plain(mode).with_prefill(PrefillMode::Modeled);
+        check("prefill", &prefill, &closed, rr);
+    }
+}
+
+#[test]
 fn span_cap_of_zero_tokens_panics_at_configuration() {
     let result = std::panic::catch_unwind(|| {
         ServeEngine::new(SystemConfig::cambricon_s(), zoo::opt_6_7b())
