@@ -1440,21 +1440,25 @@ impl Checkpoint {
 ///
 /// **Layer-period jumps.** With spans on, the loop also skips the
 /// layers a lockstep schedule repeats exactly. Each time the reference
-/// request (the lowest in-flight id) enters a new layer of the plan's
-/// periodic range ([`TokenPlan::periodic_range`]), the loop takes a
-/// [`Checkpoint`] between events; where it kept a lockstep pace, the
-/// checkpoint records its whole state relative to `now`, both stamps and
-/// the reference's plan index. When that state equals the one recorded
-/// `p ≤` [`MAX_PERIOD_LAYERS`] layers earlier, the next `k` periods are
-/// that period shifted, and [`Simulation::jump`] applies them in
-/// O(in-flight) arithmetic. The argument is exact:
-/// inside the periodic range a position and the one a layer later have
-/// the same resource and price, no in-flight request owes fault time,
-/// and every decision the loop takes reads only the recorded relative
-/// state. `k` is bounded so that no arrival lands at or before the
-/// jump's end and every plan position the skipped periods touch stays
-/// inside the periodic range, so no token boundary — no latency sample,
-/// shed, fault draw, respawn or traffic booking — is skipped.
+/// request (the trailing one: the highest in-flight id) enters a new
+/// layer of the plan's periodic range ([`TokenPlan::periodic_range`]),
+/// the loop takes a [`Checkpoint`] between events; where it kept a
+/// lockstep pace, the checkpoint records its whole state relative to
+/// `now`, both stamps and the reference's plan index. When that state
+/// equals the one recorded `p ≤` [`MAX_PERIOD_LAYERS`] layers earlier,
+/// the next `k` periods are that period shifted, and
+/// [`Simulation::jump`] applies them in O(in-flight) arithmetic. When
+/// the trailing request starts a token every other member has started
+/// its own, so a token's jumps begin a layer sooner than with the
+/// leading request as reference, whose first layer entry still
+/// straddles the previous token. The argument is exact: inside the
+/// periodic range a position and the one a layer later have the same
+/// resource and price, no in-flight request owes fault time, and every
+/// decision the loop takes reads only the recorded relative state. `k`
+/// is bounded so that no arrival lands at or before the jump's end and
+/// every plan position the skipped periods touch stays inside the
+/// periodic range, so no token boundary — no latency sample, shed,
+/// fault draw, respawn or traffic booking — is skipped.
 /// [`SpanMode::PerOp`] turns jumps off with the solo spans.
 struct Simulation<'a, Q> {
     run: DeviceRun<'a>,
@@ -1489,8 +1493,8 @@ struct Simulation<'a, Q> {
     /// starts at position 0), for layer-period jumps.
     layer_len: usize,
     periodic_end: usize,
-    /// The reference request: the lowest in-flight id, whose layer
-    /// entries take the checkpoints.
+    /// The reference request: the trailing one, the highest in-flight
+    /// id, whose layer entries take the checkpoints.
     ck_ref: usize,
     /// The reference's plan index at which the next checkpoint fires;
     /// `usize::MAX` when none will (spans off, or nothing in flight).
@@ -1502,9 +1506,12 @@ struct Simulation<'a, Q> {
     cks: [Checkpoint; CK_RING],
     ck_at: usize,
     ck_len: usize,
-    /// Layer-period jumps taken, the periods they skipped, and the
-    /// per-op dispatches actually executed. Filled only in unit tests,
-    /// which pin them: reports are the same with or without jumps.
+    /// Checkpoints taken, layer-period jumps taken, the periods they
+    /// skipped, and the per-op dispatches actually executed. Filled only
+    /// in unit tests, which pin them: reports are the same with or
+    /// without jumps.
+    #[cfg(test)]
+    checkpoints: u64,
     #[cfg(test)]
     jumps: u64,
     #[cfg(test)]
@@ -1549,6 +1556,8 @@ impl<'a, Q: ReadySet> Simulation<'a, Q> {
             ck_at: 0,
             ck_len: 0,
             run,
+            #[cfg(test)]
+            checkpoints: 0,
             #[cfg(test)]
             jumps: 0,
             #[cfg(test)]
@@ -1681,7 +1690,7 @@ impl<'a, Q: ReadySet> Simulation<'a, Q> {
             self.class_slots[run.requests.cursor[id].index()] as usize
         };
         self.ready.admit(rs, arrived.as_picos(), id as u32);
-        if self.run.span_cap > 0 && (self.ck_idx == usize::MAX || id < self.ck_ref) {
+        if self.run.span_cap > 0 && (self.ck_idx == usize::MAX || id > self.ck_ref) {
             self.ck_ref = id;
             self.ck_idx = 0;
         }
@@ -2183,7 +2192,7 @@ impl<'a, Q: ReadySet> Simulation<'a, Q> {
 
     /// Picks the reference again after the current one crossed a token
     /// boundary or left: itself while it is still in flight, otherwise
-    /// the lowest id in flight. Earlier checkpoints cannot repeat.
+    /// the highest id in flight. Earlier checkpoints cannot repeat.
     #[cold]
     #[inline(never)]
     fn rebase_checkpoints(&mut self) {
@@ -2192,17 +2201,16 @@ impl<'a, Q: ReadySet> Simulation<'a, Q> {
             self.ck_idx = 0;
             return;
         }
-        let mut lowest = u32::MAX;
+        let mut top = None;
         for rs in [FLASH, NPU] {
             if self.s_at[rs] != u64::MAX && (self.s_id[rs] as usize) < PREFILL_HOLD {
-                lowest = lowest.min(self.s_id[rs]);
+                top = top.max(Some(self.s_id[rs]));
             }
-            self.ready.pop_order(rs, |id| lowest = lowest.min(id));
+            self.ready.pop_order(rs, |id| top = top.max(Some(id)));
         }
-        (self.ck_ref, self.ck_idx) = if lowest == u32::MAX {
-            (0, usize::MAX)
-        } else {
-            (lowest as usize, 0)
+        (self.ck_ref, self.ck_idx) = match top {
+            Some(id) => (id as usize, 0),
+            None => (0, usize::MAX),
         };
     }
 
@@ -2216,12 +2224,12 @@ impl<'a, Q: ReadySet> Simulation<'a, Q> {
         self.run.busy_track[rs].busy_time().as_picos() + open
     }
 
-    /// The reference entered a new layer: takes a checkpoint, and jumps
-    /// when it repeats one taken a whole number of layers earlier. The
-    /// state is recorded only where a period can start or end: after a
-    /// reset, and where the loop kept a lockstep pace since an earlier
-    /// checkpoint, so a schedule that does not lock step (FCFS) pays a
-    /// few words per checkpoint, inline in the loop.
+    /// The reference (the trailing request) entered a new layer: takes
+    /// a checkpoint, and jumps when it repeats one taken a whole number
+    /// of layers earlier. The state is recorded only where a period can
+    /// start or end: after a reset, and where the loop kept a lockstep
+    /// pace since an earlier checkpoint, so a schedule that does not lock
+    /// step (FCFS) pays a few words per checkpoint, inline in the loop.
     #[inline(always)]
     fn checkpoint(&mut self) {
         let len = self.layer_len;
@@ -2245,6 +2253,10 @@ impl<'a, Q: ReadySet> Simulation<'a, Q> {
         self.ck_len = (n + 1).min(MAX_PERIOD_LAYERS);
         let busy =
             usize::from(self.s_at[FLASH] != u64::MAX) + usize::from(self.s_at[NPU] != u64::MAX);
+        #[cfg(test)]
+        {
+            self.checkpoints += 1;
+        }
         let b = &mut self.cks[at];
         b.ref_idx = idx;
         b.d_stamp = self.d_stamp;
@@ -2969,11 +2981,12 @@ mod tests {
 
     /// What an FCFS/RR run did that its report cannot show: the solo
     /// spans it took, the op completions that took the general path,
-    /// the layer-period jumps and the periods they skipped, and the
-    /// per-op dispatches it executed.
+    /// the checkpoints it took, the layer-period jumps and the periods
+    /// they skipped, and the per-op dispatches it executed.
     struct FastPaths {
         solo_spans: Vec<(usize, usize, usize)>,
         general_ops: u64,
+        checkpoints: u64,
         jumps: u64,
         periods_skipped: u64,
         dispatches: u64,
@@ -2996,6 +3009,7 @@ mod tests {
             let paths = FastPaths {
                 solo_spans: std::mem::take(&mut sim.solo_spans),
                 general_ops: sim.general_ops,
+                checkpoints: sim.checkpoints,
                 jumps: sim.jumps,
                 periods_skipped: sim.periods_skipped,
                 dispatches: sim.dispatches,
@@ -3102,10 +3116,10 @@ mod tests {
         let engine = DeviceEngine::new(SystemConfig::cambricon_l(), zoo::llama2_70b());
         let trace = ArrivalTrace::closed_loop(16, 1, RequestShape::new(1000, 64));
         let per_op = engine.clone().with_span_mode(SpanMode::PerOp);
-        // (jumps, periods skipped, per-op dispatches executed) of the
-        // 1,230,848 the 1,024 tokens owe: round-robin executes 5.3% of
-        // them, FCFS 96.1%.
-        let expected = [(1, 74, 1_182_860), (64, 4_858, 64_928)];
+        // (checkpoints, jumps, periods skipped, per-op dispatches
+        // executed) of the 1,230,848 the 1,024 tokens owe: round-robin
+        // executes 2.8% of them, FCFS 96.1%.
+        let expected = [(1_902, 1, 74, 1_182_860), (135, 64, 4_985, 34_448)];
         for (policy, counts) in POLICIES.into_iter().zip(expected) {
             let (report, paths) = run_counting(&engine, &trace, policy);
             let (reference, plain) = run_counting(&per_op, &trace, policy);
@@ -3113,9 +3127,35 @@ mod tests {
             let ops = report.tokens_served * engine.plan().len() as u64;
             assert_eq!(ops, 1_230_848);
             assert_eq!((plain.jumps, plain.dispatches), (0, ops), "{policy:?}");
-            let jumped = (paths.jumps, paths.periods_skipped, paths.dispatches);
+            let jumped = (
+                paths.checkpoints,
+                paths.jumps,
+                paths.periods_skipped,
+                paths.dispatches,
+            );
             assert_eq!(jumped, counts, "{policy:?}");
         }
+    }
+
+    #[test]
+    fn layer_period_jumps_resume_after_a_reference_handoff() {
+        // Four closed-loop clients, three requests each, under
+        // round-robin. A departing request's client respawns at once
+        // with a higher id, which takes over as the reference while the
+        // others are mid-token; the old reference departs later. Up to
+        // the first departure the three-round run is the one-round run,
+        // so jumps beyond the one-round count are jumps after a handoff:
+        // every round jumps once per token.
+        let engine = DeviceEngine::new(SystemConfig::cambricon_s(), zoo::opt_6_7b());
+        let per_op = engine.clone().with_span_mode(SpanMode::PerOp);
+        let policy = SchedulePolicy::RoundRobin;
+        let jumps = [1, 3].map(|rounds| {
+            let trace = ArrivalTrace::closed_loop(4, rounds, RequestShape::new(300, 16));
+            let (report, paths) = run_counting(&engine, &trace, policy);
+            assert_eq!(report, per_op.run(&trace, policy), "{rounds} rounds");
+            paths.jumps
+        });
+        assert_eq!(jumps, [16, 48]);
     }
 
     #[test]

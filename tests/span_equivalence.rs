@@ -537,6 +537,9 @@ fn layer_period_jumps_are_bit_exact_at_their_edges() {
     //   and respawn arrival breaks the period and jumps must resume;
     // * a burst plus one arrival landing mid-layer inside the span a
     //   jump would otherwise skip;
+    // * round-robin with a longer arrival landing mid-token, mid-layer,
+    //   after the burst has locked step: it becomes the trailing
+    //   reference while every earlier request is mid-token;
     // * round-robin at the ECC knee with a total deadline that sheds,
     //   where each token's fault time rides on its first flash op;
     // * prefill modelled, where a respawn's prefill holds the device.
@@ -560,14 +563,19 @@ fn layer_period_jumps_are_bit_exact_at_their_edges() {
         let plain = |mode| ServeEngine::new(cfg, model.clone()).with_span_mode(mode);
         let burst = ArrivalTrace::burst(6, shape);
         let first_token = plain(SpanMode::PerOp).run(&burst, rr).requests[0].first_token_at;
-        let ArrivalTrace::Open(mut arrivals) = burst else {
+        let ArrivalTrace::Open(arrivals) = burst else {
             unreachable!("bursts are open");
         };
-        arrivals.push(RequestArrival {
-            at: first_token / 2 + SimTime::from_picos(1),
-            shape: RequestShape::new(100, 4),
-        });
-        let mid_jump = ArrivalTrace::Open(arrivals);
+        let late = |at: SimTime, shape| {
+            let late = RequestArrival {
+                at: at + SimTime::from_picos(1),
+                shape,
+            };
+            ArrivalTrace::Open(arrivals.iter().copied().chain([late]).collect())
+        };
+        let mid_jump = late(first_token / 2, RequestShape::new(100, 4));
+        let handoff = late(first_token * 5 / 2, RequestShape::new(300, 16));
+        check("trailing handoff", &plain, &handoff, rr);
         for policy in [SchedulePolicy::Fcfs, rr] {
             check("respawns", &plain, &closed, policy);
             check("mid-jump arrival", &plain, &mid_jump, policy);
