@@ -494,7 +494,7 @@ impl System {
         let mut engine = self.cfg.engine;
         let mut inp = self.cfg.alpha_inputs();
         if self.cfg.tile_override.is_none() && self.cfg.strategy != tiling::Strategy::NpuOnly {
-            while tiling::fit_tile(&inp.topology, inp.weight_bits, rows, cols).is_none()
+            while tiling::fit_tile(&inp, rows, cols).is_none()
                 && (engine.topology.chips_per_channel > 1 || engine.topology.dies_per_chip > 1)
             {
                 if engine.topology.chips_per_channel > 1 {
@@ -932,6 +932,39 @@ mod tests {
         let sum = rep.gemv + rep.kv + rep.sfu;
         assert_eq!(sum, rep.total);
         assert!(rep.gemv > rep.kv); // weights dominate at seq 500
+    }
+
+    #[test]
+    fn narrow_matrices_get_tiles_their_cores_can_hold() {
+        // A narrow matrix pushes the transfer-optimal tile towards tall
+        // atomic tiles, whose partial result can overflow a compute
+        // core's output buffer. The planner must skip those tiles (and
+        // fall back to fewer dies or to the NPU), not hand one to the
+        // flash simulation, which refuses it.
+        let narrow = |hidden| ModelSpec {
+            name: "narrow-Llama2",
+            family: llm_workload::Family::Llama2,
+            layers: 1,
+            hidden,
+            heads: 8,
+            kv_heads: 2,
+            ffn: 4 * hidden,
+            vocab: 2048,
+            max_seq: 2048,
+        };
+        let w4 = |cfg: SystemConfig| cfg.with_quant(Quant::W4A16);
+        let cases = [
+            (w4(SystemConfig::cambricon_l()), 512),
+            (w4(SystemConfig::cambricon_l()), 1024),
+            (w4(SystemConfig::cambricon_m()), 256),
+            (w4(SystemConfig::cambricon_m()), 512),
+            (w4(SystemConfig::cambricon_s()), 256),
+            (SystemConfig::cambricon_l(), 256),
+        ];
+        for (cfg, hidden) in cases {
+            let rep = System::new(cfg).decode_token(&narrow(hidden), 16);
+            assert!(rep.total > SimTime::ZERO, "hidden {hidden} on {cfg:?}");
+        }
     }
 
     #[test]

@@ -99,7 +99,7 @@ pub fn plan_gemv(
     // Use the override verbatim (ablations measure exactly that shape);
     // otherwise fit the transfer-optimal shape to this matrix. When no
     // whole tile fits the matrix streams entirely to the NPU.
-    let fitted = tile_override.or_else(|| fit_tile(topo, inp.weight_bits, rows, cols));
+    let fitted = tile_override.or_else(|| fit_tile(inp, rows, cols));
     let tile = fitted.unwrap_or(TileShape {
         h_req: topo.compute_cores_per_channel(),
         w_req: topo.channels

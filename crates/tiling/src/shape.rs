@@ -15,6 +15,7 @@
 //! Wreq* = channelnum × sqrt(ccorenum × page_params)
 //! ```
 
+use crate::alpha::AlphaInputs;
 use flash_sim::Topology;
 
 /// A tile shape in weight elements.
@@ -103,21 +104,27 @@ pub fn optimal_tile(topo: &Topology, weight_bits: u32) -> TileShape {
     }
 }
 
-/// The §V-A optimum constrained to fit inside a `rows × cols` matrix.
+/// The §V-A optimum constrained to fit inside a `rows × cols` matrix and
+/// inside each compute core.
 ///
 /// The unconstrained optimum can exceed a matrix dimension (e.g.
 /// Cambricon-LLM-L's `Wreq* = 16384` against a 4096-wide projection);
 /// real plans must then pick the transfer-minimizing shape among those
 /// that keep the tile inside the matrix while preserving the exact tile
-/// area (`cores × page_params`). Returns `None` when no whole tile fits
-/// (the matrix then goes entirely to the NPU).
-pub fn fit_tile(topo: &Topology, weight_bits: u32, rows: usize, cols: usize) -> Option<TileShape> {
+/// area (`cores × page_params`). A narrow matrix pushes that choice
+/// towards tall atomic tiles, whose partial result (`atomic_h`
+/// activations) can overflow a core's output buffer; such a tile cannot
+/// run on the flash, so it is no candidate. Returns `None` when no whole
+/// tile fits (the matrix then goes entirely to the NPU).
+pub fn fit_tile(inp: &AlphaInputs, rows: usize, cols: usize) -> Option<TileShape> {
+    let topo = &inp.topology;
     let cc = topo.compute_cores_per_channel() as u64;
     let ch = topo.channels as u64;
-    let pp = page_params(topo, weight_bits);
+    let pp = page_params(topo, inp.weight_bits);
+    let max_atomic_h = (inp.core.output_buf_bytes / inp.act_bytes.max(1)) as u64;
     let mut best: Option<TileShape> = None;
     let mut atomic_h = 1u64;
-    while atomic_h <= pp {
+    while atomic_h <= pp.min(max_atomic_h) {
         if pp % atomic_h == 0 {
             let t = TileShape {
                 h_req: (cc * atomic_h) as usize,

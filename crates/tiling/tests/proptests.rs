@@ -42,29 +42,38 @@ proptest! {
         }
     }
 
-    /// fit_tile never returns a tile exceeding the matrix, and returns
-    /// one whenever the trivially smallest candidate fits.
+    /// fit_tile never returns a tile exceeding the matrix or a core's
+    /// output buffer, and returns one whenever the trivially smallest
+    /// candidate fits.
     #[test]
     fn fit_tile_respects_bounds(
         rows in 1usize..60_000,
         cols in 1usize..60_000,
+        w4 in any::<bool>(),
     ) {
         let topo = Topology::cambricon_m();
-        match fit_tile(&topo, 8, rows, cols) {
+        let inp = AlphaInputs {
+            act_bytes: if w4 { 2 } else { 1 },
+            weight_bits: if w4 { 4 } else { 8 },
+            ..AlphaInputs::paper(topo)
+        };
+        let pp = page_params(&topo, inp.weight_bits);
+        let cc = topo.compute_cores_per_channel() as u64;
+        let holds = |atomic_h: u64| atomic_h as usize * inp.act_bytes <= inp.core.output_buf_bytes;
+        match fit_tile(&inp, rows, cols) {
             Some(t) => {
                 prop_assert!(t.h_req <= rows && t.w_req <= cols);
+                prop_assert!(holds(t.h_req as u64 / cc));
                 prop_assert_eq!(
                     t.area(),
-                    topo.total_compute_cores() as u64 * page_params(&topo, 8)
+                    topo.total_compute_cores() as u64 * pp
                 );
             }
             None => {
                 // No candidate fits: verify the extremes don't either.
-                let pp = page_params(&topo, 8);
-                let cc = topo.compute_cores_per_channel() as u64;
                 let ch = topo.channels as u64;
                 let mut ah = 1u64;
-                while ah <= pp {
+                while ah <= pp && holds(ah) {
                     let h = (cc * ah) as usize;
                     let w = (ch * (pp / ah)) as usize;
                     prop_assert!(h > rows || w > cols);
