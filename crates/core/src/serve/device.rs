@@ -992,12 +992,16 @@ trait ReadySet: Default {
     /// Calls `f` on every member queued for `rs`, in pop order. Returns
     /// false when that order does not follow from the members' keys
     /// alone: round-robin members never scheduled yet pop first, by id.
-    /// A layer-period checkpoint records the order.
-    fn pop_order(&self, rs: usize, f: impl FnMut(u32)) -> bool;
+    /// A layer-period checkpoint records the order. The default is a set
+    /// with no key-fixed order, and so no layer period: it returns false
+    /// at once.
+    fn pop_order(&self, _rs: usize, _f: impl FnMut(u32)) -> bool {
+        false
+    }
     /// Adds `by` to every key that is a dispatch stamp: a layer-period
     /// jump moves every dispatch stamp, and so every round-robin key,
-    /// forward by `by`.
-    fn shift_keys(&mut self, by: u64);
+    /// forward by `by`. The default is a set whose keys are not stamps.
+    fn shift_keys(&mut self, _by: u64) {}
 }
 
 /// FCFS ready set. Arrival keys are static and admissions come in key
@@ -1098,24 +1102,6 @@ impl ReadySet for FcfsReady {
     fn queued(&self, rs: usize) -> usize {
         self.queued[rs]
     }
-
-    fn pop_order(&self, rs: usize, mut f: impl FnMut(u32)) -> bool {
-        let mut left = self.queued[rs];
-        let mut w = self.lo[rs];
-        while left > 0 {
-            let mut bits = self.mask[rs][w];
-            while bits != 0 {
-                f(self.order[w * 64 + bits.trailing_zeros() as usize]);
-                bits &= bits - 1;
-                left -= 1;
-            }
-            w += 1;
-        }
-        true
-    }
-
-    /// Arrival keys are not stamps: nothing moves.
-    fn shift_keys(&mut self, _by: u64) {}
 }
 
 /// One ascending FIFO lane of the round-robin ready set: a power-of-two
@@ -1353,26 +1339,20 @@ struct Clock {
     booked: [u64; 2],
 }
 
-/// One layer-period checkpoint of [`Simulation`], taken between events.
-///
-/// Every checkpoint records the pace: the reference's plan index, the
-/// dispatch stamp and how many requests are in flight. A full one also
-/// records the loop's state relative to its clock and the reference's
-/// plan index. Two full checkpoints with equal states, whose reference
-/// indices differ by whole layers, have the same future up to that
-/// shift, for as long as every position they reach is periodic and no
-/// arrival intervenes.
+/// One layer-period checkpoint of [`Simulation`], taken between events:
+/// the reference's plan index, the clock, and the loop's state relative
+/// to the clock and that index. Two periodic checkpoints with equal
+/// states, whose reference indices differ by whole layers, have the
+/// same future up to that shift, for as long as every position they
+/// reach is periodic and no arrival intervenes.
 #[derive(Debug, Default)]
 struct Checkpoint {
     /// The reference request's plan index.
     ref_idx: usize,
-    /// The dispatch stamp.
-    d_stamp: u64,
-    /// Requests in flight.
-    in_flight: usize,
-    /// Whether the rest was recorded: every field below is meaningful
-    /// only then.
-    full: bool,
+    /// Whether the state has a layer period: every member decodes and
+    /// owes no fault time, and each ready set's order follows from its
+    /// keys. The fields below are complete only then.
+    periodic: bool,
     clock: Clock,
     /// Per resource: its slot's end and stamp (`u64::MAX` twice when
     /// idle), the end of the busy run a dispatch could still chain onto
@@ -1390,14 +1370,15 @@ struct Checkpoint {
 
 impl Checkpoint {
     /// Whether the loop kept a lockstep pace from `a`, taken `layers`
-    /// layers of `len` ops earlier: the same requests in flight, and
+    /// layers of `len` ops earlier: as many requests in flight, and
     /// exactly one dispatch per op each of them moved if they all moved
     /// `layers` layers, as a repeat of `a` requires.
     fn keeps_pace(&self, a: &Checkpoint, layers: usize, len: usize) -> bool {
         let ops = layers * len;
+        let in_flight = self.members.len();
         a.ref_idx + ops == self.ref_idx
-            && a.in_flight == self.in_flight
-            && self.d_stamp - a.d_stamp == (self.in_flight * ops) as u64
+            && a.members.len() == in_flight
+            && self.clock.d_stamp - a.clock.d_stamp == (in_flight * ops) as u64
     }
 }
 
@@ -1530,6 +1511,11 @@ struct Simulation<'a, Q> {
 }
 
 impl<'a, Q: ReadySet> Simulation<'a, Q> {
+    /// Whether the loop takes layer-period checkpoints and jumps: only
+    /// round-robin keeps the lockstep schedule a layer period needs, so
+    /// FCFS compiles every checkpoint site out.
+    const JUMPS: bool = matches!(Q::POLICY, SchedulePolicy::RoundRobin);
+
     fn new(engine: &'a DeviceEngine, trace: &ArrivalTrace, priced: &'a PricedRun) -> Self {
         let run = DeviceRun::new(engine, trace, priced);
         debug_assert_eq!(run.plan.periodic_range().start, 0);
@@ -1617,7 +1603,7 @@ impl<'a, Q: ReadySet> Simulation<'a, Q> {
             } else {
                 self.step::<1>();
             }
-            if self.run.requests.cursor[self.ck_ref].index() >= self.ck_idx {
+            if Self::JUMPS && self.run.requests.cursor[self.ck_ref].index() >= self.ck_idx {
                 self.checkpoint();
             }
         }
@@ -1690,7 +1676,7 @@ impl<'a, Q: ReadySet> Simulation<'a, Q> {
             self.class_slots[run.requests.cursor[id].index()] as usize
         };
         self.ready.admit(rs, arrived.as_picos(), id as u32);
-        if self.run.span_cap > 0 && (self.ck_idx == usize::MAX || id > self.ck_ref) {
+        if Self::JUMPS && self.run.span_cap > 0 && (self.ck_idx == usize::MAX || id > self.ck_ref) {
             self.ck_ref = id;
             self.ck_idx = 0;
         }
@@ -1827,7 +1813,7 @@ impl<'a, Q: ReadySet> Simulation<'a, Q> {
             run.complete_request(id, now);
             self.respawn(id);
         }
-        if id == self.ck_ref && self.ck_idx != usize::MAX {
+        if Self::JUMPS && id == self.ck_ref && self.ck_idx != usize::MAX {
             self.rebase_checkpoints();
         }
     }
@@ -2226,11 +2212,10 @@ impl<'a, Q: ReadySet> Simulation<'a, Q> {
 
     /// The reference (the trailing request) entered a new layer: takes
     /// a checkpoint, and jumps when it repeats one taken a whole number
-    /// of layers earlier. The state is recorded only where a period can
-    /// start or end: after a reset, and where the loop kept a lockstep
-    /// pace since an earlier checkpoint, so a schedule that does not lock
-    /// step (FCFS) pays a few words per checkpoint, inline in the loop.
-    #[inline(always)]
+    /// of layers earlier. Once per layer of the reference, so it stays
+    /// out of line.
+    #[cold]
+    #[inline(never)]
     fn checkpoint(&mut self) {
         let len = self.layer_len;
         let idx = self.run.requests.cursor[self.ck_ref].index();
@@ -2251,36 +2236,20 @@ impl<'a, Q: ReadySet> Simulation<'a, Q> {
         let earlier = |p: usize| (at + CK_RING - p) % CK_RING;
         self.ck_at = at;
         self.ck_len = (n + 1).min(MAX_PERIOD_LAYERS);
-        let busy =
-            usize::from(self.s_at[FLASH] != u64::MAX) + usize::from(self.s_at[NPU] != u64::MAX);
         #[cfg(test)]
         {
             self.checkpoints += 1;
         }
-        let b = &mut self.cks[at];
-        b.ref_idx = idx;
-        b.d_stamp = self.d_stamp;
-        b.in_flight = busy + self.ready.queued(FLASH) + self.ready.queued(NPU);
-        b.full = false;
-        let b = &self.cks[at];
-        if n == 0 || (1..=n).any(|p| b.keeps_pace(&self.cks[earlier(p)], p, len)) {
-            self.checkpoint_state(at, n);
-        }
-    }
-
-    /// The rest of a checkpoint in entry `at` of the ring, which follows
-    /// `n` earlier ones: records the state, and jumps when it repeats
-    /// one of them.
-    #[cold]
-    #[inline(never)]
-    fn checkpoint_state(&mut self, at: usize, n: usize) {
-        let len = self.layer_len;
-        let earlier = |p: usize| (at + CK_RING - p) % CK_RING;
         let mut b = std::mem::take(&mut self.cks[at]);
-        b.full = self.take_state(&mut b);
+        b.ref_idx = idx;
+        b.periodic = self.take_state(&mut b);
         let period = (1..=n).find(|&p| {
             let a = &self.cks[earlier(p)];
-            b.full && a.full && b.keeps_pace(a, p, len) && a.head == b.head && a.rel == b.rel
+            b.periodic
+                && a.periodic
+                && b.keeps_pace(a, p, len)
+                && a.head == b.head
+                && a.rel == b.rel
         });
         if let Some(p) = period {
             let from = self.cks[earlier(p)].clock;
@@ -3118,8 +3087,9 @@ mod tests {
         let per_op = engine.clone().with_span_mode(SpanMode::PerOp);
         // (checkpoints, jumps, periods skipped, per-op dispatches
         // executed) of the 1,230,848 the 1,024 tokens owe: round-robin
-        // executes 2.8% of them, FCFS 96.1%.
-        let expected = [(1_902, 1, 74, 1_182_860), (135, 64, 4_985, 34_448)];
+        // executes 2.8% of them; FCFS takes no checkpoints and executes
+        // 96.2% (its solo spans run the rest).
+        let expected = [(0, 0, 0, 1_183_970), (135, 64, 4_985, 34_448)];
         for (policy, counts) in POLICIES.into_iter().zip(expected) {
             let (report, paths) = run_counting(&engine, &trace, policy);
             let (reference, plain) = run_counting(&per_op, &trace, policy);
