@@ -524,8 +524,12 @@ impl ServeReport {
     }
 }
 
+mod batched;
 mod device;
+mod period;
 mod pricing;
+mod ready;
+mod run;
 
 pub use device::DeviceEngine;
 pub(crate) use pricing::PricedRun;

@@ -12,7 +12,8 @@
 //!
 //! [`DeviceEngine::run`]: super::DeviceEngine::run
 
-use super::device::{kv_cache, DeviceEngine, FLASH, NPU};
+use super::device::DeviceEngine;
+use super::run::{kv_cache, FLASH, NPU};
 use super::PrefillMode;
 use crate::reliability::FaultMode;
 use crate::system::{OpClass, PrefillCost, System, TrafficBreakdown};
