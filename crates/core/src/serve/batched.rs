@@ -54,10 +54,11 @@ impl BatchState {
 
 /// The continuous-batching event loop.
 ///
-/// Compared with [`Simulation`](super::device::Simulation), which interleaves *individual* ops of
-/// independent requests across the two resources, this loop executes
-/// **batch steps**: one walk of the shared [`TokenPlan`](llm_workload::TokenPlan) serving every
-/// in-flight request at once, priced in spans of whole steps
+/// Compared with [`Simulation`](super::device::Simulation), which
+/// interleaves *individual* ops of independent requests across the two
+/// resources, this loop executes **batch steps**: one walk of the shared
+/// [`TokenPlan`](llm_workload::TokenPlan) serving every in-flight
+/// request at once, priced in spans of whole steps
 /// ([`BatchedSimulation::start_span`]). Per step:
 ///
 /// * a weight GeMV occupies the flash device **once** for the whole
@@ -116,7 +117,7 @@ impl<'a> BatchedSimulation<'a> {
 
     /// Whether a batched op is in flight (the step is mid-walk).
     fn stepping(&self) -> bool {
-        self.run.ev.busy(0) || self.run.ev.busy(1)
+        self.run.ev.op_done.iter().any(Option::is_some)
     }
 
     pub(super) fn run(mut self) -> ServeReport {
@@ -287,9 +288,9 @@ impl<'a> BatchedSimulation<'a> {
     }
 
     /// Prices and launches a **span**: a run of up to `span_cap` batch
-    /// steps (one under [`SpanMode::PerOp`](super::SpanMode::PerOp)) executed as one event-core
-    /// round. Between scheduling boundaries the batch is fixed, so each
-    /// step's latency decomposes into
+    /// steps (one under [`SpanMode::PerOp`](super::SpanMode::PerOp))
+    /// executed as one event-core round. Between scheduling boundaries
+    /// the batch is fixed, so each step's latency decomposes into
     ///
     /// * a flash term — one weight stream serves every member, but each
     ///   member still multiplies the streamed weights by its own

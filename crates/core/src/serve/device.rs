@@ -1,4 +1,5 @@
-//! The device component: one flash/NPU device's entire event loop.
+//! The device component: one flash/NPU device's serving engine and its
+//! FCFS/round-robin event loop.
 //!
 //! [`DeviceEngine`] owns everything that happens *inside* one device —
 //! the request pool, ready sets, span coalescing, fault windows and
@@ -9,34 +10,26 @@
 //!
 //! One run's shared state — pool, event core, fault run, report
 //! accumulators, and a borrow of the [`PricedRun`] every cost comes
-//! from — lives in a [`DeviceRun`], built once and turned into the
-//! report once. Two event loops drive it:
+//! from — lives in a [`DeviceRun`] (`serve/run.rs`), built once and
+//! turned into the report once. Two event loops drive it:
 //!
 //! * [`Simulation`], the one loop for FCFS and round-robin, generic over
-//!   the policy's [`ReadySet`], the one queue of the run. It interleaves
-//!   the two resources op by op: a hot completion handler with targeted
-//!   dispatch, out-of-line handlers for arrivals and for completions
-//!   around a prefill, and one post-event dispatch pass. With spans on,
-//!   that pass also starts **solo spans** ([`Simulation::solo_span`]),
-//!   which price a lone request's whole tokens with a few adds;
-//!   [`SpanMode::PerOp`] turns them off.
-//! * **Layer-period jumps**, inside [`Simulation`] with spans on: a
-//!   checkpoint between events each time the reference request enters
-//!   a layer; when one repeats a checkpoint one or two layers earlier
-//!   (relative to `now`, both stamps and the plan index), the loop
-//!   applies the following periods as shifts instead of stepping them.
-//!   This is exact because every position of the plan's layer loop
-//!   prices like the one a layer later and the loop reads only the
-//!   relative state. A jump ends before the next arrival and before any
-//!   in-flight request leaves the layer loop, so no token boundary is
-//!   skipped. [`SpanMode::PerOp`] turns jumps off too.
-//! * [`BatchedSimulation`], the continuous-batching loop. It runs the
-//!   batch in bulk-priced spans of whole batch steps; under
-//!   [`SpanMode::PerOp`] each span is one step.
+//!   the policy's [`ReadySet`] (`serve/ready.rs`), the one queue of the
+//!   run. It interleaves the two resources op by op: a hot completion
+//!   handler with targeted dispatch, out-of-line handlers for arrivals
+//!   and for completions around a prefill, and one post-event dispatch
+//!   pass. With spans on, that pass also starts **solo spans**
+//!   ([`Simulation::solo_span`]), which price a lone request's whole
+//!   tokens with a few adds, and under round-robin the loop takes
+//!   **layer-period jumps** (`serve/period.rs`) over the layers its
+//!   lockstep schedule repeats exactly. FCFS compiles the jumps out;
+//!   [`SpanMode::PerOp`] turns spans and jumps off.
+//! * [`BatchedSimulation`] (`serve/batched.rs`), the continuous-batching
+//!   loop. It runs the batch in bulk-priced spans of whole batch steps;
+//!   under [`SpanMode::PerOp`] each span is one step.
 //!
-//! Every path of both loops is pinned to the naive oracle in
-//! `tests/support/oracle.rs`, which shares none of this module's
-//! structures.
+//! Every path of both loops, the jumps included, is pinned to the naive
+//! oracle in `tests/support/oracle.rs`.
 //!
 //! Everything here is an implementation detail of the serving model
 //! documented on [`crate::serve`]; the public surface is
@@ -229,8 +222,7 @@ fn op_latency(
 }
 
 /// Branch-layout hint: calling this marks the enclosing block cold, so
-/// the FCFS/RR loop's rare arms (one token boundary per `n_ops` events)
-/// are laid out away from the hot op path.
+/// the loop's rare arms are laid out away from the hot op path.
 #[cold]
 #[inline(never)]
 fn cold_mark() {}
@@ -272,35 +264,15 @@ fn cold_mark() {}
 /// sums are integer picoseconds and the two trackers are independent,
 /// so the deferral is unobservable.
 ///
-/// **Layer-period jumps.** With spans on, the loop also skips the
-/// layers a lockstep schedule repeats exactly. Each time the reference
-/// request (the trailing one: the highest in-flight id) enters a new
-/// layer of the plan's periodic range ([`TokenPlan::periodic_range`]),
-/// the loop takes a [`Checkpoint`] between events; where it kept a
-/// lockstep pace, the checkpoint records its whole state relative to
-/// `now`, both stamps and the reference's plan index. When that state
-/// equals the one recorded `p ≤` [`MAX_PERIOD_LAYERS`](super::period::MAX_PERIOD_LAYERS) layers earlier,
-/// the next `k` periods are that period shifted, and
-/// [`Simulation::jump`] applies them in O(in-flight) arithmetic. When
-/// the trailing request starts a token every other member has started
-/// its own, so a token's jumps begin a layer sooner than with the
-/// leading request as reference, whose first layer entry still
-/// straddles the previous token. The argument is exact: inside the
-/// periodic range a position and the one a layer later have the same
-/// resource and price, no in-flight request owes fault time, and every
-/// decision the loop takes reads only the recorded relative state. `k`
-/// is bounded so that no arrival lands at or before the jump's end and
-/// every plan position the skipped periods touch stays inside the
-/// periodic range, so no token boundary — no latency sample, shed,
-/// fault draw, respawn or traffic booking — is skipped.
-/// [`SpanMode::PerOp`] turns jumps off with the solo spans.
+/// Under round-robin with spans on, the loop also takes **layer-period
+/// jumps** (`serve/period.rs`); [`Simulation::JUMPS`] compiles the three
+/// sites that drive them out of the FCFS loop.
 pub(super) struct Simulation<'a, Q> {
     pub(super) run: DeviceRun<'a>,
     pub(super) ready: Q,
     pub(super) n_ops: usize,
-    /// The priced table's `PlanTable::class_slots` and
-    /// `PlanTable::pos_lat`, held here so the per-op path reads them
-    /// without going through the table.
+    /// The priced table's `PlanTable::class_slots` and `pos_lat`, held
+    /// here so the per-op path reads them directly.
     pub(super) class_slots: &'a [u8],
     pub(super) pos_lat: &'a [u64],
     pub(super) faults_on: bool,
@@ -333,34 +305,15 @@ pub(super) struct Simulation<'a, Q> {
     /// The reference's plan index at which the next checkpoint fires;
     /// `usize::MAX` when none will (spans off, or nothing in flight).
     pub(super) ck_idx: usize,
-    /// A ring of checkpoints: the latest `ck_len` (at most
-    /// [`MAX_PERIOD_LAYERS`](super::period::MAX_PERIOD_LAYERS)) since the last jump, reference token
-    /// boundary or arrival end at `ck_at`, and the next one goes into
-    /// the entry after it.
+    /// A ring of checkpoints: the latest `ck_len` since the last jump,
+    /// reference token boundary or arrival end at `ck_at`.
     pub(super) cks: [Checkpoint; CK_RING],
     pub(super) ck_at: usize,
     pub(super) ck_len: usize,
-    /// Checkpoints taken, layer-period jumps taken, the periods they
-    /// skipped, and the per-op dispatches actually executed. Filled only
-    /// in unit tests, which pin them: reports are the same with or
-    /// without jumps.
+    /// The fast paths the run took, which its report cannot show. Filled
+    /// only in unit tests, which pin them.
     #[cfg(test)]
-    pub(super) checkpoints: u64,
-    #[cfg(test)]
-    pub(super) jumps: u64,
-    #[cfg(test)]
-    pub(super) periods_skipped: u64,
-    #[cfg(test)]
-    pub(super) dispatches: u64,
-    /// Every solo span run, as `(request, tokens coalesced, tokens the
-    /// request owed at its start)`. Filled only in unit tests, which
-    /// use it to see that a span engaged: reports cannot show that.
-    #[cfg(test)]
-    pub(super) solo_spans: Vec<(usize, usize, usize)>,
-    /// Op completions that took [`Simulation::general`]. Filled only in
-    /// unit tests: reports are the same whichever path an op takes.
-    #[cfg(test)]
-    pub(super) general_ops: u64,
+    pub(super) paths: tests::FastPaths,
 }
 
 impl<'a, Q: ReadySet> Simulation<'a, Q> {
@@ -400,17 +353,7 @@ impl<'a, Q: ReadySet> Simulation<'a, Q> {
             ck_len: 0,
             run,
             #[cfg(test)]
-            checkpoints: 0,
-            #[cfg(test)]
-            jumps: 0,
-            #[cfg(test)]
-            periods_skipped: 0,
-            #[cfg(test)]
-            dispatches: 0,
-            #[cfg(test)]
-            solo_spans: Vec::new(),
-            #[cfg(test)]
-            general_ops: 0,
+            paths: tests::FastPaths::default(),
         }
     }
 
@@ -547,7 +490,7 @@ impl<'a, Q: ReadySet> Simulation<'a, Q> {
     fn general(&mut self, s: usize) {
         #[cfg(test)]
         {
-            self.general_ops += 1;
+            self.paths.general_ops += 1;
         }
         let id32 = self.s_id[s];
         let id = id32 as usize;
@@ -726,7 +669,7 @@ impl<'a, Q: ReadySet> Simulation<'a, Q> {
         let now = self.now;
         #[cfg(test)]
         {
-            self.dispatches += 1;
+            self.paths.dispatches += 1;
         }
         let requests = &mut self.run.requests;
         debug_assert_eq!(requests.phase[nid], Phase::Decoding);
@@ -997,7 +940,7 @@ impl<'a, Q: ReadySet> Simulation<'a, Q> {
             return 0;
         }
         #[cfg(test)]
-        self.solo_spans.push((id, k, remaining));
+        self.paths.solo_spans.push((id, k, remaining));
         // The first token's fault time is spent inside the span.
         requests.fault_extra[id] = 0;
         // Per-op bookkeeping the span elides: one dispatch (and one event
@@ -1063,8 +1006,8 @@ pub(super) mod tests {
         let mut sim = Simulation::<FcfsReady>::new(engine, &lone_trace(), priced);
         sim.arrive();
         assert_eq!(sim.next_arr.0, u64::MAX, "no arrival pending");
-        let [(0, k, _)] = sim.solo_spans[..] else {
-            panic!("the arrival runs one solo span: {:?}", sim.solo_spans);
+        let [(0, k, _)] = sim.paths.solo_spans[..] else {
+            panic!("the arrival runs one solo span: {:?}", sim.paths.solo_spans);
         };
         let end = sim
             .s_at
@@ -1074,17 +1017,30 @@ pub(super) mod tests {
         (sim, k, SimTime::from_picos(end))
     }
 
-    /// What an FCFS/RR run did that its report cannot show: the solo
-    /// spans it took, the op completions that took the general path,
-    /// the checkpoints it took, the layer-period jumps and the periods
-    /// they skipped, and the per-op dispatches it executed.
+    /// What an FCFS/RR run did that its report cannot show (reports are
+    /// the same whichever path the work takes).
+    #[derive(Debug, Default)]
     pub(in crate::serve) struct FastPaths {
+        /// Every solo span run, as `(request, tokens coalesced, tokens
+        /// the request owed at its start)`.
         pub(in crate::serve) solo_spans: Vec<(usize, usize, usize)>,
+        /// Op completions that took [`Simulation::general`].
         pub(in crate::serve) general_ops: u64,
+        /// Layer-period checkpoints taken.
         pub(in crate::serve) checkpoints: u64,
-        pub(in crate::serve) jumps: u64,
+        /// The time each layer-period jump landed at, in picoseconds.
+        pub(in crate::serve) landings: Vec<u64>,
+        /// Layer periods the jumps skipped.
         pub(in crate::serve) periods_skipped: u64,
+        /// Per-op dispatches executed.
         pub(in crate::serve) dispatches: u64,
+    }
+
+    impl FastPaths {
+        /// Layer-period jumps taken.
+        pub(in crate::serve) fn jumps(&self) -> u64 {
+            self.landings.len() as u64
+        }
     }
 
     /// Runs `trace` through the FCFS/RR loop under `policy`; returns the
@@ -1101,14 +1057,7 @@ pub(super) mod tests {
             let priced = PricedRun::new(engine, std::slice::from_ref(trace));
             let mut sim = Simulation::<Q>::new(engine, trace, &priced);
             sim.drive();
-            let paths = FastPaths {
-                solo_spans: std::mem::take(&mut sim.solo_spans),
-                general_ops: sim.general_ops,
-                checkpoints: sim.checkpoints,
-                jumps: sim.jumps,
-                periods_skipped: sim.periods_skipped,
-                dispatches: sim.dispatches,
-            };
+            let paths = std::mem::take(&mut sim.paths);
             (sim.finish(), paths)
         }
         match policy {

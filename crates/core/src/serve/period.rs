@@ -1,5 +1,25 @@
-//! Layer-period jumps of the round-robin loop: the checkpoints and the
+//! Layer-period jumps of the round-robin loop: the checkpoints, and the
 //! jump that skips the layers a lockstep schedule repeats exactly.
+//!
+//! Only round-robin keeps that schedule (`Simulation::JUMPS` compiles
+//! the checkpoints out of FCFS). With spans on, each time the reference
+//! request (the trailing one, the highest in-flight id) enters a layer of
+//! the plan's periodic range, the loop takes a [`Checkpoint`] of its
+//! state relative to `now`, both stamps and the reference's plan index.
+//! When the state equals one recorded `p ≤` [`MAX_PERIOD_LAYERS`] layers
+//! earlier, at a lockstep pace in between, the next `k` periods are that
+//! period shifted, and [`Simulation::jump`] applies them in O(in-flight)
+//! arithmetic. This is exact: inside the periodic range a position and
+//! the one a layer later have the same resource and price, no member
+//! owes fault time, and the loop reads only the relative state. `k` keeps
+//! every position the skipped periods touch inside the periodic range,
+//! so no token boundary is skipped, and lands the jump strictly before
+//! the next arrival, which at one instant fires before any completion.
+//!
+//! A jump moves every round-robin key, the queued ones included
+//! ([`ReadySet::shift_keys`]): a queued key left above a slot member's
+//! would rank below that member's next key, and the two can meet in one
+//! queue right after the landing (pinned in `tests/span_equivalence.rs`).
 
 use sim_core::SimTime;
 
@@ -28,11 +48,10 @@ pub(super) struct Clock {
 }
 
 /// One layer-period checkpoint of [`Simulation`], taken between events:
-/// the reference's plan index, the clock, and the loop's state relative
-/// to the clock and that index. Two periodic checkpoints with equal
-/// states, whose reference indices differ by whole layers, have the
-/// same future up to that shift, for as long as every position they
-/// reach is periodic and no arrival intervenes.
+/// the reference's plan index, the clock, and the state relative to
+/// both. Two with equal states, whose reference indices differ by whole
+/// layers, have the same future up to that shift while every position
+/// they reach is periodic and no arrival intervenes.
 #[derive(Debug, Default)]
 pub(super) struct Checkpoint {
     /// The reference request's plan index.
@@ -58,15 +77,13 @@ pub(super) struct Checkpoint {
 
 impl Checkpoint {
     /// Whether the loop kept a lockstep pace from `a`, taken `layers`
-    /// layers of `len` ops earlier: as many requests in flight, and
-    /// exactly one dispatch per op each of them moved if they all moved
-    /// `layers` layers, as a repeat of `a` requires.
+    /// layers of `len` ops earlier: exactly one dispatch per op each
+    /// member moved if they all moved `layers` layers, as a repeat of
+    /// `a` (whose members the state comparison matches) requires.
     fn keeps_pace(&self, a: &Checkpoint, layers: usize, len: usize) -> bool {
         let ops = layers * len;
-        let in_flight = self.members.len();
         a.ref_idx + ops == self.ref_idx
-            && a.members.len() == in_flight
-            && self.clock.d_stamp - a.clock.d_stamp == (in_flight * ops) as u64
+            && self.clock.d_stamp - a.clock.d_stamp == (self.members.len() * ops) as u64
     }
 }
 
@@ -133,7 +150,7 @@ impl<'a, Q: ReadySet> Simulation<'a, Q> {
         self.ck_len = (n + 1).min(MAX_PERIOD_LAYERS);
         #[cfg(test)]
         {
-            self.checkpoints += 1;
+            self.paths.checkpoints += 1;
         }
         let mut b = std::mem::take(&mut self.cks[at]);
         b.ref_idx = idx;
@@ -273,8 +290,8 @@ impl<'a, Q: ReadySet> Simulation<'a, Q> {
         }
         #[cfg(test)]
         {
-            self.jumps += 1;
-            self.periods_skipped += k64;
+            self.paths.landings.push(now);
+            self.paths.periods_skipped += k64;
         }
     }
 }
@@ -288,7 +305,8 @@ mod tests {
     use crate::serve::pricing::PricedRun;
     use crate::serve::ready::RrReady;
     use crate::serve::{SchedulePolicy, SpanMode};
-    use llm_workload::{zoo, ArrivalTrace, RequestShape};
+    use llm_workload::kv::kv_bytes_per_token;
+    use llm_workload::{zoo, ArrivalTrace, Family, ModelSpec, RequestArrival, RequestShape};
 
     #[test]
     fn layer_period_jumps_skip_the_repeated_layers() {
@@ -312,10 +330,10 @@ mod tests {
             assert_eq!(report, reference, "{policy:?}");
             let ops = report.tokens_served * engine.plan().len() as u64;
             assert_eq!(ops, 1_230_848);
-            assert_eq!((plain.jumps, plain.dispatches), (0, ops), "{policy:?}");
+            assert_eq!((plain.jumps(), plain.dispatches), (0, ops), "{policy:?}");
             let jumped = (
                 paths.checkpoints,
-                paths.jumps,
+                paths.jumps(),
                 paths.periods_skipped,
                 paths.dispatches,
             );
@@ -339,7 +357,7 @@ mod tests {
             let trace = ArrivalTrace::closed_loop(4, rounds, RequestShape::new(300, 16));
             let (report, paths) = run_counting(&engine, &trace, policy);
             assert_eq!(report, per_op.run(&trace, policy), "{rounds} rounds");
-            paths.jumps
+            paths.jumps()
         });
         assert_eq!(jumps, [16, 48]);
     }
@@ -379,5 +397,65 @@ mod tests {
         assert!(sim.take_state(&mut aged));
         assert_eq!(aged.members, ck.members);
         assert_ne!(aged.rel, ck.rel, "the key of request {id} is not recorded");
+    }
+
+    #[test]
+    fn the_six_layer_oracle_models_take_jumps() {
+        // `tests/oracle.rs` pins round-robin to its naive oracle on tiny
+        // models of two and six layers. Two layers are too few for a
+        // jump to start; six are not. Pin that a shape of the oracle's
+        // fixed draw (three closed-loop clients on Cam-S with the KV
+        // allocation cut to 2,400 tokens) does jump, so the oracle's
+        // check of the jumps cannot lapse unseen.
+        let model = ModelSpec {
+            name: "tiny-OPT",
+            family: Family::Opt,
+            layers: 6,
+            hidden: 512,
+            heads: 8,
+            kv_heads: 8,
+            ffn: 2048,
+            vocab: 2048,
+            max_seq: 2048,
+        };
+        let mut cfg = SystemConfig::cambricon_s();
+        cfg.npu.dram_kv_bytes = 2400 * kv_bytes_per_token(&model, cfg.quant);
+        let trace = ArrivalTrace::closed_loop(3, 2, RequestShape::new(700, 5));
+        let engine = DeviceEngine::new(cfg, model);
+        let (_, paths) = run_counting(&engine, &trace, SchedulePolicy::RoundRobin);
+        assert!(paths.jumps() > 0, "the six-layer shape takes no jump");
+    }
+
+    #[test]
+    fn an_arrival_on_a_jump_landing_is_bit_exact() {
+        // A jump must land strictly before the next arrival. At one
+        // instant an arrival fires before any op completion, so a jump
+        // that landed on it would have run the completion there first.
+        // Probe where a burst's jumps land with nothing else arriving,
+        // then add one arrival 1 ps before, on and 1 ps after each of
+        // the first landings: the run must equal the per-op one.
+        let engine = DeviceEngine::new(SystemConfig::cambricon_s(), zoo::opt_6_7b());
+        let per_op = engine.clone().with_span_mode(SpanMode::PerOp);
+        let rr = SchedulePolicy::RoundRobin;
+        let burst = ArrivalTrace::burst(4, RequestShape::new(300, TOKENS));
+        let (_, probe) = run_counting(&engine, &burst, rr);
+        let ArrivalTrace::Open(arrivals) = burst else {
+            unreachable!("bursts are open");
+        };
+        assert!(probe.landings.len() >= 3, "{:?}", probe.landings);
+        for &landing in &probe.landings[..3] {
+            for at in [landing - 1, landing, landing + 1] {
+                let late = RequestArrival {
+                    at: SimTime::from_picos(at),
+                    shape: RequestShape::new(100, 4),
+                };
+                let trace = ArrivalTrace::Open(arrivals.iter().copied().chain([late]).collect());
+                assert_eq!(
+                    run_counting(&engine, &trace, rr).0,
+                    per_op.run(&trace, rr),
+                    "an arrival at {at} ps, by a landing at {landing} ps"
+                );
+            }
+        }
     }
 }

@@ -10,7 +10,8 @@ use super::SchedulePolicy;
 /// `(key, id)` order. The FCFS key is the arrival time; the
 /// round-robin key is the last-scheduled dispatch stamp, 0 before the
 /// first dispatch. One set lives for the whole run, and every handler
-/// of [`Simulation`](super::device::Simulation) enqueues into it and pops from it.
+/// of [`Simulation`](super::device::Simulation) enqueues into it and
+/// pops from it.
 ///
 /// Neither key changes while a request waits, so each policy orders its
 /// members by a law of its own instead of a heap: FCFS ranks a request
@@ -24,8 +25,9 @@ pub(super) trait ReadySet: Default {
     /// long as the membership and every key are unchanged (true for
     /// FCFS, whose keys are static; false for round-robin, whose
     /// rotation re-keys every dispatch). Inside a single-resource
-    /// stretch of [`Simulation::step`](super::device::Simulation::step) this licenses redispatching the
-    /// completing member without touching the set.
+    /// stretch of [`Simulation::step`](super::device::Simulation::step)
+    /// this licenses redispatching the completing member without
+    /// touching the set.
     const RETAINS_MIN: bool;
     /// Admits request `id`, which arrived at `arrived_ps`, and queues
     /// it for resource `rs`. Admissions come in ascending
@@ -46,24 +48,22 @@ pub(super) trait ReadySet: Default {
     /// Calls `f` on every member queued for `rs`, in pop order. Returns
     /// false when that order does not follow from the members' keys
     /// alone: round-robin members never scheduled yet pop first, by id.
-    /// A layer-period checkpoint records the order. The default is a set
-    /// with no key-fixed order, and so no layer period: it returns false
-    /// at once.
+    /// A layer-period checkpoint records the order; by default there is
+    /// none.
     fn pop_order(&self, _rs: usize, _f: impl FnMut(u32)) -> bool {
         false
     }
     /// Adds `by` to every key that is a dispatch stamp: a layer-period
     /// jump moves every dispatch stamp, and so every round-robin key,
-    /// forward by `by`. The default is a set whose keys are not stamps.
+    /// forward by `by`. By default no key is a stamp.
     fn shift_keys(&mut self, _by: u64) {}
 }
 
 /// FCFS ready set. Arrival keys are static and admissions come in key
-/// order, so a request's rank is its admission index, assigned once,
-/// and each resource's set is a rank-indexed bitmask. Enqueue sets one
-/// bit. Pop-min is a trailing-zeros scan from the lowest word that can
-/// hold a bit, so it walks the live rank window, not every request
-/// admitted so far.
+/// order, so a request's rank is its admission index, and each
+/// resource's set is a rank-indexed bitmask. Pop-min is a trailing-zeros
+/// scan from the lowest word that can hold a bit, so it walks the live
+/// rank window, not every request admitted so far.
 #[derive(Debug, Default)]
 pub(super) struct FcfsReady {
     /// Member id per rank.

@@ -40,10 +40,7 @@ pub(super) enum Phase {
 /// admission and completion. A `Vec` of one heterogeneous struct
 /// strides those hot scans over the cold report fields; splitting the
 /// loop-scanned fields into dense parallel arrays keeps each scan on a
-/// contiguous lane of same-typed values. Pure layout change: every
-/// site reads and writes the same values in the same order, so reports
-/// are bit-identical to the array-of-structs engine (pinned by the
-/// goldens and the span-equivalence suite).
+/// contiguous lane of same-typed values.
 #[derive(Debug, Default)]
 pub(super) struct RequestPool {
     /// Lifecycle phase (`Queued → Prefilling → Decoding → Done`).
@@ -96,8 +93,7 @@ impl RequestPool {
     /// A pool with every parallel array sized for `n` requests up
     /// front, so the deep-queue regime (hundreds of queued arrivals,
     /// closed-loop respawns) never reallocates the hot arrays
-    /// mid-loop. Capacity only — contents and push order are
-    /// unchanged, so reports are bit-identical (pinned by the goldens).
+    /// mid-loop.
     pub(super) fn with_capacity(n: usize) -> Self {
         RequestPool {
             phase: Vec::with_capacity(n),
@@ -168,16 +164,14 @@ impl RequestPool {
 
 /// The serving scheduler's event core.
 ///
-/// A general priority queue is overkill here: each resource serves one
-/// op at a time, so at most one completion is pending per resource, and
-/// the only other event source is the arrival sequence. "Next event" is
-/// therefore a three-way minimum over two slots and the arrival heap.
-/// Ordering matches [`sim_core::EventQueue`] exactly: earliest
+/// Each resource serves one op at a time, so at most one completion is
+/// pending per resource, and the only other event source is the arrival
+/// sequence: "next event" is a three-way minimum over two slots and the
+/// arrival heap. As in [`sim_core::EventQueue`], the earliest
 /// `(time, schedule_stamp)` wins, so simultaneous events fire in the
-/// order they were scheduled (FIFO) and every run is deterministic.
-/// The batched loop pops it; the FCFS/RR loop ([`Simulation`](super::device::Simulation)) keeps
-/// its own op-slot mirrors and uses only the arrival heap and the
-/// stamp.
+/// order they were scheduled. The batched loop pops it; the FCFS/RR
+/// loop keeps its own op-slot mirrors and uses only the arrival heap
+/// and the stamp.
 #[derive(Debug, Default)]
 pub(super) struct EventCore {
     /// Pending op completion per resource: `(fires_at_ps, stamp, req)`.
@@ -224,12 +218,6 @@ impl EventCore {
         let stamp = self.stamp;
         self.stamp += 1;
         self.op_done[class_slot] = Some((at.as_picos(), stamp, id as u32));
-    }
-
-    /// Whether resource `class_slot` is serving an op.
-    #[inline]
-    pub(super) fn busy(&self, class_slot: usize) -> bool {
-        self.op_done[class_slot].is_some()
     }
 
     /// `(time_ps, stamp)` of the earliest pending arrival, `u64::MAX`
@@ -650,16 +638,14 @@ pub(super) const BATCH_PREFILL: usize = u32::MAX as usize - 2;
 
 /// Event-core sentinel for a coalesced span's end in the batched loop:
 /// the token boundary closing a bulk-priced run of batch steps, handled
-/// by the ordinary [`BatchedSimulation::token_boundary`](super::batched::BatchedSimulation::token_boundary).
+/// by the ordinary
+/// [`BatchedSimulation::token_boundary`](super::batched::BatchedSimulation::token_boundary).
 pub(super) const SPAN_BOUNDARY: usize = u32::MAX as usize - 3;
 
-/// Sizing hints a trace implies: `(total requests over the run, peak
-/// simultaneously scheduled arrivals)` — the capacities
-/// [`RequestPool::with_capacity`] and [`EventCore::with_capacity`]
-/// reserve before the loop starts. A closed loop holds at most one
-/// scheduled arrival per client (respawns replace completions), while
-/// an open trace schedules everything up front.
-pub(super) fn trace_sizes(trace: &ArrivalTrace) -> (usize, usize) {
+/// `(total requests over the run, peak scheduled arrivals)`: a closed
+/// loop schedules one arrival per client at a time, an open trace all
+/// of them up front.
+fn trace_sizes(trace: &ArrivalTrace) -> (usize, usize) {
     match trace {
         ArrivalTrace::Open(arrivals) => (arrivals.len(), arrivals.len()),
         ArrivalTrace::ClosedLoop {
@@ -685,10 +671,8 @@ pub(super) fn kv_cache(engine: &DeviceEngine) -> KvCache {
 /// latency sample (clocked from `token_started`, which may predate the
 /// token for a request's first — queue wait and prefill are in the
 /// first token's latency under every policy), the clock reset and the
-/// first-token stamp. The **single** definition of per-token retire
-/// bookkeeping, shared by both per-token handlers and both span paths —
-/// span/per-op bit-exactness requires these four sites to agree, so
-/// the agreement is structural rather than copy-discipline.
+/// first-token stamp. Every per-token handler and span path shares it,
+/// so span and per-op runs agree by construction.
 #[inline]
 pub(super) fn retire_token(
     requests: &mut RequestPool,

@@ -129,10 +129,15 @@ pub const SEED_STREAM_MODULES: &[&str] = &[
 /// pinned there. `Samples` there sums integer picoseconds, not floats.
 const FLOAT_SUM_HOME: &str = "crates/sim-core/src/stats.rs";
 
-/// The serve/system hot path watched by D5.
+/// The serve/system hot path watched by D5: the serving engine's run
+/// state and event loops, and the system model.
 const UNIT_HOT_PATH: &[&str] = &[
     "crates/core/src/serve/mod.rs",
     "crates/core/src/serve/device.rs",
+    "crates/core/src/serve/run.rs",
+    "crates/core/src/serve/ready.rs",
+    "crates/core/src/serve/period.rs",
+    "crates/core/src/serve/batched.rs",
     "crates/core/src/system.rs",
 ];
 

@@ -111,11 +111,10 @@ pub fn optimal_tile(topo: &Topology, weight_bits: u32) -> TileShape {
 /// Cambricon-LLM-L's `Wreq* = 16384` against a 4096-wide projection);
 /// real plans must then pick the transfer-minimizing shape among those
 /// that keep the tile inside the matrix while preserving the exact tile
-/// area (`cores × page_params`). A narrow matrix pushes that choice
-/// towards tall atomic tiles, whose partial result (`atomic_h`
-/// activations) can overflow a core's output buffer; such a tile cannot
-/// run on the flash, so it is no candidate. Returns `None` when no whole
-/// tile fits (the matrix then goes entirely to the NPU).
+/// area (`cores × page_params`), skipping tall atomic tiles whose
+/// partial result (`atomic_h` activations) overflows a core's output
+/// buffer. Returns `None` when no whole tile fits (the matrix then goes
+/// entirely to the NPU).
 pub fn fit_tile(inp: &AlphaInputs, rows: usize, cols: usize) -> Option<TileShape> {
     let topo = &inp.topology;
     let cc = topo.compute_cores_per_channel() as u64;

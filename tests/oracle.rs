@@ -6,9 +6,11 @@
 //! the engine's execution paths share shows up here even though span
 //! equivalence, which compares those paths to each other, cannot see
 //! it. Under FCFS and round-robin one event loop runs every path —
-//! `SpanMode::PerOp` only turns its solo spans off — and every path
-//! pops the same ready set, so this is the only check of that set's
-//! order and of how the loop breaks same-instant ties.
+//! `SpanMode::PerOp` only turns its solo spans and round-robin's
+//! layer-period jumps off — and every path pops the same ready set, so
+//! this is the only check of that set's order, of how the loop breaks
+//! same-instant ties, and of the jumps against a run that never takes
+//! them. The six-layer models are the ones that jump.
 //!
 //! Whole reports must be equal, per-request timelines included. Only
 //! the four cache counters are copied over from the engine, because
@@ -26,13 +28,13 @@ use proptest::prelude::*;
 use sim_core::SimTime;
 use support::oracle::{self, Scenario};
 
-/// A two-layer OPT: every weight shape of the family at a size whose
-/// flash simulation is cheap in a debug build.
-fn tiny_opt() -> ModelSpec {
+/// A tiny OPT: every weight shape of the family at a size whose flash
+/// simulation is cheap in a debug build.
+fn tiny_opt(layers: usize) -> ModelSpec {
     ModelSpec {
         name: "tiny-OPT",
         family: Family::Opt,
-        layers: 2,
+        layers,
         hidden: 512,
         heads: 8,
         kv_heads: 8,
@@ -42,12 +44,12 @@ fn tiny_opt() -> ModelSpec {
     }
 }
 
-/// A two-layer Llama-2 with grouped-query attention.
-fn tiny_llama() -> ModelSpec {
+/// A tiny Llama-2 with grouped-query attention.
+fn tiny_llama(layers: usize) -> ModelSpec {
     ModelSpec {
         name: "tiny-Llama2",
         family: Family::Llama2,
-        layers: 2,
+        layers,
         hidden: 512,
         heads: 8,
         kv_heads: 2,
@@ -56,6 +58,11 @@ fn tiny_llama() -> ModelSpec {
         max_seq: 2048,
     }
 }
+
+/// The tiny models' layer counts. With two layers no layer-period jump
+/// can start; with six, round-robin lockstep jumps over the middle
+/// layers, so the oracle checks the jumps too.
+const LAYERS: [usize; 2] = [2, 6];
 
 /// Most context tokens the KV allocation holds: two mid-sized requests
 /// fit together, a third waits, and the longest prompt never fits.
@@ -341,7 +348,7 @@ fn fixed_traces() -> [ArrivalTrace; 3] {
 /// models and returns what it covered.
 fn fixed_draw_coverage(policies: &[SchedulePolicy]) -> Coverage {
     let mut seen = Coverage::default();
-    for model in [tiny_opt(), tiny_llama()] {
+    for model in [tiny_opt(LAYERS[0]), tiny_llama(LAYERS[0])] {
         for trace in &fixed_traces() {
             check_matrix(policies, &model, trace, 7, &mut seen);
         }
@@ -354,10 +361,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The oracle property: across closed-loop, burst and Poisson
-    /// traces, batch caps 1–4, both prefill modes, faults off / at the
-    /// knee / worn out, and no deadline, a TTFT deadline or a total
-    /// deadline, the engine's report equals the oracle's, under the
-    /// default coalesced spans and under `SpanMode::PerOp`.
+    /// traces, two- and six-layer models, batch caps 1–4, both prefill
+    /// modes, faults off / at the knee / worn out, and no deadline, a
+    /// TTFT deadline or a total deadline, the engine's report equals the
+    /// oracle's, under the default coalesced spans and under
+    /// `SpanMode::PerOp`.
     #[test]
     fn continuous_batch_reports_equal_the_oracle(
         llama in 0usize..2,
@@ -368,8 +376,10 @@ proptest! {
         closed_shape in 0usize..SHAPES.len() - 1,
         gap_ms in 5u64..400,
         seed in 0u64..1000,
+        six in any::<bool>(),
     ) {
-        let model = if llama == 1 { tiny_llama() } else { tiny_opt() };
+        let layers = LAYERS[usize::from(six)];
+        let model = if llama == 1 { tiny_llama(layers) } else { tiny_opt(layers) };
         let traces = [
             ArrivalTrace::closed_loop(clients, per_client, shape(closed_shape)),
             open_trace(n, first_shape, None, seed),
@@ -381,8 +391,9 @@ proptest! {
     }
 
     /// The same property under FCFS and round-robin, plus a trace
-    /// listed latest first and the tied traces: with solo spans on and
-    /// off, the event loop must reproduce the oracle's report.
+    /// listed latest first and the tied traces: with solo spans and
+    /// layer-period jumps on and off, the event loop must reproduce the
+    /// oracle's report.
     #[test]
     fn fcfs_and_round_robin_reports_equal_the_oracle(
         llama in 0usize..2,
@@ -393,8 +404,10 @@ proptest! {
         closed_shape in 0usize..SHAPES.len() - 1,
         gap_ms in 5u64..400,
         seed in 0u64..1000,
+        six in any::<bool>(),
     ) {
-        let model = if llama == 1 { tiny_llama() } else { tiny_opt() };
+        let layers = LAYERS[usize::from(six)];
+        let model = if llama == 1 { tiny_llama(layers) } else { tiny_opt(layers) };
         let traces = [
             ArrivalTrace::closed_loop(clients, per_client, shape(closed_shape)),
             open_trace(n, first_shape, None, seed),

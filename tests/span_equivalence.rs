@@ -542,7 +542,13 @@ fn layer_period_jumps_are_bit_exact_at_their_edges() {
     //   reference while every earlier request is mid-token;
     // * round-robin at the ECC knee with a total deadline that sheds,
     //   where each token's fault time rides on its first flash op;
-    // * prefill modelled, where a respawn's prefill holds the device.
+    // * prefill modelled, where a respawn's prefill holds the device;
+    // * round-robin on a narrow model with long prompts, where a jump
+    //   lands with a member queued for a resource under a key above
+    //   the key of the member that holds it, whose next op needs that
+    //   resource again: the two meet in one queue right after the
+    //   landing, and only a jump that shifts the queued keys with the
+    //   dispatch stamps pops them in the per-op order.
     let cfg = SystemConfig::cambricon_s();
     let shape = RequestShape::new(300, 12);
     let closed = ArrivalTrace::closed_loop(8, 2, shape);
@@ -601,6 +607,23 @@ fn layer_period_jumps_are_bit_exact_at_their_edges() {
         let prefill = |mode| plain(mode).with_prefill(PrefillMode::Modeled);
         check("prefill", &prefill, &closed, rr);
     }
+    // Attention over a 2,500-token context outlasts this model's weight
+    // GeMVs on Cam-M at W4A16, which sets the meeting up.
+    let narrow = llm_workload::ModelSpec {
+        name: "narrow-OPT",
+        family: llm_workload::Family::Opt,
+        layers: 8,
+        hidden: 1024,
+        heads: 8,
+        kv_heads: 8,
+        ffn: 4096,
+        vocab: 2048,
+        max_seq: 8192,
+    };
+    let cfg = SystemConfig::cambricon_m().with_quant(Quant::W4A16);
+    let meeting = |mode| ServeEngine::new(cfg, narrow.clone()).with_span_mode(mode);
+    let long = ArrivalTrace::closed_loop(4, 1, RequestShape::new(2500, 4));
+    check("queued keys meet", &meeting, &long, rr);
 }
 
 #[test]
