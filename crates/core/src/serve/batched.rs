@@ -18,7 +18,7 @@ use super::{SchedulePolicy, ServeReport};
 /// each at its own sequence length, plus the occupancy accounting. A
 /// span moves every member by the same number of whole tokens.
 #[derive(Debug)]
-pub(super) struct BatchState {
+struct BatchState {
     /// Requests in the batch, admission order.
     active: Vec<usize>,
     /// Admission cap.

@@ -40,7 +40,7 @@ pub(super) const CK_RING: usize = MAX_PERIOD_LAYERS + 1;
 /// stamps, and the busy time booked per resource (its open run
 /// included), all in picoseconds or stamps.
 #[derive(Debug, Default, Clone, Copy)]
-pub(super) struct Clock {
+struct Clock {
     now: u64,
     stamp: u64,
     d_stamp: u64,

@@ -157,7 +157,7 @@ impl RequestPool {
 
     /// Tokens generated so far — the report-facing complement of
     /// [`RequestPool::remaining`].
-    pub(super) fn tokens_done(&self, id: usize) -> usize {
+    fn tokens_done(&self, id: usize) -> usize {
         self.cold[id].shape.new_tokens - self.remaining[id]
     }
 }
@@ -205,7 +205,7 @@ impl EventCore {
         }
     }
 
-    pub(super) fn schedule_arrival(&mut self, at: SimTime, id: usize) {
+    fn schedule_arrival(&mut self, at: SimTime, id: usize) {
         let stamp = self.stamp;
         self.stamp += 1;
         self.arrivals
